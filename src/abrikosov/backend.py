@@ -6,6 +6,8 @@ the obstacle solver) exist in two functionally identical implementations:
 * ``*_numba`` -- explicit loops compiled with ``numba.njit(cache=True)``;
 * ``*_numpy`` -- vectorized numpy.
 
+The Green Hessian kernel ``green_hessians`` exists in numpy only.
+
 Selection happens once at import time.  Setting the environment variable
 ``ABRIKOSOV_NO_NUMBA`` to ``1``/``true``/``yes`` forces the numpy path; the
 numpy path is also used automatically when numba is not importable.
@@ -57,6 +59,14 @@ if USE_NUMBA:
 #   L(z) = pi i (p+1)/(p-1)
 #          + 2 pi i sum_{n>=1} [ (q^n/p)/(1-q^n/p) - q^n p/(1-q^n p) ],
 #   dG/ds = -Re L,   dG/dt = -Re(tau L) + 2 pi b t.
+#
+# Its z-derivative, with u = q^n/p and v = q^n p,
+#
+#   L'(z) = 4 pi^2 p/(p-1)^2 + 4 pi^2 sum_{n>=1} [ u/(1-u)^2 + v/(1-v)^2 ],
+#
+# gives the second derivatives
+#
+#   d2G/ds2 = -Re L',  d2G/dsdt = -Re(tau L'),  d2G/dt2 = -Re(tau^2 L') + 2 pi b.
 #
 # Both implementations wrap (s, t) into [-1/2, 1/2) first, which keeps the
 # series terms bounded by |q|^(n-1/2).
@@ -141,6 +151,25 @@ def green_grads_numpy(ds, dt, a, b, nterms):
     gs = -lsum.real
     gt = -(tau * lsum).real + 2.0 * np.pi * b * t
     return gs, gt
+
+
+def green_hessians(ds, dt, a, b, nterms):
+    """Second (s, t)-derivatives (H_ss, H_st, H_tt) of G, from L'(z)."""
+    tau = complex(a, b)
+    q = np.exp(2j * np.pi * tau)
+    s = ds - np.rint(ds)
+    t = dt - np.rint(dt)
+    w = np.exp(1j * np.pi * (s + t * tau))
+    p = w * w
+    dl = p / (p - 1.0) ** 2
+    qn = complex(1.0, 0.0)
+    for _ in range(nterms):
+        qn = qn * q
+        u = qn / p
+        v = qn * p
+        dl = dl + u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
+    dl = 4.0 * np.pi * np.pi * dl
+    return -dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b
 
 
 # ---------------------------------------------------------------------------

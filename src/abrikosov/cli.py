@@ -49,7 +49,7 @@ from .torus import (
     MinimizeControl,
     TorusConfig,
     TorusSpec,
-    _random_start,
+    _input_start,
     conjecture1_probe,
     elkies_experiment,
     minimize_config,
@@ -232,14 +232,16 @@ def cmd_fekete(args) -> int:
     if n < 1:
         raise InputError("--n must be >= 1")
     torus = _make_torus(args)
-    start = _random_start(n, np.random.default_rng((args.seed, 0, n)))
-    out = minimize_config(TorusConfig(torus, start), mctl, series)
+    out = minimize_config(TorusConfig(torus, _input_start(n, args.seed)), mctl,
+                          series)
     params = dict(base_params, mode="minimize", n=n)
     payload = _payload("fekete", params)
     payload["energy"] = out.report.to_dict()
     payload["config"] = out.config.to_json_dict()
     payload["stalled"] = out.stalled
-    payload["final_grad_norm"] = out.trace[-1][2] if out.trace else 0.0
+    payload["converged"] = out.converged
+    payload["exit_reason"] = out.exit_reason
+    payload["final_grad_norm"] = out.trace[-1][2]
     payload["iterations"] = len(out.trace) - 1
     payload["restart_table"] = [
         {"index": i, "energy": e, "iters": k, "grad_norm": g, "stalled": s}
@@ -366,7 +368,8 @@ def cmd_obstacle(args) -> int:
         payload["suite"] = verify_gradient_bound(fields).to_json_dict()
     elif suite == "scale-law":
         base = solve_h0(grid, args.tol, args.max_sweeps)
-        offsets = list(args.offsets) if args.offsets else [0.02, 0.04]
+        # inside the small-excess law's range, 2 pi offset/base <= 1/(4e)
+        offsets = list(args.offsets) if args.offsets else [0.005, 0.01]
         fields = [solve_obstacle(grid, base.min_value + off, args.tol,
                                  args.max_sweeps) for off in offsets]
         payload["h0"] = base.to_json_dict()
@@ -442,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
     p.add_argument("--grad-tol", type=float, default=1e-9)
-    p.add_argument("--step", type=float, default=0.05)
+    p.add_argument("--step", type=float, default=0.25,
+                   help="largest per-point displacement of one Newton step")
     p.add_argument("--elkies", action="store_true",
                    help="run the excess-band experiment for n = 2..n-max")
     p.add_argument("--n-max", type=int, default=8)

@@ -8,13 +8,24 @@ on a flat torus of area 2 pi.  Its values come from a geometrically
 convergent q-series closed form (never from the slowly decaying Fourier
 sum), after mapping the torus shape to a reduced modulus.  Configuration
 energies are pairwise Green sums plus a per-point lattice self-energy term;
-``minimize_config`` runs seeded multi-start gradient descent over point
-positions (a weighted-Fekete search).
+their gradients and Hessians come from derivatives of the same closed form.
+
+``minimize_config`` runs a seeded multi-start search over point positions (a
+weighted-Fekete search).  Each start descends by modified Newton steps
+(Nocedal & Wright, *Numerical Optimization*, ch. 3): the pair-energy Hessian
+is restricted to displacements that move no point on average, which removes
+the two uniform translations along which the energy is constant, and its
+eigenvalues are replaced by their absolute values, floored, so that every
+step points downhill, at saddles too.  A backtracking line search accepts a
+step only if the energy rises by no more than its rounding error, and every
+start reports whether it reached the gradient tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +68,7 @@ VOLUME_RTOL = 1e-12
 SEPARATION_EPS = 1e-8      # fractional coordinates
 SINGULAR_TUBE = 1e-9       # Cartesian distance to the periodicity lattice
 ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
+EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -142,12 +154,48 @@ class TorusConfig:
         }
 
 
+class _PairLayout(NamedTuple):
+    """Index data shared by every n-point configuration."""
+
+    iu: np.ndarray          # pair (i, j), i < j: first point
+    ju: np.ndarray          # second point
+    hess_index: np.ndarray  # flat (2n)^2 positions of the pair Hessian blocks
+    free: np.ndarray        # (2n, 2n-2) orthonormal basis of zero-mean moves
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_layout(n: int) -> _PairLayout:
+    """Pair indices, Hessian scatter positions and the translation complement.
+
+    Hessian rows and columns run over (x_0, y_0, x_1, y_1, ...).  The scatter
+    positions list, per pair and in this order, the (i, i), (j, j), (i, j)
+    and (j, i) 2x2 blocks.  The arrays are read-only: every caller shares them.
+    """
+    iu, ju = np.triu_indices(n, k=1)
+    k = np.arange(2)
+
+    def blocks(a, b):
+        rows = 2 * a[:, None, None] + k[None, :, None]
+        cols = 2 * b[:, None, None] + k[None, None, :]
+        return rows * (2 * n) + cols
+
+    hess_index = np.concatenate([blocks(iu, iu), blocks(ju, ju),
+                                 blocks(iu, ju), blocks(ju, iu)]).ravel()
+    shift = np.zeros((2 * n, 2))
+    shift[0::2, 0] = shift[1::2, 1] = 1.0 / math.sqrt(n)
+    # eigenvalues of the projector are 0 (twice, the translations), then 1
+    _, vec = np.linalg.eigh(np.eye(2 * n) - shift @ shift.T)
+    layout = _PairLayout(iu, ju, hess_index, vec[:, 2:])
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
 def _pair_diffs(points: np.ndarray):
     """Upper-triangle index pairs and their coordinate differences."""
-    n = points.shape[0]
-    iu, ju = np.triu_indices(n, k=1)
-    d = points[iu] - points[ju]
-    return iu, ju, d
+    layout = _pair_layout(points.shape[0])
+    d = points[layout.iu] - points[layout.ju]
+    return layout.iu, layout.ju, d
 
 
 def _min_separation(points: np.ndarray) -> float:
@@ -169,9 +217,7 @@ class GreenEvaluator:
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
         self.torus = torus
         self.ctl = ctl
-        u = complex(torus.basis.u[0], torus.basis.u[1])
-        v = complex(torus.basis.v[0], torus.basis.v[1])
-        tau_r, m = _reduce_with_matrix(v / u)
+        tau_r, m = _reduce_with_matrix(_torus_modulus(torus))
         self.tau = tau_r
         alpha, beta = int(m[0, 0]), int(m[0, 1])
         gamma, delta = int(m[1, 0]), int(m[1, 1])
@@ -204,26 +250,33 @@ class GreenEvaluator:
 
     # -- internals ---------------------------------------------------------
 
-    def _values_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """G at fractional-coordinate differences in the torus basis."""
+    def _reduced(self, ds: np.ndarray, dt: np.ndarray):
+        """Kernel arguments: fractional differences in the reduced frame."""
         c = self.coord_map
         s2 = c[0, 0] * ds + c[0, 1] * dt
         t2 = c[1, 0] * ds + c[1, 1] * dt
-        vals = backend.green_values(np.ascontiguousarray(s2, float),
-                                    np.ascontiguousarray(t2, float),
-                                    self.tau.real, self.tau.imag, self.nterms)
-        return vals - self.correction
+        return (np.ascontiguousarray(s2, float), np.ascontiguousarray(t2, float),
+                self.tau.real, self.tau.imag, self.nterms)
+
+    def _values_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """G at fractional-coordinate differences in the torus basis."""
+        return backend.green_values(*self._reduced(ds, dt)) - self.correction
 
     def _grads_frac(self, ds: np.ndarray, dt: np.ndarray):
         """Cartesian gradient of G at fractional-coordinate differences."""
-        c = self.coord_map
-        s2 = c[0, 0] * ds + c[0, 1] * dt
-        t2 = c[1, 0] * ds + c[1, 1] * dt
-        gs, gt = backend.green_grads(np.ascontiguousarray(s2, float),
-                                     np.ascontiguousarray(t2, float),
-                                     self.tau.real, self.tau.imag, self.nterms)
+        gs, gt = backend.green_grads(*self._reduced(ds, dt))
         g = self._grad_map @ np.vstack([gs, gt])
         return g[0], g[1]
+
+    def _hess_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
+        """Cartesian Hessians J^T H J of G at fractional differences, (m, 2, 2).
+
+        J maps Cartesian displacements to the reduced frame's (s, t), and
+        ``_grad_map`` is its transpose.
+        """
+        hss, hst, htt = backend.green_hessians(*self._reduced(ds, dt))
+        h = np.stack([hss, hst, hst, htt], axis=-1).reshape(-1, 2, 2)
+        return self._grad_map @ h @ self._grad_map.T
 
     def _quadrature_mean(self, k: int) -> float:
         mids = (np.arange(k) + 0.5) / k
@@ -280,6 +333,13 @@ def green_grad(ev: GreenEvaluator, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _torus_modulus(torus: TorusSpec) -> complex:
+    """Shape modulus v/u of the torus basis (not reduced)."""
+    u = complex(torus.basis.u[0], torus.basis.u[1])
+    v = complex(torus.basis.v[0], torus.basis.v[1])
+    return v / u
+
+
 def _lattice_term(ev: GreenEvaluator, ctl: SeriesControl) -> EnergyReport:
     return w_eta(ev.tau, 1.0, ctl)
 
@@ -314,6 +374,21 @@ def _pair_grad(ev: GreenEvaluator, points: np.ndarray) -> np.ndarray:
     np.add.at(out[:, 0], ju, -gx)
     np.add.at(out[:, 1], ju, -gy)
     return out
+
+
+def _pair_hess(ev: GreenEvaluator, points: np.ndarray) -> np.ndarray:
+    """Cartesian Hessian of the pairwise Green sum, shape (2n, 2n).
+
+    Rows and columns run over (x_0, y_0, x_1, y_1, ...).  The Hessian H_ij
+    of G at x_i - x_j adds to the (i, i) and (j, j) blocks and subtracts from
+    the (i, j) and (j, i) blocks; one ``bincount`` scatters every pair.
+    """
+    n = points.shape[0]
+    _, _, d = _pair_diffs(points)
+    h = ev._hess_frac(d[:, 0], d[:, 1])
+    weights = np.concatenate([h, h, -h, -h]).ravel()
+    return np.bincount(_pair_layout(n).hess_index, weights,
+                       minlength=4 * n * n).reshape(2 * n, 2 * n)
 
 
 def _sup_norm(grad: np.ndarray) -> float:
@@ -353,11 +428,15 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
 
 @dataclass(frozen=True)
 class MinimizeControl:
-    """Knobs of the multi-start projected gradient descent."""
+    """Knobs of the multi-start Newton descent.
+
+    ``step_init`` caps the largest per-point Cartesian displacement of one
+    Newton step.
+    """
 
     max_iters: int = 2000
     grad_tol: float = 1e-9
-    step_init: float = 0.05
+    step_init: float = 0.25
     restarts: int = 16
     rng_seed: int = 0
 
@@ -375,12 +454,11 @@ class MinimizeOutcome:
     """Best configuration found plus the descent diagnostics.
 
     Iterates like the (config, report, trace) triple; `restart_table` keeps
-    one summary row per start.  A descent step is accepted on sufficient
-    (Armijo) energy decrease or, once that decrease is below rounding
-    (``ENERGY_SLACK``), on a falling gradient norm with the energy within
-    ``ENERGY_SLACK``; a step that leaves the points unchanged never counts
-    as a move.  `stalled` is True when the winning run ended because no
-    trial step was accepted, before reaching ``grad_tol`` or ``max_iters``.
+    one summary row per start.  The last three fields describe the winning
+    start: `exit_reason` is ``"converged"`` (its gradient norm fell below
+    ``grad_tol``), ``"max_iters"`` (it ran out of iterations first) or
+    ``"stalled"`` (no trial step was accepted); `converged` and `stalled`
+    repeat the first and the last of these as flags.
     """
 
     config: TorusConfig
@@ -388,30 +466,54 @@ class MinimizeOutcome:
     trace: list                 # rows (iter, energy, grad_norm) of best run
     restart_table: list         # rows (index, energy, iters, grad_norm, stalled)
     stalled: bool
+    converged: bool
+    exit_reason: str
 
     def __iter__(self):
         return iter((self.config, self.report, self.trace))
 
 
+def _newton_step(ev: GreenEvaluator, points: np.ndarray, grad: np.ndarray,
+                 max_step: float) -> np.ndarray:
+    """Modified Newton step in Cartesian coordinates, shape (n, 2).
+
+    The Hessian is restricted to zero-mean displacements (the two uniform
+    translations leave the energy unchanged), and its eigenvalues are
+    replaced by max(|lambda|, EIG_FLOOR), which makes the solve positive
+    definite.  A step whose largest per-point length exceeds ``max_step`` is
+    scaled down to it.
+    """
+    n = points.shape[0]
+    free = _pair_layout(n).free
+    lam, vec = np.linalg.eigh(free.T @ _pair_hess(ev, points) @ free)
+    coef = (vec.T @ (free.T @ grad.ravel())) / np.maximum(np.abs(lam), EIG_FLOOR)
+    step = -(free @ (vec @ coef)).reshape(n, 2)
+    longest = _sup_norm(step)
+    if longest > max_step:
+        step *= max_step / longest
+    return step
+
+
 def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
-    """Gradient descent with a backtracking line search on one start.
+    """Modified Newton descent with a backtracking line search on one start.
 
-    Each iteration halves a trial step from the current step size, up to 40
-    times, and accepts the first trial that passes either test:
+    Each iteration takes the step of ``_newton_step`` (capped at
+    ``ctl.step_init`` per point), halves it up to 40 times, and accepts the
+    first trial whose energy is at most ``ENERGY_SLACK`` above the current
+    one and which either lowers the energy by more than ``ENERGY_SLACK`` or
+    lowers the largest per-point gradient norm.  Below ``ENERGY_SLACK`` a
+    genuine decrease can no longer be told from the energy's rounding error,
+    so near a minimum the falling gradient decides.  A trial that leaves the
+    points bit-for-bit unchanged is never accepted, so a null step is never
+    counted as a move.
 
-    * Armijo: the energy falls by at least ``1e-4 * s * |g|^2``;
-    * once that required decrease is below ``ENERGY_SLACK`` (where a genuine
-      decrease can no longer be told from the energy's rounding error): the
-      energy rises by at most ``ENERGY_SLACK`` and the largest per-point
-      gradient norm is below the current one.
+    The run ends when the gradient norm drops below ``ctl.grad_tol``
+    (``"converged"``), after ``ctl.max_iters`` iterations (``"max_iters"``),
+    or when no trial is accepted (``"stalled"``).  The trace has one row per
+    iteration plus the final state (the stalled iteration adds none).
 
-    A trial that leaves the points bit-for-bit unchanged is never accepted,
-    so a null step is never counted as a move.  The run ends when the
-    gradient norm drops below ``ctl.grad_tol``, after ``ctl.max_iters``
-    iterations, or when no trial is accepted; only the last sets ``stalled``.
-
-    Returns (points, energy, trace, stalled, iters).  Energies exclude the
-    constant lattice self-term (added back by the caller).
+    Returns (points, energy, trace, exit_reason, iters).  Energies exclude
+    the constant lattice self-term (added back by the caller).
     """
     inv_t = ev._inv_basis.T
     pts = _wrap01(points.copy())
@@ -419,41 +521,35 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
     grad = _pair_grad(ev, pts)
     gnorm = _sup_norm(grad)
     trace = []
-    stalled = False
-    step = ctl.step_init
     it = 0
-    for it in range(1, ctl.max_iters + 1):
-        trace.append((it - 1, energy, gnorm))
+    while True:
+        trace.append((it, energy, gnorm))
         if gnorm < ctl.grad_tol:
-            break
-        gsq = float(np.sum(grad * grad))
-        direction = grad @ inv_t
-        s = step
+            return pts, energy, trace, "converged", it
+        if it == ctl.max_iters:
+            return pts, energy, trace, "max_iters", it
+        it += 1
+        direction = _newton_step(ev, pts, grad, ctl.step_init) @ inv_t
+        s = 1.0
         moved = False
         for _ in range(40):
-            cand = _wrap01(pts - s * direction)
+            cand = _wrap01(pts + s * direction)
             if np.array_equal(cand, pts):
                 break           # every shorter trial is a null step too
             if _min_separation(cand) < SEPARATION_EPS:
                 s *= 0.5
                 continue
             e_new = _pair_energy(ev, cand)
-            decrease = 1e-4 * s * gsq
-            armijo = e_new <= energy - decrease
-            if armijo or (decrease < ENERGY_SLACK
-                          and e_new <= energy + ENERGY_SLACK):
+            if e_new <= energy + ENERGY_SLACK:
                 g_new = _pair_grad(ev, cand)
                 g_new_norm = _sup_norm(g_new)
-                if armijo or g_new_norm < gnorm:
+                if e_new < energy - ENERGY_SLACK or g_new_norm < gnorm:
                     pts, energy, grad, gnorm = cand, e_new, g_new, g_new_norm
                     moved = True
-                    step = min(s * 1.5, 10.0 * ctl.step_init)
                     break
             s *= 0.5
         if not moved:
-            stalled = True
-            break
-    return pts, energy, trace, stalled, it
+            return pts, energy, trace, "stalled", it
 
 
 def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -462,6 +558,17 @@ def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
         if n == 1 or _min_separation(pts) > 1e-4:
             return pts
     return pts  # pragma: no cover - accept last draw at absurd densities
+
+
+def _input_start(n: int, seed: int) -> np.ndarray:
+    """Seeded random n-point start that callers pass as the input configuration.
+
+    It draws from ``SeedSequence(seed, spawn_key=(n,))``, a stream apart from
+    the ``(seed, r, n)`` streams of ``minimize_config``'s restarts, so it never
+    repeats one of them.
+    """
+    seq = np.random.SeedSequence(seed, spawn_key=(n,))
+    return _random_start(n, np.random.default_rng(seq))
 
 
 def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
@@ -483,7 +590,8 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
         return MinimizeOutcome(config=cfg, report=report,
                                trace=[(0, lat.value, 0.0)],
                                restart_table=[(0, lat.value, 0, 0.0, False)],
-                               stalled=False)
+                               stalled=False, converged=True,
+                               exit_reason="converged")
 
     starts = [cfg.points.copy()]
     for r in range(ctl.restarts):
@@ -493,13 +601,12 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     best = None
     table = []
     for idx, start in enumerate(starts):
-        pts, e_pair, trace, stalled, iters = _descent(ev, start, ctl)
-        gn = trace[-1][2] if trace else 0.0
+        pts, e_pair, trace, reason, iters = _descent(ev, start, ctl)
         total = e_pair + n * lat.value
-        table.append((idx, total, iters, gn, stalled))
+        table.append((idx, total, iters, trace[-1][2], reason == "stalled"))
         if best is None or total < best[1]:
-            best = (idx, total, pts, trace, stalled)
-    idx, total, pts, trace, stalled = best
+            best = (idx, total, pts, trace, reason)
+    idx, total, pts, trace, reason = best
     out_cfg = TorusConfig(cfg.torus, pts)
     pair_count = n * (n - 1) / 2.0
     report = EnergyReport(
@@ -508,9 +615,9 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     )
     # shift traces to report total energy rather than the pairwise part
     trace = [(i, e + n * lat.value, g) for i, e, g in trace]
-    table = [(i, e, k, g, st) for i, e, k, g, st in table]
     return MinimizeOutcome(config=out_cfg, report=report, trace=trace,
-                           restart_table=table, stalled=stalled)
+                           restart_table=table, stalled=reason == "stalled",
+                           converged=reason == "converged", exit_reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -523,13 +630,15 @@ class ElkiesReport:
     """Minimized pairwise Green sums and their normalized excesses."""
 
     rows: list          # (n, e_min_pairwise, excess)
+    converged: list     # per row: did the winning start reach grad_tol
     band_width: float
     band_ok: bool
     band_limit: float = 5.0
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [{"n": n, "e_min": e, "excess": x} for n, e, x in self.rows],
+            "rows": [{"n": n, "e_min": e, "excess": x, "converged": c}
+                     for (n, e, x), c in zip(self.rows, self.converged)],
             "band_width": self.band_width,
             "band_limit": self.band_limit,
             "band_ok": self.band_ok,
@@ -546,24 +655,27 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
     a band of width below 5.
     """
     torus = torus or TorusSpec.square()
+    w_lat = w_eta(_torus_modulus(torus), 1.0, series).value
     rows = []
+    converged = []
     for n in n_list:
         n = int(n)
         if n < 1:
             raise NonPositiveParameter("n must be >= 1")
         if n == 1:
             rows.append((1, 0.0, 0.0))
+            converged.append(True)
             continue
-        seedcfg = TorusConfig(torus, np.random.default_rng(
-            (ctl.rng_seed, 0, n)).random((n, 2)))
-        out = minimize_config(seedcfg, ctl, series)
-        ev = GreenEvaluator(torus, series)
-        e_pair = 2.0 * _pair_energy(ev, out.config.points)
+        start = TorusConfig(torus, _input_start(n, ctl.rng_seed))
+        out = minimize_config(start, ctl, series)
+        e_pair = 2.0 * (out.report.value - n * w_lat)
         excess = (e_pair + 0.25 * n * math.log(n)) / n
         rows.append((n, e_pair, excess))
+        converged.append(out.converged)
     excesses = [x for _, _, x in rows]
     width = (max(excesses) - min(excesses)) if excesses else 0.0
-    return ElkiesReport(rows=rows, band_width=width, band_ok=width < 5.0)
+    return ElkiesReport(rows=rows, converged=converged, band_width=width,
+                        band_ok=width < 5.0)
 
 
 def triangular_embedding(n: int):
@@ -593,7 +705,8 @@ def triangular_embedding(n: int):
 class Conjecture1Report:
     """Observed best energies against the triangular reference, per n."""
 
-    rows: list  # dicts: n, kind, best, per_point, reference, below_reference
+    rows: list  # dicts: n, kind, best, per_point, reference, below_reference,
+    #             converged
 
     def to_json_dict(self) -> dict:
         return {"rows": self.rows}
@@ -620,11 +733,7 @@ def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
             variants.append((kind, emb[0], emb[1]))
         for kind, torus, start in variants:
             if start is None:
-                start = np.random.default_rng((ctl.rng_seed, 0, n)).random((n, 2))
-                if n > 1:
-                    while _min_separation(start) < 1e-4:  # pragma: no cover
-                        start = np.random.default_rng(
-                            (ctl.rng_seed, 1, n)).random((n, 2))
+                start = _input_start(n, ctl.rng_seed)
             out = minimize_config(TorusConfig(torus, start), ctl, series)
             best = out.report.value
             rows.append({
@@ -635,5 +744,6 @@ def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
                 "reference": reference,
                 "reference_per_point": reference / n,
                 "below_reference": bool(best < reference - 1e-6),
+                "converged": out.converged,
             })
     return Conjecture1Report(rows=rows)

@@ -130,6 +130,16 @@ def test_fekete_small_run(tmp_path):
     assert rerun.stdout == proc.stdout
 
 
+def test_fekete_reports_convergence():
+    doc = json.loads(run_cli("fekete", "--n", "3", "--restarts", "1",
+                             check=True).stdout)
+    assert doc["converged"] is True and doc["exit_reason"] == "converged"
+    assert doc["final_grad_norm"] < doc["run_config"]["grad_tol"]
+    doc = json.loads(run_cli("fekete", "--n", "7", "--restarts", "1",
+                             "--max-iters", "3", check=True).stdout)
+    assert doc["converged"] is False and doc["exit_reason"] == "max_iters"
+
+
 def test_fekete_elkies_tiny():
     proc = run_cli("fekete", "--elkies", "--n-max", "2", "--restarts", "2",
                    "--max-iters", "400", check=True)
@@ -137,6 +147,7 @@ def test_fekete_elkies_tiny():
     rows = doc["elkies"]["rows"]
     assert [r["n"] for r in rows] == [2]
     assert abs(rows[0]["e_min"] - (-0.693147180559945)) < 1e-5
+    assert rows[0]["converged"] is True
     assert doc["elkies"]["band_ok"] is True
 
 
@@ -173,6 +184,14 @@ def test_obstacle_propa1_suite():
     assert suite["full_at_top"] is True
     assert suite["monotone_in_m"] is True
     assert suite["mass_spans_domain"] is True
+
+
+def test_obstacle_scale_law_default_offsets():
+    # the defaults lie inside the law's range, 2 pi offset/base <= 1/(4e)
+    proc = run_cli("obstacle", "--disk", "--h", "0.015625",
+                   "--suite", "scale-law", check=True)
+    rows = json.loads(proc.stdout)["suite"]["rows"]
+    assert [row["offset"] for row in rows] == [0.005, 0.01]
 
 
 def test_obstacle_polygon_domain():

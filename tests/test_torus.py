@@ -10,6 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abrikosov import torus
 
 from abrikosov.errors import (
     CoincidentPoints,
@@ -246,6 +250,56 @@ def test_config_grad_matches_energy_differences():
 
 
 # ---------------------------------------------------------------------------
+# Configuration Hessian
+# ---------------------------------------------------------------------------
+
+
+def _sheared_square():
+    side = math.sqrt(TWO_PI)
+    return TorusSpec(LatticeBasis([side, 0.0], [side, side]))
+
+
+@pytest.mark.parametrize("spec, reduced", [
+    (TorusSpec.square(), False), (TorusSpec.hexagonal(), False),
+    (TorusSpec.rectangular(SQRT3), False), (_sheared_square(), True),
+], ids=["square", "hex", "rect-sqrt3", "sheared"])
+def test_hessian_matches_gradient_differences(spec, reduced):
+    ev = GreenEvaluator(spec)
+    # the sheared basis reaches the kernel through a non-identity coord_map
+    assert reduced == (not np.array_equal(ev.coord_map, np.eye(2)))
+    rng = np.random.default_rng(11)
+    pts = rng.random((4, 2))
+    hess = torus._pair_hess(ev, pts)
+    inv = np.linalg.inv(spec.basis.matrix)
+    eps = 1e-6
+    for col in range(8):
+        i, k = divmod(col, 2)
+        dfrac = inv[:, k] * eps
+        up, dn = pts.copy(), pts.copy()
+        up[i] += dfrac
+        dn[i] -= dfrac
+        fd = (config_grad(TorusConfig(spec, up), ev)
+              - config_grad(TorusConfig(spec, dn), ev)).ravel() / (2.0 * eps)
+        assert np.max(np.abs(hess[:, col] - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), a=st.floats(-0.5, 0.5), b=st.floats(0.7, 2.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_symmetric_and_translation_free(n, a, b, seed):
+    # any unit-covolume-2pi torus: basis (c, 0), (c a, c b) with c^2 b = 2 pi
+    c = math.sqrt(TWO_PI / b)
+    spec = TorusSpec(LatticeBasis([c, 0.0], [c * a, c * b]))
+    pts = np.random.default_rng(seed).random((n, 2))
+    hess = torus._pair_hess(GreenEvaluator(spec), pts)
+    scale = np.max(np.abs(hess))
+    assert np.max(np.abs(hess - hess.T)) <= 1e-12 * scale
+    shift = np.zeros((2 * n, 2))
+    shift[0::2, 0] = shift[1::2, 1] = 1.0
+    assert np.max(np.abs(hess @ shift)) <= 1e-12 * n * scale
+
+
+# ---------------------------------------------------------------------------
 # Minimization
 # ---------------------------------------------------------------------------
 
@@ -323,6 +377,38 @@ def test_null_step_is_a_stall_not_a_move():
     assert iters == 1
 
 
+def test_every_start_converges_to_a_minimum_at_n7():
+    # n = 7 on the square torus has a soft mode (smallest non-translation
+    # Hessian eigenvalue about 0.017) that a first-order descent never
+    # resolved within max_iters
+    ctl = MinimizeControl()
+    n = 7
+    start = TorusConfig(TorusSpec.square(), torus._input_start(n, ctl.rng_seed))
+    out = minimize_config(start, ctl)
+    assert len(out.restart_table) == ctl.restarts + 1
+    for idx, _, iters, grad_norm, stalled in out.restart_table:
+        assert grad_norm < ctl.grad_tol and iters < ctl.max_iters, idx
+        assert not stalled, idx
+    assert out.converged and out.exit_reason == "converged"
+    assert out.trace[-1][2] < ctl.grad_tol
+    ev = GreenEvaluator(out.config.torus)
+    free = torus._pair_layout(n).free
+    lam = np.linalg.eigvalsh(free.T @ torus._pair_hess(ev, out.config.points)
+                             @ free)
+    assert lam[0] > 1e-3    # a minimum, not a saddle
+
+
+def test_unconverged_start_says_so():
+    ctl = MinimizeControl(max_iters=3, restarts=2)
+    start = TorusConfig(TorusSpec.square(), torus._input_start(7, 0))
+    out = minimize_config(start, ctl)
+    assert not out.converged and not out.stalled
+    assert out.exit_reason == "max_iters"
+    assert all(row[2] == 3 and row[3] >= ctl.grad_tol
+               for row in out.restart_table)
+    assert len(out.trace) == 4 and out.trace[-1][2] >= ctl.grad_tol
+
+
 def test_energy_decreases_along_trace():
     ctl = MinimizeControl(max_iters=300, restarts=0, rng_seed=0)
     start = TorusConfig(TorusSpec.square(), [[0.05, 0.12], [0.4, 0.77]])
@@ -349,6 +435,26 @@ def test_elkies_rows_small():
     assert [r["n"] for r in d["rows"]] == [1, 2]
 
 
+def test_elkies_starts_are_distinct(monkeypatch):
+    starts = []
+    descent = torus._descent
+
+    def record(ev, points, ctl):
+        starts.append(np.array(points))
+        return descent(ev, points, ctl)
+
+    monkeypatch.setattr(torus, "_descent", record)
+    ctl = MinimizeControl(max_iters=2, restarts=4, rng_seed=3)
+    rep = elkies_experiment([2, 3, 5], ctl=ctl)
+    assert len(starts) == 3 * (ctl.restarts + 1)
+    assert len(rep.converged) == 3
+    for k in range(0, len(starts), ctl.restarts + 1):
+        group = starts[k:k + ctl.restarts + 1]
+        for i in range(len(group)):
+            for j in range(i):
+                assert not np.array_equal(group[i], group[j]), (k, i, j)
+
+
 def test_conjecture1_probe_rows():
     ctl = MinimizeControl(max_iters=600, restarts=1, rng_seed=0)
     rep = conjecture1_probe([2], ctl=ctl)
@@ -358,6 +464,7 @@ def test_conjecture1_probe_rows():
         assert row["n"] == 2
         assert row["best"] >= row["reference"] - 1e-6
         assert not row["below_reference"]
+        assert row["converged"] is True
     # the exact embedding start lands on the closed-form triangular value
     tri_row = rep.rows[1]
     assert abs(tri_row["best"] - w_eta(TRI_TAU, 2.0).value) < 1e-8
