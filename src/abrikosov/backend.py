@@ -1,55 +1,23 @@
-"""Kernel backend selection: numba-jitted loops with a pure-numpy fallback.
+"""Vectorized numpy kernels: torus Green-function batches and PSOR sweeps.
 
-The hot kernels (torus Green-function batches and the projected SOR sweeps of
-the obstacle solver) exist in two functionally identical implementations:
-
-* ``*_numba`` -- explicit loops compiled with ``numba.njit(cache=True)``;
-* ``*_numpy`` -- vectorized numpy.
-
-The Green Hessian kernel ``green_hessians`` exists in numpy only.
-
-Selection happens once at import time.  Setting the environment variable
-``ABRIKOSOV_NO_NUMBA`` to ``1``/``true``/``yes`` forces the numpy path; the
-numpy path is also used automatically when numba is not importable.
-``ABRIKOSOV_THREADS`` caps the numba threading layer (the kernels themselves
-are single-threaded and deterministic either way).
+These are the hot loops of the package: the Green function's q-series and
+its first and second derivatives over arrays of point differences, and one
+projected SOR sweep of the obstacle solver.  They are single-threaded and
+deterministic.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("ABRIKOSOV_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
-
-if USE_NUMBA:
-    _threads = os.environ.get("ABRIKOSOV_THREADS", "").strip()
-    if _threads:
-        try:
-            numba.set_num_threads(
-                max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-            )
-        except (ValueError, RuntimeError):
-            pass
-
+BACKEND = "numpy"
 
 # ---------------------------------------------------------------------------
 # Green-function kernels.
 #
-# Inputs are fractional coordinates (s, t) in a reduced-modulus frame
-# tau = a + i b.  With z = s + t*tau, q = exp(2 i pi tau), w = exp(i pi z),
-# p = w^2, the torus Green function of the cell (volume-2pi normalization) is
+# Inputs are fractional coordinates (s, t) in the frame of a modulus
+# tau = a + i b (any b > 0; callers pass the reduced one).  With z = s + t*tau,
+# q = exp(2 i pi tau), w = exp(i pi z), p = w^2, the torus Green function of
+# the cell (volume-2pi normalization) is
 #
 #   G(s, t) = pi b/6 - log|w - 1/w| - sum_{n>=1} log|1-q^n p| + log|1-q^n/p|
 #             + pi b t^2
@@ -68,58 +36,12 @@ if USE_NUMBA:
 #
 #   d2G/ds2 = -Re L',  d2G/dsdt = -Re(tau L'),  d2G/dt2 = -Re(tau^2 L') + 2 pi b.
 #
-# Both implementations wrap (s, t) into [-1/2, 1/2) first, which keeps the
+# Every kernel wraps (s, t) into [-1/2, 1/2) first, which keeps the
 # series terms bounded by |q|^(n-1/2).
 # ---------------------------------------------------------------------------
 
 
-def _green_values_impl(ds, dt, a, b, nterms):
-    m = ds.shape[0]
-    out = np.empty(m, dtype=np.float64)
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    base = np.pi * b / 6.0
-    for i in range(m):
-        s = ds[i] - np.rint(ds[i])
-        t = dt[i] - np.rint(dt[i])
-        z = s + t * tau
-        w = np.exp(1j * np.pi * z)
-        p = w * w
-        acc = base - np.log(np.abs(w - 1.0 / w)) + np.pi * b * t * t
-        qn = complex(1.0, 0.0)
-        for _ in range(nterms):
-            qn = qn * q
-            acc = acc - np.log(np.abs(1.0 - qn * p)) - np.log(np.abs(1.0 - qn / p))
-        out[i] = acc
-    return out
-
-
-def _green_grads_impl(ds, dt, a, b, nterms):
-    m = ds.shape[0]
-    gs = np.empty(m, dtype=np.float64)
-    gt = np.empty(m, dtype=np.float64)
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    twopib = 2.0 * np.pi * b
-    for i in range(m):
-        s = ds[i] - np.rint(ds[i])
-        t = dt[i] - np.rint(dt[i])
-        z = s + t * tau
-        w = np.exp(1j * np.pi * z)
-        p = w * w
-        lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
-        qn = complex(1.0, 0.0)
-        for _ in range(nterms):
-            qn = qn * q
-            lsum = lsum + 2j * np.pi * (
-                (qn / p) / (1.0 - qn / p) - qn * p / (1.0 - qn * p)
-            )
-        gs[i] = -lsum.real
-        gt[i] = -(tau * lsum).real + twopib * t
-    return gs, gt
-
-
-def green_values_numpy(ds, dt, a, b, nterms):
+def green_values(ds, dt, a, b, nterms):
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
@@ -135,7 +57,7 @@ def green_values_numpy(ds, dt, a, b, nterms):
     return acc
 
 
-def green_grads_numpy(ds, dt, a, b, nterms):
+def green_grads(ds, dt, a, b, nterms):
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
@@ -183,20 +105,8 @@ def green_hessians(ds, dt, a, b, nterms):
 # ---------------------------------------------------------------------------
 
 
-def _psor_sweep_impl(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
-                     obstacle, omega):
-    for k in range(idx.shape[0]):
-        i = idx[k]
-        gs = (cE[k] * values[iE[k]] + cW[k] * values[iW[k]]
-              + cN[k] * values[iN[k]] + cS[k] * values[iS[k]] + bc[k]) / diag[k]
-        val = values[i] + omega * (gs - values[i])
-        if val < obstacle:
-            val = obstacle
-        values[i] = val
-
-
-def psor_sweep_numpy(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
-                     obstacle, omega):
+def psor_sweep(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
+               obstacle, omega):
     gs = (cE * values[iE] + cW * values[iW]
           + cN * values[iN] + cS * values[iS] + bc) / diag
     val = values[idx] + omega * (gs - values[idx])
@@ -204,31 +114,13 @@ def psor_sweep_numpy(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
     values[idx] = val
 
 
-if USE_NUMBA:
-    _jit = numba.njit(cache=True)
-    green_values_numba = _jit(_green_values_impl)
-    green_grads_numba = _jit(_green_grads_impl)
-    psor_sweep_numba = _jit(_psor_sweep_impl)
-    green_values = green_values_numba
-    green_grads = green_grads_numba
-    psor_sweep = psor_sweep_numba
-    BACKEND = "numba"
-else:
-    green_values_numba = None
-    green_grads_numba = None
-    psor_sweep_numba = None
-    green_values = green_values_numpy
-    green_grads = green_grads_numpy
-    psor_sweep = psor_sweep_numpy
-    BACKEND = "numpy"
-
-
 def warmup():
-    """Trigger JIT compilation of all kernels on tiny inputs (no-op on numpy)."""
+    """Run every kernel once on tiny inputs."""
     ds = np.array([0.3, 0.6])
     dt = np.array([0.2, 0.7])
     green_values(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     green_grads(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
+    green_hessians(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     vals = np.zeros(9)
     one = np.arange(2, dtype=np.int64)
     cf = np.ones(2)

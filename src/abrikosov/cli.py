@@ -41,6 +41,7 @@ from .obstacle import (
     coincidence_metrics,
     solve_h0,
     solve_obstacle,
+    value_error_pad,
     verify_ellipse_limit,
     verify_gradient_bound,
     verify_scale_law,
@@ -92,9 +93,14 @@ def _emit_json(payload: dict, path) -> None:
         sys.stdout.write(text)
 
 
+_WRITE_SLICE = 1 << 20   # characters per write of an output file
+
+
 def _write_text(path: str, text: str) -> None:
+    # in slices: one write of a large CSV would also hold its encoded copy
     with open(path, "w") as fh:
-        fh.write(text)
+        for i in range(0, len(text), _WRITE_SLICE):
+            fh.write(text[i:i + _WRITE_SLICE])
 
 
 def _payload(command: str, params: dict) -> dict:
@@ -280,16 +286,10 @@ def _make_shape(args):
     return ConvexPolygon(verts), {"shape": "polygon", "vertices": verts}
 
 
-def _monotone_pad(grid: DomainGrid, tol: float) -> float:
-    # value error behind a Jacobi-scaled residual of size tol is at most
-    # about max(diag) * tol; pad comparisons by a small multiple of that
-    return 20.0 * tol / (grid.h * grid.h)
-
-
 def _basic_suite(grid: DomainGrid, tol: float, max_sweeps) -> dict:
     """Activation threshold, endpoint, monotonicity, and mass checks."""
     h0 = solve_h0(grid, tol, max_sweeps)
-    pad = _monotone_pad(grid, tol)
+    pad = value_error_pad(grid, tol)
     low = solve_obstacle(grid, 0.5, tol, max_sweeps)
     top = solve_obstacle(grid, 1.0, tol, max_sweeps)
     levels = (0.80, 0.85, 0.90, 0.95)

@@ -31,11 +31,10 @@ from .modular import (
     LatticeBasis,
     LatticeModulus,
     SeriesControl,
-    _nterms_for,
     _require_upper,
+    _torus_green,
     dedekind_eta,
     eta_truncation,
-    kronecker_f,
     theta_lattice,
     zeta_difference_limit,
 )
@@ -187,19 +186,6 @@ def w_eta(tau: complex, m: float = 1.0,
                         error_estimate=m * log_tail)
 
 
-def _h_reg(s: float, t: float, tau: complex, ctl: SeriesControl) -> float:
-    """Regularized potential H(x) at fractional coordinates (s, t).
-
-    H is the mean-zero solution of -Delta H = 2 pi delta_0 - 1 on the
-    covolume-2pi torus of shape tau; closed form -log|f(s + t tau, tau)|
-    + pi b t^2 (with (s,t) wrapped to [-1/2, 1/2]).
-    """
-    sw = s - round(s)
-    tw = t - round(t)
-    z = complex(sw + tw * tau.real, tw * tau.imag)
-    return -math.log(kronecker_f(z, tau, ctl)) + math.pi * tau.imag * tw * tw
-
-
 def w_fourier(tau: complex, m: float = 1.0,
               probe_radii=DEFAULT_PROBES,
               ctl: SeriesControl = _DEFAULT_CTL,
@@ -207,10 +193,11 @@ def w_fourier(tau: complex, m: float = 1.0,
     """Energy via the regularized Fourier sum extrapolated to the origin.
 
     At each probe radius r the regularized potential H(x) is evaluated at
-    x = r (cos dir, sin dir) through its q-series closed form, and
-    w(r) = (H(x) + log r) / 2 is extrapolated to r -> 0.  The remainder
-    w(r) - w(0) is even in x, so the extrapolation is Richardson in r^2
-    (Neville tableau at 0).
+    x = r (cos dir, sin dir), and w(r) = (H(x) + log r) / 2 is extrapolated
+    to r -> 0.  H is the mean-zero solution of -Delta H = 2 pi delta_0 - 1
+    on the covolume-2pi torus of shape tau, the torus Green function in its
+    q-series closed form.  The remainder w(r) - w(0) is even in x, so the
+    extrapolation is Richardson in r^2 (Neville tableau at 0).
     """
     probes = [float(r) for r in probe_radii]
     if len(probes) < 1:
@@ -232,7 +219,7 @@ def w_fourier(tau: complex, m: float = 1.0,
         x1, x2 = r * cos_d, r * sin_d
         t = x2 / (c * b)
         s = x1 / c - a * t
-        h = _h_reg(s, t, tau_r, ctl)
+        h = _torus_green(s, t, tau_r, ctl)
         w_vals.append(0.5 * (h + math.log(r)))
 
     # Neville extrapolation to 0 in the variable r^2.
@@ -363,27 +350,6 @@ class ScanReport:
         return buf.getvalue()
 
 
-def _w_eta_array(a: np.ndarray, b: np.ndarray, m: float,
-                 ctl: SeriesControl) -> np.ndarray:
-    """Vectorized unit-density eta-route energy on fundamental-domain points.
-
-    Identical recurrence to dedekind_eta, evaluated on arrays; valid for
-    points at or above the fundamental-domain arc (b >= sqrt(3)/2 - eps),
-    where a uniform term count suffices.
-    """
-    b_min = float(np.min(b))
-    n = _nterms_for(b_min, ctl)
-    q = np.exp(2j * np.pi * (a + 1j * b))
-    prod = np.ones_like(q)
-    qn = np.ones_like(q)
-    for _ in range(n):
-        qn = qn * q
-        prod = prod * (1.0 - qn)
-    abs_eta2 = np.exp(-2.0 * np.pi * b / 12.0) * np.abs(prod) ** 2
-    w1 = -0.5 * np.log(np.sqrt(TWO_PI * b) * abs_eta2)
-    return m * (w1 - 0.25 * math.log(m))
-
-
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,
                 ctl: SeriesControl = _DEFAULT_CTL,
                 refine_iters: int = 60) -> ScanReport:
@@ -398,7 +364,9 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     if not (m > 0.0):
         raise NonPositiveParameter("density m must be > 0")
     a, b = grid.points()
-    w = _w_eta_array(a, b, m, ctl)
+    eta = dedekind_eta(a + 1j * b, ctl)
+    w = m * (-0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2)
+             - 0.25 * math.log(m))
     order = np.lexsort((b, a, w))  # w is the primary key
     best = order[0]
     tau0 = reduce_fundamental(complex(float(a[best]), float(b[best])))

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backend
 from .errors import (
     CovolumeMismatch,
     DegenerateBasis,
@@ -190,17 +191,29 @@ def eta_truncation(tau: complex, ctl: SeriesControl = _DEFAULT_CTL):
     return n, bound
 
 
-def dedekind_eta(tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> complex:
-    """q^(1/24) * prod_{n>=1} (1 - q^n) with q = exp(2 i pi tau)."""
-    tau = _require_upper(tau)
-    n = _nterms_for(tau.imag, ctl)
+def dedekind_eta(tau, ctl: SeriesControl = _DEFAULT_CTL):
+    """q^(1/24) * prod_{n>=1} (1 - q^n) with q = exp(2 i pi tau).
+
+    ``tau`` is one modulus or an array of them.  An array takes the term
+    count of its smallest Im tau and updates its running products in place.
+    """
+    if np.ndim(tau):
+        tau = np.asarray(tau, dtype=complex)
+        b = float(np.min(tau.imag))
+        if not (b > 0.0):
+            raise NonPositiveImaginaryPart("every tau must satisfy Im tau > 0")
+    else:
+        tau = _require_upper(tau)
+        b = tau.imag
+    n = _nterms_for(b, ctl)
     q = np.exp(2j * np.pi * tau)
-    prod = complex(1.0, 0.0)
-    qn = complex(1.0, 0.0)
-    for _ in range(n):
+    qn = q.copy()
+    prod = 1.0 - qn
+    for _ in range(n - 1):
         qn *= q
         prod *= 1.0 - qn
-    return complex(np.exp(2j * np.pi * tau / 24.0)) * prod
+    del q, qn  # freed before the prefactor's temporaries are made
+    return np.exp(2j * np.pi * tau / 24.0) * prod
 
 
 def _frac_wrap(x: float) -> float:
@@ -208,38 +221,45 @@ def _frac_wrap(x: float) -> float:
     return float(x - np.rint(x))
 
 
-def _z_lattice_distance(z: complex, tau: complex) -> float:
-    """Distance from z to the lattice Z + tau Z in the z-plane."""
-    v = z.imag / tau.imag
-    u = z.real - v * tau.real
-    w = _frac_wrap(u) + _frac_wrap(v) * tau
-    return abs(w)
+def _lattice_distance(s: float, t: float, tau: complex) -> float:
+    """Distance from z = s + t tau to the lattice Z + tau Z in the z-plane."""
+    return abs(_frac_wrap(s) + _frac_wrap(t) * tau)
+
+
+def _torus_green(s: float, t: float, tau: complex, ctl: SeriesControl) -> float:
+    """Green function G(s, t) of the area-2pi torus of shape tau.
+
+    (s, t) are the fractional coordinates of z = s + t tau.  G is the
+    mean-zero solution of -Delta G = 2 pi delta_0 - 1, evaluated by
+    ``backend.green_values`` with the series sized for the wrapped
+    |Im z| <= b/2.  It equals -log|f(z, tau)| + pi b t^2 with (s, t)
+    wrapped to [-1/2, 1/2].
+    """
+    if _lattice_distance(s, t, tau) < SINGULAR_TUBE:
+        raise LatticePointSingularity(
+            f"z = {s} + {t} tau is within {SINGULAR_TUBE} of the lattice")
+    b = tau.imag
+    n = _nterms_for(b, ctl, extra=math.pi * b)
+    return float(backend.green_values(np.array([s]), np.array([t]),
+                                      tau.real, b, n)[0])
 
 
 def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """Modulus of f(z, tau) = q^(1/12) (p^(1/2) - p^(-1/2)) prod (1-q^n p)(1-q^n/p).
 
-    Only the absolute value is returned; the half-power prefactor is evaluated
-    branch-free as ``|p^(1/2) - p^(-1/2)| = |2 sin(pi z)|``.
+    Only the absolute value is returned, as |f(s + t tau, tau)| =
+    exp(pi b t^2 - G(s, t)) through the torus Green function G (the
+    quasi-periodicity of f is the pi b t^2 term).  It is exactly 0 on the
+    lattice and raises LatticePointSingularity elsewhere within
+    SINGULAR_TUBE of it.
     """
     tau = _require_upper(tau)
     z = complex(z)
-    dist = _z_lattice_distance(z, tau)
-    if dist == 0.0:
-        # exactly on the lattice: f vanishes and its modulus is well-defined
+    t = z.imag / tau.imag
+    s = z.real - t * tau.real
+    if _lattice_distance(s, t, tau) == 0.0:
         return 0.0
-    if dist < SINGULAR_TUBE:
-        raise LatticePointSingularity(f"z={z} is within {SINGULAR_TUBE} of the lattice")
-    b = tau.imag
-    n = _nterms_for(b, ctl, extra=2.0 * math.pi * abs(z.imag))
-    q = np.exp(2j * np.pi * tau)
-    p = np.exp(2j * np.pi * z)
-    val = math.exp(-2.0 * math.pi * b / 12.0) * abs(2.0 * np.sin(np.pi * z))
-    qn = complex(1.0, 0.0)
-    for _ in range(n):
-        qn *= q
-        val *= abs(1.0 - qn * p) * abs(1.0 - qn / p)
-    return float(val)
+    return math.exp(math.pi * tau.imag * t * t - _torus_green(s, t, tau, ctl))
 
 
 def eisenstein(u: float, v: float, tau: complex,

@@ -43,6 +43,7 @@ __all__ = [
     "ObstacleField",
     "solve_h0",
     "solve_obstacle",
+    "value_error_pad",
     "coincidence_metrics",
     "CoincidenceMetrics",
     "sup_gradient",
@@ -410,6 +411,15 @@ def solve_obstacle(grid: DomainGrid, m: float, tol: float = 1e-10,
     active = (v - m) < ACTIVE_BAND * tol
     return ObstacleField(grid=grid, m=m, values=v, active=active,
                          residual=res, iters=iters, tol=tol)
+
+
+def value_error_pad(grid: DomainGrid, tol: float) -> float:
+    """Margin for comparing solutions that were solved to residual ``tol``.
+
+    The value error behind a Jacobi-scaled residual of size tol is at most
+    about max(diag) * tol; the pad is a small multiple of that.
+    """
+    return 20.0 * tol / (grid.h * grid.h)
 
 
 def _field_csv(grid: DomainGrid, values: np.ndarray, active) -> str:

@@ -34,7 +34,6 @@ from .errors import (
     CoincidentPoints,
     LatticePointSingularity,
     NonPositiveParameter,
-    NumericalError,
     VolumeNotNormalized,
 )
 from .lattice import (
@@ -43,7 +42,7 @@ from .lattice import (
     _reduce_with_matrix,
     w_eta,
 )
-from .modular import LatticeBasis, SeriesControl
+from .modular import LatticeBasis, SeriesControl, _nterms_for
 
 __all__ = [
     "TorusSpec",
@@ -205,13 +204,11 @@ def _min_separation(points: np.ndarray) -> float:
 
 
 class GreenEvaluator:
-    """Precomputed data for the torus Green function and its gradient.
+    """Precomputed data for the torus Green function and its derivatives.
 
     Construction reduces the torus shape to a fundamental-domain modulus,
-    stores the integer change of fractional coordinates, sizes the q-series,
-    and verifies the mean-zero normalization by a 64x64 midpoint quadrature
-    (storing a correction constant if the measured mean exceeds the
-    quadrature's own accuracy).
+    stores the integer change of fractional coordinates and sizes the
+    q-series by the same rule as ``kronecker_f``.
     """
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
@@ -226,27 +223,8 @@ class GreenEvaluator:
         self._inv_basis = np.linalg.inv(b0)
         self._grad_map = self._inv_basis.T @ self.coord_map.T
         self.scale = math.sqrt(torus.volume / TWO_PI)
-        # series length: wrapped |Im z| <= b/2, so the worst extra factor is
-        # exp(pi b); solve exp(-2 pi b n + pi b) < abs_tol/10
-        bb = tau_r.imag
-        need = (-math.log(ctl.abs_tol / 10.0) + math.pi * bb) / (TWO_PI * bb)
-        self.nterms = max(int(math.ceil(need)) + 2, 4, ctl.truncation_order)
-        self.correction = 0.0
-        # Construction-time normalization audit.  The midpoint rule carries
-        # an O(k^-2) discretization term from the log singularity (about 1e-4
-        # at k = 64, which would masquerade as drift), so the drift estimate
-        # extrapolates it away between the 64^2 and 128^2 levels; a genuine
-        # constant offset survives extrapolation unchanged.
-        mean_64 = self._quadrature_mean(64)
-        mean_128 = self._quadrature_mean(128)
-        self.diagnostic_mean = (4.0 * mean_128 - mean_64) / 3.0
-        if abs(self.diagnostic_mean) > 1e-3:
-            raise NumericalError(
-                f"Green normalization drift {self.diagnostic_mean:.3e}; "
-                "coordinate mapping is inconsistent"
-            )
-        if abs(self.diagnostic_mean) > 1e-4:
-            self.correction = self.diagnostic_mean
+        # wrapped |Im z| <= b/2, so the worst extra factor is exp(pi b)
+        self.nterms = _nterms_for(tau_r.imag, ctl, extra=math.pi * tau_r.imag)
 
     # -- internals ---------------------------------------------------------
 
@@ -260,7 +238,7 @@ class GreenEvaluator:
 
     def _values_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """G at fractional-coordinate differences in the torus basis."""
-        return backend.green_values(*self._reduced(ds, dt)) - self.correction
+        return backend.green_values(*self._reduced(ds, dt))
 
     def _grads_frac(self, ds: np.ndarray, dt: np.ndarray):
         """Cartesian gradient of G at fractional-coordinate differences."""
@@ -277,12 +255,6 @@ class GreenEvaluator:
         hss, hst, htt = backend.green_hessians(*self._reduced(ds, dt))
         h = np.stack([hss, hst, hst, htt], axis=-1).reshape(-1, 2, 2)
         return self._grad_map @ h @ self._grad_map.T
-
-    def _quadrature_mean(self, k: int) -> float:
-        mids = (np.arange(k) + 0.5) / k
-        ss, tt = np.meshgrid(mids, mids, indexing="ij")
-        vals = self._values_frac(ss.ravel(), tt.ravel()) + self.correction
-        return float(np.mean(vals))
 
     def _check_singular(self, frac: np.ndarray):
         d = frac - np.rint(frac)

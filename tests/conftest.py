@@ -9,7 +9,7 @@ REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "acceptance_repor
 
 @pytest.fixture(scope="session")
 def warm_backend():
-    """Compile/warm the hot kernels once so timed sections never pay JIT cost."""
+    """Run the kernels once so timed sections start warm."""
     from abrikosov import backend
 
     backend.warmup()

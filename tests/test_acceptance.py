@@ -3,7 +3,7 @@
 Each test measures its quantities, appends a one-line verdict to
 ``acceptance_report.txt`` in the repository root (echoed in the pytest
 terminal summary), and asserts the criterion.  Runtime limits are enforced
-with the compiled kernels pre-warmed so no check pays JIT cost.
+on the numpy kernels, run once beforehand on tiny inputs.
 
 Criterion 11 checks the small-excess scale law, which holds to leading
 order in 1/|log L|.  Since L^2 |log L| never exceeds 1/(2e), the band
@@ -13,7 +13,6 @@ test asserts that its offsets satisfy this before judging the ratios.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -220,7 +219,8 @@ def test_criterion_09_elkies_band():
 
 
 def test_criterion_10_obstacle_baseline():
-    from abrikosov.obstacle import DomainGrid, UnitDisk, solve_h0, solve_obstacle
+    from abrikosov.obstacle import (DomainGrid, UnitDisk, solve_h0,
+                                    solve_obstacle, value_error_pad)
 
     t0 = time.perf_counter()
     tol = 1e-10
@@ -231,7 +231,7 @@ def test_criterion_10_obstacle_baseline():
     full = solve_obstacle(grid, 1.0, tol=tol)
     fields = [solve_obstacle(grid, m, tol=tol)
               for m in (0.80, 0.85, 0.90, 0.95)]
-    pad = 20.0 * tol / (grid.h * grid.h)
+    pad = value_error_pad(grid, tol)
     mono = True
     for lo, hi in zip(fields, fields[1:]):
         gap = hi.m - lo.m
@@ -274,12 +274,9 @@ def test_criterion_11_scale_law_band():
         f"{rep.trend_toward_one}, axis ratios <= 1.2: {round_ok}, {dt:.1f} s")
 
 
-def _cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def _cli(*args):
     proc = subprocess.run([sys.executable, "-m", "abrikosov", *args],
-                          capture_output=True, env=env)
+                          capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 

@@ -1,123 +1,8 @@
-"""Parity and selection tests for the compiled/plain kernel pair."""
-
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
+"""The numpy kernel module."""
 
 from abrikosov import backend
-
-
-def _rand_frac(rng, n):
-    return rng.uniform(-1.6, 1.6, size=n)
-
-
-def test_green_values_backends_agree():
-    if not backend.USE_NUMBA:
-        pytest.skip("compiled backend not active")
-    backend.warmup()
-    rng = np.random.default_rng(0)
-    ds, dt = _rand_frac(rng, 64), _rand_frac(rng, 64)
-    a, b, nterms = 0.31, 1.17, 8
-    v_fast = backend.green_values_numba(ds, dt, a, b, nterms)
-    v_ref = backend.green_values_numpy(ds, dt, a, b, nterms)
-    assert np.max(np.abs(v_fast - v_ref)) < 1e-12
-
-
-def test_green_grads_backends_agree():
-    if not backend.USE_NUMBA:
-        pytest.skip("compiled backend not active")
-    backend.warmup()
-    rng = np.random.default_rng(1)
-    ds, dt = _rand_frac(rng, 64), _rand_frac(rng, 64)
-    a, b, nterms = -0.4, 0.91, 10
-    gs_f, gt_f = backend.green_grads_numba(ds, dt, a, b, nterms)
-    gs_r, gt_r = backend.green_grads_numpy(ds, dt, a, b, nterms)
-    assert np.max(np.abs(gs_f - gs_r)) < 1e-10
-    assert np.max(np.abs(gt_f - gt_r)) < 1e-10
-
-
-def test_psor_sweep_backends_identical():
-    if not backend.USE_NUMBA:
-        pytest.skip("compiled backend not active")
-    backend.warmup()
-    from abrikosov.obstacle import DomainGrid, UnitDisk
-
-    grid = DomainGrid(UnitDisk(), 1.0 / 24.0)
-    rng = np.random.default_rng(2)
-    v1 = rng.uniform(0.8, 1.0, size=grid.interior_count)
-    v2 = v1.copy()
-    omega, obstacle = 1.7, 0.85
-    for args in grid._sweep_sets:
-        backend.psor_sweep_numba(v1, *args, obstacle, omega)
-        backend.psor_sweep_numpy(v2, *args, obstacle, omega)
-    # within a color every update reads only the other color, so the two
-    # implementations perform the same arithmetic in the same order
-    assert np.array_equal(v1, v2)
-
-
-def test_full_solve_identical_across_backends():
-    if not backend.USE_NUMBA:
-        pytest.skip("compiled backend not active")
-    backend.warmup()
-    from abrikosov import obstacle as obk
-    from abrikosov.obstacle import DomainGrid, UnitDisk
-
-    grid = DomainGrid(UnitDisk(), 1.0 / 24.0)
-    saved = backend.psor_sweep
-    try:
-        backend.psor_sweep = backend.psor_sweep_numba
-        fast = obk.solve_obstacle(grid, 0.9, tol=1e-10)
-        backend.psor_sweep = backend.psor_sweep_numpy
-        ref = obk.solve_obstacle(grid, 0.9, tol=1e-10)
-    finally:
-        backend.psor_sweep = saved
-    assert np.array_equal(fast.values, ref.values)
-    assert fast.iters == ref.iters
 
 
 def test_warmup_is_idempotent():
     backend.warmup()
     backend.warmup()
-
-
-def _backend_in_subprocess(env_extra):
-    env = dict(os.environ)
-    env.pop("ABRIKOSOV_NO_NUMBA", None)
-    env.update(env_extra)
-    out = subprocess.run(
-        [sys.executable, "-c", "from abrikosov import backend; print(backend.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    return out.stdout.strip()
-
-
-def test_env_flag_selects_numpy():
-    assert _backend_in_subprocess({"ABRIKOSOV_NO_NUMBA": "1"}) == "numpy"
-
-
-def test_default_backend_is_compiled_when_available():
-    if not backend.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    assert _backend_in_subprocess({}) == "numba"
-
-
-def test_energy_value_matches_across_backends():
-    # an end-to-end number computed through the kernel path agrees between
-    # backends at close to machine precision
-    env = dict(os.environ)
-    env["ABRIKOSOV_NO_NUMBA"] = "1"
-    code = (
-        "from abrikosov.torus import TorusSpec, GreenEvaluator\n"
-        "import numpy as np\n"
-        "ev = GreenEvaluator(TorusSpec.hexagonal())\n"
-        "print(repr(ev.value(np.array([0.7, 0.4]))))\n"
-    )
-    ref = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True).stdout.strip()
-    from abrikosov.torus import GreenEvaluator, TorusSpec
-
-    here = GreenEvaluator(TorusSpec.hexagonal()).value(np.array([0.7, 0.4]))
-    assert abs(here - float(ref)) < 1e-12

@@ -1,24 +1,20 @@
 """Subprocess tests of the command-line interface.
 
 Determinism matters most here: identical invocations must produce identical
-bytes, stdout or files, on either kernel backend.
+bytes, stdout or files.
 """
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, env_extra=None, check=False):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(*args, check=False):
     proc = subprocess.run(
         [sys.executable, "-m", "abrikosov", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -82,6 +78,14 @@ def test_exit_code_3_on_numerical_failure():
                    "--abs-tol", "1e-15", "--max-terms", "3")
     assert proc.returncode == 3
     assert "numerical error" in proc.stderr
+    assert "PrecisionUnreachable" in proc.stderr
+
+
+def test_fekete_honours_max_terms():
+    # the square torus's Green series needs 8 terms at the default abs_tol;
+    # a cap of 7 must fail rather than be reported and then exceeded
+    proc = run_cli("fekete", "--n", "3", "--restarts", "0", "--max-terms", "7")
+    assert proc.returncode == 3
     assert "PrecisionUnreachable" in proc.stderr
 
 
@@ -204,16 +208,3 @@ def test_obstacle_polygon_domain():
                   "--h", "0.125", "--m", "0.9")
     assert bad.returncode == 2
     assert "NonConvexDomain" in bad.stderr
-
-
-def test_backend_parity_of_cli_bytes():
-    args = ("obstacle", "--disk", "--h", "0.125", "--m", "0.9", "--tol", "1e-8")
-    fast = run_cli(*args, check=True).stdout
-    plain = run_cli(*args, env_extra={"ABRIKOSOV_NO_NUMBA": "1"},
-                    check=True).stdout
-    assert fast == plain
-    args = ("lattice", "--tau", "0.5", "0.8660254037844386")
-    fast = run_cli(*args, check=True).stdout
-    plain = run_cli(*args, env_extra={"ABRIKOSOV_NO_NUMBA": "1"},
-                    check=True).stdout
-    assert fast == plain

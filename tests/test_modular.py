@@ -91,6 +91,22 @@ def test_eta_matches_pentagonal_series(tau):
     assert abs(lib - ref) < 1e-13
 
 
+def test_eta_on_an_array_matches_the_scalar_loop():
+    taus = [1j, TRI_TAU, complex(0.3, 0.9), complex(-0.44, 2.0),
+            complex(0.05, 0.31)]
+    ctl = SeriesControl(abs_tol=1e-13)
+    # one term count for the array: the one its smallest Im tau needs
+    n, _ = eta_truncation(complex(0.05, 0.31), ctl)
+    floor = SeriesControl(abs_tol=1e-13, truncation_order=n)
+    lib = dedekind_eta(np.array(taus), ctl)
+    ref = np.array([dedekind_eta(t, floor) for t in taus])
+    assert lib.shape == (5,)
+    # same recurrence; array and scalar complex arithmetic may round apart
+    assert np.all(np.abs(lib - ref) <= 64 * np.finfo(float).eps * np.abs(ref))
+    with pytest.raises(NonPositiveImaginaryPart):
+        dedekind_eta(np.array([1j, complex(0.2, 0.0)]))
+
+
 def test_eta_special_value_at_i():
     # eta(i) = Gamma(1/4) / (2 pi^(3/4)), an exact classical closed form
     ref = math.gamma(0.25) / (2.0 * math.pi ** 0.75)

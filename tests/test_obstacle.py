@@ -31,6 +31,7 @@ from abrikosov.obstacle import (
     solve_h0,
     solve_obstacle,
     sup_gradient,
+    value_error_pad,
     verify_ellipse_limit,
     verify_gradient_bound,
     verify_scale_law,
@@ -229,7 +230,7 @@ def test_obstacle_at_top_is_identically_one():
 def test_obstacle_monotone_in_level():
     grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
     tol = 1e-10
-    pad = 20.0 * tol / (grid.h * grid.h)
+    pad = value_error_pad(grid, tol)
     lo = solve_obstacle(grid, 0.85, tol=tol)
     hi = solve_obstacle(grid, 0.90, tol=tol)
     assert np.all(lo.values <= hi.values + pad)

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abrikosov import torus
+from abrikosov import backend, torus
 
 from abrikosov.errors import (
     CoincidentPoints,
     LatticePointSingularity,
     NonPositiveParameter,
+    PrecisionUnreachable,
     VolumeNotNormalized,
 )
 from abrikosov.lattice import shape_basis, w_eta
@@ -41,6 +42,12 @@ from abrikosov.torus import (
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
 TWO_PI = 2.0 * math.pi
+
+
+def _shape_torus(a, b):
+    """The area-2pi torus with basis (c, 0), (c a, c b), where c^2 b = 2 pi."""
+    c = math.sqrt(TWO_PI / b)
+    return TorusSpec(LatticeBasis([c, 0.0], [c * a, c * b]))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +149,53 @@ def test_green_same_lattice_different_basis():
         x = np.asarray(x, dtype=float)
         assert abs(ev1.value(x) - ev2.value(x)) < 1e-11
         assert np.allclose(ev1.grad(x), ev2.grad(x), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_green_is_modular_invariant(a, b, seed):
+    # the evaluator reduces the modulus and maps fractional coordinates by
+    # an integer matrix; the kernel summed directly at the unreduced modulus,
+    # to 200 terms, must be the same function
+    spec = _shape_torus(a, b)
+    frac = np.random.default_rng(seed).random((16, 2))
+    direct = backend.green_values(frac[:, 0], frac[:, 1], a, b, 200)
+    got = GreenEvaluator(spec).value_many(frac @ spec.basis.matrix.T)
+    assert np.max(np.abs(got - direct)) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    TorusSpec.square(), TorusSpec.hexagonal(), _shape_torus(2.3, 0.8),
+], ids=["square", "hex", "sheared"])
+def test_green_has_mean_zero(spec):
+    # the midpoint rule carries an O(k^-2) term from the log singularity;
+    # Richardson between k = 64 and 128 removes it, a constant offset stays
+    ev = GreenEvaluator(spec)
+
+    def mean(k):
+        mids = (np.arange(k) + 0.5) / k
+        ss, tt = np.meshgrid(mids, mids, indexing="ij")
+        frac = np.column_stack([ss.ravel(), tt.ravel()])
+        return float(np.mean(ev.value_many(frac @ spec.basis.matrix.T)))
+
+    assert abs(4.0 * mean(128) - mean(64)) / 3.0 < 1e-8
+
+
+def test_green_series_length_follows_series_control():
+    # counts at abs_tol 1e-12 and 1e-6: the smallest n with
+    # exp(-2 pi b n + pi b) below abs_tol / 10, plus 2
+    for spec, counts in ((TorusSpec.square(), (8, 6)),
+                         (TorusSpec.hexagonal(), (9, 6)),
+                         (TorusSpec.rectangular(SQRT3), (6, 4)),
+                         (_shape_torus(2.3, 0.8), (7, 5))):
+        assert GreenEvaluator(spec).nterms == counts[0]
+        assert GreenEvaluator(spec, SeriesControl(abs_tol=1e-6)).nterms \
+            == counts[1]
+        assert GreenEvaluator(spec, SeriesControl(truncation_order=20)).nterms \
+            == 20
+    with pytest.raises(PrecisionUnreachable):
+        GreenEvaluator(TorusSpec.square(), SeriesControl(max_terms=7))
 
 
 def test_green_grad_matches_finite_differences():
@@ -287,9 +341,7 @@ def test_hessian_matches_gradient_differences(spec, reduced):
 @given(n=st.integers(2, 6), a=st.floats(-0.5, 0.5), b=st.floats(0.7, 2.5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_hessian_symmetric_and_translation_free(n, a, b, seed):
-    # any unit-covolume-2pi torus: basis (c, 0), (c a, c b) with c^2 b = 2 pi
-    c = math.sqrt(TWO_PI / b)
-    spec = TorusSpec(LatticeBasis([c, 0.0], [c * a, c * b]))
+    spec = _shape_torus(a, b)
     pts = np.random.default_rng(seed).random((n, 2))
     hess = torus._pair_hess(GreenEvaluator(spec), pts)
     scale = np.max(np.abs(hess))
