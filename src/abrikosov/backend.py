@@ -2,8 +2,8 @@
 
 These are the hot loops of the package: the Green function's q-series and
 its first and second derivatives over arrays of point differences, and one
-projected SOR sweep of the obstacle solver.  They are single-threaded and
-deterministic.
+projected relaxation sweep, the smoother of the obstacle multigrid.  They
+are single-threaded and deterministic.
 """
 from __future__ import annotations
 
@@ -95,21 +95,25 @@ def green_hessians(ds, dt, a, b, nterms):
 
 
 # ---------------------------------------------------------------------------
-# Projected SOR sweep over one red-black color of an irregular (masked) grid.
+# Projected SOR sweep over cells of one red-black color of an irregular
+# (masked) grid.
 #
-# Flat-array representation: for the k-th cell of the color, ``idx[k]`` is its
-# flat index into ``values``; ``iE..iS`` are neighbor flat indices (self-index
-# with zero coefficient when the neighbor carries Dirichlet data folded into
-# ``bc``); ``diag`` holds the diagonal of (-Delta_h + 1); ``obstacle`` is the
-# lower-bound clamp (use a huge negative number for an unconstrained solve).
+# Flat-array representation: for the k-th cell swept, ``idx[k]`` is its flat
+# index into ``values``; ``iE..iS`` are neighbor flat indices (any index with
+# zero coefficient when the neighbor carries Dirichlet data folded into
+# ``bc``, the right-hand side); ``cE..cS`` and ``diag`` (the diagonal of
+# -Delta_h + 1) are per-cell arrays or one number for all; ``obstacle`` is
+# the lower-bound clamp, a number or one per cell (a huge negative number
+# for an unconstrained solve).
 # ---------------------------------------------------------------------------
 
 
 def psor_sweep(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
                obstacle, omega):
-    gs = (cE * values[iE] + cW * values[iW]
-          + cN * values[iN] + cS * values[iS] + bc) / diag
-    val = values[idx] + omega * (gs - values[idx])
+    gs = (cE * values.take(iE) + cW * values.take(iW)
+          + cN * values.take(iN) + cS * values.take(iS) + bc) / diag
+    old = values[idx]
+    val = old + omega * (gs - old)
     np.maximum(val, obstacle, out=val)
     values[idx] = val
 

@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from ._version import __version__
+from .csvfile import write_csv
 from .errors import InputError, NumericalError
 from .lattice import (
     DEFAULT_PROBES,
@@ -34,6 +35,7 @@ from .lattice import (
 )
 from .modular import LatticeBasis, SeriesControl
 from .obstacle import (
+    MAX_CYCLES,
     ConvexPolygon,
     DomainGrid,
     Ellipse,
@@ -41,7 +43,6 @@ from .obstacle import (
     coincidence_metrics,
     solve_h0,
     solve_obstacle,
-    value_error_pad,
     verify_ellipse_limit,
     verify_gradient_bound,
     verify_scale_law,
@@ -91,16 +92,6 @@ def _emit_json(payload: dict, path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-_WRITE_SLICE = 1 << 20   # characters per write of an output file
-
-
-def _write_text(path: str, text: str) -> None:
-    # in slices: one write of a large CSV would also hold its encoded copy
-    with open(path, "w") as fh:
-        for i in range(0, len(text), _WRITE_SLICE):
-            fh.write(text[i:i + _WRITE_SLICE])
 
 
 def _payload(command: str, params: dict) -> dict:
@@ -186,7 +177,7 @@ def cmd_moduli_scan(args) -> int:
     payload = _payload("moduli-scan", params)
     payload["scan"] = report.to_json_dict()
     if args.csv:
-        _write_text(args.csv, report.to_csv())
+        report.to_csv(args.csv)
         payload["csv_path"] = args.csv
     _emit_json(payload, args.output)
     return 0
@@ -254,9 +245,8 @@ def cmd_fekete(args) -> int:
         for i, e, k, g, s in out.restart_table
     ]
     if args.trace_csv:
-        rows = ["iter,energy,grad_norm"]
-        rows += ["%d,%.9g,%.9g" % (i, e, g) for i, e, g in out.trace]
-        _write_text(args.trace_csv, "\n".join(rows) + "\n")
+        write_csv(args.trace_csv, "iter,energy,grad_norm", "%d,%.9g,%.9g",
+                  zip(*out.trace))
         payload["trace_csv_path"] = args.trace_csv
     _emit_json(payload, args.output)
     return 0
@@ -286,20 +276,26 @@ def _make_shape(args):
     return ConvexPolygon(verts), {"shape": "polygon", "vertices": verts}
 
 
-def _basic_suite(grid: DomainGrid, tol: float, max_sweeps) -> dict:
-    """Activation threshold, endpoint, monotonicity, and mass checks."""
-    h0 = solve_h0(grid, tol, max_sweeps)
-    pad = value_error_pad(grid, tol)
-    low = solve_obstacle(grid, 0.5, tol, max_sweeps)
-    top = solve_obstacle(grid, 1.0, tol, max_sweeps)
+def _basic_suite(grid: DomainGrid, tol: float, max_cycles) -> dict:
+    """Activation threshold, endpoint, monotonicity, and mass checks.
+
+    Two solves are compared up to the sum of their value-error bounds.
+    """
+    h0 = solve_h0(grid, tol, max_cycles)
+    low = solve_obstacle(grid, 0.5, tol, max_cycles)
+    top = solve_obstacle(grid, 1.0, tol, max_cycles)
     levels = (0.80, 0.85, 0.90, 0.95)
-    fields = [solve_obstacle(grid, m, tol, max_sweeps) for m in levels]
+    fields = [solve_obstacle(grid, m, tol, max_cycles) for m in levels]
 
     chain = [low] + fields + [top]
     monotone = True
+    pad = 0.0
     for f1, f2 in zip(chain, chain[1:]):
+        pair_pad = f1.value_error + f2.value_error
+        pad = max(pad, pair_pad)
         dv = f2.values - f1.values
-        if float(dv.min()) < -pad or float(dv.max()) > (f2.m - f1.m) + pad:
+        if float(dv.min()) < -pair_pad \
+                or float(dv.max()) > (f2.m - f1.m) + pair_pad:
             monotone = False
     mass = [f.m * coincidence_metrics(f).area for f in chain]
     increasing_mass = all(m2 >= m1 - 1e-12 for m1, m2 in zip(mass, mass[1:]))
@@ -309,7 +305,8 @@ def _basic_suite(grid: DomainGrid, tol: float, max_sweeps) -> dict:
         "h0": h0.to_json_dict(),
         "empty_below_threshold": bool(not np.any(low.active)),
         "inactive_matches_unconstrained": bool(
-            float(np.max(np.abs(low.values - h0.values))) < pad),
+            float(np.max(np.abs(low.values - h0.values)))
+            <= low.value_error + h0.value_error),
         "full_at_top": bool(np.all(top.active)),
         "top_area": coincidence_metrics(top).area,
         "domain_area": grid.area,
@@ -351,35 +348,35 @@ def cmd_obstacle(args) -> int:
             ms = list(args.m_grid)
         else:
             raise InputError("provide --m, --m-grid, or --suite")
-        fields = [solve_obstacle(grid, m, args.tol, args.max_sweeps)
+        fields = [solve_obstacle(grid, m, args.tol, args.max_cycles)
                   for m in ms]
         payload["fields"] = [f.to_json_dict() for f in fields]
         if args.field_csv:
             if len(fields) != 1:
                 raise InputError("--field-csv requires exactly one level")
-            _write_text(args.field_csv, fields[0].to_csv())
+            fields[0].to_csv(args.field_csv)
             payload["field_csv_path"] = args.field_csv
     elif suite == "propA1":
-        payload["suite"] = _basic_suite(grid, args.tol, args.max_sweeps)
+        payload["suite"] = _basic_suite(grid, args.tol, args.max_cycles)
     elif suite == "gradient-bound":
         ms = list(args.m_grid) if args.m_grid else [0.90, 0.95, 0.99]
-        fields = [solve_obstacle(grid, m, args.tol, args.max_sweeps)
+        fields = [solve_obstacle(grid, m, args.tol, args.max_cycles)
                   for m in ms]
         payload["suite"] = verify_gradient_bound(fields).to_json_dict()
     elif suite == "scale-law":
-        base = solve_h0(grid, args.tol, args.max_sweeps)
+        base = solve_h0(grid, args.tol, args.max_cycles)
         # inside the small-excess law's range, 2 pi offset/base <= 1/(4e)
         offsets = list(args.offsets) if args.offsets else [0.005, 0.01]
         fields = [solve_obstacle(grid, base.min_value + off, args.tol,
-                                 args.max_sweeps) for off in offsets]
+                                 args.max_cycles) for off in offsets]
         payload["h0"] = base.to_json_dict()
         payload["suite"] = verify_scale_law(fields, base.min_value) \
             .to_json_dict()
     else:  # ellipse
-        base = solve_h0(grid, args.tol, args.max_sweeps)
+        base = solve_h0(grid, args.tol, args.max_cycles)
         off = args.offsets[0] if args.offsets else 0.03
         fld = solve_obstacle(grid, base.min_value + off, args.tol,
-                             args.max_sweeps)
+                             args.max_cycles)
         payload["h0"] = base.to_json_dict()
         payload["suite"] = verify_ellipse_limit(fld).to_json_dict()
     _emit_json(payload, args.output)
@@ -470,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=None, help="obstacle level")
     p.add_argument("--m-grid", type=float, nargs="+", default=None)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-sweeps", type=int, default=None)
+    p.add_argument("--max-cycles", type=int, default=MAX_CYCLES,
+                   help="cap on multigrid V-cycles per solve")
     p.add_argument("--suite",
                    choices=("propA1", "gradient-bound", "scale-law", "ellipse"),
                    default=None)

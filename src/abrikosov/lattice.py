@@ -14,12 +14,12 @@ point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvfile import write_csv
 from .errors import (
     CovolumeMismatch,
     ExtrapolationUnstable,
@@ -342,12 +342,9 @@ class ScanReport:
             "refine_iters": self.refine_iters,
         }
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("a,b,W\n")
-        for ai, bi, wi in zip(self.a, self.b, self.w):
-            buf.write(f"{ai:.9g},{bi:.9g},{wi:.9g}\n")
-        return buf.getvalue()
+    def to_csv(self, path) -> None:
+        """Write the scanned surface to ``path`` as a,b,W rows."""
+        write_csv(path, "a,b,W", "%.9g,%.9g,%.9g", (self.a, self.b, self.w))
 
 
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,

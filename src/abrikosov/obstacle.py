@@ -9,8 +9,12 @@ boundary value 1 and the lower bound H >= m, equivalently
 Discretization is a five-point stencil on a uniform grid of cell centers
 (integer multiples of h), with boundary legs shortened to the exact exit
 point of the domain (cut legs), which keeps the scheme second order for the
-interior values.  The solver is projected red-black SOR (clamp after
-update), deterministic for fixed inputs.  The verification helpers measure
+interior values.  The solver is a monotone multigrid (Kornhuber, Numer.
+Math. 69, 1994): V-cycles of projected red-black Gauss-Seidel over grids of
+spacing h, 2h, 4h, ..., whose coarse corrections are bounded below so that
+every iterate stays above the obstacle, started from the solution on the 2h
+grid; deterministic for fixed inputs.  Each solve reports a value-error
+bound next to its residual.  The verification helpers measure
 the coincidence set {H = m} and test the qualitative facts the solution is
 known to satisfy: monotonicity in m, the gradient bound in sqrt(1-m), the
 area scale law near the obstacle-activation level, ellipse roundness of the
@@ -18,12 +22,14 @@ small coincidence set, and discrete interior/exterior barrier predicates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
+from .csvfile import write_csv
 from .errors import (
     GridMismatch,
     InfeasibleObstacle,
@@ -43,7 +49,6 @@ __all__ = [
     "ObstacleField",
     "solve_h0",
     "solve_obstacle",
-    "value_error_pad",
     "coincidence_metrics",
     "CoincidenceMetrics",
     "sup_gradient",
@@ -62,6 +67,12 @@ BOUNDARY_VALUE = 1.0
 MIN_CUT_FRACTION = 1e-6
 ACTIVE_BAND = 10.0          # active iff H - m < ACTIVE_BAND * tol
 _UNCONSTRAINED = -1e300
+MAX_CYCLES = 200            # default cap on V-cycles per solve
+SMOOTH_SWEEPS = 2           # red-black sweeps before and after each coarse step
+COARSEST_SWEEPS = 8         # red-black sweeps on the coarsest grid
+MIN_COARSE_CELLS = 16       # a 2h grid with fewer unknowns is not used
+START_TOL_FACTOR = 100.0    # 2h start solved to this multiple of tol
+_LEG_STEPS = (("E", 1, 0), ("W", -1, 0), ("N", 0, 1), ("S", 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +196,12 @@ class DomainGrid:
     is shortened to the boundary exit point and carries the Dirichlet datum.
     ``mask`` classifies the full rectangle of cells: 0 exterior, 1 interior
     unknown, 2 boundary-data cell (exterior neighbor of an interior cell).
+    Rectangle cell (i, j) is the point ``(origin[0] + i, origin[1] + j) * h``.
+
+    Unknowns are numbered one red-black color after the other, each color
+    with its cells of four full legs first, so that each such block's
+    stencil is a slice of the grid's arrays rather than a copy; only the
+    cut-leg blocks store their own coefficients.
     """
 
     def __init__(self, shape, h: float):
@@ -197,65 +214,67 @@ class DomainGrid:
         imax = int(math.ceil(xmax / h)) + 1
         jmin = int(math.floor(ymin / h)) - 1
         jmax = int(math.ceil(ymax / h)) + 1
+        self.origin = (imin, jmin)
         self.xs = np.arange(imin, imax + 1, dtype=np.int64) * self.h
         self.ys = np.arange(jmin, jmax + 1, dtype=np.int64) * self.h
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
         interior = np.asarray(shape.contains(gx, gy), dtype=bool)
+        del gx, gy
         interior[0, :] = interior[-1, :] = False
         interior[:, 0] = interior[:, -1] = False
         self.n = int(interior.sum())
         if self.n == 0:
             raise InputError("grid spacing too coarse: no interior cells")
-        ids = np.full(interior.shape, -1, dtype=np.int64)
         ii, jj = np.nonzero(interior)
-        ids[ii, jj] = np.arange(self.n, dtype=np.int64)
+        whole = [interior[ii + di, jj + dj] for _, di, dj in _LEG_STEPS]
+        # blocks: red cells with four whole legs, other red cells, then the
+        # black cells likewise
+        cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
+        block = 2 * ((ii + jj) % 2) + cut
+        order = np.argsort(block, kind="stable")
+        ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
+        del whole, cut, block
+        ii, jj = ii[order], jj[order]
         self.ii, self.jj = ii, jj
-        self.xy = np.column_stack([self.xs[ii], self.ys[jj]])
-        mask = np.zeros(interior.shape, dtype=np.int8)
-        mask[interior] = 1
-
-        px, py = self.xy[:, 0], self.xy[:, 1]
-        legs, gidx, nbin = {}, {}, {}
-        for name, di, dj in (("E", 1, 0), ("W", -1, 0),
-                             ("N", 0, 1), ("S", 0, -1)):
+        ids = np.full(interior.shape, -1, dtype=np.int64)
+        ids[ii, jj] = np.arange(self.n, dtype=np.int64)
+        self.mask = np.where(interior, 1, 0).astype(np.int8)
+        self._gidx = {}
+        for name, di, dj in _LEG_STEPS:
             nb = interior[ii + di, jj + dj]
-            leg = np.full(self.n, self.h)
-            cut = ~nb
-            if np.any(cut):
-                theta = shape.exit_fraction(px[cut], py[cut],
-                                            di * self.h, dj * self.h)
-                leg[cut] = np.clip(theta, MIN_CUT_FRACTION, 1.0) * self.h
-                mask[ii[cut] + di, jj[cut] + dj] = 2
-            legs[name] = leg
-            gidx[name] = np.where(nb, ids[ii + di, jj + dj], 0).astype(np.int64)
-            nbin[name] = nb
-        self.mask = mask
-        self._legs = legs
-        self._gidx = gidx
-        self._nbin = nbin
+            self.mask[ii[~nb] + di, jj[~nb] + dj] = 2
+            self._gidx[name] = np.where(nb, ids[ii + di, jj + dj], 0)
+        del ids, interior
 
-        cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
-        cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
-        cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
-        cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
-        self.diag = 2.0 / (legs["E"] * legs["W"]) \
-            + 2.0 / (legs["N"] * legs["S"]) + 1.0
-        coef = {"E": cE, "W": cW, "N": cN, "S": cS}
-        self._gcoef = {k: np.where(nbin[k], coef[k], 0.0) for k in coef}
-        self._bc_unit = sum(np.where(~nbin[k], coef[k], 0.0) for k in coef)
-
-        color = ((ii + jj) % 2).astype(bool)
-        self._sweep_sets = []
-        for sel in (np.nonzero(~color)[0], np.nonzero(color)[0]):
-            sel = sel.astype(np.int64)
-            self._sweep_sets.append((
-                sel,
-                self._gidx["E"][sel], self._gidx["W"][sel],
-                self._gidx["N"][sel], self._gidx["S"][sel],
-                self._gcoef["E"][sel], self._gcoef["W"][sel],
-                self._gcoef["N"][sel], self._gcoef["S"][sel],
-                self.diag[sel], self._bc_unit[sel],
-            ))
+        # Full-leg blocks have scalar coefficients: the leg formulas below
+        # at leg length h.  Only the cut-leg blocks store their own.
+        hh = self.h
+        full_leg = (2.0 / (hh * (hh + hh)),) * 4 \
+            + (2.0 / (hh * hh) + 2.0 / (hh * hh) + 1.0,)
+        self.diag = np.full(self.n, full_leg[4])
+        self._bc_unit = np.zeros(self.n)
+        self._blocks = []     # (slice, psor_sweep's idx and stencil)
+        for k, (start, stop) in enumerate(zip([0] + ends[:3], ends)):
+            if start == stop:
+                continue
+            sel = slice(start, stop)
+            coefs = full_leg
+            if k % 2:
+                legs, nbin = self._leg_lengths(sel)
+                cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
+                cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
+                cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
+                cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
+                self.diag[sel] = 2.0 / (legs["E"] * legs["W"]) \
+                    + 2.0 / (legs["N"] * legs["S"]) + 1.0
+                coef = {"E": cE, "W": cW, "N": cN, "S": cS}
+                self._bc_unit[sel] = sum(np.where(~nbin[d], coef[d], 0.0)
+                                         for d in coef)
+                coefs = tuple(np.where(nbin[d], coef[d], 0.0)
+                              for d in "EWNS") + (self.diag[sel],)
+            stencil = (np.arange(start, stop),) \
+                + tuple(self._gidx[d][sel] for d in "EWNS") + coefs
+            self._blocks.append((sel, stencil))
 
     @property
     def interior_count(self) -> int:
@@ -266,14 +285,45 @@ class DomainGrid:
         """Discrete domain area, interior cell count times h^2."""
         return self.n * self.h * self.h
 
+    @property
+    def xy(self) -> np.ndarray:
+        """Coordinates of the unknowns, shape (n, 2)."""
+        return np.column_stack([self.xs[self.ii], self.ys[self.jj]])
+
+    def _leg_lengths(self, sel=slice(None)):
+        """Leg lengths of unknowns ``sel`` and whether each leg is whole.
+
+        A leg is h where it reaches another unknown, and h times the exit
+        fraction where it is cut by the boundary.  Returns two dicts keyed
+        E, W, N, S.
+        """
+        ii, jj = self.ii[sel], self.jj[sel]
+        legs, nbin = {}, {}
+        for name, di, dj in _LEG_STEPS:
+            nb = self.mask[ii + di, jj + dj] == 1
+            leg = np.full(len(ii), self.h)
+            cut = ~nb
+            if np.any(cut):
+                theta = self.shape.exit_fraction(
+                    self.xs[ii[cut]], self.ys[jj[cut]], di * self.h, dj * self.h)
+                leg[cut] = np.clip(theta, MIN_CUT_FRACTION, 1.0) * self.h
+            legs[name] = leg
+            nbin[name] = nb
+        return legs, nbin
+
+    def _apply(self, values: np.ndarray) -> np.ndarray:
+        """(-Delta_h + 1) applied to interior values with zero boundary data."""
+        out = np.empty(self.n)
+        for sel, (_, iE, iW, iN, iS, cE, cW, cN, cS, diag) in self._blocks:
+            gather = (cE * values.take(iE) + cW * values.take(iW)
+                      + cN * values.take(iN) + cS * values.take(iS))
+            out[sel] = diag * values[sel] - gather
+        return out
+
     def operator_values(self, values: np.ndarray,
                         boundary_value: float = BOUNDARY_VALUE) -> np.ndarray:
         """(-Delta_h + 1) applied to interior values with Dirichlet data."""
-        g = self._gcoef
-        i = self._gidx
-        gather = (g["E"] * values[i["E"]] + g["W"] * values[i["W"]]
-                  + g["N"] * values[i["N"]] + g["S"] * values[i["S"]])
-        return self.diag * values - gather - boundary_value * self._bc_unit
+        return self._apply(values) - boundary_value * self._bc_unit
 
     def scaled_residual(self, values: np.ndarray,
                         boundary_value: float = BOUNDARY_VALUE) -> np.ndarray:
@@ -283,43 +333,179 @@ class DomainGrid:
     def leg_gradients(self, values: np.ndarray,
                       boundary_value: float = BOUNDARY_VALUE):
         """One-sided difference quotient along every stencil leg, (4, n)."""
+        legs, nbin = self._leg_lengths()
         out = np.empty((4, self.n))
         for k, name in enumerate("EWNS"):
-            nbv = np.where(self._nbin[name], values[self._gidx[name]],
+            nbv = np.where(nbin[name], values[self._gidx[name]],
                            boundary_value)
-            out[k] = (nbv - values) / self._legs[name]
+            out[k] = (nbv - values) / legs[name]
         return out
 
+    # -- multigrid pieces -------------------------------------------------
+
+    def _smooth(self, values, rhs, lower, sweeps: int) -> None:
+        """Projected red-black Gauss-Seidel for A v >= rhs, v >= lower.
+
+        ``lower`` is None (no bound), a number, or one bound per unknown.
+        """
+        for _ in range(sweeps):
+            for sel, stencil in self._blocks:
+                bound = _UNCONSTRAINED if lower is None else (
+                    lower[sel] if isinstance(lower, np.ndarray) else lower)
+                backend.psor_sweep(values, *stencil, rhs[sel], bound, 1.0)
+
+    @functools.cached_property
+    def _coarse(self):
+        """The same shape at spacing 2h, or None below MIN_COARSE_CELLS."""
+        try:
+            coarse = DomainGrid(self.shape, 2.0 * self.h)
+        except InputError:
+            return None
+        return coarse if coarse.n >= MIN_COARSE_CELLS else None
+
+    def _fine_part(self, frame: np.ndarray) -> np.ndarray:
+        """This grid's rectangle within a frame of fine points around 2h's.
+
+        Frame point (p, q) is the fine point ``2 * coarse.origin - 1 + (p, q)``,
+        so coarse cell (I, J) sits at (2I + 1, 2J + 1) and its 3x3 fine
+        neighborhood is ``frame[2I:2I + 3, 2J:2J + 3]``.
+        """
+        a = self.origin[0] - 2 * self._coarse.origin[0] + 1
+        b = self.origin[1] - 2 * self._coarse.origin[1] + 1
+        mx, my = self.mask.shape
+        return frame[a:a + mx, b:b + my]
+
+    def _frame(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Unknowns placed in the frame, ``fill`` elsewhere."""
+        nx, ny = self._coarse.mask.shape
+        frame = np.full((2 * nx + 1, 2 * ny + 1), fill)
+        self._fine_part(frame)[self.ii, self.jj] = values
+        return frame
+
+    def _restrict(self, values: np.ndarray) -> np.ndarray:
+        """Full weighting of fine values onto the 2h grid's unknowns."""
+        f = self._frame(values, 0.0)
+        lo, mid, hi = slice(0, -2, 2), slice(1, -1, 2), slice(2, None, 2)
+        edges = (f[lo, mid] + f[hi, mid]) + (f[mid, lo] + f[mid, hi])
+        corners = (f[lo, lo] + f[hi, hi]) + (f[hi, lo] + f[lo, hi])
+        full = (4.0 * f[mid, mid] + 2.0 * edges + corners) / 16.0
+        return full[self._coarse.ii, self._coarse.jj]
+
+    def _defect_bound(self, defect: np.ndarray) -> np.ndarray:
+        """Max of a fine defect over each 2h unknown's 3x3 neighborhood."""
+        f = self._frame(defect, -np.inf)
+        coarse = self._coarse
+        nx, ny = coarse.mask.shape
+        full = np.full((nx, ny), -np.inf)
+        for p in range(3):
+            for q in range(3):
+                np.maximum(full, f[p:p + 2 * nx:2, q:q + 2 * ny:2], out=full)
+        return full[coarse.ii, coarse.jj]
+
+    def _prolong(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        """Bilinear interpolation of 2h values (``fill`` off its unknowns)."""
+        coarse = self._coarse
+        full = np.full(coarse.mask.shape, fill)
+        full[coarse.ii, coarse.jj] = values
+        nx, ny = full.shape
+        f = np.zeros((2 * nx + 1, 2 * ny + 1))
+        f[1::2, 1::2] = full
+        f[2:-1:2, 1::2] = 0.5 * (full[:-1] + full[1:])
+        f[1::2, 2:-1:2] = 0.5 * (full[:, :-1] + full[:, 1:])
+        f[2:-1:2, 2:-1:2] = 0.25 * ((full[:-1, :-1] + full[1:, 1:])
+                                    + (full[1:, :-1] + full[:-1, 1:]))
+        return self._fine_part(f)[self.ii, self.jj]
+
 
 # ---------------------------------------------------------------------------
-# Projected SOR solver
+# Monotone multigrid solver
 # ---------------------------------------------------------------------------
 
 
-def _relax(grid: DomainGrid, obstacle: float, tol: float, max_sweeps,
-           check_every: int = 16):
+def _vcycle(grid: DomainGrid, values, rhs, lower) -> None:
+    """One V(2,2) cycle for v >= lower, A v >= rhs, complementary; in place.
+
+    The coarse problem is for the correction c, with right-hand side the
+    restricted residual and, as each coarse unknown's lower bound, the max
+    of (lower - v) over the fine points its prolongation touches (monotone
+    multigrid with coarse defect obstacles, Kornhuber 1994).  Every fine
+    point then keeps v + P c >= lower, because bilinear weights are
+    nonnegative, sum to at most 1 and lower - v <= 0.
+    """
+    coarse = grid._coarse
+    if coarse is None:
+        grid._smooth(values, rhs, lower, COARSEST_SWEEPS)
+        return
+    grid._smooth(values, rhs, lower, SMOOTH_SWEEPS)
+    bound = None if lower is None else grid._defect_bound(lower - values)
+    correction = np.zeros(coarse.n)
+    _vcycle(coarse, correction, grid._restrict(rhs - grid._apply(values)),
+            bound)
+    values += grid._prolong(correction)
+    grid._smooth(values, rhs, lower, SMOOTH_SWEEPS)
+
+
+def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
+    """V-cycles in place until the scaled complementarity residual < tol.
+
+    ``m`` is the obstacle level, or None for the unconstrained problem.
+    Stops after ``max_cycles`` cycles at the latest; returns the number of
+    cycles run and the last residual.
+    """
+    rhs = BOUNDARY_VALUE * grid._bc_unit
+    for it in range(1, max_cycles + 1):
+        _vcycle(grid, values, rhs, m)
+        scaled = grid.scaled_residual(values)
+        if m is not None:
+            scaled = np.minimum(values - m, scaled)
+        res = float(np.max(np.abs(scaled)))
+        if res < tol:
+            break
+    return it, res
+
+
+def _start(grid: DomainGrid, m, tol: float, max_cycles: int) -> np.ndarray:
+    """H = 1 on the coarsest grid; elsewhere the 2h solution as a start.
+
+    The 2h problem is solved to START_TOL_FACTOR * tol from its own start
+    (converged or not), interpolated with the boundary value off its
+    unknowns, and lifted onto the obstacle.
+    """
+    coarse = grid._coarse
+    if coarse is None:
+        return np.ones(grid.n)
+    coarse_tol = START_TOL_FACTOR * tol
+    v = _start(coarse, m, coarse_tol, max_cycles)
+    _cycles(coarse, v, m, coarse_tol, max_cycles)
+    v = grid._prolong(v, fill=BOUNDARY_VALUE)
+    if m is not None:
+        np.maximum(v, m, out=v)
+    return v
+
+
+def _solve(grid: DomainGrid, m, tol: float, max_cycles: int):
+    """Multigrid solve to a scaled complementarity residual below tol.
+
+    Returns the values, the cycle count, the scaled residual and the value
+    error bound max |min(H - m, (-Delta_h + 1) H - b)|: the operator is an
+    M-matrix whose rows sum to at least 1, so this residual bounds the
+    max-norm distance to the exact discrete solution.
+    """
     if not (tol > 0.0):
         raise NonPositiveParameter("tol must be > 0")
-    cap = max_sweeps if max_sweeps else max(20000, int(math.ceil(80.0 / grid.h)))
-    omega = 2.0 / (1.0 + math.sin(math.pi * grid.h / 2.0))
-    v = np.ones(grid.n)
-    if obstacle > _UNCONSTRAINED / 2:
-        np.maximum(v, obstacle, out=v)
-    res = math.inf
-    for it in range(1, cap + 1):
-        for args in grid._sweep_sets:
-            backend.psor_sweep(v, *args, float(obstacle), omega)
-        if it % check_every == 0 or it == cap:
-            scaled = grid.scaled_residual(v)
-            if obstacle < _UNCONSTRAINED / 2:
-                res = float(np.max(np.abs(scaled)))
-            else:
-                res = float(np.max(np.abs(np.minimum(v - obstacle, scaled))))
-            if res < tol:
-                return v, it, res
-    raise NoConvergence(
-        f"projected SOR: residual {res:.3e} after {cap} sweeps (tol {tol:g})"
-    )
+    if max_cycles < 1:
+        raise NonPositiveParameter("max_cycles must be >= 1")
+    v = _start(grid, m, tol, max_cycles)
+    iters, res = _cycles(grid, v, m, tol, max_cycles)
+    if not (res < tol):
+        raise NoConvergence(
+            f"multigrid: residual {res:.3e} after {max_cycles} V-cycles "
+            f"(tol {tol:g})"
+        )
+    raw = grid.operator_values(v)
+    if m is not None:
+        raw = np.minimum(v - m, raw)
+    return v, iters, res, float(np.max(np.abs(raw)))
 
 
 @dataclass
@@ -328,7 +514,8 @@ class H0Field:
 
     ``min_value`` is the interior minimum (the level below which an obstacle
     stays inactive) and ``critical_field`` = 1/(2(1 - min_value)),
-    the derived first-critical-field constant.
+    the derived first-critical-field constant.  ``value_error`` bounds the
+    max-norm distance of ``values`` to the exact discrete solution.
     """
 
     grid: DomainGrid
@@ -339,9 +526,10 @@ class H0Field:
     iters: int
     residual: float
     tol: float
+    value_error: float
 
-    def to_csv(self) -> str:
-        return _field_csv(self.grid, self.values, None)
+    def to_csv(self, path) -> None:
+        _field_csv(path, self.grid, self.values, None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,26 +538,33 @@ class H0Field:
             "critical_field": self.critical_field,
             "iters": self.iters,
             "residual": self.residual,
+            "value_error": self.value_error,
             "interior_cells": self.grid.n,
             "h": self.grid.h,
         }
 
 
 def solve_h0(grid: DomainGrid, tol: float = 1e-10,
-             max_sweeps=None) -> H0Field:
-    """Relaxation solve of the unconstrained problem, plus its minimum."""
-    v, iters, res = _relax(grid, _UNCONSTRAINED, tol, max_sweeps)
+             max_cycles: int = MAX_CYCLES) -> H0Field:
+    """Multigrid solve of the unconstrained problem, plus its minimum."""
+    v, iters, res, err = _solve(grid, None, tol, max_cycles)
     k = int(np.argmin(v))
     mn = float(v[k])
     thr = math.inf if mn >= 1.0 - 1e-15 else 1.0 / (2.0 * (1.0 - mn))
     return H0Field(grid=grid, values=v, min_value=mn,
-                   argmin_xy=(float(grid.xy[k, 0]), float(grid.xy[k, 1])),
-                   critical_field=thr, iters=iters, residual=res, tol=tol)
+                   argmin_xy=(float(grid.xs[grid.ii[k]]),
+                              float(grid.ys[grid.jj[k]])),
+                   critical_field=thr, iters=iters, residual=res, tol=tol,
+                   value_error=err)
 
 
 @dataclass
 class ObstacleField:
-    """Converged obstacle solve at level m with its active (contact) set."""
+    """Converged obstacle solve at level m with its active (contact) set.
+
+    ``value_error`` bounds the max-norm distance of ``values`` to the exact
+    discrete solution.
+    """
 
     grid: DomainGrid
     m: float
@@ -378,9 +573,10 @@ class ObstacleField:
     residual: float
     iters: int
     tol: float
+    value_error: float
 
-    def to_csv(self) -> str:
-        return _field_csv(self.grid, self.values, self.active)
+    def to_csv(self, path) -> None:
+        _field_csv(path, self.grid, self.values, self.active)
 
     def to_json_dict(self) -> dict:
         met = coincidence_metrics(self)
@@ -388,6 +584,7 @@ class ObstacleField:
             "m": self.m,
             "iters": self.iters,
             "residual": self.residual,
+            "value_error": self.value_error,
             "active_cells": int(np.count_nonzero(self.active)),
             "coincidence": met.to_json_dict(),
             "h": self.grid.h,
@@ -395,8 +592,8 @@ class ObstacleField:
 
 
 def solve_obstacle(grid: DomainGrid, m: float, tol: float = 1e-10,
-                   max_sweeps=None) -> ObstacleField:
-    """Projected relaxation for the obstacle at level m (requires m <= 1).
+                   max_cycles: int = MAX_CYCLES) -> ObstacleField:
+    """Monotone multigrid for the obstacle at level m (requires m <= 1).
 
     Convergence criterion is the complementarity residual
     sup |min(H - m, scaled operator value)| < tol; cells within
@@ -407,34 +604,23 @@ def solve_obstacle(grid: DomainGrid, m: float, tol: float = 1e-10,
         raise InfeasibleObstacle(
             f"obstacle level m = {m} above the boundary value 1"
         )
-    v, iters, res = _relax(grid, m, tol, max_sweeps)
+    v, iters, res, err = _solve(grid, m, tol, max_cycles)
     active = (v - m) < ACTIVE_BAND * tol
     return ObstacleField(grid=grid, m=m, values=v, active=active,
-                         residual=res, iters=iters, tol=tol)
+                         residual=res, iters=iters, tol=tol, value_error=err)
 
 
-def value_error_pad(grid: DomainGrid, tol: float) -> float:
-    """Margin for comparing solutions that were solved to residual ``tol``.
-
-    The value error behind a Jacobi-scaled residual of size tol is at most
-    about max(diag) * tol; the pad is a small multiple of that.
-    """
-    return 20.0 * tol / (grid.h * grid.h)
-
-
-def _field_csv(grid: DomainGrid, values: np.ndarray, active) -> str:
+def _field_csv(path, grid: DomainGrid, values: np.ndarray, active) -> None:
     """CSV rows x,y,H,active over interior and boundary-data cells."""
-    lines = ["x,y,H,active"]
     full_vals = np.where(grid.mask == 2, BOUNDARY_VALUE, 0.0)
     full_vals[grid.ii, grid.jj] = values
     full_act = np.zeros(grid.mask.shape, dtype=np.int8)
     if active is not None:
         full_act[grid.ii, grid.jj] = active.astype(np.int8)
     sel_i, sel_j = np.nonzero(grid.mask > 0)
-    for i, j in zip(sel_i, sel_j):
-        lines.append("%.9g,%.9g,%.9g,%d" % (
-            grid.xs[i], grid.ys[j], full_vals[i, j], full_act[i, j]))
-    return "\n".join(lines) + "\n"
+    write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
+              (grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
+               full_act[sel_i, sel_j]))
 
 
 # ---------------------------------------------------------------------------

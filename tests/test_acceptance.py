@@ -220,7 +220,7 @@ def test_criterion_09_elkies_band():
 
 def test_criterion_10_obstacle_baseline():
     from abrikosov.obstacle import (DomainGrid, UnitDisk, solve_h0,
-                                    solve_obstacle, value_error_pad)
+                                    solve_obstacle)
 
     t0 = time.perf_counter()
     tol = 1e-10
@@ -231,16 +231,17 @@ def test_criterion_10_obstacle_baseline():
     full = solve_obstacle(grid, 1.0, tol=tol)
     fields = [solve_obstacle(grid, m, tol=tol)
               for m in (0.80, 0.85, 0.90, 0.95)]
-    pad = value_error_pad(grid, tol)
     mono = True
     for lo, hi in zip(fields, fields[1:]):
         gap = hi.m - lo.m
+        pad = lo.value_error + hi.value_error
         mono &= bool(np.all(lo.values <= hi.values + pad))
         mono &= bool(np.all(hi.values <= lo.values + gap + pad))
     dt = time.perf_counter() - t0
     ok = (thresh_gap < 5e-3 and not empty.active.any() and full.active.all()
           and mono and dt < 60.0)
-    assert record(10, ok, f"threshold gap {thresh_gap:.2e} < 5e-3, "
+    assert record(10, ok, f"threshold gap {thresh_gap:.2e} < 5e-3 "
+                          f"(value error {h0.value_error:.1e}), "
                           f"empty at 0.5: {not empty.active.any()}, "
                           f"full at 1.0: {full.active.all()}, monotone: {mono}, "
                           f"{dt:.1f} s")

@@ -166,10 +166,18 @@ def test_obstacle_basic_and_field_csv(tmp_path):
     levels = doc["fields"]
     assert len(levels) == 1 and levels[0]["m"] == 0.9
     assert levels[0]["residual"] <= 1e-8
+    assert 0.0 <= levels[0]["value_error"] < 1e-4
     lines = field.read_text().strip().split("\n")
     assert lines[0] == "x,y,H,active"
     rerun = run_cli(*args, "--output", str(tmp_path / "o.json"), check=True)
     assert json.loads((tmp_path / "o.json").read_text()) == doc
+
+
+def test_obstacle_cycle_cap_is_a_numerical_failure():
+    proc = run_cli("obstacle", "--disk", "--h", "0.0625", "--m", "0.9",
+                   "--tol", "1e-12", "--max-cycles", "1")
+    assert proc.returncode == 3
+    assert "NoConvergence" in proc.stderr
 
 
 def test_obstacle_field_csv_needs_single_level():

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from abrikosov import csvfile
 from abrikosov.errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from abrikosov.lattice import (
     EnergyReport,
@@ -203,15 +204,27 @@ def test_moduli_scan_finds_hexagonal_point():
     assert rep.min_value <= rep.min_grid + 1e-15
 
 
-def test_moduli_scan_csv_shape():
+def test_moduli_scan_csv_shape(tmp_path):
     grid = ModuliGrid(resolution=8)
     rep = moduli_scan(grid, refine_iters=5)
-    lines = rep.to_csv().strip().split("\n")
+    rep.to_csv(tmp_path / "scan.csv")
+    lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
     assert lines[0] == "a,b,W"
     assert len(lines) == 1 + rep.a.size
     first = lines[1].split(",")
     assert len(first) == 3
     float(first[0]), float(first[1]), float(first[2])
+
+
+def test_moduli_scan_csv_matches_row_loop(tmp_path, monkeypatch):
+    # blocks of 7 rows, so the last block is short
+    monkeypatch.setattr(csvfile, "BLOCK_ROWS", 7)
+    rep = moduli_scan(ModuliGrid(resolution=8), refine_iters=5)
+    assert rep.a.size % 7 != 0
+    rep.to_csv(tmp_path / "scan.csv")
+    want = "a,b,W\n" + "".join(f"{ai:.9g},{bi:.9g},{wi:.9g}\n"
+                                for ai, bi, wi in zip(rep.a, rep.b, rep.w))
+    assert (tmp_path / "scan.csv").read_text() == want
 
 
 def test_moduli_scan_deterministic():

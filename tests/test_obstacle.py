@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrikosov.errors import (
     GridMismatch,
@@ -31,7 +33,6 @@ from abrikosov.obstacle import (
     solve_h0,
     solve_obstacle,
     sup_gradient,
-    value_error_pad,
     verify_ellipse_limit,
     verify_gradient_bound,
     verify_scale_law,
@@ -196,7 +197,9 @@ def test_h0_solver_determinism():
 def test_no_convergence_raises():
     grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
     with pytest.raises(NoConvergence):
-        solve_h0(grid, tol=1e-12, max_sweeps=2)
+        solve_h0(grid, tol=1e-12, max_cycles=2)
+    with pytest.raises(NonPositiveParameter):
+        solve_h0(grid, max_cycles=0)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +233,9 @@ def test_obstacle_at_top_is_identically_one():
 def test_obstacle_monotone_in_level():
     grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
     tol = 1e-10
-    pad = value_error_pad(grid, tol)
     lo = solve_obstacle(grid, 0.85, tol=tol)
     hi = solve_obstacle(grid, 0.90, tol=tol)
+    pad = lo.value_error + hi.value_error
     assert np.all(lo.values <= hi.values + pad)
     assert np.all(hi.values <= lo.values + 0.05 + pad)
 
@@ -259,10 +262,12 @@ def test_obstacle_solver_determinism():
     assert a.iters == b.iters
 
 
-def test_field_csv_layout():
+def test_field_csv_layout(tmp_path):
     grid = DomainGrid(UnitDisk(), 1.0 / 8.0)
     field = solve_obstacle(grid, 0.9, tol=1e-9)
-    lines = field.to_csv().strip().split("\n")
+    field.to_csv(tmp_path / "field.csv")
+    text = (tmp_path / "field.csv").read_text()
+    lines = text.strip().split("\n")
     assert lines[0] == "x,y,H,active"
     assert len(lines) == 1 + int((grid.mask > 0).sum())
     cells = [ln.split(",") for ln in lines[1:]]
@@ -272,6 +277,117 @@ def test_field_csv_layout():
     # boundary-data cells report the Dirichlet value
     boundary_rows = [c for c in cells if float(c[2]) == 1.0 and c[3] == "0"]
     assert len(boundary_rows) >= 1
+    # the same text as formatting the rectangle's cells one at a time
+    value = {(i, j): (v, int(a)) for i, j, v, a in
+             zip(grid.ii, grid.jj, field.values, field.active)}
+    rows = ["x,y,H,active"]
+    for (i, j), kind in np.ndenumerate(grid.mask):
+        if kind:
+            v, a = value.get((i, j), (1.0, 0))
+            rows.append("%.9g,%.9g,%.9g,%d" % (grid.xs[i], grid.ys[j], v, a))
+    assert text == "\n".join(rows) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Multigrid against independent solves, and its cost
+# ---------------------------------------------------------------------------
+
+
+SHAPES = {
+    "disk": UnitDisk(),
+    "ellipse": Ellipse(1.2, 0.7),
+    "triangle": ConvexPolygon([[-1.0, -0.8], [1.1, -0.6], [-0.2, 1.0]]),
+}
+
+
+def _assembled(grid):
+    """Dense (-Delta_h + 1) and its right-hand side for boundary value 1."""
+    zero = np.zeros(grid.n)
+    b = -grid.operator_values(zero)
+    a = np.column_stack([grid.operator_values(e) + b for e in np.eye(grid.n)])
+    return a, b
+
+
+def _projected_gauss_seidel(grid, m, tol=1e-14):
+    """Cell-by-cell projected Gauss-Seidel from H = 1, in unknown order."""
+    a, b = _assembled(grid)
+    nbrs = [np.nonzero(row)[0] for row in a]
+    x = np.ones(grid.n)
+    while True:
+        for k, nb in enumerate(nbrs):
+            off = a[k, nb] @ x[nb] - a[k, k] * x[k]
+            x[k] = max(m, (b[k] - off) / a[k, k])
+        comp = np.minimum(x - m, (a @ x - b) / grid.diag)
+        if np.max(np.abs(comp)) < tol:
+            return x
+
+
+def test_h0_matches_direct_solve():
+    grid = DomainGrid(UnitDisk(), 1.0 / 16.0)
+    sol = solve_h0(grid, tol=1e-10)
+    a, b = _assembled(grid)
+    exact = np.linalg.solve(a, b)
+    assert np.max(np.abs(sol.values - exact)) <= sol.value_error
+    assert sol.value_error < 1e-6
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipse"])
+def test_contact_set_matches_projected_gauss_seidel(name):
+    grid = DomainGrid(SHAPES[name], 1.0 / 16.0)
+    m = 0.5 * (1.0 + solve_h0(grid).min_value)
+    field = solve_obstacle(grid, m, tol=1e-12)
+    ref = _projected_gauss_seidel(grid, m)
+    assert 0 < field.active.sum() < grid.n
+    assert np.array_equal(field.active, ref - m < 10.0 * 1e-12)
+    assert np.max(np.abs(field.values - ref)) <= field.value_error + 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_value_error_bounds_distance_to_tight_solve(name):
+    grid = DomainGrid(SHAPES[name], 1.0 / 32.0)
+    for solve in (lambda tol: solve_h0(grid, tol=tol),
+                  lambda tol: solve_obstacle(grid, 0.9, tol=tol)):
+        loose, tight = solve(1e-5), solve(1e-13)
+        dist = float(np.max(np.abs(loose.values - tight.values)))
+        assert dist <= loose.value_error + tight.value_error
+        assert tight.value_error < 1e-8
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_cycle_count_independent_of_h(name):
+    for k in (32, 64, 128):
+        grid = DomainGrid(SHAPES[name], 1.0 / k)
+        h0 = solve_h0(grid)
+        assert h0.iters <= 12
+        field = solve_obstacle(grid, 0.5 * (1.0 + h0.min_value))
+        assert field.iters <= 60
+        assert 0 < field.active.sum() < grid.n
+
+
+def test_disk_fields_are_symmetric():
+    grid = DomainGrid(UnitDisk(), 1.0 / 64.0)
+    mirrors = (lambda a: a[::-1, :], lambda a: a[:, ::-1], np.transpose)
+    inside = grid.mask == 1
+    assert all(np.array_equal(inside, f(inside)) for f in mirrors)
+    for values in (solve_h0(grid).values, solve_obstacle(grid, 0.9).values):
+        full = np.zeros(grid.mask.shape)
+        full[grid.ii, grid.jj] = values
+        for f in mirrors:
+            assert np.max(np.abs(full - f(full))) < 1e-13
+
+
+_MONO_GRID = DomainGrid(Ellipse(1.0, 0.8), 1.0 / 24.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.5, 1.0), st.floats(0.5, 1.0))
+def test_obstacle_monotone_in_level_property(m1, m2):
+    lo, hi = sorted((m1, m2))
+    f_lo = solve_obstacle(_MONO_GRID, lo)
+    f_hi = solve_obstacle(_MONO_GRID, hi)
+    pad = f_lo.value_error + f_hi.value_error
+    assert np.all(f_lo.values <= f_hi.values + pad)
+    assert np.all(f_hi.values <= f_lo.values + (hi - lo) + pad)
 
 
 # ---------------------------------------------------------------------------
