@@ -1,9 +1,10 @@
-"""Vectorized numpy kernels: torus Green-function batches and PSOR sweeps.
+"""Vectorized numpy kernels: torus Green-function batches and one sweep.
 
-These are the hot loops of the package: the Green function's q-series and
-its first and second derivatives over arrays of point differences, and one
-projected relaxation sweep, the smoother of the obstacle multigrid.  They
-are single-threaded and deterministic.
+These are the hot loops of the package: the Green function's q-series over
+arrays of point differences (``green_values``), its first and second
+derivatives from one pass over the same terms (``green_grads``), and one
+projected Gauss-Seidel sweep (``psor_sweep``), the smoother of the obstacle
+multigrid.  They are single-threaded and deterministic.
 """
 from __future__ import annotations
 
@@ -58,6 +59,11 @@ def green_values(ds, dt, a, b, nterms):
 
 
 def green_grads(ds, dt, a, b, nterms):
+    """First and second (s, t)-derivatives of G, from L(z) and L'(z).
+
+    Returns ((G_s, G_t), (H_ss, H_st, H_tt)); one loop accumulates both
+    series from the same u = q^n/p and v = q^n p.
+    """
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
@@ -66,37 +72,23 @@ def green_grads(ds, dt, a, b, nterms):
     w = np.exp(1j * np.pi * z)
     p = w * w
     lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
-    qn = complex(1.0, 0.0)
-    for _ in range(nterms):
-        qn = qn * q
-        lsum = lsum + 2j * np.pi * ((qn / p) / (1.0 - qn / p) - qn * p / (1.0 - qn * p))
-    gs = -lsum.real
-    gt = -(tau * lsum).real + 2.0 * np.pi * b * t
-    return gs, gt
-
-
-def green_hessians(ds, dt, a, b, nterms):
-    """Second (s, t)-derivatives (H_ss, H_st, H_tt) of G, from L'(z)."""
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    s = ds - np.rint(ds)
-    t = dt - np.rint(dt)
-    w = np.exp(1j * np.pi * (s + t * tau))
-    p = w * w
     dl = p / (p - 1.0) ** 2
     qn = complex(1.0, 0.0)
     for _ in range(nterms):
         qn = qn * q
         u = qn / p
         v = qn * p
+        lsum = lsum + 2j * np.pi * (u / (1.0 - u) - v / (1.0 - v))
         dl = dl + u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
     dl = 4.0 * np.pi * np.pi * dl
-    return -dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b
+    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
+    hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
+    return grad, hess
 
 
 # ---------------------------------------------------------------------------
-# Projected SOR sweep over cells of one red-black color of an irregular
-# (masked) grid.
+# Projected Gauss-Seidel sweep over cells of one red-black color of an
+# irregular (masked) grid.
 #
 # Flat-array representation: for the k-th cell swept, ``idx[k]`` is its flat
 # index into ``values``; ``iE..iS`` are neighbor flat indices (any index with
@@ -104,18 +96,16 @@ def green_hessians(ds, dt, a, b, nterms):
 # ``bc``, the right-hand side); ``cE..cS`` and ``diag`` (the diagonal of
 # -Delta_h + 1) are per-cell arrays or one number for all; ``obstacle`` is
 # the lower-bound clamp, a number or one per cell (a huge negative number
-# for an unconstrained solve).
+# for an unconstrained solve).  Cells of one color share no stencil leg, so
+# the vectorized update is exact Gauss-Seidel for that color.
 # ---------------------------------------------------------------------------
 
 
 def psor_sweep(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
-               obstacle, omega):
+               obstacle):
     gs = (cE * values.take(iE) + cW * values.take(iW)
           + cN * values.take(iN) + cS * values.take(iS) + bc) / diag
-    old = values[idx]
-    val = old + omega * (gs - old)
-    np.maximum(val, obstacle, out=val)
-    values[idx] = val
+    values[idx] = np.maximum(gs, obstacle)
 
 
 def warmup():
@@ -124,9 +114,8 @@ def warmup():
     dt = np.array([0.2, 0.7])
     green_values(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     green_grads(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
-    green_hessians(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     vals = np.zeros(9)
     one = np.arange(2, dtype=np.int64)
     cf = np.ones(2)
     psor_sweep(vals, one + 4, one, one, one, one, cf, cf, cf, cf,
-               cf * 5.0, cf, -1e300, 1.5)
+               cf * 5.0, cf, -1e300)

@@ -21,7 +21,6 @@ import numpy as np
 
 from .csvfile import write_csv
 from .errors import (
-    CovolumeMismatch,
     ExtrapolationUnstable,
     InputError,
     NonPositiveImaginaryPart,
@@ -29,7 +28,6 @@ from .errors import (
 )
 from .modular import (
     LatticeBasis,
-    LatticeModulus,
     SeriesControl,
     _require_upper,
     _torus_green,

@@ -15,7 +15,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,16 +321,11 @@ def _theta_radius(basis: LatticeBasis, alpha: float, tol: float) -> float:
     exp(-pi a (|y| - rho)^2) for y in its Voronoi cell (rho = covering
     radius), so the tail is bounded by a radial integral in closed form.
     """
-    vol = basis.covolume
     rho = _covering_radius_bound(basis)
     r = max(2.0 * rho, math.sqrt(2.0 / (math.pi * alpha)))
     for _ in range(200):
-        t0 = r - 2.0 * rho
-        if t0 > 0.0:
-            tail = (2.0 * math.pi / vol) * math.exp(-math.pi * alpha * t0 * t0) \
-                * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
-            if tail < tol:
-                return r
+        if theta_tail_bound(basis, alpha, r) < tol:
+            return r
         r *= 1.25
     raise PrecisionUnreachable("theta tail bound did not close")
 

@@ -352,7 +352,7 @@ class DomainGrid:
             for sel, stencil in self._blocks:
                 bound = _UNCONSTRAINED if lower is None else (
                     lower[sel] if isinstance(lower, np.ndarray) else lower)
-                backend.psor_sweep(values, *stencil, rhs[sel], bound, 1.0)
+                backend.psor_sweep(values, *stencil, rhs[sel], bound)
 
     @functools.cached_property
     def _coarse(self):

@@ -8,7 +8,8 @@ on a flat torus of area 2 pi.  Its values come from a geometrically
 convergent q-series closed form (never from the slowly decaying Fourier
 sum), after mapping the torus shape to a reduced modulus.  Configuration
 energies are pairwise Green sums plus a per-point lattice self-energy term;
-their gradients and Hessians come from derivatives of the same closed form.
+their gradients and Hessians come together from one pass over the
+derivatives of the same closed form (``_pair_derivs``).
 
 ``minimize_config`` runs a seeded multi-start search over point positions (a
 weighted-Fekete search).  Each start descends by modified Newton steps
@@ -18,7 +19,9 @@ the two uniform translations along which the energy is constant, and its
 eigenvalues are replaced by their absolute values, floored, so that every
 step points downhill, at saddles too.  A backtracking line search accepts a
 step only if the energy rises by no more than its rounding error, and every
-start reports whether it reached the gradient tolerance.
+start reports whether it reached the gradient tolerance.  The trial a line
+search accepts brings its Hessian along, so the next Newton step needs no
+further kernel call.
 """
 from __future__ import annotations
 
@@ -50,8 +53,6 @@ __all__ = [
     "GreenEvaluator",
     "MinimizeControl",
     "MinimizeOutcome",
-    "green",
-    "green_grad",
     "config_energy",
     "config_grad",
     "minimize_config",
@@ -240,21 +241,18 @@ class GreenEvaluator:
         """G at fractional-coordinate differences in the torus basis."""
         return backend.green_values(*self._reduced(ds, dt))
 
-    def _grads_frac(self, ds: np.ndarray, dt: np.ndarray):
-        """Cartesian gradient of G at fractional-coordinate differences."""
-        gs, gt = backend.green_grads(*self._reduced(ds, dt))
-        g = self._grad_map @ np.vstack([gs, gt])
-        return g[0], g[1]
+    def _derivs_frac(self, ds: np.ndarray, dt: np.ndarray):
+        """Cartesian gradients (2, m) and Hessians (m, 2, 2) of G at
+        fractional-coordinate differences, from one kernel call.
 
-    def _hess_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
-        """Cartesian Hessians J^T H J of G at fractional differences, (m, 2, 2).
-
-        J maps Cartesian displacements to the reduced frame's (s, t), and
-        ``_grad_map`` is its transpose.
+        With J the map from Cartesian displacements to the reduced frame's
+        (s, t), ``_grad_map`` is J^T: the gradient is J^T g, the Hessian
+        J^T H J.
         """
-        hss, hst, htt = backend.green_hessians(*self._reduced(ds, dt))
+        (gs, gt), (hss, hst, htt) = backend.green_grads(*self._reduced(ds, dt))
+        g = self._grad_map @ np.vstack([gs, gt])
         h = np.stack([hss, hst, hst, htt], axis=-1).reshape(-1, 2, 2)
-        return self._grad_map @ h @ self._grad_map.T
+        return g, self._grad_map @ h @ self._grad_map.T
 
     def _check_singular(self, frac: np.ndarray):
         d = frac - np.rint(frac)
@@ -286,18 +284,8 @@ class GreenEvaluator:
         x = np.asarray(x, float).reshape(2)
         frac = self._inv_basis @ x
         self._check_singular(frac)
-        gx, gy = self._grads_frac(np.array([frac[0]]), np.array([frac[1]]))
-        return np.array([gx[0], gy[0]])
-
-
-def green(ev: GreenEvaluator, x) -> float:
-    """Torus Green function value at Cartesian position x."""
-    return ev.value(x)
-
-
-def green_grad(ev: GreenEvaluator, x) -> np.ndarray:
-    """Torus Green function gradient at Cartesian position x."""
-    return ev.grad(x)
+        g, _ = self._derivs_frac(np.array([frac[0]]), np.array([frac[1]]))
+        return g[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +298,6 @@ def _torus_modulus(torus: TorusSpec) -> complex:
     u = complex(torus.basis.u[0], torus.basis.u[1])
     v = complex(torus.basis.v[0], torus.basis.v[1])
     return v / u
-
-
-def _lattice_term(ev: GreenEvaluator, ctl: SeriesControl) -> EnergyReport:
-    return w_eta(ev.tau, 1.0, ctl)
 
 
 def _require_normalized(cfg: TorusConfig):
@@ -334,33 +318,29 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray) -> float:
     return float(np.sum(ev._values_frac(d[:, 0], d[:, 1])))
 
 
-def _pair_grad(ev: GreenEvaluator, points: np.ndarray) -> np.ndarray:
-    """Cartesian gradient of the pairwise Green sum per point, shape (n, 2)."""
-    out = np.zeros_like(points)
-    if points.shape[0] < 2:
-        return out
-    iu, ju, d = _pair_diffs(points)
-    gx, gy = ev._grads_frac(d[:, 0], d[:, 1])
-    np.add.at(out[:, 0], iu, gx)
-    np.add.at(out[:, 1], iu, gy)
-    np.add.at(out[:, 0], ju, -gx)
-    np.add.at(out[:, 1], ju, -gy)
-    return out
+def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
+    """Cartesian gradient (n, 2) and Hessian (2n, 2n) of the pairwise Green sum.
 
-
-def _pair_hess(ev: GreenEvaluator, points: np.ndarray) -> np.ndarray:
-    """Cartesian Hessian of the pairwise Green sum, shape (2n, 2n).
-
-    Rows and columns run over (x_0, y_0, x_1, y_1, ...).  The Hessian H_ij
-    of G at x_i - x_j adds to the (i, i) and (j, j) blocks and subtracts from
-    the (i, j) and (j, i) blocks; one ``bincount`` scatters every pair.
+    One set of pair differences feeds one kernel call.  The gradient G_ij of
+    G at x_i - x_j adds to point i and subtracts from point j.  Hessian rows
+    and columns run over (x_0, y_0, x_1, y_1, ...); H_ij adds to the (i, i)
+    and (j, j) blocks and subtracts from the (i, j) and (j, i) blocks, and
+    one ``bincount`` scatters every pair.
     """
     n = points.shape[0]
-    _, _, d = _pair_diffs(points)
-    h = ev._hess_frac(d[:, 0], d[:, 1])
+    grad = np.zeros_like(points)
+    if n < 2:
+        return grad, np.zeros((2 * n, 2 * n))
+    iu, ju, d = _pair_diffs(points)
+    (gx, gy), h = ev._derivs_frac(d[:, 0], d[:, 1])
+    np.add.at(grad[:, 0], iu, gx)
+    np.add.at(grad[:, 1], iu, gy)
+    np.add.at(grad[:, 0], ju, -gx)
+    np.add.at(grad[:, 1], ju, -gy)
     weights = np.concatenate([h, h, -h, -h]).ravel()
-    return np.bincount(_pair_layout(n).hess_index, weights,
+    hess = np.bincount(_pair_layout(n).hess_index, weights,
                        minlength=4 * n * n).reshape(2 * n, 2 * n)
+    return grad, hess
 
 
 def _sup_norm(grad: np.ndarray) -> float:
@@ -375,7 +355,7 @@ def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None,
     _require_normalized(cfg)
     if ev is None:
         ev = GreenEvaluator(cfg.torus, ctl)
-    w_lat = _lattice_term(ev, ctl).value
+    w_lat = w_eta(ev.tau, 1.0, ctl).value
     return _pair_energy(ev, cfg.points) + cfg.n * w_lat
 
 
@@ -390,7 +370,7 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
     _require_normalized(cfg)
     if ev is None:
         ev = GreenEvaluator(cfg.torus, ctl)
-    return _pair_grad(ev, cfg.points)
+    return _pair_derivs(ev, cfg.points)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -445,19 +425,20 @@ class MinimizeOutcome:
         return iter((self.config, self.report, self.trace))
 
 
-def _newton_step(ev: GreenEvaluator, points: np.ndarray, grad: np.ndarray,
+def _newton_step(hess: np.ndarray, grad: np.ndarray,
                  max_step: float) -> np.ndarray:
     """Modified Newton step in Cartesian coordinates, shape (n, 2).
 
-    The Hessian is restricted to zero-mean displacements (the two uniform
+    ``hess`` (2n, 2n) and ``grad`` (n, 2) are the pair-energy derivatives at
+    the current points.  The Hessian is restricted to zero-mean displacements (the two uniform
     translations leave the energy unchanged), and its eigenvalues are
     replaced by max(|lambda|, EIG_FLOOR), which makes the solve positive
     definite.  A step whose largest per-point length exceeds ``max_step`` is
     scaled down to it.
     """
-    n = points.shape[0]
+    n = grad.shape[0]
     free = _pair_layout(n).free
-    lam, vec = np.linalg.eigh(free.T @ _pair_hess(ev, points) @ free)
+    lam, vec = np.linalg.eigh(free.T @ hess @ free)
     coef = (vec.T @ (free.T @ grad.ravel())) / np.maximum(np.abs(lam), EIG_FLOOR)
     step = -(free @ (vec @ coef)).reshape(n, 2)
     longest = _sup_norm(step)
@@ -490,7 +471,7 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
     inv_t = ev._inv_basis.T
     pts = _wrap01(points.copy())
     energy = _pair_energy(ev, pts)
-    grad = _pair_grad(ev, pts)
+    grad, hess = _pair_derivs(ev, pts)
     gnorm = _sup_norm(grad)
     trace = []
     it = 0
@@ -501,7 +482,7 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
         if it == ctl.max_iters:
             return pts, energy, trace, "max_iters", it
         it += 1
-        direction = _newton_step(ev, pts, grad, ctl.step_init) @ inv_t
+        direction = _newton_step(hess, grad, ctl.step_init) @ inv_t
         s = 1.0
         moved = False
         for _ in range(40):
@@ -513,10 +494,11 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
                 continue
             e_new = _pair_energy(ev, cand)
             if e_new <= energy + ENERGY_SLACK:
-                g_new = _pair_grad(ev, cand)
+                g_new, h_new = _pair_derivs(ev, cand)
                 g_new_norm = _sup_norm(g_new)
                 if e_new < energy - ENERGY_SLACK or g_new_norm < gnorm:
-                    pts, energy, grad, gnorm = cand, e_new, g_new, g_new_norm
+                    pts, energy, grad, hess, gnorm = (cand, e_new, g_new,
+                                                      h_new, g_new_norm)
                     moved = True
                     break
             s *= 0.5
@@ -553,7 +535,7 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     """
     _require_normalized(cfg)
     ev = GreenEvaluator(cfg.torus, series)
-    lat = _lattice_term(ev, series)
+    lat = w_eta(ev.tau, 1.0, series)
     n = cfg.n
     if n == 1:
         report = EnergyReport(value=lat.value, route="fourier",

@@ -33,8 +33,6 @@ from abrikosov.torus import (
     config_grad,
     conjecture1_probe,
     elkies_experiment,
-    green,
-    green_grad,
     minimize_config,
     triangular_embedding,
 )
@@ -100,7 +98,7 @@ def test_config_translation():
 def test_green_half_period_closed_form():
     ev = GreenEvaluator(TorusSpec.square())
     side = math.sqrt(TWO_PI)
-    val = green(ev, [0.5 * side, 0.5 * side])
+    val = ev.value([0.5 * side, 0.5 * side])
     assert abs(val - (-0.5 * math.log(2.0))) < 1e-12
 
 
@@ -204,7 +202,7 @@ def test_green_grad_matches_finite_differences():
         ev = GreenEvaluator(spec)
         for _ in range(3):
             x = rng.uniform(0.3, 1.2, size=2)
-            g = green_grad(ev, x)
+            g = ev.grad(x)
             eps = 1e-6
             for k in range(2):
                 dx = np.zeros(2)
@@ -323,7 +321,7 @@ def test_hessian_matches_gradient_differences(spec, reduced):
     assert reduced == (not np.array_equal(ev.coord_map, np.eye(2)))
     rng = np.random.default_rng(11)
     pts = rng.random((4, 2))
-    hess = torus._pair_hess(ev, pts)
+    hess = torus._pair_derivs(ev, pts)[1]
     inv = np.linalg.inv(spec.basis.matrix)
     eps = 1e-6
     for col in range(8):
@@ -343,7 +341,7 @@ def test_hessian_matches_gradient_differences(spec, reduced):
 def test_hessian_symmetric_and_translation_free(n, a, b, seed):
     spec = _shape_torus(a, b)
     pts = np.random.default_rng(seed).random((n, 2))
-    hess = torus._pair_hess(GreenEvaluator(spec), pts)
+    hess = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
     scale = np.max(np.abs(hess))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * scale
     shift = np.zeros((2 * n, 2))
@@ -445,9 +443,33 @@ def test_every_start_converges_to_a_minimum_at_n7():
     assert out.trace[-1][2] < ctl.grad_tol
     ev = GreenEvaluator(out.config.torus)
     free = torus._pair_layout(n).free
-    lam = np.linalg.eigvalsh(free.T @ torus._pair_hess(ev, out.config.points)
-                             @ free)
+    hess = torus._pair_derivs(ev, out.config.points)[1]
+    lam = np.linalg.eigvalsh(free.T @ hess @ free)
     assert lam[0] > 1e-3    # a minimum, not a saddle
+
+
+def test_one_derivative_pass_per_energy_evaluation(monkeypatch):
+    # every derivative pass (gradient and Hessian) follows an energy
+    # evaluation at the same point, so a descent makes no more derivative
+    # kernel calls than value kernel calls
+    calls = {}
+
+    def counted(name):
+        kernel = getattr(backend, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return kernel(*args)
+        return wrapper
+
+    for name in ("green_values", "green_grads", "green_hessians"):
+        if hasattr(backend, name):
+            monkeypatch.setattr(backend, name, counted(name))
+    start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
+    minimize_config(start, MinimizeControl(restarts=2))
+    derivs = calls.get("green_grads", 0) + calls.get("green_hessians", 0)
+    assert calls["green_values"] > 0 and derivs > 0
+    assert derivs <= calls["green_values"]
 
 
 def test_unconverged_start_says_so():
