@@ -20,8 +20,9 @@ eigenvalues are replaced by their absolute values, floored, so that every
 step points downhill, at saddles too.  A backtracking line search accepts a
 step only if the energy rises by no more than its rounding error, and every
 start reports whether it reached the gradient tolerance.  The trial a line
-search accepts brings its Hessian along, so the next Newton step needs no
-further kernel call.
+search accepts brings its per-pair Hessian blocks along, so the next
+Newton step needs no further kernel call; the blocks become the full
+Hessian only when a step uses them.
 """
 from __future__ import annotations
 
@@ -198,10 +199,15 @@ def _pair_diffs(points: np.ndarray):
     return layout.iu, layout.ju, d
 
 
+def _closest(sep: np.ndarray) -> float:
+    """Smallest length among wrapped pair differences (inf for none)."""
+    return float(np.sqrt(np.min(np.sum(sep * sep, axis=1)))) \
+        if sep.size else math.inf
+
+
 def _min_separation(points: np.ndarray) -> float:
     _, _, d = _pair_diffs(points)
-    d = d - np.rint(d)
-    return float(np.sqrt(np.min(np.sum(d * d, axis=1)))) if d.size else math.inf
+    return _closest(d - np.rint(d))
 
 
 class GreenEvaluator:
@@ -307,11 +313,20 @@ def _require_normalized(cfg: TorusConfig):
         )
 
 
-def _pair_energy(ev: GreenEvaluator, points: np.ndarray) -> float:
+def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
+                 min_sep: float = 0.0):
+    """Pairwise Green sum, or None if two points lie closer than ``min_sep``.
+
+    ``min_sep`` bounds the wrapped fractional distance, as
+    ``_min_separation`` measures it.  One set of pair differences serves
+    that test, the singular-tube check and the kernel call.
+    """
     if points.shape[0] < 2:
         return 0.0
     _, _, d = _pair_diffs(points)
     sep = d - np.rint(d)
+    if _closest(sep) < min_sep:
+        return None
     cart = sep @ ev.torus.basis.matrix.T
     if np.any(np.sum(cart * cart, axis=1) < SINGULAR_TUBE ** 2):
         raise CoincidentPoints("points collide within the singular tube")
@@ -319,28 +334,36 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray) -> float:
 
 
 def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
-    """Cartesian gradient (n, 2) and Hessian (2n, 2n) of the pairwise Green sum.
+    """Cartesian gradient (n, 2) and pair Hessian blocks (m, 2, 2) of the
+    pairwise Green sum.
 
     One set of pair differences feeds one kernel call.  The gradient G_ij of
-    G at x_i - x_j adds to point i and subtracts from point j.  Hessian rows
-    and columns run over (x_0, y_0, x_1, y_1, ...); H_ij adds to the (i, i)
-    and (j, j) blocks and subtracts from the (i, j) and (j, i) blocks, and
-    one ``bincount`` scatters every pair.
+    G at x_i - x_j adds to point i and subtracts from point j.  The blocks
+    H_ij stay per pair until ``_pair_hessian`` scatters them, so a point
+    that takes no Newton step never pays for the scatter.
     """
-    n = points.shape[0]
     grad = np.zeros_like(points)
-    if n < 2:
-        return grad, np.zeros((2 * n, 2 * n))
+    if points.shape[0] < 2:
+        return grad, np.zeros((0, 2, 2))
     iu, ju, d = _pair_diffs(points)
     (gx, gy), h = ev._derivs_frac(d[:, 0], d[:, 1])
     np.add.at(grad[:, 0], iu, gx)
     np.add.at(grad[:, 1], iu, gy)
     np.add.at(grad[:, 0], ju, -gx)
     np.add.at(grad[:, 1], ju, -gy)
-    weights = np.concatenate([h, h, -h, -h]).ravel()
-    hess = np.bincount(_pair_layout(n).hess_index, weights,
+    return grad, h
+
+
+def _pair_hessian(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The (2n, 2n) Hessian of the pairwise Green sum from its pair blocks.
+
+    Rows and columns run over (x_0, y_0, x_1, y_1, ...); H_ij adds to the
+    (i, i) and (j, j) blocks and subtracts from the (i, j) and (j, i)
+    blocks, and one ``bincount`` scatters every pair.
+    """
+    weights = np.concatenate([blocks, blocks, -blocks, -blocks]).ravel()
+    return np.bincount(_pair_layout(n).hess_index, weights,
                        minlength=4 * n * n).reshape(2 * n, 2 * n)
-    return grad, hess
 
 
 def _sup_norm(grad: np.ndarray) -> float:
@@ -425,12 +448,13 @@ class MinimizeOutcome:
         return iter((self.config, self.report, self.trace))
 
 
-def _newton_step(hess: np.ndarray, grad: np.ndarray,
+def _newton_step(blocks: np.ndarray, grad: np.ndarray,
                  max_step: float) -> np.ndarray:
     """Modified Newton step in Cartesian coordinates, shape (n, 2).
 
-    ``hess`` (2n, 2n) and ``grad`` (n, 2) are the pair-energy derivatives at
-    the current points.  The Hessian is restricted to zero-mean displacements (the two uniform
+    ``blocks`` (the pair Hessian blocks of ``_pair_derivs``) and ``grad``
+    (n, 2) are the pair-energy derivatives at the current points.  The
+    Hessian is restricted to zero-mean displacements (the two uniform
     translations leave the energy unchanged), and its eigenvalues are
     replaced by max(|lambda|, EIG_FLOOR), which makes the solve positive
     definite.  A step whose largest per-point length exceeds ``max_step`` is
@@ -438,7 +462,7 @@ def _newton_step(hess: np.ndarray, grad: np.ndarray,
     """
     n = grad.shape[0]
     free = _pair_layout(n).free
-    lam, vec = np.linalg.eigh(free.T @ hess @ free)
+    lam, vec = np.linalg.eigh(free.T @ _pair_hessian(blocks, n) @ free)
     coef = (vec.T @ (free.T @ grad.ravel())) / np.maximum(np.abs(lam), EIG_FLOOR)
     step = -(free @ (vec @ coef)).reshape(n, 2)
     longest = _sup_norm(step)
@@ -471,7 +495,7 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
     inv_t = ev._inv_basis.T
     pts = _wrap01(points.copy())
     energy = _pair_energy(ev, pts)
-    grad, hess = _pair_derivs(ev, pts)
+    grad, blocks = _pair_derivs(ev, pts)
     gnorm = _sup_norm(grad)
     trace = []
     it = 0
@@ -482,23 +506,23 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
         if it == ctl.max_iters:
             return pts, energy, trace, "max_iters", it
         it += 1
-        direction = _newton_step(hess, grad, ctl.step_init) @ inv_t
+        direction = _newton_step(blocks, grad, ctl.step_init) @ inv_t
         s = 1.0
         moved = False
         for _ in range(40):
             cand = _wrap01(pts + s * direction)
             if np.array_equal(cand, pts):
                 break           # every shorter trial is a null step too
-            if _min_separation(cand) < SEPARATION_EPS:
+            e_new = _pair_energy(ev, cand, SEPARATION_EPS)
+            if e_new is None:
                 s *= 0.5
                 continue
-            e_new = _pair_energy(ev, cand)
             if e_new <= energy + ENERGY_SLACK:
-                g_new, h_new = _pair_derivs(ev, cand)
+                g_new, b_new = _pair_derivs(ev, cand)
                 g_new_norm = _sup_norm(g_new)
                 if e_new < energy - ENERGY_SLACK or g_new_norm < gnorm:
-                    pts, energy, grad, hess, gnorm = (cand, e_new, g_new,
-                                                      h_new, g_new_norm)
+                    pts, energy, grad, blocks, gnorm = (cand, e_new, g_new,
+                                                        b_new, g_new_norm)
                     moved = True
                     break
             s *= 0.5

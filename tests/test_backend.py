@@ -2,6 +2,9 @@
 
 import inspect
 
+import numpy as np
+import pytest
+
 from abrikosov import backend
 
 
@@ -33,3 +36,67 @@ def test_warmup_calls_every_kernel(monkeypatch):
         monkeypatch.setattr(backend, name, wrapper)
     backend.warmup()
     assert called == set(kernels)
+
+
+# ---------------------------------------------------------------------------
+# The Green kernels against their per-term loops
+# ---------------------------------------------------------------------------
+
+
+def _loop_values(ds, dt, a, b, nterms):
+    """G summed one series term after another."""
+    tau = complex(a, b)
+    q = np.exp(2j * np.pi * tau)
+    s = ds - np.rint(ds)
+    t = dt - np.rint(dt)
+    z = s + t * tau
+    w = np.exp(1j * np.pi * z)
+    p = w * w
+    acc = np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w)) + np.pi * b * t * t
+    qn = complex(1.0, 0.0)
+    for _ in range(nterms):
+        qn = qn * q
+        acc = acc - np.log(np.abs(1.0 - qn * p)) - np.log(np.abs(1.0 - qn / p))
+    return acc
+
+
+def _loop_grads(ds, dt, a, b, nterms):
+    """The derivatives of G from L and L' summed one term after another."""
+    tau = complex(a, b)
+    q = np.exp(2j * np.pi * tau)
+    s = ds - np.rint(ds)
+    t = dt - np.rint(dt)
+    z = s + t * tau
+    w = np.exp(1j * np.pi * z)
+    p = w * w
+    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
+    dl = p / (p - 1.0) ** 2
+    qn = complex(1.0, 0.0)
+    for _ in range(nterms):
+        qn = qn * q
+        u = qn / p
+        v = qn * p
+        lsum = lsum + 2j * np.pi * (u / (1.0 - u) - v / (1.0 - v))
+        dl = dl + u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
+    dl = 4.0 * np.pi * np.pi * dl
+    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
+    hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
+    return grad, hess
+
+
+@pytest.mark.parametrize("nterms", [4, 9, 200])
+@pytest.mark.parametrize("pairs", [1, 2, 23, 496])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, np.sqrt(3.0) / 2.0),
+                                  (0.3, 1.2)], ids=["square", "hex", "skew"])
+def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
+    # the same operations summed in the same order give the same bits; a
+    # pairwise sum or u- and v-terms added together first do not
+    rng = np.random.default_rng(1000 * pairs + nterms)
+    ds, dt = rng.uniform(-1.5, 1.5, (2, pairs))
+    assert np.array_equal(backend.green_values(ds, dt, a, b, nterms),
+                          _loop_values(ds, dt, a, b, nterms))
+    (gs, gt), hess = backend.green_grads(ds, dt, a, b, nterms)
+    (ls, lt), lhess = _loop_grads(ds, dt, a, b, nterms)
+    assert np.array_equal(gs, ls) and np.array_equal(gt, lt)
+    for got, want in zip(hess, lhess):
+        assert np.array_equal(got, want)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abrikosov import backend, torus
@@ -90,6 +90,24 @@ def test_config_translation():
     assert np.allclose(moved.points[1], [0.1, 0.2])
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_config_energy_is_translation_and_permutation_invariant(n, a, b, seed):
+    spec = _shape_torus(a, b)
+    rng = np.random.default_rng(seed)
+    pts = torus._random_start(n, rng)
+    ev = GreenEvaluator(spec)
+    energy = config_energy(TorusConfig(spec, pts), ev)
+    shift = rng.random(2)
+    shifted = config_energy(TorusConfig(spec, pts).translated(shift), ev)
+    permuted = config_energy(TorusConfig(spec, pts[rng.permutation(n)]), ev)
+    # pairs sit at least 1e-4 apart, where rounding the shifted
+    # differences moves G by about 1e-12
+    assert abs(shifted - energy) < 1e-9
+    assert abs(permuted - energy) < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # Green function values
 # ---------------------------------------------------------------------------
@@ -161,6 +179,19 @@ def test_green_is_modular_invariant(a, b, seed):
     direct = backend.green_values(frac[:, 0], frac[:, 1], a, b, 200)
     got = GreenEvaluator(spec).value_many(frac @ spec.basis.matrix.T)
     assert np.max(np.abs(got - direct)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(a=2.3, b=0.8, seed=0)
+def test_green_is_even(a, b, seed):
+    # most of these moduli reduce through a non-identity coord_map
+    spec = _shape_torus(a, b)
+    frac = np.random.default_rng(seed).uniform(0.01, 0.99, (16, 2))
+    xs = frac @ spec.basis.matrix.T
+    ev = GreenEvaluator(spec)
+    assert np.max(np.abs(ev.value_many(xs) - ev.value_many(-xs))) < 1e-11
 
 
 @pytest.mark.parametrize("spec", [
@@ -321,7 +352,7 @@ def test_hessian_matches_gradient_differences(spec, reduced):
     assert reduced == (not np.array_equal(ev.coord_map, np.eye(2)))
     rng = np.random.default_rng(11)
     pts = rng.random((4, 2))
-    hess = torus._pair_derivs(ev, pts)[1]
+    hess = torus._pair_hessian(torus._pair_derivs(ev, pts)[1], 4)
     inv = np.linalg.inv(spec.basis.matrix)
     eps = 1e-6
     for col in range(8):
@@ -341,7 +372,8 @@ def test_hessian_matches_gradient_differences(spec, reduced):
 def test_hessian_symmetric_and_translation_free(n, a, b, seed):
     spec = _shape_torus(a, b)
     pts = np.random.default_rng(seed).random((n, 2))
-    hess = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    blocks = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    hess = torus._pair_hessian(blocks, n)
     scale = np.max(np.abs(hess))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * scale
     shift = np.zeros((2 * n, 2))
@@ -443,7 +475,8 @@ def test_every_start_converges_to_a_minimum_at_n7():
     assert out.trace[-1][2] < ctl.grad_tol
     ev = GreenEvaluator(out.config.torus)
     free = torus._pair_layout(n).free
-    hess = torus._pair_derivs(ev, out.config.points)[1]
+    blocks = torus._pair_derivs(ev, out.config.points)[1]
+    hess = torus._pair_hessian(blocks, n)
     lam = np.linalg.eigvalsh(free.T @ hess @ free)
     assert lam[0] > 1e-3    # a minimum, not a saddle
 
@@ -470,6 +503,41 @@ def test_one_derivative_pass_per_energy_evaluation(monkeypatch):
     derivs = calls.get("green_grads", 0) + calls.get("green_hessians", 0)
     assert calls["green_values"] > 0 and derivs > 0
     assert derivs <= calls["green_values"]
+
+
+def test_descent_builds_only_what_it_uses(monkeypatch):
+    # every pair-difference set built in a descent feeds one kernel call
+    # (the separation test shares the energy's), and a Hessian is scattered
+    # once per Newton step, never for the point a start ends on
+    counts = dict.fromkeys(("diffs", "kernels", "scatters"), 0)
+    inside = []
+
+    def counted(fn, key):
+        def wrapper(*args):
+            if inside:
+                counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def descent(*args, _descent=torus._descent):
+        inside.append(True)
+        try:
+            return _descent(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(torus, "_descent", descent)
+    monkeypatch.setattr(torus, "_pair_diffs",
+                        counted(torus._pair_diffs, "diffs"))
+    monkeypatch.setattr(torus, "_pair_hessian",
+                        counted(torus._pair_hessian, "scatters"))
+    for name in ("green_values", "green_grads"):
+        monkeypatch.setattr(backend, name,
+                            counted(getattr(backend, name), "kernels"))
+    start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
+    out = minimize_config(start, MinimizeControl(restarts=2))
+    assert counts["diffs"] == counts["kernels"] > 0
+    assert counts["scatters"] == sum(row[2] for row in out.restart_table)
 
 
 def test_unconverged_start_says_so():
