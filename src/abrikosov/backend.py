@@ -4,16 +4,22 @@ These are the hot loops of the package: the Green function's q-series over
 arrays of point differences (``green_values``), its first and second
 derivatives from the same terms (``green_grads``), and one projected
 Gauss-Seidel sweep (``psor_sweep``), the smoother of the obstacle
-multigrid.  Each Green kernel evaluates all series terms in one broadcast
-pass and sums them in series order, so a call costs a fixed number of numpy
-operations whatever the term count.  They are single-threaded and
-deterministic.
+multigrid.  Each Green kernel evaluates all series terms of a block of
+``PAIR_BLOCK`` points in one broadcast pass and sums them in series order,
+so a call costs a fixed number of numpy operations per block whatever the
+term count, and its (terms x points) temporaries stay the same size however
+many points a call brings.  They are single-threaded and deterministic.
 """
 from __future__ import annotations
 
 import numpy as np
 
 BACKEND = "numpy"
+
+# Points per broadcast pass of a Green kernel.  A (terms x points) pass over
+# a few thousand points no longer fits in cache, and its freed temporaries
+# go back to the system and fault in again on the next call.
+PAIR_BLOCK = 512
 
 # ---------------------------------------------------------------------------
 # Green-function kernels.
@@ -43,20 +49,21 @@ BACKEND = "numpy"
 # Every kernel wraps (s, t) into [-1/2, 1/2) first, which keeps the
 # series terms bounded by |q|^(n-1/2).
 #
-# A column of q^1 .. q^N against the points gives every term at once, one
-# row per term and part.  The rows are then summed one after another in
-# series order, never pairwise, so that a point's value has the same bits
-# whether it is evaluated alone or among many (tests/test_backend.py holds
-# the per-term loops these must equal).
+# A column of q^1 .. q^N against a block of points gives every term at
+# once, one row per term and part.  The rows are then summed one after
+# another in series order, never pairwise, so that a point's value has the
+# same bits whether it is evaluated alone or among many, in any block
+# (tests/test_backend.py holds the per-term loops these must equal).  The
+# kernels take 1-D arrays of fractional differences.
 # ---------------------------------------------------------------------------
 
 
-def _powers(q, nterms, ndim):
-    """q^1 .. q^nterms as a column that broadcasts over an ndim-array.
+def _powers(q, nterms):
+    """q^1 .. q^nterms as a column that broadcasts over a block of points.
 
     Each power is the previous one times q, the order the series defines.
     """
-    col = np.empty((nterms,) + (1,) * ndim, complex)
+    col = np.empty((nterms, 1), complex)
     qn = complex(1.0, 0.0)
     for k in range(nterms):
         qn = qn * q
@@ -75,66 +82,80 @@ def _series_sum(terms):
     return np.add.reduce(terms, axis=0)
 
 
-def green_values(ds, dt, a, b, nterms):
+def _blocks(size):
+    """Consecutive slices of at most PAIR_BLOCK points covering ``size``."""
+    return [slice(lo, lo + PAIR_BLOCK) for lo in range(0, size, PAIR_BLOCK)]
+
+
+def _setup(ds, dt, a, b):
+    """tau, q, the wrapped t, w = exp(i pi z) and p = w^2 of every point."""
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
     t = dt - np.rint(dt)
     z = s + t * tau
     w = np.exp(1j * np.pi * z)
-    p = w * w
-    qn = _powers(q, nterms, p.ndim)
-    # rows: the n = 0 part, then log|1 - q^n p| and log|1 - q^n/p| per term,
-    # subtracted in turn; subtract has no pairwise reduction, so this holds
-    # for one column too
-    terms = np.empty((2 * nterms + 1,) + p.shape)
-    terms[0] = (np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w))
-                + np.pi * b * t * t)
-    x = qn * p
-    np.subtract(1.0, x, out=x)
-    np.abs(x, out=terms[1::2])
-    np.divide(qn, p, out=x)
-    np.subtract(1.0, x, out=x)
-    np.abs(x, out=terms[2::2])
-    np.log(terms[1:], out=terms[1:])
-    return np.subtract.reduce(terms, axis=0)
+    return tau, q, t, w, w * w
+
+
+def green_values(ds, dt, a, b, nterms):
+    tau, q, t, w, p = _setup(ds, dt, a, b)
+    qn = _powers(q, nterms)
+    out = (np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w))
+           + np.pi * b * t * t)
+    for blk in _blocks(len(p)):
+        pb = p[blk]
+        # rows: the n = 0 part, then log|1 - q^n p| and log|1 - q^n/p| per
+        # term, subtracted in turn; subtract has no pairwise reduction, so
+        # this holds for one column too
+        terms = np.empty((2 * nterms + 1, len(pb)))
+        terms[0] = out[blk]
+        x = qn * pb
+        np.subtract(1.0, x, out=x)
+        np.abs(x, out=terms[1::2])
+        np.divide(qn, pb, out=x)
+        np.subtract(1.0, x, out=x)
+        np.abs(x, out=terms[2::2])
+        np.log(terms[1:], out=terms[1:])
+        np.subtract.reduce(terms, axis=0, out=out[blk])
+    return out
 
 
 def green_grads(ds, dt, a, b, nterms):
     """First and second (s, t)-derivatives of G, from L(z) and L'(z).
 
     Returns ((G_s, G_t), (H_ss, H_st, H_tt)); both series come from the same
-    u = q^n/p and v = q^n p, evaluated for every term at once.
+    u = q^n/p and v = q^n p, evaluated for every term of a block at once.
     """
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    s = ds - np.rint(ds)
-    t = dt - np.rint(dt)
-    z = s + t * tau
-    w = np.exp(1j * np.pi * z)
-    p = w * w
-    qn = _powers(q, nterms, p.ndim)
-    # L's rows: its n = 0 part, then 2 pi i (u/(1-u) - v/(1-v)) per term;
-    # L''s rows: its n = 0 part, then u/(1-u)^2 and v/(1-v)^2 per term
-    lterms = np.empty((nterms + 1,) + p.shape, complex)
-    dterms = np.empty((2 * nterms + 1,) + p.shape, complex)
-    lterms[0] = np.pi * 1j * (p + 1.0) / (p - 1.0)
-    dterms[0] = p / (p - 1.0) ** 2
-    # x holds u, then v; om holds 1 - x.  Squares are taken out of place:
-    # numpy rounds an in-place square of a lone complex element differently
-    x = qn / p
-    om = 1.0 - x
-    np.divide(x, om, out=lterms[1:])
-    np.divide(x, om ** 2, out=dterms[1::2])
-    np.multiply(qn, p, out=x)
-    np.subtract(1.0, x, out=om)
-    # v/(1-v) waits in the rows that v/(1-v)^2 fills next
-    np.divide(x, om, out=dterms[2::2])
-    np.subtract(lterms[1:], dterms[2::2], out=lterms[1:])
-    np.multiply(2j * np.pi, lterms[1:], out=lterms[1:])
-    np.divide(x, om ** 2, out=dterms[2::2])
-    lsum = _series_sum(lterms)
-    dl = 4.0 * np.pi * np.pi * _series_sum(dterms)
+    tau, q, t, _, p = _setup(ds, dt, a, b)
+    qn = _powers(q, nterms)
+    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
+    dl = p / (p - 1.0) ** 2
+    for blk in _blocks(len(p)):
+        pb = p[blk]
+        # L's rows: its n = 0 part, then 2 pi i (u/(1-u) - v/(1-v)) per term;
+        # L''s rows: its n = 0 part, then u/(1-u)^2 and v/(1-v)^2 per term
+        lterms = np.empty((nterms + 1, len(pb)), complex)
+        dterms = np.empty((2 * nterms + 1, len(pb)), complex)
+        lterms[0] = lsum[blk]
+        dterms[0] = dl[blk]
+        # x holds u, then v; om holds 1 - x.  Squares are taken out of place:
+        # numpy rounds an in-place square of a lone complex element
+        # differently
+        x = qn / pb
+        om = 1.0 - x
+        np.divide(x, om, out=lterms[1:])
+        np.divide(x, om ** 2, out=dterms[1::2])
+        np.multiply(qn, pb, out=x)
+        np.subtract(1.0, x, out=om)
+        # v/(1-v) waits in the rows that v/(1-v)^2 fills next
+        np.divide(x, om, out=dterms[2::2])
+        np.subtract(lterms[1:], dterms[2::2], out=lterms[1:])
+        np.multiply(2j * np.pi, lterms[1:], out=lterms[1:])
+        np.divide(x, om ** 2, out=dterms[2::2])
+        lsum[blk] = _series_sum(lterms)
+        dl[blk] = _series_sum(dterms)
+    dl *= 4.0 * np.pi * np.pi
     grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
     hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
     return grad, hess

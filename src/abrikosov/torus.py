@@ -23,6 +23,14 @@ start reports whether it reached the gradient tolerance.  The trial a line
 search accepts brings its per-pair Hessian blocks along, so the next
 Newton step needs no further kernel call; the blocks become the full
 Hessian only when a step uses them.
+
+All starts of one search descend in lockstep as one (k, n, 2) stack: a
+round evaluates one trial of every live start with one value kernel call,
+the derivatives of the trials that pass the energy test with one gradient
+kernel call, and the next Newton steps with one stacked eigendecomposition.
+The pair helpers (``_pair_diffs``, ``_pair_energy``, ``_pair_derivs``,
+``_pair_hessian``) take such stacks.  Every start does the arithmetic it
+would do alone, so its outcome does not depend on the other starts.
 """
 from __future__ import annotations
 
@@ -193,21 +201,28 @@ def _pair_layout(n: int) -> _PairLayout:
 
 
 def _pair_diffs(points: np.ndarray):
-    """Upper-triangle index pairs and their coordinate differences."""
-    layout = _pair_layout(points.shape[0])
-    d = points[layout.iu] - points[layout.ju]
+    """Upper-triangle index pairs and their coordinate differences.
+
+    ``points`` is one configuration (n, 2) or a stack (k, n, 2); the
+    differences are (m, 2) or (k, m, 2) for the m = n(n-1)/2 pairs.
+    """
+    layout = _pair_layout(points.shape[-2])
+    d = points[..., layout.iu, :] - points[..., layout.ju, :]
     return layout.iu, layout.ju, d
 
 
-def _closest(sep: np.ndarray) -> float:
-    """Smallest length among wrapped pair differences (inf for none)."""
-    return float(np.sqrt(np.min(np.sum(sep * sep, axis=1)))) \
-        if sep.size else math.inf
+def _closest(sep: np.ndarray) -> np.ndarray:
+    """Smallest length among the wrapped pair differences of each
+    configuration (needs at least one pair)."""
+    return np.sqrt(np.min(np.sum(sep * sep, axis=-1), axis=-1))
 
 
 def _min_separation(points: np.ndarray) -> float:
+    """Smallest wrapped pair distance of one configuration (inf for none)."""
+    if points.shape[0] < 2:
+        return math.inf
     _, _, d = _pair_diffs(points)
-    return _closest(d - np.rint(d))
+    return float(_closest(d - np.rint(d)))
 
 
 class GreenEvaluator:
@@ -236,29 +251,36 @@ class GreenEvaluator:
     # -- internals ---------------------------------------------------------
 
     def _reduced(self, ds: np.ndarray, dt: np.ndarray):
-        """Kernel arguments: fractional differences in the reduced frame."""
+        """Kernel arguments: fractional differences in the reduced frame,
+        flattened to one row."""
         c = self.coord_map
         s2 = c[0, 0] * ds + c[0, 1] * dt
         t2 = c[1, 0] * ds + c[1, 1] * dt
-        return (np.ascontiguousarray(s2, float), np.ascontiguousarray(t2, float),
+        return (np.ravel(s2), np.ravel(t2),
                 self.tau.real, self.tau.imag, self.nterms)
 
     def _values_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
         """G at fractional-coordinate differences in the torus basis."""
-        return backend.green_values(*self._reduced(ds, dt))
+        return backend.green_values(*self._reduced(ds, dt)).reshape(ds.shape)
 
     def _derivs_frac(self, ds: np.ndarray, dt: np.ndarray):
-        """Cartesian gradients (2, m) and Hessians (m, 2, 2) of G at
-        fractional-coordinate differences, from one kernel call.
+        """Cartesian gradients (..., 2, m) and Hessians (..., m, 2, 2) of G
+        at fractional-coordinate differences of shape (..., m), from one
+        kernel call.
 
         With J the map from Cartesian displacements to the reduced frame's
         (s, t), ``_grad_map`` is J^T: the gradient is J^T g, the Hessian
-        J^T H J.
+        J^T H J.  Each configuration of a stack gets its own (2, 2) x (2, m)
+        product, never one product over the whole stack: numpy takes a
+        matrix-vector path for m = 1 that rounds differently, and a
+        configuration's gradients must not depend on the others.
         """
         (gs, gt), (hss, hst, htt) = backend.green_grads(*self._reduced(ds, dt))
-        g = self._grad_map @ np.vstack([gs, gt])
+        g = self._grad_map @ np.stack([gs.reshape(ds.shape),
+                                       gt.reshape(ds.shape)], axis=-2)
         h = np.stack([hss, hst, hst, htt], axis=-1).reshape(-1, 2, 2)
-        return g, self._grad_map @ h @ self._grad_map.T
+        h = self._grad_map @ h @ self._grad_map.T
+        return g, h.reshape(ds.shape + (2, 2))
 
     def _check_singular(self, frac: np.ndarray):
         d = frac - np.rint(frac)
@@ -314,62 +336,78 @@ def _require_normalized(cfg: TorusConfig):
 
 
 def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
-                 min_sep: float = 0.0):
-    """Pairwise Green sum, or None if two points lie closer than ``min_sep``.
+                 min_sep: float = 0.0) -> np.ndarray:
+    """Pairwise Green sums of a stack of configurations (k, n, 2), shape (k,).
 
-    ``min_sep`` bounds the wrapped fractional distance, as
+    A configuration with two points closer than ``min_sep`` gets NaN and no
+    kernel work; ``min_sep`` bounds the wrapped fractional distance, as
     ``_min_separation`` measures it.  One set of pair differences serves
-    that test, the singular-tube check and the kernel call.
+    that test, the singular-tube check and the one kernel call for the rest.
     """
-    if points.shape[0] < 2:
-        return 0.0
+    if points.shape[1] < 2:
+        return np.zeros(points.shape[0])
     _, _, d = _pair_diffs(points)
     sep = d - np.rint(d)
-    if _closest(sep) < min_sep:
-        return None
+    far = _closest(sep) >= min_sep
+    energy = np.full(points.shape[0], np.nan)
+    if not far.any():
+        return energy
+    sep, d = sep[far], d[far]
     cart = sep @ ev.torus.basis.matrix.T
-    if np.any(np.sum(cart * cart, axis=1) < SINGULAR_TUBE ** 2):
+    if np.any(np.sum(cart * cart, axis=-1) < SINGULAR_TUBE ** 2):
         raise CoincidentPoints("points collide within the singular tube")
-    return float(np.sum(ev._values_frac(d[:, 0], d[:, 1])))
+    energy[far] = np.sum(ev._values_frac(d[..., 0], d[..., 1]), axis=-1)
+    return energy
 
 
 def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
-    """Cartesian gradient (n, 2) and pair Hessian blocks (m, 2, 2) of the
-    pairwise Green sum.
+    """Cartesian gradient (..., n, 2) and pair Hessian blocks (..., m, 2, 2)
+    of the pairwise Green sum of one configuration (n, 2) or a stack.
 
     One set of pair differences feeds one kernel call.  The gradient G_ij of
-    G at x_i - x_j adds to point i and subtracts from point j.  The blocks
-    H_ij stay per pair until ``_pair_hessian`` scatters them, so a point
-    that takes no Newton step never pays for the scatter.
+    G at x_i - x_j adds to point i and subtracts from point j, pair by pair
+    in order.  The blocks H_ij stay per pair until ``_pair_hessian``
+    scatters them, so a point that takes no Newton step never pays for the
+    scatter.
     """
-    grad = np.zeros_like(points)
-    if points.shape[0] < 2:
-        return grad, np.zeros((0, 2, 2))
+    n = points.shape[-2]
+    grad = np.zeros(points.shape)
+    if n < 2:
+        return grad, np.zeros(points.shape[:-2] + (0, 2, 2))
     iu, ju, d = _pair_diffs(points)
-    (gx, gy), h = ev._derivs_frac(d[:, 0], d[:, 1])
-    np.add.at(grad[:, 0], iu, gx)
-    np.add.at(grad[:, 1], iu, gy)
-    np.add.at(grad[:, 0], ju, -gx)
-    np.add.at(grad[:, 1], ju, -gy)
+    g, h = ev._derivs_frac(d[..., 0], d[..., 1])
+    # point i of the c-th configuration is row c n + i of the flat gradient
+    first = n * np.arange(grad.size // (2 * n))[:, None]
+    iu, ju = (iu + first).ravel(), (ju + first).ravel()
+    gx, gy = g[..., 0, :].ravel(), g[..., 1, :].ravel()
+    flat = grad.reshape(-1, 2)
+    np.add.at(flat[:, 0], iu, gx)
+    np.add.at(flat[:, 1], iu, gy)
+    np.add.at(flat[:, 0], ju, -gx)
+    np.add.at(flat[:, 1], ju, -gy)
     return grad, h
 
 
 def _pair_hessian(blocks: np.ndarray, n: int) -> np.ndarray:
-    """The (2n, 2n) Hessian of the pairwise Green sum from its pair blocks.
+    """The (..., 2n, 2n) Hessians of the pairwise Green sum from the pair
+    blocks (..., m, 2, 2) of one configuration or a stack.
 
     Rows and columns run over (x_0, y_0, x_1, y_1, ...); H_ij adds to the
     (i, i) and (j, j) blocks and subtracts from the (i, j) and (j, i)
-    blocks, and one ``bincount`` scatters every pair.
+    blocks, and one ``bincount`` scatters every pair of every configuration.
     """
-    weights = np.concatenate([blocks, blocks, -blocks, -blocks]).ravel()
-    return np.bincount(_pair_layout(n).hess_index, weights,
-                       minlength=4 * n * n).reshape(2 * n, 2 * n)
+    lead = blocks.shape[:-3]
+    count = math.prod(lead)
+    size = 4 * n * n
+    weights = np.concatenate([blocks, blocks, -blocks, -blocks], axis=-3)
+    index = _pair_layout(n).hess_index + size * np.arange(count)[:, None]
+    return np.bincount(index.ravel(), weights.ravel(),
+                       minlength=count * size).reshape(lead + (2 * n, 2 * n))
 
 
-def _sup_norm(grad: np.ndarray) -> float:
-    """Largest per-point Euclidean gradient norm (0 for an empty array)."""
-    return float(np.max(np.sqrt(np.sum(grad * grad, axis=1)))) \
-        if grad.size else 0.0
+def _sup_norm(grad: np.ndarray) -> np.ndarray:
+    """Largest per-point Euclidean gradient norm of each configuration."""
+    return np.max(np.sqrt(np.sum(grad * grad, axis=-1)), axis=-1)
 
 
 def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None,
@@ -379,7 +417,7 @@ def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None,
     if ev is None:
         ev = GreenEvaluator(cfg.torus, ctl)
     w_lat = w_eta(ev.tau, 1.0, ctl).value
-    return _pair_energy(ev, cfg.points) + cfg.n * w_lat
+    return float(_pair_energy(ev, cfg.points[None])[0]) + cfg.n * w_lat
 
 
 def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
@@ -450,31 +488,34 @@ class MinimizeOutcome:
 
 def _newton_step(blocks: np.ndarray, grad: np.ndarray,
                  max_step: float) -> np.ndarray:
-    """Modified Newton step in Cartesian coordinates, shape (n, 2).
+    """Modified Newton steps in Cartesian coordinates, shape (k, n, 2).
 
-    ``blocks`` (the pair Hessian blocks of ``_pair_derivs``) and ``grad``
-    (n, 2) are the pair-energy derivatives at the current points.  The
-    Hessian is restricted to zero-mean displacements (the two uniform
-    translations leave the energy unchanged), and its eigenvalues are
-    replaced by max(|lambda|, EIG_FLOOR), which makes the solve positive
-    definite.  A step whose largest per-point length exceeds ``max_step`` is
-    scaled down to it.
+    ``blocks`` (k, m, 2, 2) (the pair Hessian blocks of ``_pair_derivs``) and
+    ``grad`` (k, n, 2) are the pair-energy derivatives at the current points
+    of k configurations.  Each Hessian is restricted to zero-mean
+    displacements (the two uniform translations leave the energy
+    unchanged), and its eigenvalues are replaced by max(|lambda|,
+    EIG_FLOOR), which makes the solve positive definite; one stacked
+    ``eigh`` serves all k.  A step whose largest per-point length exceeds
+    ``max_step`` is scaled down to it.
     """
-    n = grad.shape[0]
+    k, n = grad.shape[:2]
     free = _pair_layout(n).free
     lam, vec = np.linalg.eigh(free.T @ _pair_hessian(blocks, n) @ free)
-    coef = (vec.T @ (free.T @ grad.ravel())) / np.maximum(np.abs(lam), EIG_FLOOR)
-    step = -(free @ (vec @ coef)).reshape(n, 2)
+    rhs = vec.swapaxes(-1, -2) @ (free.T @ grad.reshape(k, 2 * n, 1))
+    coef = rhs / np.maximum(np.abs(lam), EIG_FLOOR)[..., None]
+    step = -(free @ (vec @ coef)).reshape(k, n, 2)
     longest = _sup_norm(step)
-    if longest > max_step:
-        step *= max_step / longest
+    cut = longest > max_step
+    step[cut] *= (max_step / longest[cut])[:, None, None]
     return step
 
 
-def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
-    """Modified Newton descent with a backtracking line search on one start.
+def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
+    """Modified Newton descent with a backtracking line search, run on a
+    stack of starts (k, n, 2) in lockstep.
 
-    Each iteration takes the step of ``_newton_step`` (capped at
+    Each iteration of a start takes the step of ``_newton_step`` (capped at
     ``ctl.step_init`` per point), halves it up to 40 times, and accepts the
     first trial whose energy is at most ``ENERGY_SLACK`` above the current
     one and which either lowers the energy by more than ``ENERGY_SLACK`` or
@@ -484,50 +525,80 @@ def _descent(ev: GreenEvaluator, points: np.ndarray, ctl: MinimizeControl):
     points bit-for-bit unchanged is never accepted, so a null step is never
     counted as a move.
 
-    The run ends when the gradient norm drops below ``ctl.grad_tol``
+    A start ends when its gradient norm drops below ``ctl.grad_tol``
     (``"converged"``), after ``ctl.max_iters`` iterations (``"max_iters"``),
-    or when no trial is accepted (``"stalled"``).  The trace has one row per
+    or when no trial is accepted (``"stalled"``).  Its trace has one row per
     iteration plus the final state (the stalled iteration adds none).
 
-    Returns (points, energy, trace, exit_reason, iters).  Energies exclude
-    the constant lattice self-term (added back by the caller).
+    The starts advance in rounds, each live start by one trial a round.  A
+    round builds one set of pair differences and makes one energy kernel
+    call for all the trials, one derivative kernel call for the trials that
+    pass the energy test, and one stacked ``eigh`` for the next Newton steps
+    of the starts that accepted.  Every start does the same arithmetic as it
+    would alone, so its result does not depend on the other starts.
+
+    Returns one (points, energy, trace, exit_reason, iters) per start.
+    Energies exclude the constant lattice self-term (added back by the
+    caller).
     """
     inv_t = ev._inv_basis.T
-    pts = _wrap01(points.copy())
+    k = starts.shape[0]
+    pts = _wrap01(starts.copy())
     energy = _pair_energy(ev, pts)
     grad, blocks = _pair_derivs(ev, pts)
     gnorm = _sup_norm(grad)
-    trace = []
-    it = 0
+    traces = [[] for _ in range(k)]
+    iters = [0] * k
+    reasons = [None] * k
+    direction = np.empty_like(pts)
+    frac = np.ones(k)            # step fraction of each start's next trial
+    left = np.zeros(k, int)      # trials left in each start's line search
+    fresh = range(k)             # starts at a new point: record, test, step
     while True:
-        trace.append((it, energy, gnorm))
-        if gnorm < ctl.grad_tol:
-            return pts, energy, trace, "converged", it
-        if it == ctl.max_iters:
-            return pts, energy, trace, "max_iters", it
-        it += 1
-        direction = _newton_step(blocks, grad, ctl.step_init) @ inv_t
-        s = 1.0
-        moved = False
-        for _ in range(40):
-            cand = _wrap01(pts + s * direction)
-            if np.array_equal(cand, pts):
-                break           # every shorter trial is a null step too
-            e_new = _pair_energy(ev, cand, SEPARATION_EPS)
-            if e_new is None:
-                s *= 0.5
-                continue
-            if e_new <= energy + ENERGY_SLACK:
-                g_new, b_new = _pair_derivs(ev, cand)
-                g_new_norm = _sup_norm(g_new)
-                if e_new < energy - ENERGY_SLACK or g_new_norm < gnorm:
-                    pts, energy, grad, blocks, gnorm = (cand, e_new, g_new,
-                                                        b_new, g_new_norm)
-                    moved = True
-                    break
-            s *= 0.5
-        if not moved:
-            return pts, energy, trace, "stalled", it
+        stepping = []
+        for i in fresh:
+            traces[i].append((iters[i], float(energy[i]), float(gnorm[i])))
+            if gnorm[i] < ctl.grad_tol:
+                reasons[i] = "converged"
+            elif iters[i] == ctl.max_iters:
+                reasons[i] = "max_iters"
+            else:
+                iters[i] += 1
+                stepping.append(i)
+        if stepping:
+            direction[stepping] = _newton_step(
+                blocks[stepping], grad[stepping], ctl.step_init) @ inv_t
+            frac[stepping] = 1.0
+            left[stepping] = 40
+        live = np.array([i for i in range(k) if reasons[i] is None], int)
+        cand = _wrap01(pts[live] + frac[live, None, None] * direction[live])
+        # a spent line search or a null step (every shorter trial is one
+        # too) ends the start without a move
+        over = (left[live] == 0) | np.all(cand == pts[live], axis=(1, 2))
+        for i in live[over]:
+            reasons[i] = "stalled"
+        live, cand = live[~over], cand[~over]
+        if not live.size:
+            break
+        left[live] -= 1
+        e_new = _pair_energy(ev, cand, SEPARATION_EPS)
+        # NaN (two points too close) fails this test too
+        ok = e_new <= energy[live] + ENERGY_SLACK
+        fresh = live[ok]
+        if fresh.size:
+            cand, e_new = cand[ok], e_new[ok]
+            g_new, b_new = _pair_derivs(ev, cand)
+            g_new_norm = _sup_norm(g_new)
+            move = ((e_new < energy[fresh] - ENERGY_SLACK)
+                    | (g_new_norm < gnorm[fresh]))
+            fresh = fresh[move]
+            pts[fresh], energy[fresh] = cand[move], e_new[move]
+            grad[fresh], blocks[fresh] = g_new[move], b_new[move]
+            gnorm[fresh] = g_new_norm[move]
+        # a start that moved resets its fraction with its next step
+        frac[live] *= 0.5
+    return [(pts[i], float(energy[i]), traces[i], reasons[i], iters[i])
+            for i in range(k)]
 
 
 def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -571,15 +642,15 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
                                stalled=False, converged=True,
                                exit_reason="converged")
 
-    starts = [cfg.points.copy()]
+    starts = [cfg.points]
     for r in range(ctl.restarts):
         rng = np.random.default_rng((ctl.rng_seed, r, n))
         starts.append(_random_start(n, rng))
 
     best = None
     table = []
-    for idx, start in enumerate(starts):
-        pts, e_pair, trace, reason, iters = _descent(ev, start, ctl)
+    runs = _descent(ev, np.stack(starts), ctl)
+    for idx, (pts, e_pair, trace, reason, iters) in enumerate(runs):
         total = e_pair + n * lat.value
         table.append((idx, total, iters, trace[-1][2], reason == "stalled"))
         if best is None or total < best[1]:

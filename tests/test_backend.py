@@ -85,12 +85,15 @@ def _loop_grads(ds, dt, a, b, nterms):
 
 
 @pytest.mark.parametrize("nterms", [4, 9, 200])
-@pytest.mark.parametrize("pairs", [1, 2, 23, 496])
+@pytest.mark.parametrize("pairs", [1, 2, 23, 496, 1025, 1500, 3000])
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, np.sqrt(3.0) / 2.0),
                                   (0.3, 1.2)], ids=["square", "hex", "skew"])
 def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
     # the same operations summed in the same order give the same bits; a
-    # pairwise sum or u- and v-terms added together first do not
+    # pairwise sum or u- and v-terms added together first do not.  1,025,
+    # 1,500 and 3,000 points cross the kernels' block edges; 1,025 ends in a
+    # block of a single point
+    assert backend.PAIR_BLOCK == 512
     rng = np.random.default_rng(1000 * pairs + nterms)
     ds, dt = rng.uniform(-1.5, 1.5, (2, pairs))
     assert np.array_equal(backend.green_values(ds, dt, a, b, nterms),

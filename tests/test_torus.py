@@ -227,6 +227,28 @@ def test_green_series_length_follows_series_control():
         GreenEvaluator(TorusSpec.square(), SeriesControl(max_terms=7))
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1),
+       tol=st.sampled_from([SeriesControl().abs_tol, 1e-6, 1e-3]))
+def test_series_error_estimates_bound_truncation(n, a, b, seed, tol):
+    # the error estimate minimize_config reports (abs_tol per pair plus the
+    # eta tail per point) must cover what 16 more q-series terms change.
+    # At the default abs_tol the two energies agree to the bit; the looser
+    # tolerances leave gaps of up to about 1e-12 to measure
+    spec = _shape_torus(a, b)
+    pts = torus._random_start(n, np.random.default_rng(seed))
+    cfg = TorusConfig(spec, pts)
+    ctl = SeriesControl(abs_tol=tol)
+    ev = GreenEvaluator(spec, ctl)
+    finer = SeriesControl(abs_tol=tol, truncation_order=ev.nterms + 16)
+    assert GreenEvaluator(spec, finer).nterms == ev.nterms + 16
+    gap = abs(config_energy(cfg, ev) - config_energy(cfg, ctl=finer))
+    estimate = (n * (n - 1) / 2 * ctl.abs_tol
+                + n * w_eta(ev.tau, 1.0, ctl).error_estimate)
+    assert gap <= estimate
+
+
 def test_green_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     for spec in (TorusSpec.square(), TorusSpec.hexagonal()):
@@ -505,19 +527,21 @@ def test_one_derivative_pass_per_energy_evaluation(monkeypatch):
     assert derivs <= calls["green_values"]
 
 
-def test_descent_builds_only_what_it_uses(monkeypatch):
-    # every pair-difference set built in a descent feeds one kernel call
-    # (the separation test shares the energy's), and a Hessian is scattered
-    # once per Newton step, never for the point a start ends on
-    counts = dict.fromkeys(("diffs", "kernels", "scatters"), 0)
-    inside = []
+def _stack_size(arr, ndim):
+    """Configurations in a stack whose single member has ``ndim`` axes."""
+    return arr.shape[0] if arr.ndim > ndim else 1
 
-    def counted(fn, key):
-        def wrapper(*args):
-            if inside:
-                counts[key] += 1
-            return fn(*args)
-        return wrapper
+
+def test_descent_builds_only_what_it_uses(monkeypatch):
+    # counted per start: every pair-difference set built in a descent feeds
+    # one kernel call (the separation test shares the energy's), and a
+    # Hessian is scattered once per Newton step, never for the point a start
+    # ends on
+    n = 6
+    pairs = n * (n - 1) // 2
+    events = []
+    scatters = []
+    inside = []
 
     def descent(*args, _descent=torus._descent):
         inside.append(True)
@@ -526,18 +550,87 @@ def test_descent_builds_only_what_it_uses(monkeypatch):
         finally:
             inside.pop()
 
+    def diffs(points, _diffs=torus._pair_diffs):
+        if inside:
+            events.append(("diffs", _stack_size(points, 2)))
+        return _diffs(points)
+
+    def hessian(blocks, m, _hessian=torus._pair_hessian):
+        if inside:
+            scatters.append(_stack_size(blocks, 3))
+        return _hessian(blocks, m)
+
+    def kernel(fn):
+        def wrapper(*args):
+            if inside:
+                assert len(args[0]) % pairs == 0
+                events.append(("kernel", len(args[0]) // pairs))
+            return fn(*args)
+        return wrapper
+
     monkeypatch.setattr(torus, "_descent", descent)
-    monkeypatch.setattr(torus, "_pair_diffs",
-                        counted(torus._pair_diffs, "diffs"))
-    monkeypatch.setattr(torus, "_pair_hessian",
-                        counted(torus._pair_hessian, "scatters"))
+    monkeypatch.setattr(torus, "_pair_diffs", diffs)
+    monkeypatch.setattr(torus, "_pair_hessian", hessian)
     for name in ("green_values", "green_grads"):
-        monkeypatch.setattr(backend, name,
-                            counted(getattr(backend, name), "kernels"))
-    start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
+        monkeypatch.setattr(backend, name, kernel(getattr(backend, name)))
+    start = TorusConfig(TorusSpec.square(), torus._input_start(n, 0))
     out = minimize_config(start, MinimizeControl(restarts=2))
-    assert counts["diffs"] == counts["kernels"] > 0
-    assert counts["scatters"] == sum(row[2] for row in out.restart_table)
+    assert events and len(events) % 2 == 0
+    # each set of differences is followed by the one kernel call it feeds,
+    # for the same starts
+    for (built, k_built), (used, k_used) in zip(events[0::2], events[1::2]):
+        assert (built, used) == ("diffs", "kernel") and k_built == k_used
+    assert sum(scatters) == sum(row[2] for row in out.restart_table)
+
+
+def _starts_of(ctl, n, monkeypatch):
+    """The start stack one ``minimize_config`` call hands its descent."""
+    stacks = []
+    descent = torus._descent
+
+    def record(ev, starts, dctl):
+        stacks.append(np.reshape(starts, (-1, n, 2)))
+        return descent(ev, starts, dctl)
+
+    monkeypatch.setattr(torus, "_descent", record)
+    spec = TorusSpec.square()
+    out = minimize_config(TorusConfig(spec, torus._input_start(n, 0)), ctl)
+    monkeypatch.setattr(torus, "_descent", descent)
+    return spec, np.concatenate(stacks), out
+
+
+def test_start_does_not_depend_on_its_batch(monkeypatch):
+    # the lockstep descent gives each start the arithmetic it would do alone
+    ctl = MinimizeControl(restarts=16)
+    spec, stack, out = _starts_of(ctl, 6, monkeypatch)
+    assert len(stack) == 17 == len(out.restart_table)
+    alone = MinimizeControl(restarts=0)
+    for row, start in zip(out.restart_table, stack):
+        run = minimize_config(TorusConfig(spec, start), alone)
+        (solo,) = run.restart_table
+        assert row[1:] == solo[1:], row[0]
+
+
+def test_lockstep_rounds_share_kernel_calls(monkeypatch):
+    # one green_values call per round serves every live start, so a batch
+    # makes about as many calls as its slowest start makes evaluations
+    calls = []
+    values = backend.green_values
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return values(*args)
+
+    monkeypatch.setattr(backend, "green_values", counted)
+    spec, stack, _ = _starts_of(MinimizeControl(restarts=16), 6, monkeypatch)
+    batched = len(calls)
+    evaluations = []
+    for start in stack:
+        calls.clear()
+        minimize_config(TorusConfig(spec, start), MinimizeControl(restarts=0))
+        evaluations.append(len(calls))
+    assert batched <= 1 + max(evaluations)
+    assert sum(evaluations) > 2 * batched
 
 
 def test_unconverged_start_says_so():
@@ -578,20 +671,21 @@ def test_elkies_rows_small():
 
 
 def test_elkies_starts_are_distinct(monkeypatch):
-    starts = []
+    stacks = []
     descent = torus._descent
 
-    def record(ev, points, ctl):
-        starts.append(np.array(points))
-        return descent(ev, points, ctl)
+    def record(ev, starts, ctl):
+        stacks.append(np.array(starts))
+        return descent(ev, starts, ctl)
 
     monkeypatch.setattr(torus, "_descent", record)
     ctl = MinimizeControl(max_iters=2, restarts=4, rng_seed=3)
     rep = elkies_experiment([2, 3, 5], ctl=ctl)
-    assert len(starts) == 3 * (ctl.restarts + 1)
+    # one descent call per n, carrying all of that n's starts
+    assert [s.shape for s in stacks] == [(ctl.restarts + 1, n, 2)
+                                          for n in (2, 3, 5)]
     assert len(rep.converged) == 3
-    for k in range(0, len(starts), ctl.restarts + 1):
-        group = starts[k:k + ctl.restarts + 1]
+    for k, group in enumerate(stacks):
         for i in range(len(group)):
             for j in range(i):
                 assert not np.array_equal(group[i], group[j]), (k, i, j)
