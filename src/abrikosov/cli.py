@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -57,16 +58,16 @@ from .torus import (
     minimize_config,
 )
 
-TWO_PI = 2.0 * math.pi
-
-
 # ---------------------------------------------------------------------------
 # Serialization helpers
 # ---------------------------------------------------------------------------
 
 
 def _json_ready(obj):
-    """Recursively normalize a payload: 12 significant digits, plain types."""
+    """Recursively normalize a payload: 12 significant digits, plain types;
+    a dataclass goes in as its fields."""
+    if dataclasses.is_dataclass(obj):
+        return _json_ready(dataclasses.asdict(obj))
     if isinstance(obj, dict):
         return {str(k): _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -143,9 +144,9 @@ def cmd_lattice(args) -> int:
     }
     payload = _payload("lattice", params)
     if args.route == "eta":
-        payload["report"] = w_eta(tau, m, ctl).to_dict()
+        payload["report"] = w_eta(tau, m, ctl)
     elif args.route == "fourier":
-        payload["report"] = w_fourier(tau, m, tuple(args.probes), ctl).to_dict()
+        payload["report"] = w_fourier(tau, m, tuple(args.probes), ctl)
     else:  # zetadiff-vs
         diff = w_zeta_diff(tau, ref, m, ctl)
         payload["report"] = {
@@ -220,7 +221,7 @@ def cmd_fekete(args) -> int:
         params = dict(base_params, mode="conjecture1", n_list=list(n_list))
         payload = _payload("fekete", params)
         rep = conjecture1_probe(n_list, mctl, series)
-        payload["conjecture1"] = rep.to_json_dict()
+        payload["conjecture1"] = rep
         _emit_json(payload, args.output)
         return 0
     if args.n is None:
@@ -233,7 +234,7 @@ def cmd_fekete(args) -> int:
                           series)
     params = dict(base_params, mode="minimize", n=n)
     payload = _payload("fekete", params)
-    payload["energy"] = out.report.to_dict()
+    payload["energy"] = out.report
     payload["config"] = out.config.to_json_dict()
     payload["stalled"] = out.stalled
     payload["converged"] = out.converged
@@ -362,7 +363,7 @@ def cmd_obstacle(args) -> int:
         ms = list(args.m_grid) if args.m_grid else [0.90, 0.95, 0.99]
         fields = [solve_obstacle(grid, m, args.tol, args.max_cycles)
                   for m in ms]
-        payload["suite"] = verify_gradient_bound(fields).to_json_dict()
+        payload["suite"] = verify_gradient_bound(fields)
     elif suite == "scale-law":
         base = solve_h0(grid, args.tol, args.max_cycles)
         # inside the small-excess law's range, 2 pi offset/base <= 1/(4e)
@@ -370,15 +371,14 @@ def cmd_obstacle(args) -> int:
         fields = [solve_obstacle(grid, base.min_value + off, args.tol,
                                  args.max_cycles) for off in offsets]
         payload["h0"] = base.to_json_dict()
-        payload["suite"] = verify_scale_law(fields, base.min_value) \
-            .to_json_dict()
+        payload["suite"] = verify_scale_law(fields, base.min_value)
     else:  # ellipse
         base = solve_h0(grid, args.tol, args.max_cycles)
         off = args.offsets[0] if args.offsets else 0.03
         fld = solve_obstacle(grid, base.min_value + off, args.tol,
                              args.max_cycles)
         payload["h0"] = base.to_json_dict()
-        payload["suite"] = verify_ellipse_limit(fld).to_json_dict()
+        payload["suite"] = verify_ellipse_limit(fld)
     _emit_json(payload, args.output)
     return 0
 

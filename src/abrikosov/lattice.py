@@ -5,9 +5,10 @@ The energy of a unit-density lattice of shape ``tau = a + i b`` is
     w(tau) = -1/2 * log( sqrt(2 pi b) |eta(tau)|^2 ),
 
 extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  Three
-independent evaluation routes are provided (eta product, regularized
-Fourier sum extrapolated to the origin, and theta-integral differences);
-they agree to well below 1e-6 and are cross-checked in the test suite.
+evaluation routes are provided (eta product, the torus Green function
+Richardson-extrapolated to the origin, and theta-integral differences);
+they agree to well below 1e-6.  The first two rest on the same q-series,
+so their agreement is not an independent cross-check.
 
 ``moduli_scan`` verifies that the minimum over shapes is the hexagonal
 point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
@@ -71,18 +72,6 @@ class EnergyReport:
         if self.error_estimate < 0.0:
             raise NonPositiveParameter("error_estimate must be >= 0")
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "route": self.route,
-            "error_estimate": self.error_estimate,
-            "truncation": {
-                "truncation_order": self.truncation.truncation_order,
-                "abs_tol": self.truncation.abs_tol,
-                "max_terms": self.truncation.max_terms,
-            },
-        }
-
 
 # ---------------------------------------------------------------------------
 # Fundamental-domain reduction
@@ -131,6 +120,11 @@ def reduce_fundamental(tau: complex) -> complex:
     return _reduce_with_matrix(tau)[0]
 
 
+def _shape_modulus(basis: LatticeBasis) -> complex:
+    """Shape modulus v/u of a basis (not reduced)."""
+    return complex(basis.v[0], basis.v[1]) / complex(basis.u[0], basis.u[1])
+
+
 def lattice_to_tau(basis: LatticeBasis):
     """Shape modulus and scale factor of a lattice given by a basis.
 
@@ -141,9 +135,7 @@ def lattice_to_tau(basis: LatticeBasis):
     scale = sqrt(covolume / (2 pi)).  The unit-density modulus therefore has
     m = 1/scale^2.
     """
-    u = complex(basis.u[0], basis.u[1])
-    v = complex(basis.v[0], basis.v[1])
-    tau = reduce_fundamental(v / u)
+    tau = reduce_fundamental(_shape_modulus(basis))
     scale = math.sqrt(basis.covolume / TWO_PI)
     return tau, scale
 
@@ -188,7 +180,7 @@ def w_fourier(tau: complex, m: float = 1.0,
               probe_radii=DEFAULT_PROBES,
               ctl: SeriesControl = _DEFAULT_CTL,
               direction: float = 0.0) -> EnergyReport:
-    """Energy via the regularized Fourier sum extrapolated to the origin.
+    """Energy via the torus Green function extrapolated to the origin.
 
     At each probe radius r the regularized potential H(x) is evaluated at
     x = r (cos dir, sin dir), and w(r) = (H(x) + log r) / 2 is extrapolated
@@ -446,10 +438,6 @@ class ThetaProbeReport:
         }
 
 
-def _unimodular_basis(tau: complex) -> LatticeBasis:
-    return shape_basis(tau, covolume=1.0)
-
-
 def theta_minimality_probe(alphas, samples: int, seed: int = 0,
                            ctl: SeriesControl = _DEFAULT_CTL,
                            extra_taus=()) -> ThetaProbeReport:
@@ -473,12 +461,12 @@ def theta_minimality_probe(alphas, samples: int, seed: int = 0,
         bv = _arc_b(av) * (1.0 + 1.5 * rng.random() ** 2)
         taus.append(complex(av, bv))
     taus.extend(complex(t) for t in extra_taus)
-    tri = _unimodular_basis(TRIANGULAR_TAU)
+    tri = shape_basis(TRIANGULAR_TAU, covolume=1.0)
     for alpha in alphas:
         theta_tri = theta_lattice(tri, alpha, ctl)
         floor = report.noise_floor * max(1.0, theta_tri)
         for t in taus:
-            theta_s = theta_lattice(_unimodular_basis(t), alpha, ctl)
+            theta_s = theta_lattice(shape_basis(t, covolume=1.0), alpha, ctl)
             margin = theta_s - theta_tri
             report.comparisons += 1
             if abs(margin) < floor:

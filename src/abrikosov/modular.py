@@ -177,6 +177,12 @@ def _nterms_for(b: float, ctl: SeriesControl, extra: float = 0.0) -> int:
     return max(n, ctl.truncation_order)
 
 
+def _green_nterms(b: float, ctl: SeriesControl) -> int:
+    """Green q-series length at Im tau = b: the wrapped |Im z| <= b/2 makes
+    the worst extra factor exp(pi b)."""
+    return _nterms_for(b, ctl, extra=math.pi * b)
+
+
 def eta_truncation(tau: complex, ctl: SeriesControl = _DEFAULT_CTL):
     """(term count, a-posteriori bound) for dedekind_eta at this tau.
 
@@ -231,17 +237,15 @@ def _torus_green(s: float, t: float, tau: complex, ctl: SeriesControl) -> float:
 
     (s, t) are the fractional coordinates of z = s + t tau.  G is the
     mean-zero solution of -Delta G = 2 pi delta_0 - 1, evaluated by
-    ``backend.green_values`` with the series sized for the wrapped
-    |Im z| <= b/2.  It equals -log|f(z, tau)| + pi b t^2 with (s, t)
-    wrapped to [-1/2, 1/2].
+    ``backend.green_values`` with ``_green_nterms`` series terms.  It equals
+    -log|f(z, tau)| + pi b t^2 with (s, t) wrapped to [-1/2, 1/2].
     """
     if _lattice_distance(s, t, tau) < SINGULAR_TUBE:
         raise LatticePointSingularity(
             f"z = {s} + {t} tau is within {SINGULAR_TUBE} of the lattice")
-    b = tau.imag
-    n = _nterms_for(b, ctl, extra=math.pi * b)
+    n = _green_nterms(tau.imag, ctl)
     return float(backend.green_values(np.array([s]), np.array([t]),
-                                      tau.real, b, n)[0])
+                                      tau.real, tau.imag, n)[0])
 
 
 def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -80,31 +80,9 @@ _LEG_STEPS = (("E", 1, 0), ("W", -1, 0), ("N", 0, 1), ("S", 0, -1))
 # ---------------------------------------------------------------------------
 
 
-class UnitDisk:
-    """The open unit disk centered at the origin."""
-
-    def bounds(self):
-        return (-1.0, 1.0, -1.0, 1.0)
-
-    def contains(self, x, y):
-        return x * x + y * y < 1.0
-
-    def exit_fraction(self, px, py, dx, dy):
-        """Fraction theta in (0, 1] with p + theta*(dx, dy) on the boundary.
-
-        Callers guarantee p is strictly interior and p + (dx, dy) is not.
-        """
-        dd = dx * dx + dy * dy
-        pd = px * dx + py * dy
-        rad = pd * pd + dd * (1.0 - (px * px + py * py))
-        return (-pd + np.sqrt(np.maximum(rad, 0.0))) / dd
-
-    def __repr__(self):
-        return "UnitDisk()"
-
-
 class Ellipse:
-    """Open axis-aligned ellipse with semi-axes (rx, ry)."""
+    """Open axis-aligned ellipse with semi-axes (rx, ry), centered at the
+    origin; ``UnitDisk`` is the one with semi-axes (1, 1)."""
 
     def __init__(self, rx: float, ry: float):
         if not (rx > 0.0 and ry > 0.0):
@@ -121,6 +99,10 @@ class Ellipse:
         return xs * xs + ys * ys < 1.0
 
     def exit_fraction(self, px, py, dx, dy):
+        """Fraction theta in (0, 1] with p + theta*(dx, dy) on the boundary.
+
+        Callers guarantee p is strictly interior and p + (dx, dy) is not.
+        """
         qx, qy = px / self.rx, py / self.ry
         ex, ey = dx / self.rx, dy / self.ry
         dd = ex * ex + ey * ey
@@ -130,6 +112,16 @@ class Ellipse:
 
     def __repr__(self):
         return f"Ellipse(rx={self.rx}, ry={self.ry})"
+
+
+class UnitDisk(Ellipse):
+    """The open unit disk centered at the origin: ``Ellipse(1.0, 1.0)``."""
+
+    def __init__(self):
+        super().__init__(1.0, 1.0)
+
+    def __repr__(self):
+        return "UnitDisk()"
 
 
 class ConvexPolygon:
@@ -586,7 +578,7 @@ class ObstacleField:
             "residual": self.residual,
             "value_error": self.value_error,
             "active_cells": int(np.count_nonzero(self.active)),
-            "coincidence": met.to_json_dict(),
+            "coincidence": asdict(met),
             "h": self.grid.h,
         }
 
@@ -639,16 +631,6 @@ class CoincidenceMetrics:
     count: int
     empty: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "area": self.area,
-            "centroid": list(self.centroid),
-            "axes": list(self.axes),
-            "axis_ratio": self.axis_ratio,
-            "count": self.count,
-            "empty": self.empty,
-        }
-
 
 def coincidence_metrics(field: ObstacleField) -> CoincidenceMetrics:
     """Area, centroid, and principal axes of the active set.
@@ -697,15 +679,6 @@ class GradientBoundReport:
     variation_ok: bool          # < 50% variation
     deficit_spread: float       # max/min over finite deficit ratios
     deficit_bounded: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "ratio_variation": self.ratio_variation,
-            "variation_ok": self.variation_ok,
-            "deficit_spread": self.deficit_spread,
-            "deficit_bounded": self.deficit_bounded,
-        }
 
 
 def verify_gradient_bound(fields) -> GradientBoundReport:
@@ -771,16 +744,6 @@ class AsymptoticsReport:
     trend_toward_one: bool
     band: tuple = (0.5, 2.0)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_level": self.base_level,
-            "rows": self.rows,
-            "excluded": self.excluded,
-            "band": list(self.band),
-            "all_in_band": self.all_in_band,
-            "trend_toward_one": self.trend_toward_one,
-        }
-
 
 def verify_scale_law(fields, base_level: float,
                      min_cells: int = 30) -> AsymptoticsReport:
@@ -839,21 +802,10 @@ class EllipseLimitReport:
     outer_defect: float        # how far active cells poke out of the disk
     inner_defect: float        # how far inactive cells intrude into it
     limit_radius: float
-    quad_coefficient: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "length": self.length,
-            "axis_ratio": self.axis_ratio,
-            "outer_defect": self.outer_defect,
-            "inner_defect": self.inner_defect,
-            "limit_radius": self.limit_radius,
-            "quad_coefficient": self.quad_coefficient,
-        }
+    quad_coefficient: float    # 1.0: the limit assumes an isotropic well
 
 
-def verify_ellipse_limit(field: ObstacleField, q_iso: float = 1.0,
+def verify_ellipse_limit(field: ObstacleField,
                          min_cells: int = 30) -> EllipseLimitReport:
     """Compare the rescaled contact set with the unit-area disk.
 
@@ -879,7 +831,7 @@ def verify_ellipse_limit(field: ObstacleField, q_iso: float = 1.0,
     return EllipseLimitReport(
         count=met.count, length=length, axis_ratio=met.axis_ratio,
         outer_defect=max(0.0, outer), inner_defect=max(0.0, inner),
-        limit_radius=r0, quad_coefficient=float(q_iso),
+        limit_radius=r0, quad_coefficient=1.0,
     )
 
 
@@ -930,15 +882,6 @@ class BarrierCheck:
 
     def __bool__(self):
         return self.conclusion_holds
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "hypotheses": self.hypotheses,
-            "hypotheses_ok": self.hypotheses_ok,
-            "conclusion_holds": self.conclusion_holds,
-            "margin": self.margin,
-        }
 
 
 def barrier_check(field: ObstacleField, candidate, kind: str,

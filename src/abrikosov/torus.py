@@ -51,10 +51,13 @@ from .errors import (
 from .lattice import (
     EnergyReport,
     TRIANGULAR_TAU,
+    TWO_PI,
     _reduce_with_matrix,
+    _shape_modulus,
+    shape_basis,
     w_eta,
 )
-from .modular import LatticeBasis, SeriesControl, _nterms_for
+from .modular import SINGULAR_TUBE, LatticeBasis, SeriesControl, _green_nterms
 
 __all__ = [
     "TorusSpec",
@@ -72,10 +75,8 @@ __all__ = [
     "Conjecture1Report",
 ]
 
-TWO_PI = 2.0 * math.pi
 VOLUME_RTOL = 1e-12
 SEPARATION_EPS = 1e-8      # fractional coordinates
-SINGULAR_TUBE = 1e-9       # Cartesian distance to the periodicity lattice
 ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
 EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
 _DEFAULT_CTL = SeriesControl()
@@ -99,21 +100,17 @@ class TorusSpec:
 
     @staticmethod
     def square(volume: float = TWO_PI) -> "TorusSpec":
-        c = math.sqrt(volume)
-        return TorusSpec(LatticeBasis((c, 0.0), (0.0, c)))
+        return TorusSpec(shape_basis(1j, volume))
 
     @staticmethod
     def hexagonal(volume: float = TWO_PI) -> "TorusSpec":
-        b = TRIANGULAR_TAU.imag
-        c = math.sqrt(volume / b)
-        return TorusSpec(LatticeBasis((c, 0.0), (0.5 * c, b * c)))
+        return TorusSpec(shape_basis(TRIANGULAR_TAU, volume))
 
     @staticmethod
     def rectangular(aspect: float, volume: float = TWO_PI) -> "TorusSpec":
         if not (aspect > 0.0):
             raise NonPositiveParameter("aspect must be > 0")
-        c = math.sqrt(volume / aspect)
-        return TorusSpec(LatticeBasis((c, 0.0), (0.0, c * aspect)))
+        return TorusSpec(shape_basis(complex(0.0, aspect), volume))
 
     def __repr__(self):
         return f"TorusSpec(basis={self.basis!r})"
@@ -168,20 +165,24 @@ class _PairLayout(NamedTuple):
 
     iu: np.ndarray          # pair (i, j), i < j: first point
     ju: np.ndarray          # second point
+    grad_index: np.ndarray  # (2, 2m) flat 2n positions of the pair gradients
     hess_index: np.ndarray  # flat (2n)^2 positions of the pair Hessian blocks
     free: np.ndarray        # (2n, 2n-2) orthonormal basis of zero-mean moves
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_layout(n: int) -> _PairLayout:
-    """Pair indices, Hessian scatter positions and the translation complement.
+    """Pair indices, scatter positions and the translation complement.
 
-    Hessian rows and columns run over (x_0, y_0, x_1, y_1, ...).  The scatter
-    positions list, per pair and in this order, the (i, i), (j, j), (i, j)
-    and (j, i) 2x2 blocks.  The arrays are read-only: every caller shares them.
+    Gradients and Hessian rows and columns run over (x_0, y_0, x_1, y_1,
+    ...).  Row c of the gradient positions is coordinate c of every pair's
+    first point, then of every pair's second point.  The Hessian positions
+    list, per pair and in this order, the (i, i), (j, j), (i, j) and (j, i)
+    2x2 blocks.  The arrays are read-only: every caller shares them.
     """
     iu, ju = np.triu_indices(n, k=1)
     k = np.arange(2)
+    grad_index = 2 * np.concatenate([iu, ju]) + k[:, None]
 
     def blocks(a, b):
         rows = 2 * a[:, None, None] + k[None, :, None]
@@ -194,21 +195,20 @@ def _pair_layout(n: int) -> _PairLayout:
     shift[0::2, 0] = shift[1::2, 1] = 1.0 / math.sqrt(n)
     # eigenvalues of the projector are 0 (twice, the translations), then 1
     _, vec = np.linalg.eigh(np.eye(2 * n) - shift @ shift.T)
-    layout = _PairLayout(iu, ju, hess_index, vec[:, 2:])
+    layout = _PairLayout(iu, ju, grad_index, hess_index, vec[:, 2:])
     for arr in layout:
         arr.flags.writeable = False
     return layout
 
 
-def _pair_diffs(points: np.ndarray):
-    """Upper-triangle index pairs and their coordinate differences.
+def _pair_diffs(points: np.ndarray) -> np.ndarray:
+    """Coordinate differences x_i - x_j of the upper-triangle pairs i < j.
 
     ``points`` is one configuration (n, 2) or a stack (k, n, 2); the
     differences are (m, 2) or (k, m, 2) for the m = n(n-1)/2 pairs.
     """
     layout = _pair_layout(points.shape[-2])
-    d = points[..., layout.iu, :] - points[..., layout.ju, :]
-    return layout.iu, layout.ju, d
+    return points[..., layout.iu, :] - points[..., layout.ju, :]
 
 
 def _closest(sep: np.ndarray) -> np.ndarray:
@@ -221,7 +221,7 @@ def _min_separation(points: np.ndarray) -> float:
     """Smallest wrapped pair distance of one configuration (inf for none)."""
     if points.shape[0] < 2:
         return math.inf
-    _, _, d = _pair_diffs(points)
+    d = _pair_diffs(points)
     return float(_closest(d - np.rint(d)))
 
 
@@ -230,13 +230,13 @@ class GreenEvaluator:
 
     Construction reduces the torus shape to a fundamental-domain modulus,
     stores the integer change of fractional coordinates and sizes the
-    q-series by the same rule as ``kronecker_f``.
+    q-series by ``modular._green_nterms``, as ``kronecker_f`` does.
     """
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
         self.torus = torus
         self.ctl = ctl
-        tau_r, m = _reduce_with_matrix(_torus_modulus(torus))
+        tau_r, m = _reduce_with_matrix(_shape_modulus(torus.basis))
         self.tau = tau_r
         alpha, beta = int(m[0, 0]), int(m[0, 1])
         gamma, delta = int(m[1, 0]), int(m[1, 1])
@@ -244,9 +244,7 @@ class GreenEvaluator:
         b0 = torus.basis.matrix
         self._inv_basis = np.linalg.inv(b0)
         self._grad_map = self._inv_basis.T @ self.coord_map.T
-        self.scale = math.sqrt(torus.volume / TWO_PI)
-        # wrapped |Im z| <= b/2, so the worst extra factor is exp(pi b)
-        self.nterms = _nterms_for(tau_r.imag, ctl, extra=math.pi * tau_r.imag)
+        self.nterms = _green_nterms(tau_r.imag, ctl)
 
     # -- internals ---------------------------------------------------------
 
@@ -321,13 +319,6 @@ class GreenEvaluator:
 # ---------------------------------------------------------------------------
 
 
-def _torus_modulus(torus: TorusSpec) -> complex:
-    """Shape modulus v/u of the torus basis (not reduced)."""
-    u = complex(torus.basis.u[0], torus.basis.u[1])
-    v = complex(torus.basis.v[0], torus.basis.v[1])
-    return v / u
-
-
 def _require_normalized(cfg: TorusConfig):
     if not cfg.torus.is_normalized:
         raise VolumeNotNormalized(
@@ -346,7 +337,7 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
     """
     if points.shape[1] < 2:
         return np.zeros(points.shape[0])
-    _, _, d = _pair_diffs(points)
+    d = _pair_diffs(points)
     sep = d - np.rint(d)
     far = _closest(sep) >= min_sep
     energy = np.full(points.shape[0], np.nan)
@@ -365,27 +356,23 @@ def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
     of the pairwise Green sum of one configuration (n, 2) or a stack.
 
     One set of pair differences feeds one kernel call.  The gradient G_ij of
-    G at x_i - x_j adds to point i and subtracts from point j, pair by pair
-    in order.  The blocks H_ij stay per pair until ``_pair_hessian``
-    scatters them, so a point that takes no Newton step never pays for the
-    scatter.
+    G at x_i - x_j adds to point i and subtracts from point j, and one
+    ``bincount`` over ``_PairLayout.grad_index`` scatters every pair of
+    every configuration: each coordinate sums its pairs in order, first
+    those where its point is i, then those where it is j.  The blocks H_ij
+    stay per pair until ``_pair_hessian`` scatters them, so a point that
+    takes no Newton step never pays for the scatter.
     """
     n = points.shape[-2]
-    grad = np.zeros(points.shape)
     if n < 2:
-        return grad, np.zeros(points.shape[:-2] + (0, 2, 2))
-    iu, ju, d = _pair_diffs(points)
+        return np.zeros(points.shape), np.zeros(points.shape[:-2] + (0, 2, 2))
+    d = _pair_diffs(points)
     g, h = ev._derivs_frac(d[..., 0], d[..., 1])
-    # point i of the c-th configuration is row c n + i of the flat gradient
-    first = n * np.arange(grad.size // (2 * n))[:, None]
-    iu, ju = (iu + first).ravel(), (ju + first).ravel()
-    gx, gy = g[..., 0, :].ravel(), g[..., 1, :].ravel()
-    flat = grad.reshape(-1, 2)
-    np.add.at(flat[:, 0], iu, gx)
-    np.add.at(flat[:, 1], iu, gy)
-    np.add.at(flat[:, 0], ju, -gx)
-    np.add.at(flat[:, 1], ju, -gy)
-    return grad, h
+    count = math.prod(points.shape[:-2])
+    weights = np.concatenate([g, -g], axis=-1)
+    index = _pair_layout(n).grad_index + 2 * n * np.arange(count)[:, None, None]
+    grad = np.bincount(index.ravel(), weights.ravel(), minlength=count * 2 * n)
+    return grad.reshape(points.shape), h
 
 
 def _pair_hessian(blocks: np.ndarray, n: int) -> np.ndarray:
@@ -704,7 +691,7 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
     a band of width below 5.
     """
     torus = torus or TorusSpec.square()
-    w_lat = w_eta(_torus_modulus(torus), 1.0, series).value
+    w_lat = w_eta(_shape_modulus(torus.basis), 1.0, series).value
     rows = []
     converged = []
     for n in n_list:

@@ -5,6 +5,7 @@ lattice sums, the pentagonal eta series) in a separate scratch session and
 are asserted as literals here; closed-form identities are used where exact.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_theta_probe_flags_the_hexagonal_point_itself():
 
 def test_energy_report_round_trip():
     rep = w_eta(1j, m=2.0, ctl=SeriesControl(abs_tol=1e-10))
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["route"] == "eta"
     assert d["truncation"]["abs_tol"] == 1e-10
     with pytest.raises(NonPositiveParameter):

@@ -146,6 +146,19 @@ def test_operator_on_constant_one():
     assert np.max(np.abs(legs)) < 1e-12
 
 
+def test_unit_disk_is_the_unit_ellipse():
+    disk = UnitDisk()
+    assert isinstance(disk, Ellipse) and repr(disk) == "UnitDisk()"
+    g1 = DomainGrid(disk, 1.0 / 32.0)
+    g2 = DomainGrid(Ellipse(1.0, 1.0), 1.0 / 32.0)
+    assert np.array_equal(g1.mask, g2.mask)
+    assert np.array_equal(g1.diag, g2.diag)
+    for solve in (lambda g: solve_h0(g), lambda g: solve_obstacle(g, 0.8)):
+        f1, f2 = solve(g1), solve(g2)
+        assert np.array_equal(f1.values, f2.values)
+        assert f1.iters == f2.iters
+
+
 # ---------------------------------------------------------------------------
 # Unconstrained solve and the threshold constant
 # ---------------------------------------------------------------------------

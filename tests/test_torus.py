@@ -63,6 +63,27 @@ def test_torus_factories_are_normalized():
     assert not small.is_normalized
 
 
+def test_torus_factories_use_shape_basis():
+    for volume in (TWO_PI, 3.0):
+        c = math.sqrt(volume / SQRT3)
+        h = math.sqrt(volume / TRI_TAU.imag)
+        cases = [
+            (TorusSpec.square(volume), 1j,
+             ([math.sqrt(volume), 0.0], [0.0, math.sqrt(volume)])),
+            (TorusSpec.hexagonal(volume), TRI_TAU,
+             ([h, 0.0], [0.5 * h, TRI_TAU.imag * h])),
+            (TorusSpec.rectangular(SQRT3, volume), complex(0.0, SQRT3),
+             ([c, 0.0], [0.0, c * SQRT3])),
+        ]
+        for spec, tau, (u, v) in cases:
+            basis = shape_basis(tau, volume)
+            assert np.array_equal(spec.basis.u, basis.u)
+            assert np.array_equal(spec.basis.v, basis.v)
+            # the closed forms the factories were once written out as
+            assert np.array_equal(spec.basis.u, u)
+            assert np.array_equal(spec.basis.v, v)
+
+
 def test_config_wraps_fractional_coordinates():
     cfg = TorusConfig(TorusSpec.square(), [[1.2, -0.3], [0.5, 0.5]])
     assert np.allclose(cfg.points[0], [0.2, 0.7])
@@ -330,6 +351,26 @@ def test_config_grad_sums_to_zero():
         g = config_grad(cfg)
         assert g.shape == (n, 2)
         assert np.max(np.abs(g.sum(axis=0))) < 1e-12
+
+
+def test_gradient_scatter_equals_pair_loop():
+    # each coordinate sums its pair terms in order: first the pairs where
+    # its point is i, then those where it is j
+    ev = GreenEvaluator(_sheared_square())
+    rng = np.random.default_rng(7)
+    for n in (2, 4, 7):
+        stack = rng.random((3, n, 2))
+        d = torus._pair_diffs(stack)
+        g, _ = ev._derivs_frac(d[..., 0], d[..., 1])
+        iu, ju = np.triu_indices(n, k=1)
+        grad = torus._pair_derivs(ev, stack)[0]
+        for c in range(3):
+            ref = np.zeros((n, 2))
+            for p, i in enumerate(iu):
+                ref[i] += g[c, :, p]
+            for p, j in enumerate(ju):
+                ref[j] -= g[c, :, p]
+            assert np.array_equal(grad[c], ref)
 
 
 def test_config_grad_matches_energy_differences():
