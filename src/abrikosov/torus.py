@@ -744,9 +744,6 @@ class Conjecture1Report:
     rows: list  # dicts: n, kind, best, per_point, reference, below_reference,
     #             converged
 
-    def to_json_dict(self) -> dict:
-        return {"rows": self.rows}
-
 
 def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
                       series: SeriesControl = _DEFAULT_CTL) -> Conjecture1Report:
