@@ -25,7 +25,6 @@ from ._version import __version__
 from .csvfile import write_csv
 from .errors import InputError, NumericalError
 from .lattice import (
-    DEFAULT_PROBES,
     ModuliGrid,
     TRIANGULAR_TAU,
     lattice_to_tau,
@@ -137,7 +136,6 @@ def cmd_lattice(args) -> int:
         "m": m, "route": args.route,
         "tau": [tau.real, tau.imag],
         "ref_tau": [ref.real, ref.imag],
-        "probes": list(args.probes),
         "abs_tol": args.abs_tol,
         "truncation_order": args.truncation_order,
         "max_terms": args.max_terms,
@@ -146,7 +144,7 @@ def cmd_lattice(args) -> int:
     if args.route == "eta":
         payload["report"] = w_eta(tau, m, ctl)
     elif args.route == "fourier":
-        payload["report"] = w_fourier(tau, m, tuple(args.probes), ctl)
+        payload["report"] = w_fourier(tau, m, ctl)
     else:  # zetadiff-vs
         diff = w_zeta_diff(tau, ref, m, ctl)
         payload["report"] = {
@@ -410,9 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref-tau", type=float, nargs=2, metavar=("A", "B"),
                    default=(TRIANGULAR_TAU.real, TRIANGULAR_TAU.imag),
                    help="reference shape for the zetadiff-vs route")
-    p.add_argument("--probes", type=float, nargs="+",
-                   default=list(DEFAULT_PROBES),
-                   help="decreasing probe radii for the fourier route")
     _add_series_flags(p)
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_lattice)

@@ -70,10 +70,6 @@ class DivergentSeries(NumericalError):
     """Series parameter sits on the divergent locus (e.g. integer (u, v))."""
 
 
-class ExtrapolationUnstable(NumericalError):
-    """Successive extrapolants disagree beyond the stability threshold."""
-
-
 class NoConvergence(NumericalError):
     """Iterative solver exhausted its iteration budget."""
 

@@ -5,10 +5,9 @@ The energy of a unit-density lattice of shape ``tau = a + i b`` is
     w(tau) = -1/2 * log( sqrt(2 pi b) |eta(tau)|^2 ),
 
 extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  Three
-evaluation routes are provided (eta product, the torus Green function
-Richardson-extrapolated to the origin, and theta-integral differences);
-they agree to well below 1e-6.  The first two rest on the same q-series,
-so their agreement is not an independent cross-check.
+evaluation routes are provided: the eta product, Ewald lattice sums over
+the lattice and its dual (no q-series), and theta-integral differences.
+They rest on independent formulas and agree to about 1e-15.
 
 ``moduli_scan`` verifies that the minimum over shapes is the hexagonal
 point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
@@ -21,20 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csvfile import write_csv
-from .errors import (
-    ExtrapolationUnstable,
-    InputError,
-    NonPositiveImaginaryPart,
-    NonPositiveParameter,
-)
+from .errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from .modular import (
     LatticeBasis,
     SeriesControl,
+    _enumerate_norms_sq,
+    _lattice_radius,
     _require_upper,
-    _torus_green,
     dedekind_eta,
     eta_truncation,
     theta_lattice,
+    theta_tail_bound,
     zeta_difference_limit,
 )
 
@@ -55,7 +51,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
-DEFAULT_PROBES = (1e-2, 5e-3, 2.5e-3)
+EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
+_EXP1_CROSSOVER = 1.0      # _exp1 uses its series below, continued fraction above
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -176,62 +173,70 @@ def w_eta(tau: complex, m: float = 1.0,
                         error_estimate=m * log_tail)
 
 
-def w_fourier(tau: complex, m: float = 1.0,
-              probe_radii=DEFAULT_PROBES,
-              ctl: SeriesControl = _DEFAULT_CTL,
-              direction: float = 0.0) -> EnergyReport:
-    """Energy via the torus Green function extrapolated to the origin.
+def _exp1(z) -> np.ndarray:
+    """Exponential integral E1(z) = int_z^inf exp(-t) / t dt, elementwise, z > 0.
 
-    At each probe radius r the regularized potential H(x) is evaluated at
-    x = r (cos dir, sin dir), and w(r) = (H(x) + log r) / 2 is extrapolated
-    to r -> 0.  H is the mean-zero solution of -Delta H = 2 pi delta_0 - 1
-    on the covolume-2pi torus of shape tau, the torus Green function in its
-    q-series closed form.  The remainder w(r) - w(0) is even in x, so the
-    extrapolation is Richardson in r^2 (Neville tableau at 0).
+    Up to ``_EXP1_CROSSOVER`` it sums the power series
+    E1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!)  (Abramowitz & Stegun
+    5.1.11); above it, the continued fraction 5.1.22 in its even contraction
+    E1(z) = exp(-z) / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated
+    backward from a fixed depth.  Each branch is within about 2e-15 of E1
+    relative on its side of the crossover.
     """
-    probes = [float(r) for r in probe_radii]
-    if len(probes) < 1:
-        raise InputError("probe_radii must be nonempty")
-    if any(r <= 0.0 for r in probes):
-        raise NonPositiveParameter("probe radii must be > 0")
-    if any(b >= a for a, b in zip(probes, probes[1:])):
-        raise InputError("probe_radii must be strictly decreasing")
+    z = np.asarray(z, dtype=float)
+    lo = np.minimum(z, _EXP1_CROSSOVER)
+    term = np.ones_like(lo)
+    total = np.zeros_like(lo)
+    for k in range(1, 21):
+        term *= -lo / k
+        total += term / k
+    series = -np.euler_gamma - np.log(lo) - total
+    hi = np.maximum(z, _EXP1_CROSSOVER)
+    frac = hi + 201.0
+    for n in range(100, 0, -1):
+        frac = hi + (2 * n - 1) - n * n / frac
+    return np.where(z <= _EXP1_CROSSOVER, series, np.exp(-hi) / frac)
 
-    tau_r = reduce_fundamental(tau)
-    a, b = tau_r.real, tau_r.imag
-    c = math.sqrt(TWO_PI / b)  # cell scale of the covolume-2pi realization
-    cos_d, sin_d = math.cos(direction), math.sin(direction)
 
-    # Basis realization u1 = c(1,0), u2 = c(a,b); fractional coordinates of
-    # x = r(cos,sin):  t = x2/(cb), s = x1/c - a t.
-    w_vals = []
-    for r in probes:
-        x1, x2 = r * cos_d, r * sin_d
-        t = x2 / (c * b)
-        s = x1 / c - a * t
-        h = _torus_green(s, t, tau_r, ctl)
-        w_vals.append(0.5 * (h + math.log(r)))
+def _lattice_sum_support(basis: LatticeBasis, alpha: float,
+                         ctl: SeriesControl):
+    """Squared norms of the points a Gaussian-weighted sum over ``basis``
+    keeps, and the dropped Gaussian tail divided by the squared radius."""
+    radius = _lattice_radius(basis, alpha, ctl)
+    tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
+    return _enumerate_norms_sq(basis, radius), tail
 
-    # Neville extrapolation to 0 in the variable r^2.
-    nodes = [r * r for r in probes]
-    tab = list(w_vals)
-    prev_corr = None
-    corr = 0.0
-    for level in range(1, len(tab)):
-        for i in range(len(tab) - 1, level - 1, -1):
-            tab[i] = tab[i] + nodes[i] * (tab[i] - tab[i - 1]) \
-                / (nodes[i - level] - nodes[i])
-        corr = abs(tab[-1] - tab[-2]) if len(tab) > 1 else 0.0
-        if prev_corr is not None and corr > 4.0 * prev_corr \
-                and corr > 100.0 * ctl.abs_tol:
-            raise ExtrapolationUnstable(
-                f"Richardson corrections grew: {prev_corr} -> {corr}"
-            )
-        prev_corr = corr
-    value_unit = tab[-1]
-    err = corr if len(probes) > 1 else abs(probes[0]) ** 2
-    return EnergyReport(value=_density_scale(value_unit, m), route="fourier",
-                        truncation=ctl, error_estimate=m * max(err, ctl.abs_tol))
+
+def w_fourier(tau: complex, m: float = 1.0,
+              ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
+    """Energy from Ewald lattice sums, with no q-series.
+
+    Take the covolume-2pi realization L of tau and its dual K (k.p in 2 pi Z,
+    also of covolume 2 pi).  Splitting 1/|k|^2 = int_0^inf exp(-t |k|^2) dt
+    at t = eps and applying Poisson summation to the t < eps part gives, with
+    eps = EWALD_SPLIT (Ewald, Ann. Phys. 369 (1921) 253),
+
+        2 w = sum_{k in K, k != 0} exp(-eps |k|^2) / |k|^2
+              + 1/2 sum_{p in L, p != 0} E1(|p|^2 / (4 eps))
+              - eps + (log(4 eps) - gamma) / 2.
+
+    Each sum runs over the radius R that ``theta_lattice`` would use for its
+    Gaussian weight (alpha = eps/pi on K, 1/(4 pi eps) on L).  The dropped
+    terms are at most the Gaussian tail bound over R^2 (times 4 eps on L,
+    since E1(z) <= exp(-z)/z), and that proven bound is ``error_estimate``.
+    """
+    eps = EWALD_SPLIT
+    lat = shape_basis(reduce_fundamental(tau))
+    # the rows of the inverse basis matrix are the dual basis vectors
+    dual = LatticeBasis(*(TWO_PI * np.linalg.inv(lat.matrix)))
+    k_nsq, k_tail = _lattice_sum_support(dual, eps / math.pi, ctl)
+    p_nsq, p_tail = _lattice_sum_support(lat, 0.25 / (math.pi * eps), ctl)
+    two_w = (float(np.sum(np.exp(-eps * k_nsq) / k_nsq))
+             + 0.5 * float(np.sum(_exp1(p_nsq / (4.0 * eps))))
+             - eps + 0.5 * (math.log(4.0 * eps) - np.euler_gamma))
+    return EnergyReport(value=_density_scale(0.5 * two_w, m), route="fourier",
+                        truncation=ctl,
+                        error_estimate=0.5 * m * (k_tail + 2.0 * eps * p_tail))
 
 
 def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,

@@ -232,28 +232,15 @@ def _lattice_distance(s: float, t: float, tau: complex) -> float:
     return abs(_frac_wrap(s) + _frac_wrap(t) * tau)
 
 
-def _torus_green(s: float, t: float, tau: complex, ctl: SeriesControl) -> float:
-    """Green function G(s, t) of the area-2pi torus of shape tau.
-
-    (s, t) are the fractional coordinates of z = s + t tau.  G is the
-    mean-zero solution of -Delta G = 2 pi delta_0 - 1, evaluated by
-    ``backend.green_values`` with ``_green_nterms`` series terms.  It equals
-    -log|f(z, tau)| + pi b t^2 with (s, t) wrapped to [-1/2, 1/2].
-    """
-    if _lattice_distance(s, t, tau) < SINGULAR_TUBE:
-        raise LatticePointSingularity(
-            f"z = {s} + {t} tau is within {SINGULAR_TUBE} of the lattice")
-    n = _green_nterms(tau.imag, ctl)
-    return float(backend.green_values(np.array([s]), np.array([t]),
-                                      tau.real, tau.imag, n)[0])
-
-
 def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """Modulus of f(z, tau) = q^(1/12) (p^(1/2) - p^(-1/2)) prod (1-q^n p)(1-q^n/p).
 
     Only the absolute value is returned, as |f(s + t tau, tau)| =
-    exp(pi b t^2 - G(s, t)) through the torus Green function G (the
-    quasi-periodicity of f is the pi b t^2 term).  It is exactly 0 on the
+    exp(pi b t^2 - G(s, t)) through the Green function G of the area-2pi
+    torus, the mean-zero solution of -Delta G = 2 pi delta_0 - 1 (the
+    quasi-periodicity of f is the pi b t^2 term).  G comes from one
+    ``backend.green_values`` call with ``_green_nterms`` series terms at the
+    fractional coordinates (s, t) of z = s + t tau.  It is exactly 0 on the
     lattice and raises LatticePointSingularity elsewhere within
     SINGULAR_TUBE of it.
     """
@@ -261,9 +248,16 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
     z = complex(z)
     t = z.imag / tau.imag
     s = z.real - t * tau.real
-    if _lattice_distance(s, t, tau) == 0.0:
+    dist = _lattice_distance(s, t, tau)
+    if dist == 0.0:
         return 0.0
-    return math.exp(math.pi * tau.imag * t * t - _torus_green(s, t, tau, ctl))
+    if dist < SINGULAR_TUBE:
+        raise LatticePointSingularity(
+            f"z = {s} + {t} tau is within {SINGULAR_TUBE} of the lattice")
+    n = _green_nterms(tau.imag, ctl)
+    g = backend.green_values(np.array([s]), np.array([t]),
+                             tau.real, tau.imag, n)[0]
+    return math.exp(math.pi * tau.imag * t * t - float(g))
 
 
 def eisenstein(u: float, v: float, tau: complex,
@@ -349,6 +343,18 @@ def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
         * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
 
 
+def _lattice_radius(basis: LatticeBasis, alpha: float,
+                    ctl: SeriesControl) -> float:
+    """Enumeration radius of a sum weighted by exp(-pi alpha |p|^2): the
+    proven-tail radius for ctl.abs_tol, floored at ctl.truncation_order
+    shells of the shortest lattice vector."""
+    radius = _theta_radius(basis, alpha, ctl.abs_tol)
+    if ctl.truncation_order > 1:
+        radius = max(radius,
+                     ctl.truncation_order * math.sqrt(basis.shortest_norm_sq()))
+    return radius
+
+
 def theta_lattice(basis: LatticeBasis, alpha: float,
                   ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2).
@@ -359,11 +365,7 @@ def theta_lattice(basis: LatticeBasis, alpha: float,
     """
     if not (alpha > 0.0):
         raise NonPositiveParameter("alpha must be > 0")
-    radius = _theta_radius(basis, alpha, ctl.abs_tol)
-    if ctl.truncation_order > 1:
-        radius = max(radius,
-                     ctl.truncation_order * math.sqrt(basis.shortest_norm_sq()))
-    nsq = _enumerate_norms_sq(basis, radius)
+    nsq = _enumerate_norms_sq(basis, _lattice_radius(basis, alpha, ctl))
     return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
 
 

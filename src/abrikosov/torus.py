@@ -620,7 +620,7 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     lat = w_eta(ev.tau, 1.0, series)
     n = cfg.n
     if n == 1:
-        report = EnergyReport(value=lat.value, route="fourier",
+        report = EnergyReport(value=lat.value, route="eta",
                               truncation=series,
                               error_estimate=lat.error_estimate)
         return MinimizeOutcome(config=cfg, report=report,
@@ -646,7 +646,7 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     out_cfg = TorusConfig(cfg.torus, pts)
     pair_count = n * (n - 1) / 2.0
     report = EnergyReport(
-        value=total, route="fourier", truncation=series,
+        value=total, route="eta", truncation=series,
         error_estimate=pair_count * series.abs_tol + n * lat.error_estimate,
     )
     # shift traces to report total energy rather than the pairwise part

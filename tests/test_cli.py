@@ -54,6 +54,7 @@ def test_lattice_routes_agree():
     fourier = json.loads(run_cli("lattice", "--tau", "0", "1",
                                  "--route", "fourier", check=True).stdout)
     assert abs(eta["report"]["value"] - fourier["report"]["value"]) < 1e-5
+    assert "probes" not in fourier["run_config"]
     diff = json.loads(run_cli("lattice", "--tau", "0", "1", "--route",
                               "zetadiff-vs", check=True).stdout)
     assert abs(diff["report"]["value"] - 0.00529225125826413) < 1e-6
@@ -70,6 +71,10 @@ def test_exit_code_2_on_usage_error():
     proc = run_cli("lattice")          # neither --tau nor --basis
     assert proc.returncode == 2
     proc = run_cli("lattice", "--tau", "0", "1", "--basis", "1", "0", "0", "1")
+    assert proc.returncode == 2
+    # the fourier route has no probe radii to set
+    proc = run_cli("lattice", "--tau", "0", "1", "--route", "fourier",
+                   "--probes", "0.01")
     assert proc.returncode == 2
 
 

@@ -7,16 +7,20 @@ are asserted as literals here; closed-form identities are used where exact.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from abrikosov import csvfile
+from abrikosov import backend, csvfile, lattice, modular
 from abrikosov.errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from abrikosov.lattice import (
     EnergyReport,
     ModuliGrid,
     ScanReport,
+    _exp1,
     lattice_to_tau,
     moduli_scan,
     reduce_fundamental,
@@ -133,26 +137,81 @@ def test_w_fourier_agrees_with_eta():
         assert rep.route == "fourier"
         assert abs(rep.value - eta_val) < 1e-6
         assert abs(rep.value - eta_val) < 10.0 * max(rep.error_estimate, 1e-9)
+    # the Ewald sums and the eta product are independent formulas for W;
+    # unreduced images of each shape exercise the reduction as well
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(200):
+        a = rng.uniform(-0.5, 0.5)
+        tau = complex(a, rng.uniform(math.sqrt(1.0 - a * a), 6.0))
+        image = -1.0 / (tau + int(rng.integers(-3, 4)))
+        worst = max(worst, abs(w_fourier(image).value - w_eta(tau).value))
+    assert worst <= 1e-13
 
 
-def test_w_fourier_density_and_direction_invariance():
+def test_w_fourier_density_scaling():
     rep = w_fourier(TRI_TAU, m=3.0)
     expected = 3.0 * (w_eta(TRI_TAU).value - 0.25 * math.log(3.0))
     assert abs(rep.value - expected) < 1e-5
-    a = w_fourier(1j, direction=0.0).value
-    b = w_fourier(1j, direction=0.9).value
-    assert abs(a - b) < 1e-6
 
 
-def test_w_fourier_probe_validation():
-    with pytest.raises(InputError):
-        w_fourier(1j, probe_radii=())
-    with pytest.raises(NonPositiveParameter):
-        w_fourier(1j, probe_radii=(1e-2, -1e-3))
-    with pytest.raises(InputError):
-        w_fourier(1j, probe_radii=(1e-3, 1e-2))  # must decrease
-    with pytest.raises(InputError):
-        w_fourier(1j, probe_radii=(1e-2, 1e-2))  # strictly
+def test_w_fourier_chowla_selberg_values():
+    # |eta(i)| = Gamma(1/4) / (2 pi^(3/4)) and
+    # |eta(rho)| = 3^(1/8) Gamma(1/3)^(3/2) / (2 pi): W from Gamma values only
+    eta_i = math.gamma(0.25) / (2.0 * math.pi ** 0.75)
+    eta_rho = 3.0 ** 0.125 * math.gamma(1.0 / 3.0) ** 1.5 / (2.0 * math.pi)
+    for tau, eta_abs in ((1j, eta_i), (TRI_TAU, eta_rho)):
+        closed = -0.5 * math.log(math.sqrt(2.0 * math.pi * tau.imag) * eta_abs ** 2)
+        assert abs(w_fourier(tau).value - closed) < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.floats(-0.5, 0.5), b=st.floats(0.87, 4.0))
+def test_w_fourier_is_independent_of_the_ewald_split(a, b):
+    tau = complex(a, b)
+    base = w_fourier(tau).value
+    for eps in (0.25, 1.0):
+        with mock.patch.object(lattice, "EWALD_SPLIT", eps):
+            assert abs(w_fourier(tau).value - base) <= 1e-13
+
+
+def test_w_fourier_evaluates_no_q_series():
+    def forbidden(*args, **kwargs):
+        raise AssertionError("w_fourier reached a q-series")
+
+    with mock.patch.object(backend, "green_values", forbidden), \
+            mock.patch.object(lattice, "dedekind_eta", forbidden), \
+            mock.patch.object(modular, "dedekind_eta", forbidden):
+        rep = w_fourier(complex(0.3, 1.2), m=2.0)
+    assert rep.route == "fourier"
+    assert math.isfinite(rep.value)
+
+
+# Abramowitz & Stegun, Table 5.1
+@pytest.mark.parametrize("z,expected", [
+    (0.5, 0.5597735947761608),
+    (1.0, 0.2193839343955205),
+    (2.0, 0.048900510708061125),
+    (5.0, 0.0011482955912753257),
+    (10.0, 4.156968929685325e-06),
+])
+def test_exp1_table_values(z, expected):
+    assert abs(float(_exp1(z)) / expected - 1.0) < 1e-14
+
+
+def test_exp1_continuous_across_crossover():
+    x = lattice._EXP1_CROSSOVER
+    below, above = _exp1([x, np.nextafter(x, np.inf)])
+    assert abs(above / below - 1.0) < 1e-14
+
+
+def test_exp1_solves_its_ode():
+    # E1'(z) = -exp(-z) / z, by central differences on both branches
+    z = np.array([0.05, 0.3, 0.9, 0.99, 1.01, 1.5, 3.0, 8.0, 20.0])
+    h = 1e-5 * z
+    deriv = (_exp1(z + h) - _exp1(z - h)) / (2.0 * h)
+    exact = -np.exp(-z) / z
+    assert np.max(np.abs(deriv / exact - 1.0)) < 1e-8
 
 
 def test_w_zeta_diff_square_vs_triangular():

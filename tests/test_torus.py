@@ -22,7 +22,7 @@ from abrikosov.errors import (
     PrecisionUnreachable,
     VolumeNotNormalized,
 )
-from abrikosov.lattice import shape_basis, w_eta
+from abrikosov.lattice import _exp1, shape_basis, w_eta
 from abrikosov.modular import LatticeBasis, SeriesControl
 from abrikosov.torus import (
     GreenEvaluator,
@@ -200,6 +200,50 @@ def test_green_is_modular_invariant(a, b, seed):
     direct = backend.green_values(frac[:, 0], frac[:, 1], a, b, 200)
     got = GreenEvaluator(spec).value_many(frac @ spec.basis.matrix.T)
     assert np.max(np.abs(got - direct)) < 1e-12
+
+
+def _ewald_green(basis, x, eps=0.5):
+    """Ewald form of the area-2pi torus Green function at x != 0, from lattice
+    sums alone:  H(x) = sum_{k != 0} exp(-eps |k|^2) cos(k.x) / |k|^2
+    + 1/2 sum_p E1(|x - p|^2 / (4 eps)) - eps, over the dual K (k.p in 2 pi Z)
+    and the lattice L of ``basis``.  The basis must be reduced and x near the
+    origin, so a fixed index window holds every term above rounding."""
+    n = np.stack(np.meshgrid(np.arange(-10, 11), np.arange(-10, 11))).reshape(2, -1)
+    n = n[:, np.any(n != 0, axis=0)]
+    k = (TWO_PI * np.linalg.inv(basis.matrix).T @ n).T
+    ksq = np.sum(k * k, axis=1)
+    d = x - np.vstack([(basis.matrix @ n).T, [0.0, 0.0]])
+    return (np.sum(np.exp(-eps * ksq) * np.cos(k @ x) / ksq)
+            + 0.5 * np.sum(_exp1(np.sum(d * d, axis=1) / (4.0 * eps))) - eps)
+
+
+def test_green_matches_ewald_on_unreduced_bases():
+    # GreenEvaluator reduces the shape and maps fractional coordinates through
+    # coord_map before the q-series; the Ewald sums see only the lattice
+    rng = np.random.default_rng(7)
+    gens = (np.array([[1, 1], [0, 1]]), np.array([[1, -1], [0, 1]]),
+            np.array([[0, -1], [1, 0]]))
+    worst = 0.0
+    for _ in range(200):
+        a = rng.uniform(-0.5, 0.5)
+        tau = complex(a, rng.uniform(math.sqrt(1.0 - a * a), 2.5))
+        turn = rng.uniform(0.0, TWO_PI)
+        rot = np.array([[math.cos(turn), -math.sin(turn)],
+                        [math.sin(turn), math.cos(turn)]])
+        reduced = rot @ shape_basis(tau).matrix
+        word = np.eye(2, dtype=int)
+        for g in rng.integers(0, 3, rng.integers(2, 7)):
+            word = word @ gens[g]
+        b = reduced @ word
+        ev = GreenEvaluator(TorusSpec(LatticeBasis(b[:, 0], b[:, 1])))
+        x = b @ (rng.random(2) + rng.integers(-2, 3, 2))
+        frac = np.linalg.solve(reduced, x)
+        x0 = reduced @ (frac - np.rint(frac))
+        if np.hypot(*x0) < 1e-3:
+            continue
+        ref = _ewald_green(LatticeBasis(reduced[:, 0], reduced[:, 1]), x0)
+        worst = max(worst, abs(ev.value(x) - ref))
+    assert worst < 1e-12
 
 
 @settings(max_examples=40, deadline=None)
