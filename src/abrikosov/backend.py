@@ -165,22 +165,24 @@ def green_grads(ds, dt, a, b, nterms):
 # Projected Gauss-Seidel sweep over cells of one red-black color of an
 # irregular (masked) grid.
 #
-# Flat-array representation: for the k-th cell swept, ``idx[k]`` is its flat
-# index into ``values``; ``iE..iS`` are neighbor flat indices (any index with
-# zero coefficient when the neighbor carries Dirichlet data folded into
-# ``bc``, the right-hand side); ``cE..cS`` and ``diag`` (the diagonal of
-# -Delta_h + 1) are per-cell arrays or one number for all; ``obstacle`` is
-# the lower-bound clamp, a number or one per cell (a huge negative number
-# for an unconstrained solve).  Cells of one color share no stencil leg, so
-# the vectorized update is exact Gauss-Seidel for that color.
+# Flat-array representation: ``out`` is the block of ``values`` swept, a
+# view (``values[start:stop]``) that the sweep writes in place, so its length
+# is the number of cells swept; ``iE..iS`` are the neighbor flat indices of
+# each swept cell into ``values`` (any index with zero coefficient when the
+# neighbor carries Dirichlet data folded into ``bc``, the right-hand side);
+# ``cE..cS`` and ``diag`` (the diagonal of -Delta_h + 1) are per-cell arrays
+# or one number for all; ``obstacle`` is the lower-bound clamp, a number or
+# one per cell (a huge negative number for an unconstrained solve).  Cells of
+# one color share no stencil leg, so the vectorized update is exact
+# Gauss-Seidel for that color.
 # ---------------------------------------------------------------------------
 
 
-def psor_sweep(values, idx, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
+def psor_sweep(values, out, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
                obstacle):
     gs = (cE * values.take(iE) + cW * values.take(iW)
           + cN * values.take(iN) + cS * values.take(iS) + bc) / diag
-    values[idx] = np.maximum(gs, obstacle)
+    np.maximum(gs, obstacle, out=out)
 
 
 def warmup():
@@ -192,5 +194,5 @@ def warmup():
     vals = np.zeros(9)
     one = np.arange(2, dtype=np.int64)
     cf = np.ones(2)
-    psor_sweep(vals, one + 4, one, one, one, one, cf, cf, cf, cf,
+    psor_sweep(vals, vals[4:6], one, one, one, one, cf, cf, cf, cf,
                cf * 5.0, cf, -1e300)

@@ -313,19 +313,30 @@ def _covering_radius_bound(basis: LatticeBasis) -> float:
 
 
 def _theta_radius(basis: LatticeBasis, alpha: float, tol: float) -> float:
-    """Radius R with a proven Gaussian-tail bound below tol.
+    """Radius R with a proven Gaussian-tail bound of at most tol.
 
     Every point with |p| >= R satisfies exp(-pi a |p|^2) <=
     exp(-pi a (|y| - rho)^2) for y in its Voronoi cell (rho = covering
     radius), so the tail is bounded by a radial integral in closed form.
+    That bound decreases in R from infinity at 2 rho, so once a growing
+    radius meets tol, bisection between it and the last one that missed
+    (or 2 rho) brings it within 0.1% of the smallest radius that meets tol.
     """
-    rho = _covering_radius_bound(basis)
-    r = max(2.0 * rho, math.sqrt(2.0 / (math.pi * alpha)))
+    lo = 2.0 * _covering_radius_bound(basis)
+    hi = max(lo, math.sqrt(2.0 / (math.pi * alpha)))
     for _ in range(200):
-        if theta_tail_bound(basis, alpha, r) < tol:
-            return r
-        r *= 1.25
-    raise PrecisionUnreachable("theta tail bound did not close")
+        if theta_tail_bound(basis, alpha, hi) <= tol:
+            break
+        lo, hi = hi, 1.25 * hi
+    else:
+        raise PrecisionUnreachable("theta tail bound did not close")
+    while hi - lo > 1e-3 * hi:
+        mid = 0.5 * (lo + hi)
+        if theta_tail_bound(basis, alpha, mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:

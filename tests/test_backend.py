@@ -103,3 +103,32 @@ def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
     assert np.array_equal(gs, ls) and np.array_equal(gt, lt)
     for got, want in zip(hess, lhess):
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# The projected Gauss-Seidel sweep
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("obstacle", [-1e300, 0.6, "array"])
+def test_psor_sweep_writes_only_its_block(obstacle):
+    # cells 5..8 are swept from neighbors outside the block; every other
+    # cell keeps its sentinel value
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.0, 1.0, 16)
+    before = values.copy()
+    out = values[5:9]
+    iE, iW, iN, iS = (np.array(ix) for ix in
+                      ([0, 1, 2, 3], [9, 10, 11, 12], [13, 14, 15, 0],
+                       [4, 4, 13, 9]))
+    cE, cN = rng.uniform(1.0, 2.0, (2, 4))
+    cW, cS, diag, bc = 1.5, 0.5, 7.0, rng.uniform(0.0, 1.0, 4)
+    if obstacle == "array":
+        obstacle = rng.uniform(0.0, 1.0, 4)
+    backend.psor_sweep(values, out, iE, iW, iN, iS, cE, cW, cN, cS, diag,
+                       bc, obstacle)
+    gs = (cE * before[iE] + cW * before[iW] + cN * before[iN]
+          + cS * before[iS] + bc) / diag
+    assert np.array_equal(values[5:9], np.maximum(gs, obstacle))
+    keep = np.r_[0:5, 9:16]
+    assert np.array_equal(values[keep], before[keep])

@@ -31,6 +31,7 @@ from abrikosov.modular import (
     theta_tail_bound,
     zeta_difference_limit,
 )
+from abrikosov.modular import _theta_radius
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -269,6 +270,19 @@ def test_theta_tail_bound_shrinks_with_radius():
     b1 = theta_tail_bound(basis, 1.0, 3.0)
     b2 = theta_tail_bound(basis, 1.0, 5.0)
     assert 0.0 < b2 < b1
+
+
+@pytest.mark.parametrize("tau", [1j, TRI_TAU, complex(0.1, 6.0),
+                                 complex(-0.3, 1.4)])
+@pytest.mark.parametrize("alpha", [1.0 / (2.0 * math.pi), 0.5, 4.0])
+@pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
+def test_theta_radius_is_tight(tau, alpha, tol):
+    # the returned radius meets tol, and 1% less would not: the tail bound
+    # is not overshot by orders of magnitude
+    basis = _shape_basis_cov(tau, 2.0 * math.pi)
+    radius = _theta_radius(basis, alpha, tol)
+    assert theta_tail_bound(basis, alpha, radius) <= tol
+    assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from abrikosov import backend
 from abrikosov.errors import (
     GridMismatch,
     InputError,
@@ -387,6 +388,141 @@ def test_disk_fields_are_symmetric():
         full[grid.ii, grid.jj] = values
         for f in mirrors:
             assert np.max(np.abs(full - f(full))) < 1e-13
+
+
+def test_constrained_solves_take_few_cycles():
+    # V(4,4) needs 12-13 cycles here; V(2,2) needed 19-21
+    grid = DomainGrid(UnitDisk(), 1.0 / 128.0)
+    for m in (0.8, 0.85, 0.9, 0.95):
+        field = solve_obstacle(grid, m)
+        assert field.iters <= 15
+        assert 0 < field.active.sum() < grid.n
+
+
+# ---------------------------------------------------------------------------
+# Multigrid pieces against plain two-dimensional indexing
+# ---------------------------------------------------------------------------
+
+
+TRANSFER_SHAPES = [
+    UnitDisk(),
+    Ellipse(1.3, 0.7),
+    ConvexPolygon([[-1.0, -0.8], [1.1, -0.6], [0.9, 0.7], [-0.4, 1.0]]),
+]
+
+
+def _fine_part_ref(grid, frame):
+    """The grid's rectangle within the frame of fine points around 2h's."""
+    a = grid.origin[0] - 2 * grid._coarse.origin[0] + 1
+    b = grid.origin[1] - 2 * grid._coarse.origin[1] + 1
+    mx, my = grid.mask.shape
+    return frame[a:a + mx, b:b + my]
+
+
+def _frame_ref(grid, values, fill):
+    nx, ny = grid._coarse.mask.shape
+    frame = np.full((2 * nx + 1, 2 * ny + 1), fill)
+    _fine_part_ref(grid, frame)[grid.ii, grid.jj] = values
+    return frame
+
+
+def _restrict_ref(grid, values):
+    f = _frame_ref(grid, values, 0.0)
+    lo, mid, hi = slice(0, -2, 2), slice(1, -1, 2), slice(2, None, 2)
+    edges = (f[lo, mid] + f[hi, mid]) + (f[mid, lo] + f[mid, hi])
+    corners = (f[lo, lo] + f[hi, hi]) + (f[hi, lo] + f[lo, hi])
+    full = (4.0 * f[mid, mid] + 2.0 * edges + corners) / 16.0
+    return full[grid._coarse.ii, grid._coarse.jj]
+
+
+def _defect_bound_ref(grid, defect):
+    f = _frame_ref(grid, defect, -np.inf)
+    coarse = grid._coarse
+    nx, ny = coarse.mask.shape
+    full = np.full((nx, ny), -np.inf)
+    for p in range(3):
+        for q in range(3):
+            np.maximum(full, f[p:p + 2 * nx:2, q:q + 2 * ny:2], out=full)
+    return full[coarse.ii, coarse.jj]
+
+
+def _prolong_ref(grid, values, fill):
+    coarse = grid._coarse
+    full = np.full(coarse.mask.shape, fill)
+    full[coarse.ii, coarse.jj] = values
+    nx, ny = full.shape
+    f = np.zeros((2 * nx + 1, 2 * ny + 1))
+    f[1::2, 1::2] = full
+    f[2:-1:2, 1::2] = 0.5 * (full[:-1] + full[1:])
+    f[1::2, 2:-1:2] = 0.5 * (full[:, :-1] + full[:, 1:])
+    f[2:-1:2, 2:-1:2] = 0.25 * ((full[:-1, :-1] + full[1:, 1:])
+                                + (full[1:, :-1] + full[:-1, 1:]))
+    return _fine_part_ref(grid, f)[grid.ii, grid.jj]
+
+
+@pytest.mark.parametrize("k", [16, 37, 64])
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_transfers_equal_two_d_indexing(shape, k):
+    # flat positions place and read the same cells as [ii, jj] on the
+    # rectangles, bit for bit, on every level of the hierarchy; the polygon's
+    # rectangles have odd and even sides (37 x 32 at h = 1/16, 138 x 119 at
+    # 1/64)
+    rng = np.random.default_rng(k)
+    grid = DomainGrid(shape, 1.0 / k)
+    while grid._coarse is not None:
+        coarse = grid._coarse
+        fine = rng.uniform(-1.0, 1.0, grid.n)
+        assert np.array_equal(grid._frame(fine, 0.5),
+                              _frame_ref(grid, fine, 0.5))
+        assert np.array_equal(grid._restrict(fine), _restrict_ref(grid, fine))
+        defect = -rng.uniform(0.0, 1.0, grid.n)
+        assert np.array_equal(grid._defect_bound(defect),
+                              _defect_bound_ref(grid, defect))
+        corr = rng.uniform(-1.0, 1.0, coarse.n)
+        for fill in (0.0, 1.0):
+            assert np.array_equal(grid._prolong(corr, fill),
+                                  _prolong_ref(grid, corr, fill))
+        grid = coarse
+
+
+def _smooth_ref(grid, values, rhs, lower, sweeps):
+    """Projected red-black Gauss-Seidel scattering through ``np.arange``."""
+    for _ in range(sweeps):
+        for sel, (iE, iW, iN, iS, cE, cW, cN, cS, diag) in grid._blocks:
+            bound = -1e300 if lower is None else (
+                lower[sel] if isinstance(lower, np.ndarray) else lower)
+            gs = (cE * values.take(iE) + cW * values.take(iW)
+                  + cN * values.take(iN) + cS * values.take(iS)
+                  + rhs[sel]) / diag
+            values[np.arange(sel.start, sel.stop)] = np.maximum(gs, bound)
+
+
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_smooth_writes_each_block_in_place(shape, monkeypatch):
+    grid = DomainGrid(shape, 1.0 / 37.0)
+    rng = np.random.default_rng(5)
+    rhs = grid._bc_unit.copy()
+    lowers = (None, 0.8, rng.uniform(0.5, 0.9, grid.n))
+    for lower in lowers:
+        start = rng.uniform(0.0, 1.0, grid.n)
+        got, want = start.copy(), start.copy()
+        grid._smooth(got, rhs, lower, 3)
+        _smooth_ref(grid, want, rhs, lower, 3)
+        assert np.array_equal(got, want)
+
+    # each sweep's second argument is a view of its block of the values,
+    # sized by the cells it sweeps (the benchmark tracer counts len(out))
+    swept = []
+    sweep = backend.psor_sweep
+
+    def record(values, out, *rest):
+        assert out.base is values
+        swept.append(len(out))
+        return sweep(values, out, *rest)
+    monkeypatch.setattr(backend, "psor_sweep", record)
+    grid._smooth(np.ones(grid.n), rhs, None, 2)
+    assert sum(swept) == 2 * grid.n
+    assert len(swept) == 2 * len(grid._blocks)
 
 
 _MONO_GRID = DomainGrid(Ellipse(1.0, 0.8), 1.0 / 24.0)
