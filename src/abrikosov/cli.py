@@ -100,17 +100,13 @@ def _payload(command: str, params: dict) -> dict:
 
 
 def _series_control(args) -> SeriesControl:
-    return SeriesControl(truncation_order=args.truncation_order,
-                         abs_tol=args.abs_tol, max_terms=args.max_terms)
+    return SeriesControl(abs_tol=args.abs_tol)
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--abs-tol", type=float, default=1e-12,
-                   help="absolute tolerance driving series truncations")
-    p.add_argument("--truncation-order", type=int, default=1,
-                   help="minimum number of series terms/shells")
-    p.add_argument("--max-terms", type=int, default=512,
-                   help="hard cap on automatic series length")
+                   help="absolute tolerance that sizes every q-series and "
+                        "lattice sum")
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +133,6 @@ def cmd_lattice(args) -> int:
         "tau": [tau.real, tau.imag],
         "ref_tau": [ref.real, ref.imag],
         "abs_tol": args.abs_tol,
-        "truncation_order": args.truncation_order,
-        "max_terms": args.max_terms,
     }
     payload = _payload("lattice", params)
     if args.route == "eta":
@@ -196,6 +190,9 @@ def _make_torus(args) -> TorusSpec:
 
 
 def cmd_fekete(args) -> int:
+    if args.trace_csv and (args.elkies or args.conjecture1):
+        raise InputError("--trace-csv traces a single --n search; it cannot "
+                         "go with --elkies or --conjecture1")
     series = _series_control(args)
     mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
                            step_init=args.step, restarts=args.restarts,
@@ -331,6 +328,9 @@ def _basic_suite(grid: DomainGrid, tol: float, max_cycles) -> dict:
 def cmd_obstacle(args) -> int:
     shape, shape_params = _make_shape(args)
     suite = args.suite
+    if args.field_csv and suite is not None:
+        raise InputError("--field-csv writes a single-level solve; it cannot "
+                         "go with --suite")
     h = args.h if args.h is not None else (
         1.0 / 256.0 if suite in ("scale-law", "ellipse") else 1.0 / 128.0)
     grid = DomainGrid(shape, h)

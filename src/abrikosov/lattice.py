@@ -25,8 +25,8 @@ from .modular import (
     LatticeBasis,
     SeriesControl,
     _enumerate_norms_sq,
-    _lattice_radius,
     _require_upper,
+    _theta_radius,
     dedekind_eta,
     eta_truncation,
     theta_lattice,
@@ -202,7 +202,7 @@ def _lattice_sum_support(basis: LatticeBasis, alpha: float,
                          ctl: SeriesControl):
     """Squared norms of the points a Gaussian-weighted sum over ``basis``
     keeps, and the dropped Gaussian tail divided by the squared radius."""
-    radius = _lattice_radius(basis, alpha, ctl)
+    radius = _theta_radius(basis, alpha, ctl.abs_tol)
     tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
     return _enumerate_norms_sq(basis, radius), tail
 

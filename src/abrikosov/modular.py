@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_CONTROL_TOL = 1e-12
+MAX_SERIES_TERMS = 512
 SINGULAR_TUBE = 1e-9
 
 
@@ -52,24 +53,17 @@ SINGULAR_TUBE = 1e-9
 class SeriesControl:
     """Truncation policy for the q-series and lattice sums.
 
-    ``abs_tol`` drives the automatic choice of series length (or enumeration
-    radius).  ``truncation_order`` is a floor: at least that many q-series
-    terms (or lattice shells) are always taken, so raising it can only
-    refine a result.  ``max_terms`` caps the automatic choice; if ``abs_tol``
-    would need more terms than that, :class:`PrecisionUnreachable` is raised.
+    ``abs_tol`` is the one truncation setting: each q-series keeps the terms
+    and each lattice sum the points that its own proven tail bound needs to
+    stay below it.  A q-series that would need more than
+    ``MAX_SERIES_TERMS`` terms raises :class:`PrecisionUnreachable`.
     """
 
-    truncation_order: int = 1
     abs_tol: float = DEFAULT_CONTROL_TOL
-    max_terms: int = 512
 
     def __post_init__(self):
-        if self.truncation_order < 1:
-            raise NonPositiveParameter("truncation_order must be >= 1")
-        if not (self.abs_tol > 0.0):
-            raise NonPositiveParameter("abs_tol must be > 0")
-        if self.max_terms < self.truncation_order:
-            raise NonPositiveParameter("max_terms must be >= truncation_order")
+        if not (0.0 < self.abs_tol < math.inf):
+            raise NonPositiveParameter("abs_tol must be finite and > 0")
 
 
 _DEFAULT_CTL = SeriesControl()
@@ -129,28 +123,6 @@ class LatticeBasis:
         d = np.linalg.inv(self.matrix).T
         return LatticeBasis(d[:, 0], d[:, 1])
 
-    def shortest_norm_sq(self) -> float:
-        """Squared length of a shortest nonzero vector (small enumeration)."""
-        rng = range(-3, 4)
-        best = math.inf
-        # a 7x7 window suffices after the 3-step Lagrange-style shrink below
-        u, v = self.u.copy(), self.v.copy()
-        for _ in range(32):
-            # size-reduce v against u
-            mu = float(np.dot(u, v) / np.dot(u, u))
-            v = v - round(mu) * u
-            if np.dot(v, v) < np.dot(u, u):
-                u, v = v, u
-            else:
-                break
-        for i in rng:
-            for j in rng:
-                if i == 0 and j == 0:
-                    continue
-                p = i * u + j * v
-                best = min(best, float(np.dot(p, p)))
-        return best
-
     def __repr__(self):
         return f"LatticeBasis(u={self.u.tolist()}, v={self.v.tolist()})"
 
@@ -163,18 +135,16 @@ def _require_upper(tau: complex) -> complex:
 
 
 def _nterms_for(b: float, ctl: SeriesControl, extra: float = 0.0) -> int:
-    """Smallest n with exp(-2 pi b n + extra) below ctl.abs_tol / 10.
-
-    ctl.truncation_order acts as a floor on the returned count.
-    """
+    """Smallest n with exp(-2 pi b n + extra) below ctl.abs_tol / 10, plus 2
+    (at least 4); PrecisionUnreachable above MAX_SERIES_TERMS."""
     need = (-math.log(ctl.abs_tol / 10.0) + extra) / (2.0 * math.pi * b)
     n = max(int(math.ceil(need)) + 2, 4)
-    if n > ctl.max_terms:
+    if n > MAX_SERIES_TERMS:
         raise PrecisionUnreachable(
             f"need {n} series terms for abs_tol={ctl.abs_tol} at b={b}, "
-            f"max_terms={ctl.max_terms}"
+            f"more than {MAX_SERIES_TERMS}"
         )
-    return max(n, ctl.truncation_order)
+    return n
 
 
 def _green_nterms(b: float, ctl: SeriesControl) -> int:
@@ -354,32 +324,6 @@ def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
         * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
 
 
-def _lattice_radius(basis: LatticeBasis, alpha: float,
-                    ctl: SeriesControl) -> float:
-    """Enumeration radius of a sum weighted by exp(-pi alpha |p|^2): the
-    proven-tail radius for ctl.abs_tol, floored at ctl.truncation_order
-    shells of the shortest lattice vector."""
-    radius = _theta_radius(basis, alpha, ctl.abs_tol)
-    if ctl.truncation_order > 1:
-        radius = max(radius,
-                     ctl.truncation_order * math.sqrt(basis.shortest_norm_sq()))
-    return radius
-
-
-def theta_lattice(basis: LatticeBasis, alpha: float,
-                  ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2).
-
-    The enumeration radius is chosen so the proven Gaussian tail is below
-    ctl.abs_tol; ctl.truncation_order acts as a floor measured in shells of
-    the shortest lattice vector.
-    """
-    if not (alpha > 0.0):
-        raise NonPositiveParameter("alpha must be > 0")
-    nsq = _enumerate_norms_sq(basis, _lattice_radius(basis, alpha, ctl))
-    return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
-
-
 class _ThetaTable:
     """theta(a) - 1 evaluated from a frozen point enumeration, valid a >= a_min."""
 
@@ -390,6 +334,18 @@ class _ThetaTable:
 
     def centered(self, a: float) -> float:
         return float(np.sum(np.exp(-np.pi * a * self.nsq)))
+
+
+def theta_lattice(basis: LatticeBasis, alpha: float,
+                  ctl: SeriesControl = _DEFAULT_CTL) -> float:
+    """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2).
+
+    The enumeration radius is the smallest (to 0.1%) whose proven Gaussian
+    tail is below ctl.abs_tol, as for every lattice sum here.
+    """
+    if not (alpha > 0.0):
+        raise NonPositiveParameter("alpha must be > 0")
+    return 1.0 + _ThetaTable(basis, alpha, ctl.abs_tol).centered(alpha)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28) -> float:

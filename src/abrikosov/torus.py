@@ -235,7 +235,6 @@ class GreenEvaluator:
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
         self.torus = torus
-        self.ctl = ctl
         tau_r, m = _reduce_with_matrix(_shape_modulus(torus.basis))
         self.tau = tau_r
         alpha, beta = int(m[0, 0]), int(m[0, 1])

@@ -4,11 +4,16 @@ Determinism matters most here: identical invocations must produce identical
 bytes, stdout or files.
 """
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from abrikosov.cli import build_parser, main
 
 
 def run_cli(*args, check=False):
@@ -78,20 +83,51 @@ def test_exit_code_2_on_usage_error():
     assert proc.returncode == 2
 
 
-def test_exit_code_3_on_numerical_failure():
-    proc = run_cli("lattice", "--tau", "0", "0.05",
-                   "--abs-tol", "1e-15", "--max-terms", "3")
-    assert proc.returncode == 3
-    assert "numerical error" in proc.stderr
-    assert "PrecisionUnreachable" in proc.stderr
+@pytest.mark.parametrize("flag", [("--truncation-order", "2"),
+                                  ("--max-terms", "600")])
+@pytest.mark.parametrize("command", [("lattice", "--tau", "0", "1"),
+                                     ("moduli-scan", "--resolution", "4"),
+                                     ("fekete", "--n", "2")])
+def test_removed_series_flags_are_rejected(command, flag, capsys):
+    # abs_tol is the one truncation setting
+    with pytest.raises(SystemExit) as exc:
+        main([*command, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_fekete_honours_max_terms():
-    # the square torus's Green series needs 8 terms at the default abs_tol;
-    # a cap of 7 must fail rather than be reported and then exceeded
-    proc = run_cli("fekete", "--n", "3", "--restarts", "0", "--max-terms", "7")
-    assert proc.returncode == 3
-    assert "PrecisionUnreachable" in proc.stderr
+@pytest.mark.parametrize("args", [
+    ("obstacle", "--disk", "--h", "0.0625", "--suite", "propA1",
+     "--field-csv"),
+    ("fekete", "--elkies", "--n-max", "3", "--trace-csv"),
+    ("fekete", "--conjecture1", "--trace-csv"),
+])
+def test_an_output_file_the_run_cannot_write_is_an_input_error(
+        args, tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    assert main([*args, str(target)]) == 2
+    assert "InputError" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def _readme_cli_flags():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+
+
+def _subcommand_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {flag for parser in sub.choices.values()
+            for action in parser._actions for flag in action.option_strings
+            if flag.startswith("--")} - {"--help"}
+
+
+def test_readme_names_exactly_the_cli_flags():
+    documented, accepted = _readme_cli_flags(), _subcommand_flags()
+    assert documented - accepted == set(), "README names unknown flags"
+    assert accepted - documented == set(), "flags missing from README"
 
 
 def test_lattice_rerun_byte_identical(tmp_path):
