@@ -190,9 +190,14 @@ def _make_torus(args) -> TorusSpec:
 
 
 def cmd_fekete(args) -> int:
-    if args.trace_csv and (args.elkies or args.conjecture1):
-        raise InputError("--trace-csv traces a single --n search; it cannot "
-                         "go with --elkies or --conjecture1")
+    if args.elkies and args.conjecture1:
+        raise InputError("--elkies and --conjecture1 are separate runs; "
+                         "give one")
+    if args.elkies or args.conjecture1:
+        for flag, value in (("--trace-csv", args.trace_csv), ("--n", args.n)):
+            if value is not None:
+                raise InputError(f"{flag} belongs to a single --n search; it "
+                                 "cannot go with --elkies or --conjecture1")
     series = _series_control(args)
     mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
                            step_init=args.step, restarts=args.restarts,
@@ -331,6 +336,19 @@ def cmd_obstacle(args) -> int:
     if args.field_csv and suite is not None:
         raise InputError("--field-csv writes a single-level solve; it cannot "
                          "go with --suite")
+    if args.m is not None and args.m_grid:
+        raise InputError("give one of --m and --m-grid")
+    if args.field_csv and args.m_grid and len(args.m_grid) != 1:
+        raise InputError("--field-csv requires exactly one level")
+    if suite is not None and args.m is not None:
+        raise InputError("--m sets a single-level solve; it cannot go with "
+                         "--suite")
+    if suite not in (None, "gradient-bound") and args.m_grid:
+        raise InputError(f"--suite {suite} chooses its own levels; it cannot "
+                         "go with --m-grid")
+    if suite not in ("scale-law", "ellipse") and args.offsets:
+        raise InputError("--offsets belongs to the scale-law and ellipse "
+                         "suites")
     h = args.h if args.h is not None else (
         1.0 / 256.0 if suite in ("scale-law", "ellipse") else 1.0 / 128.0)
     grid = DomainGrid(shape, h)
@@ -351,8 +369,6 @@ def cmd_obstacle(args) -> int:
                   for m in ms]
         payload["fields"] = [f.to_json_dict() for f in fields]
         if args.field_csv:
-            if len(fields) != 1:
-                raise InputError("--field-csv requires exactly one level")
             fields[0].to_csv(args.field_csv)
             payload["field_csv_path"] = args.field_csv
     elif suite == "propA1":

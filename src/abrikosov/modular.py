@@ -349,20 +349,35 @@ def theta_lattice(basis: LatticeBasis, alpha: float,
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28) -> float:
+    """Adaptive Simpson integral of f over [a, b] to absolute error tol.
+
+    Raises PrecisionUnreachable when a subinterval still misses its share
+    of tol after ``max_depth`` halvings.  Halving an interval halves both
+    its share of tol and the rounding noise of its Simpson estimates, so a
+    tol below the integrand's rounding level is met at no depth: the first
+    chain of halvings reaches max_depth and raises after about 2 max_depth
+    evaluations, where returning a best effort would let the recursion run
+    on toward 2^max_depth evaluations.
+    """
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
-    def rec(x0, x2, f0, f1, f2, acc, tol, depth):
+    def rec(x0, x2, f0, f1, f2, acc, share, depth):
         x1 = 0.5 * (x0 + x2)
         lm = 0.5 * (x0 + x1)
         rm = 0.5 * (x1 + x2)
         flm, frm = f(lm), f(rm)
         left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
         right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if depth <= 0 or abs(left + right - acc) <= 15.0 * tol:
+        if abs(left + right - acc) <= 15.0 * share:
             return left + right + (left + right - acc) / 15.0
-        return (rec(x0, x1, f0, flm, f1, left, 0.5 * tol, depth - 1)
-                + rec(x1, x2, f1, frm, f2, right, 0.5 * tol, depth - 1))
+        if depth <= 0:
+            raise PrecisionUnreachable(
+                f"adaptive Simpson: abs_tol {tol:g} not met within "
+                f"{max_depth} halvings; it may be below the integrand's "
+                "rounding level")
+        return (rec(x0, x1, f0, flm, f1, left, 0.5 * share, depth - 1)
+                + rec(x1, x2, f1, frm, f2, right, 0.5 * share, depth - 1))
 
     return rec(a, b, fa, fm, fb, whole, tol, max_depth)
 

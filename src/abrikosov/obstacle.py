@@ -18,7 +18,12 @@ bounds block the downward corrections the iterate needs, so the fine-level
 smoother does most of the work: a V(2,2) cycle contracts the residual of
 a constrained solve by only about 0.63-0.67, a V(4,4) cycle by 0.48-0.53;
 of V(2,2) to V(6,6), V(4,4) had the lowest median time over the disk
-solves at h = 1/256 and 1/128.  Each solve reports a value-error bound
+solves at h = 1/256 and 1/128.  That contraction is slow but steady, so
+while the contact set is non-empty each cycle is accelerated by depth-1
+Anderson mixing and projected onto H >= m (``_cycles``): on the disk the
+constrained solves take 6-7 V-cycles instead of 9-13.  Unconstrained and
+empty-contact solves run plain cycles, which contract 50-100 times each
+there.  Each solve reports a value-error bound
 next to its residual.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
@@ -460,9 +465,33 @@ def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
     ``m`` is the obstacle level, or None for the unconstrained problem.
     Stops after ``max_cycles`` cycles at the latest; returns the number of
     cycles run and the last residual.
+
+    While the contact set is non-empty, each cycle is accelerated by
+    depth-1 Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+    and projected back onto v >= m.  With G one V-cycle, f_k = G(x_k) - x_k,
+    df = f_k - f_(k-1) and dg = G(x_k) - G(x_(k-1)),
+
+        x_(k+1) = max(G(x_k) - gamma dg, m),  gamma = <df, f_k> / <df, df>.
+
+    A plain cycle contracts a constrained residual by only 0.46-0.55 (the
+    coarse bounds block downward corrections near the contact set, see
+    ``_vcycle``), but steadily, so one secant step removes much of the slow
+    component: on the unit disk the solves near the activation level at
+    h = 1/256 take 6 cycles instead of 9-10, and m = 0.8-0.95 at h = 1/128
+    take 6-7 instead of 12-13.  The history is dropped when a cycle's
+    residual rises or the contact set is empty.  Unconstrained and
+    empty-contact solves, where a plain cycle already contracts 50-100 times,
+    run the plain cycles unchanged.  At most three history arrays (x_k,
+    f_(k-1), G(x_(k-1))) are alive.
     """
     rhs = BOUNDARY_VALUE * grid._bc_unit
+    x = f_old = g_old = None
+    last = math.inf
     for it in range(1, max_cycles + 1):
+        if m is not None:
+            if x is None:
+                x = np.empty_like(values)
+            np.copyto(x, values)
         _vcycle(grid, values, rhs, m)
         scaled = grid.scaled_residual(values)
         if m is not None:
@@ -470,6 +499,24 @@ def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
         res = float(np.max(np.abs(scaled)))
         if res < tol:
             break
+        if m is None:
+            continue
+        f = np.subtract(values, x, out=x)
+        if res > last or values.min() > m:
+            f_old = g_old = None
+        elif f_old is None:
+            f_old, g_old, x = f, values.copy(), None
+        else:
+            df = np.subtract(f, f_old, out=f_old)
+            dg = np.subtract(values, g_old, out=g_old)
+            dd = float(np.dot(df, df))
+            gamma = float(np.dot(df, f)) / dd if dd > 0.0 else 0.0
+            np.copyto(df, values)           # G(x_k), the next g_old
+            dg *= gamma
+            values -= dg
+            np.maximum(values, m, out=values)
+            f_old, g_old, x = f, df, dg     # dg's buffer holds the next x
+        last = res
     return it, res
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from abrikosov import cli
 from abrikosov.cli import build_parser, main
 
 
@@ -108,6 +109,54 @@ def test_an_output_file_the_run_cannot_write_is_an_input_error(
     assert main([*args, str(target)]) == 2
     assert "InputError" in capsys.readouterr().err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("fekete", "--elkies", "--conjecture1"),
+    ("fekete", "--elkies", "--n", "3"),
+    ("fekete", "--conjecture1", "--n", "3"),
+    ("obstacle", "--disk", "--suite", "propA1", "--m", "0.7"),
+    ("obstacle", "--disk", "--suite", "scale-law", "--m", "0.9"),
+    ("obstacle", "--disk", "--suite", "propA1", "--m-grid", "0.8", "0.9"),
+    ("obstacle", "--disk", "--suite", "ellipse", "--m-grid", "0.9"),
+    ("obstacle", "--disk", "--m", "0.8", "--m-grid", "0.8", "0.9"),
+    ("obstacle", "--disk", "--m", "0.8", "--offsets", "0.01"),
+    ("obstacle", "--disk", "--m-grid", "0.8", "--offsets", "0.01"),
+    ("obstacle", "--disk", "--suite", "propA1", "--offsets", "0.01"),
+    ("obstacle", "--disk", "--suite", "gradient-bound", "--offsets", "0.01"),
+], ids=" ".join)
+def test_an_input_the_run_would_ignore_is_an_input_error(
+        args, capsys, monkeypatch):
+    # rejected before any solve or search starts
+    def no_work(*_, **__):
+        raise AssertionError("solver ran before the input was checked")
+
+    for name in ("solve_h0", "solve_obstacle", "elkies_experiment",
+                 "conjecture1_probe", "minimize_config"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(list(args)) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_gradient_bound_suite_takes_its_levels(capsys):
+    assert main(["obstacle", "--disk", "--h", "0.0625", "--suite",
+                 "gradient-bound", "--m-grid", "0.9", "0.95"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["run_config"]["m_grid"] == [0.9, 0.95]
+    assert doc["run_config"]["m"] is None
+
+
+def test_zetadiff_below_rounding_is_a_numerical_failure():
+    # the quadrature raises at once instead of recursing toward 2^28
+    # evaluations, and a reachable tol still gives the frozen value
+    args = ("lattice", "--tau", "0", "1", "--route", "zetadiff-vs")
+    proc = subprocess.run(
+        [sys.executable, "-m", "abrikosov", *args, "--abs-tol", "1e-16"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 3
+    assert "PrecisionUnreachable" in proc.stderr
+    proc = run_cli(*args, "--abs-tol", "1e-14", check=True)
+    assert json.loads(proc.stdout)["report"]["value"] == 0.00529225125826
 
 
 def _readme_cli_flags():

@@ -32,7 +32,7 @@ from abrikosov.modular import (
     theta_tail_bound,
     zeta_difference_limit,
 )
-from abrikosov.modular import _theta_radius
+from abrikosov.modular import _adaptive_simpson, _theta_radius
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -345,6 +345,25 @@ def test_zeta_difference_limit_square_vs_triangular():
     assert abs(got + rev) < 1e-12
     same = zeta_difference_limit(sq, sq, SeriesControl(abs_tol=1e-12))
     assert abs(same) < 1e-13
+
+
+def test_adaptive_simpson_meets_tol_or_raises():
+    # a smooth integrand meets its tol; one whose noise exceeds the tol at
+    # every scale raises along its first path of 28 halvings, instead of
+    # returning a best effort there and recursing toward 2^28 evaluations
+    got = _adaptive_simpson(math.exp, 0.0, 1.0, 1e-13)
+    assert abs(got - (math.e - 1.0)) < 1e-13
+    rng = np.random.default_rng(3)
+    evals = 0
+
+    def noisy(x):
+        nonlocal evals
+        evals += 1
+        return math.exp(x) + rng.uniform(-1e-12, 1e-12)
+
+    with pytest.raises(PrecisionUnreachable):
+        _adaptive_simpson(noisy, 0.0, 1.0, 1e-16)
+    assert evals < 100
 
 
 def test_zeta_difference_rejects_covolume_mismatch():

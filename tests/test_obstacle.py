@@ -6,13 +6,14 @@ independent oracle rather than against itself.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abrikosov import backend
+from abrikosov import backend, obstacle
 from abrikosov.errors import (
     GridMismatch,
     InputError,
@@ -399,6 +400,16 @@ def test_constrained_solves_take_few_cycles():
         assert 0 < field.active.sum() < grid.n
 
 
+def test_accelerated_constrained_solves_take_at_most_eight_cycles():
+    # plain V(4,4) cycles need 12-13 here; Anderson mixing needs 6-7
+    grid = DomainGrid(UnitDisk(), 1.0 / 128.0)
+    for m in (0.8, 0.85, 0.9, 0.95):
+        field = solve_obstacle(grid, m)
+        assert field.iters <= 8
+        assert field.residual < field.tol
+        assert 0 < field.active.sum() < grid.n
+
+
 # ---------------------------------------------------------------------------
 # Multigrid pieces against plain two-dimensional indexing
 # ---------------------------------------------------------------------------
@@ -523,6 +534,61 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
     grid._smooth(np.ones(grid.n), rhs, None, 2)
     assert sum(swept) == 2 * grid.n
     assert len(swept) == 2 * len(grid._blocks)
+
+
+# ---------------------------------------------------------------------------
+# Anderson-accelerated cycles against plain V-cycles
+# ---------------------------------------------------------------------------
+
+
+def _plain_cycles(grid, values, m, tol, max_cycles):
+    """V-cycles in place until the residual < tol, with no acceleration."""
+    rhs = obstacle.BOUNDARY_VALUE * grid._bc_unit
+    for it in range(1, max_cycles + 1):
+        obstacle._vcycle(grid, values, rhs, m)
+        scaled = grid.scaled_residual(values)
+        if m is not None:
+            scaled = np.minimum(values - m, scaled)
+        res = float(np.max(np.abs(scaled)))
+        if res < tol:
+            break
+    return it, res
+
+
+def _plain_solve(grid, m):
+    """solve_obstacle with plain V-cycles on every level, the start's too."""
+    with mock.patch.object(obstacle, "_cycles", _plain_cycles):
+        return solve_obstacle(grid, m)
+
+
+ACCEL_GRIDS = [DomainGrid(shape, 1.0 / 32.0) for shape in TRANSFER_SHAPES]
+
+
+@pytest.mark.parametrize("k", range(len(ACCEL_GRIDS)),
+                         ids=[repr(s) for s in TRANSFER_SHAPES])
+@settings(max_examples=12, deadline=None)
+@given(m=st.floats(0.7, 0.99))
+def test_accelerated_solve_agrees_with_plain_cycles(k, m):
+    grid = ACCEL_GRIDS[k]
+    fast, plain = solve_obstacle(grid, m), _plain_solve(grid, m)
+    assert fast.residual < fast.tol and plain.residual < plain.tol
+    dist = float(np.max(np.abs(fast.values - plain.values)))
+    assert dist <= fast.value_error + plain.value_error
+
+
+@pytest.mark.parametrize("k", range(len(ACCEL_GRIDS)),
+                         ids=[repr(s) for s in TRANSFER_SHAPES])
+def test_empty_and_full_contact_solves_are_plain_cycles(k):
+    # with no contact the mixing never engages, and at m = 1 the first cycle
+    # converges: both solves are the plain loop's, bit for bit
+    grid = ACCEL_GRIDS[k]
+    below = solve_h0(grid).min_value - 0.05
+    for m in (below, 1.0):
+        fast, plain = solve_obstacle(grid, m), _plain_solve(grid, m)
+        assert np.array_equal(fast.values, plain.values)
+        assert (fast.iters, fast.residual, fast.value_error) == \
+            (plain.iters, plain.residual, plain.value_error)
+    assert not solve_obstacle(grid, below).active.any()
 
 
 _MONO_GRID = DomainGrid(Ellipse(1.0, 0.8), 1.0 / 24.0)
