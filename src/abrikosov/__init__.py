@@ -11,11 +11,8 @@ from ._version import __version__
 from . import backend, errors
 from .modular import (
     LatticeBasis,
-    LatticeModulus,
     SeriesControl,
     dedekind_eta,
-    eisenstein,
-    epstein_zeta_mellin,
     kronecker_f,
     theta_lattice,
     zeta_difference_limit,
@@ -52,7 +49,6 @@ from .torus import (
 )
 from .obstacle import (
     AsymptoticsReport,
-    BarrierCheck,
     ConvexPolygon,
     DomainGrid,
     Ellipse,
@@ -61,9 +57,7 @@ from .obstacle import (
     H0Field,
     ObstacleField,
     UnitDisk,
-    barrier_check,
     coincidence_metrics,
-    quadratic_excess_potential,
     solve_h0,
     solve_obstacle,
     sup_gradient,
@@ -78,11 +72,8 @@ __all__ = [
     "errors",
     # modular forms layer
     "LatticeBasis",
-    "LatticeModulus",
     "SeriesControl",
     "dedekind_eta",
-    "eisenstein",
-    "epstein_zeta_mellin",
     "kronecker_f",
     "theta_lattice",
     "zeta_difference_limit",
@@ -116,7 +107,6 @@ __all__ = [
     "triangular_embedding",
     # obstacle problem
     "AsymptoticsReport",
-    "BarrierCheck",
     "ConvexPolygon",
     "DomainGrid",
     "Ellipse",
@@ -125,9 +115,7 @@ __all__ = [
     "H0Field",
     "ObstacleField",
     "UnitDisk",
-    "barrier_check",
     "coincidence_metrics",
-    "quadratic_excess_potential",
     "solve_h0",
     "solve_obstacle",
     "sup_gradient",

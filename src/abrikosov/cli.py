@@ -117,6 +117,8 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 def cmd_lattice(args) -> int:
     if (args.tau is None) == (args.basis is None):
         raise InputError("provide exactly one of --tau A B or --basis U1 U2 V1 V2")
+    if args.ref_tau is not None and args.route != "zetadiff-vs":
+        raise InputError("--ref-tau belongs to the zetadiff-vs route")
     ctl = _series_control(args)
     if args.tau is not None:
         tau = complex(args.tau[0], args.tau[1])
@@ -127,11 +129,13 @@ def cmd_lattice(args) -> int:
         tau, scale = lattice_to_tau(basis)
         # default density: the one the given basis actually has
         m = args.m if args.m is not None else 1.0 / (scale * scale)
-    ref = complex(args.ref_tau[0], args.ref_tau[1])
+    ref = None
+    if args.route == "zetadiff-vs":
+        ref = complex(*args.ref_tau) if args.ref_tau else TRIANGULAR_TAU
     params = {
         "m": m, "route": args.route,
         "tau": [tau.real, tau.imag],
-        "ref_tau": [ref.real, ref.imag],
+        "ref_tau": [ref.real, ref.imag] if ref is not None else None,
         "abs_tol": args.abs_tol,
     }
     payload = _payload("lattice", params)
@@ -181,12 +185,12 @@ def cmd_moduli_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _make_torus(args) -> TorusSpec:
-    if args.torus == "square":
+def _make_torus(name: str, aspect) -> TorusSpec:
+    if name == "square":
         return TorusSpec.square()
-    if args.torus == "hex":
+    if name == "hex":
         return TorusSpec.hexagonal()
-    return TorusSpec.rectangular(args.aspect)
+    return TorusSpec.rectangular(aspect)
 
 
 def cmd_fekete(args) -> int:
@@ -198,21 +202,35 @@ def cmd_fekete(args) -> int:
             if value is not None:
                 raise InputError(f"{flag} belongs to a single --n search; it "
                                  "cannot go with --elkies or --conjecture1")
+    if args.n_max is not None and not args.elkies:
+        raise InputError("--n-max belongs to --elkies")
+    if args.n_list is not None and not args.conjecture1:
+        raise InputError("--n-list belongs to --conjecture1")
+    if args.torus is not None and args.conjecture1:
+        raise InputError("--conjecture1 chooses its own tori; it cannot go "
+                         "with --torus")
+    torus_name = None if args.conjecture1 else args.torus or "square"
+    if args.aspect is not None and torus_name != "rect":
+        raise InputError("--aspect belongs to --torus rect")
+    aspect = None
+    if torus_name == "rect":
+        aspect = math.sqrt(3.0) if args.aspect is None else args.aspect
     series = _series_control(args)
     mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
                            step_init=args.step, restarts=args.restarts,
                            rng_seed=args.seed)
     base_params = {
-        "torus": args.torus, "aspect": args.aspect, "seed": args.seed,
+        "torus": torus_name, "aspect": aspect, "seed": args.seed,
         "restarts": args.restarts, "max_iters": args.max_iters,
         "grad_tol": args.grad_tol, "step": args.step,
         "abs_tol": args.abs_tol,
     }
     if args.elkies:
-        params = dict(base_params, mode="elkies", n_max=args.n_max)
+        n_max = 8 if args.n_max is None else args.n_max
+        params = dict(base_params, mode="elkies", n_max=n_max)
         payload = _payload("fekete", params)
-        rep = elkies_experiment(range(2, args.n_max + 1), _make_torus(args),
-                                mctl, series)
+        rep = elkies_experiment(range(2, n_max + 1),
+                                _make_torus(torus_name, aspect), mctl, series)
         payload["elkies"] = rep.to_json_dict()
         _emit_json(payload, args.output)
         return 0
@@ -229,7 +247,7 @@ def cmd_fekete(args) -> int:
     n = args.n
     if n < 1:
         raise InputError("--n must be >= 1")
-    torus = _make_torus(args)
+    torus = _make_torus(torus_name, aspect)
     out = minimize_config(TorusConfig(torus, _input_start(n, args.seed)), mctl,
                           series)
     params = dict(base_params, mode="minimize", n=n)
@@ -422,8 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("eta", "fourier", "zetadiff-vs"),
                    default="eta")
     p.add_argument("--ref-tau", type=float, nargs=2, metavar=("A", "B"),
-                   default=(TRIANGULAR_TAU.real, TRIANGULAR_TAU.imag),
-                   help="reference shape for the zetadiff-vs route")
+                   default=None,
+                   help="reference shape for the zetadiff-vs route (default "
+                        "the triangular rho = 1/2 + i sqrt(3)/2)")
     _add_series_flags(p)
     p.add_argument("--output", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_lattice)
@@ -446,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="torus point-configuration search and experiments")
     p.add_argument("--n", type=int, default=None, help="number of points")
     p.add_argument("--torus", choices=("square", "hex", "rect"),
-                   default="square")
-    p.add_argument("--aspect", type=float, default=math.sqrt(3.0),
-                   help="side ratio of the rect torus")
+                   default=None,
+                   help="torus of a --n search or --elkies (default square)")
+    p.add_argument("--aspect", type=float, default=None,
+                   help="side ratio of the rect torus (default sqrt(3))")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-iters", type=int, default=2000)
@@ -457,10 +477,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest per-point displacement of one Newton step")
     p.add_argument("--elkies", action="store_true",
                    help="run the excess-band experiment for n = 2..n-max")
-    p.add_argument("--n-max", type=int, default=8)
+    p.add_argument("--n-max", type=int, default=None,
+                   help="largest n of --elkies (default 8)")
     p.add_argument("--conjecture1", action="store_true",
                    help="compare minima against the triangular reference")
-    p.add_argument("--n-list", type=int, nargs="+", default=None)
+    p.add_argument("--n-list", type=int, nargs="+", default=None,
+                   help="point counts of --conjecture1 (default 2 3 4)")
     _add_series_flags(p)
     p.add_argument("--trace-csv", help="write the descent trace CSV here")
     p.add_argument("--output", help="write JSON here instead of stdout")

@@ -44,10 +44,6 @@ class CoincidentPoints(InputError):
     """Two configuration points closer than the minimum separation."""
 
 
-class GridMismatch(InputError):
-    """Fields that must live on the same grid do not."""
-
-
 class NonConvexDomain(InputError):
     """Polygon vertices do not describe a convex, positively oriented domain."""
 
@@ -64,10 +60,6 @@ class PrecisionUnreachable(NumericalError):
 
 class LatticePointSingularity(NumericalError):
     """Evaluation point inside the singular tube around a lattice point."""
-
-
-class DivergentSeries(NumericalError):
-    """Series parameter sits on the divergent locus (e.g. integer (u, v))."""
 
 
 class NoConvergence(NumericalError):

@@ -8,9 +8,10 @@ Conventions used throughout:
   cross product; its covolume is ``|cross(u, v)|``.
 * ``theta(basis, alpha) = sum_p exp(-pi alpha |p|^2)`` over all lattice
   points including the origin.
-* ``zeta(basis, x) = sum_{p != 0} 1 / (8 pi^2 |p|^(2+x))`` for ``x > 0``; the
-  Mellin/theta route below continues it efficiently and, for differences of
-  equal-covolume lattices, through the ``x -> 0`` limit.
+* ``zeta(basis, x) = sum_{p != 0} 1 / (8 pi^2 |p|^(2+x))`` for ``x > 0``; each
+  zeta blows up at ``x = 0``, but for two lattices of equal covolume the
+  difference has a limit there, which ``zeta_difference_limit`` computes
+  from theta integrals.
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from . import backend
 from .errors import (
     CovolumeMismatch,
     DegenerateBasis,
-    DivergentSeries,
     LatticePointSingularity,
     NonPositiveImaginaryPart,
     NonPositiveParameter,
@@ -32,15 +32,12 @@ from .errors import (
 
 __all__ = [
     "SeriesControl",
-    "LatticeModulus",
     "LatticeBasis",
     "dedekind_eta",
     "eta_truncation",
     "kronecker_f",
-    "eisenstein",
     "theta_lattice",
     "theta_tail_bound",
-    "epstein_zeta_mellin",
     "zeta_difference_limit",
 ]
 
@@ -67,25 +64,6 @@ class SeriesControl:
 
 
 _DEFAULT_CTL = SeriesControl()
-
-
-@dataclass(frozen=True)
-class LatticeModulus:
-    """Shape modulus ``tau = a + i b`` plus a number density ``m``."""
-
-    a: float
-    b: float
-    m: float = 1.0
-
-    def __post_init__(self):
-        if not (self.b > 0.0):
-            raise NonPositiveImaginaryPart("modulus needs b > 0")
-        if not (self.m > 0.0):
-            raise NonPositiveParameter("density m must be > 0")
-
-    @property
-    def tau(self) -> complex:
-        return complex(self.a, self.b)
 
 
 class LatticeBasis:
@@ -230,27 +208,6 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
     return math.exp(math.pi * tau.imag * t * t - float(g))
 
 
-def eisenstein(u: float, v: float, tau: complex,
-               ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """Character-twisted Eisenstein sum E_{u,v}(tau).
-
-    Defined (by symmetric summation) as
-    ``sum_{(m,n) != 0} exp(2 i pi (m u + n v)) * b / |m tau + n|^2`` and
-    evaluated in closed form as ``-2 pi log | f(u - v tau, tau) q^(v^2/2) |``.
-    Periodic in both u and v with period 1; diverges iff (u, v) is integral.
-    """
-    tau = _require_upper(tau)
-    uw = _frac_wrap(float(u))
-    vw = _frac_wrap(float(v))
-    if abs(uw) < SINGULAR_TUBE and abs(vw) < SINGULAR_TUBE:
-        raise DivergentSeries("E_{u,v} diverges at integer (u, v)")
-    b = tau.imag
-    z = uw - vw * tau
-    log_absf = math.log(kronecker_f(z, tau, ctl))
-    # log|q^(v^2/2)| = -pi b v^2
-    return float(-2.0 * np.pi * (log_absf - np.pi * b * vw * vw))
-
-
 # ---------------------------------------------------------------------------
 # Lattice point enumeration and theta sums
 # ---------------------------------------------------------------------------
@@ -382,51 +339,16 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28) ->
     return rec(a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def _integral_cutoff(table: _ThetaTable, s_max: float, tol: float) -> float:
-    """Upper limit A with the remaining weighted-theta tail below tol."""
+def _integral_cutoff(table: _ThetaTable, tol: float) -> float:
+    """Upper limit A with the theta tail past it, at most
+    (theta(A) - 1) / (pi lambda1), below tol."""
     lam = math.pi * table.lambda1
     a_end = 4.0
     for _ in range(60):
-        rate = lam - max(s_max - 1.0, 0.0) / a_end
-        if rate > 0.0:
-            tail = table.centered(a_end) * a_end ** max(s_max - 1.0, 0.0) / rate
-            if tail < tol:
-                return a_end
+        if table.centered(a_end) / lam < tol:
+            return a_end
         a_end *= 1.5
     raise PrecisionUnreachable("integral cutoff search failed")
-
-
-def epstein_zeta_mellin(basis_dual: LatticeBasis, x: float,
-                        ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """zeta(x) of the given lattice through the theta/Mellin route.
-
-    For a lattice L of covolume V with dual L*, and s = 1 + x/2,
-
-      Gamma(s) pi^(-s) sum'_{p in L} |p|^(-2s)
-        = int_1^inf (theta_L(a) - 1) a^(s-1) da
-          + (1/V) int_1^inf (theta_{L*}(a) - 1) a^(-s) da
-          + (1/V)(2/x) - 1/s,
-
-    which reduces to the familiar unimodular identity when V = 1 (where, in
-    the plane, theta_{L*} = theta_L).  The covolume factors are kept explicit
-    so the route is exact for any scaling.
-    """
-    if not (x > 0.0):
-        raise NonPositiveParameter("zeta route needs x > 0 (pole at x = 0)")
-    s = 1.0 + 0.5 * x
-    vol = basis_dual.covolume
-    dual = basis_dual.dual()
-    tol = ctl.abs_tol
-    table_l = _ThetaTable(basis_dual, 1.0, tol)
-    table_d = _ThetaTable(dual, 1.0, tol)
-    a_end = _integral_cutoff(table_l, s, tol)
-    i1 = _adaptive_simpson(lambda a: table_l.centered(a) * a ** (s - 1.0),
-                           1.0, a_end, tol)
-    a_end_d = _integral_cutoff(table_d, 1.0, tol * vol)
-    i2 = _adaptive_simpson(lambda a: table_d.centered(a) * a ** (-s),
-                           1.0, a_end_d, tol * vol)
-    bracket = i1 + i2 / vol + (2.0 / x) / vol - 1.0 / s
-    return float(bracket * math.pi ** s / (8.0 * math.pi ** 2 * math.gamma(s)))
 
 
 def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
@@ -453,11 +375,11 @@ def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
     tl1 = _ThetaTable(lat1, 1.0, tol)
     tl2 = _ThetaTable(lat2, 1.0, tol)
 
-    a_end = max(_integral_cutoff(td1, 1.0, tol), _integral_cutoff(td2, 1.0, tol))
+    a_end = max(_integral_cutoff(td1, tol), _integral_cutoff(td2, tol))
     i_dual = _adaptive_simpson(lambda a: td1.centered(a) - td2.centered(a),
                                1.0, a_end, tol)
-    a_end2 = max(_integral_cutoff(tl1, 1.0, tol / max(vol, 1.0)),
-                 _integral_cutoff(tl2, 1.0, tol / max(vol, 1.0)))
+    a_end2 = max(_integral_cutoff(tl1, tol / max(vol, 1.0)),
+                 _integral_cutoff(tl2, tol / max(vol, 1.0)))
     i_lat = _adaptive_simpson(lambda a: (tl1.centered(a) - tl2.centered(a)) / a,
                               1.0, a_end2, tol / max(vol, 1.0))
     return float((i_dual + vol * i_lat) / (8.0 * math.pi))

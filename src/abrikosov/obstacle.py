@@ -27,8 +27,8 @@ there.  Each solve reports a value-error bound
 next to its residual.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
-the obstacle-activation level, ellipse roundness of the small coincidence
-set, and discrete interior/exterior barrier predicates.
+the obstacle-activation level, and ellipse roundness of the small
+coincidence set.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ import numpy as np
 from . import backend
 from .csvfile import write_csv
 from .errors import (
-    GridMismatch,
     InfeasibleObstacle,
     InputError,
     NoConvergence,
@@ -68,9 +67,6 @@ __all__ = [
     "AsymptoticsReport",
     "verify_ellipse_limit",
     "EllipseLimitReport",
-    "quadratic_excess_potential",
-    "barrier_check",
-    "BarrierCheck",
 ]
 
 BOUNDARY_VALUE = 1.0
@@ -82,6 +78,7 @@ SMOOTH_SWEEPS = 4           # red-black sweeps before and after each coarse step
 COARSEST_SWEEPS = 8         # red-black sweeps on the coarsest grid
 MIN_COARSE_CELLS = 16       # a 2h grid with fewer unknowns is not used
 START_TOL_FACTOR = 100.0    # 2h start solved to this multiple of tol
+MIN_CONTACT_CELLS = 30      # fewer active cells make contact-set areas noise
 _LEG_STEPS = (("E", 1, 0), ("W", -1, 0), ("N", 0, 1), ("S", 0, -1))
 
 
@@ -278,10 +275,6 @@ class DomainGrid:
             self._blocks.append((sel, stencil))
 
     @property
-    def interior_count(self) -> int:
-        return self.n
-
-    @property
     def area(self) -> float:
         """Discrete domain area, interior cell count times h^2."""
         return self.n * self.h * self.h
@@ -321,24 +314,21 @@ class DomainGrid:
             out[sel] = diag * values[sel] - gather
         return out
 
-    def operator_values(self, values: np.ndarray,
-                        boundary_value: float = BOUNDARY_VALUE) -> np.ndarray:
+    def operator_values(self, values: np.ndarray) -> np.ndarray:
         """(-Delta_h + 1) applied to interior values with Dirichlet data."""
-        return self._apply(values) - boundary_value * self._bc_unit
+        return self._apply(values) - BOUNDARY_VALUE * self._bc_unit
 
-    def scaled_residual(self, values: np.ndarray,
-                        boundary_value: float = BOUNDARY_VALUE) -> np.ndarray:
+    def scaled_residual(self, values: np.ndarray) -> np.ndarray:
         """Operator values divided by the diagonal (Jacobi scaling)."""
-        return self.operator_values(values, boundary_value) / self.diag
+        return self.operator_values(values) / self.diag
 
-    def leg_gradients(self, values: np.ndarray,
-                      boundary_value: float = BOUNDARY_VALUE):
+    def leg_gradients(self, values: np.ndarray):
         """One-sided difference quotient along every stencil leg, (4, n)."""
         legs, nbin = self._leg_lengths()
         out = np.empty((4, self.n))
         for k, name in enumerate("EWNS"):
             nbv = np.where(nbin[name], values[self._gidx[name]],
-                           boundary_value)
+                           BOUNDARY_VALUE)
             out[k] = (nbv - values) / legs[name]
         return out
 
@@ -809,13 +799,12 @@ class AsymptoticsReport:
     band: tuple = (0.5, 2.0)
 
 
-def verify_scale_law(fields, base_level: float,
-                     min_cells: int = 30) -> AsymptoticsReport:
+def verify_scale_law(fields, base_level: float) -> AsymptoticsReport:
     """Form the scale-law ratios for converged fields above ``base_level``.
 
     ``base_level`` should be the unconstrained minimum on the same grid.
     Raises UnderResolved when a level above the base has fewer active cells
-    than ``min_cells`` (the area estimate would be noise).
+    than ``MIN_CONTACT_CELLS`` (the area estimate would be noise).
 
     The ratios test a law that is leading order in 1/|log L|, so they
     approach 1 only slowly as the offset shrinks.  The band [0.5, 2] is
@@ -831,10 +820,10 @@ def verify_scale_law(fields, base_level: float,
             excluded.append({"m": f.m, "offset": offset,
                              "count": met.count, "empty": met.empty})
             continue
-        if met.count < min_cells:
+        if met.count < MIN_CONTACT_CELLS:
             raise UnderResolved(
                 f"contact set at m={f.m} has {met.count} cells "
-                f"(need >= {min_cells}); refine h"
+                f"(need >= {MIN_CONTACT_CELLS}); refine h"
             )
         length = math.sqrt(met.area)
         predicted = 2.0 * math.pi * offset / base_level
@@ -869,8 +858,7 @@ class EllipseLimitReport:
     quad_coefficient: float    # 1.0: the limit assumes an isotropic well
 
 
-def verify_ellipse_limit(field: ObstacleField,
-                         min_cells: int = 30) -> EllipseLimitReport:
+def verify_ellipse_limit(field: ObstacleField) -> EllipseLimitReport:
     """Compare the rescaled contact set with the unit-area disk.
 
     For an isotropic quadratic expansion at the minimum the limit shape is
@@ -880,9 +868,10 @@ def verify_ellipse_limit(field: ObstacleField,
     defect the worst relative intrusion of an inactive cell.
     """
     met = coincidence_metrics(field)
-    if met.count < min_cells:
+    if met.count < MIN_CONTACT_CELLS:
         raise UnderResolved(
-            f"contact set has {met.count} cells (need >= {min_cells})"
+            f"contact set has {met.count} cells "
+            f"(need >= {MIN_CONTACT_CELLS})"
         )
     length = math.sqrt(met.area)
     r0 = 1.0 / math.sqrt(math.pi)
@@ -897,101 +886,3 @@ def verify_ellipse_limit(field: ObstacleField,
         outer_defect=max(0.0, outer), inner_defect=max(0.0, inner),
         limit_radius=r0, quad_coefficient=1.0,
     )
-
-
-def quadratic_excess_potential(r, quad_laplacian: float):
-    """Radial correction potential of an isotropic quadratic well.
-
-    Vanishes on the closed disk of area 1 (radius r0 = 1/sqrt(pi)) and
-    solves the radial Poisson problem with constant source
-    ``quad_laplacian`` outside it, matched C^1 at r0:
-
-        (q/4) (r^2 - r0^2) - (q/2) r0^2 log(r/r0)   for r >= r0.
-
-    Grows like (q/4) r^2; accepts scalars or arrays.
-    """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0):
-        raise NonPositiveParameter("radius must be >= 0")
-    q = float(quad_laplacian)
-    r0sq = 1.0 / math.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grown = (q / 4.0) * (arr * arr - r0sq) \
-            - (q / 4.0) * r0sq * np.log(arr * arr * math.pi)
-    out = np.where(arr * arr <= r0sq, 0.0, grown)
-    if np.isscalar(r) or np.ndim(r) == 0:
-        return float(out)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Barrier predicates
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BarrierCheck:
-    """Discrete barrier-comparison verdict; truthy iff the conclusion holds.
-
-    ``hypotheses`` itemizes the premises actually verified; a failed
-    premise does not suppress the conclusion check, it only flags that the
-    comparison principle was not entitled to it.
-    """
-
-    kind: str
-    hypotheses: dict
-    hypotheses_ok: bool
-    conclusion_holds: bool
-    margin: float
-
-    def __bool__(self):
-        return self.conclusion_holds
-
-
-def barrier_check(field: ObstacleField, candidate, kind: str,
-                  candidate_boundary: float = BOUNDARY_VALUE,
-                  tol: float = 1e-8) -> BarrierCheck:
-    """Check a discrete comparison function against a converged solve.
-
-    Interior kind: a candidate lying above the solution's boundary data,
-    above the obstacle, with nonnegative operator values, must dominate the
-    solution cellwise.  Exterior kind: a candidate below the boundary data,
-    above the obstacle, whose operator values are nonpositive off its own
-    contact set (and at most m on it), must be dominated by the solution.
-    """
-    cand = np.asarray(candidate, dtype=float).ravel()
-    if cand.shape != field.values.shape:
-        raise GridMismatch(
-            f"candidate has {cand.size} cells, field has {field.values.size}"
-        )
-    kind_l = str(kind).lower()
-    if kind_l not in ("interior", "exterior"):
-        raise InputError("barrier kind must be 'interior' or 'exterior'")
-    grid = field.grid
-    m = field.m
-    scaled = grid.scaled_residual(cand, boundary_value=candidate_boundary)
-    hyp = {}
-    if kind_l == "interior":
-        hyp["boundary_dominates"] = bool(
-            candidate_boundary >= BOUNDARY_VALUE - tol)
-        hyp["above_obstacle"] = bool(np.all(cand >= m - tol))
-        hyp["operator_nonnegative"] = bool(np.all(scaled >= -tol))
-        margin = float(np.min(cand - field.values))
-        conclusion = margin >= -ACTIVE_BAND * tol
-    else:
-        hyp["boundary_dominated"] = bool(
-            candidate_boundary <= BOUNDARY_VALUE + tol)
-        hyp["above_obstacle"] = bool(np.all(cand >= m - tol))
-        contact = cand <= m + ACTIVE_BAND * max(tol, field.tol)
-        ok_free = bool(np.all(scaled[~contact] <= tol)) \
-            if np.any(~contact) else True
-        bound_on_contact = m / grid.diag[contact] + tol
-        ok_contact = bool(np.all(scaled[contact] <= bound_on_contact)) \
-            if np.any(contact) else True
-        hyp["operator_nonpositive_off_contact"] = ok_free and ok_contact
-        margin = float(np.max(cand - field.values))
-        conclusion = margin <= ACTIVE_BAND * tol
-    return BarrierCheck(kind=kind_l, hypotheses=hyp,
-                        hypotheses_ok=all(hyp.values()),
-                        conclusion_holds=bool(conclusion),
-                        margin=margin)

@@ -79,6 +79,7 @@ VOLUME_RTOL = 1e-12
 SEPARATION_EPS = 1e-8      # fractional coordinates
 ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
 EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
+ELKIES_BAND = 5.0          # the Elkies excesses must span less than this
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -452,8 +453,8 @@ class MinimizeControl:
 class MinimizeOutcome:
     """Best configuration found plus the descent diagnostics.
 
-    Iterates like the (config, report, trace) triple; `restart_table` keeps
-    one summary row per start.  The last three fields describe the winning
+    `trace` holds the winning start's descent rows and `restart_table` one
+    summary row per start.  The last three fields describe the winning
     start: `exit_reason` is ``"converged"`` (its gradient norm fell below
     ``grad_tol``), ``"max_iters"`` (it ran out of iterations first) or
     ``"stalled"`` (no trial step was accepted); `converged` and `stalled`
@@ -467,9 +468,6 @@ class MinimizeOutcome:
     stalled: bool
     converged: bool
     exit_reason: str
-
-    def __iter__(self):
-        return iter((self.config, self.report, self.trace))
 
 
 def _newton_step(blocks: np.ndarray, grad: np.ndarray,
@@ -668,14 +666,13 @@ class ElkiesReport:
     converged: list     # per row: did the winning start reach grad_tol
     band_width: float
     band_ok: bool
-    band_limit: float = 5.0
 
     def to_json_dict(self) -> dict:
         return {
             "rows": [{"n": n, "e_min": e, "excess": x, "converged": c}
                      for (n, e, x), c in zip(self.rows, self.converged)],
             "band_width": self.band_width,
-            "band_limit": self.band_limit,
+            "band_limit": ELKIES_BAND,
             "band_ok": self.band_ok,
         }
 
@@ -687,7 +684,7 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
 
     For each n the quantity reported is E(n) = min sum_{i != j} G, and the
     excess (E(n) + (n/4) log n)/n.  The verdict checks the excesses stay in
-    a band of width below 5.
+    a band of width below ``ELKIES_BAND``.
     """
     torus = torus or TorusSpec.square()
     w_lat = w_eta(_shape_modulus(torus.basis), 1.0, series).value
@@ -710,7 +707,7 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
     excesses = [x for _, _, x in rows]
     width = (max(excesses) - min(excesses)) if excesses else 0.0
     return ElkiesReport(rows=rows, converged=converged, band_width=width,
-                        band_ok=width < 5.0)
+                        band_ok=width < ELKIES_BAND)
 
 
 def triangular_embedding(n: int):

@@ -64,6 +64,10 @@ def test_lattice_routes_agree():
     diff = json.loads(run_cli("lattice", "--tau", "0", "1", "--route",
                               "zetadiff-vs", check=True).stdout)
     assert abs(diff["report"]["value"] - 0.00529225125826413) < 1e-6
+    # only the zetadiff-vs route reads the reference shape, rho by default
+    assert eta["run_config"]["ref_tau"] is None
+    assert fourier["run_config"]["ref_tau"] is None
+    assert diff["run_config"]["ref_tau"] == [0.5, 0.866025403784]
 
 
 def test_exit_code_2_on_bad_modulus():
@@ -124,6 +128,11 @@ def test_an_output_file_the_run_cannot_write_is_an_input_error(
     ("obstacle", "--disk", "--m-grid", "0.8", "--offsets", "0.01"),
     ("obstacle", "--disk", "--suite", "propA1", "--offsets", "0.01"),
     ("obstacle", "--disk", "--suite", "gradient-bound", "--offsets", "0.01"),
+    ("fekete", "--n", "2", "--aspect", "2.0"),
+    ("fekete", "--n", "2", "--n-max", "5"),
+    ("fekete", "--n", "2", "--n-list", "3", "4"),
+    ("fekete", "--conjecture1", "--torus", "hex"),
+    ("lattice", "--tau", "0", "1", "--ref-tau", "0.1", "1.2"),
 ], ids=" ".join)
 def test_an_input_the_run_would_ignore_is_an_input_error(
         args, capsys, monkeypatch):
@@ -132,7 +141,8 @@ def test_an_input_the_run_would_ignore_is_an_input_error(
         raise AssertionError("solver ran before the input was checked")
 
     for name in ("solve_h0", "solve_obstacle", "elkies_experiment",
-                 "conjecture1_probe", "minimize_config"):
+                 "conjecture1_probe", "minimize_config", "w_eta", "w_fourier",
+                 "w_zeta_diff"):
         monkeypatch.setattr(cli, name, no_work)
     assert main(list(args)) == 2
     assert "input error" in capsys.readouterr().err
@@ -207,13 +217,15 @@ def test_moduli_scan_outputs(tmp_path):
     assert csv_path.read_bytes() == csv2.read_bytes()
 
 
-def test_fekete_small_run(tmp_path):
+def test_fekete_small_run(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     args = ("fekete", "--n", "2", "--restarts", "1", "--max-iters", "400",
             "--trace-csv", str(trace))
     proc = run_cli(*args, check=True)
     doc = json.loads(proc.stdout)
     assert doc["run_config"]["n"] == 2
+    assert doc["run_config"]["torus"] == "square"
+    assert doc["run_config"]["aspect"] is None  # read only by --torus rect
     assert doc["final_grad_norm"] < 1e-6
     assert abs(doc["energy"]["value"] - (-0.738167991734824)) < 1e-6
     assert len(doc["config"]["points"]) == 2
@@ -222,6 +234,11 @@ def test_fekete_small_run(tmp_path):
     assert len(lines) >= 2
     rerun = run_cli(*args, check=True)
     assert rerun.stdout == proc.stdout
+    # the rect torus reads --aspect, and echoes its sqrt(3) default
+    assert main(["fekete", "--n", "2", "--torus", "rect", "--restarts", "0",
+                 "--max-iters", "5"]) == 0
+    config = json.loads(capsys.readouterr().out)["run_config"]
+    assert config["torus"] == "rect" and config["aspect"] == 1.73205080757
 
 
 def test_fekete_reports_convergence():
@@ -238,6 +255,7 @@ def test_fekete_elkies_tiny():
     proc = run_cli("fekete", "--elkies", "--n-max", "2", "--restarts", "2",
                    "--max-iters", "400", check=True)
     doc = json.loads(proc.stdout)
+    assert doc["run_config"]["n_max"] == 2
     rows = doc["elkies"]["rows"]
     assert [r["n"] for r in rows] == [2]
     assert abs(rows[0]["e_min"] - (-0.693147180559945)) < 1e-5

@@ -13,7 +13,6 @@ import pytest
 
 from abrikosov.errors import (
     CovolumeMismatch,
-    DivergentSeries,
     LatticePointSingularity,
     NonPositiveImaginaryPart,
     NonPositiveParameter,
@@ -21,11 +20,8 @@ from abrikosov.errors import (
 )
 from abrikosov.modular import (
     LatticeBasis,
-    LatticeModulus,
     SeriesControl,
     dedekind_eta,
-    eisenstein,
-    epstein_zeta_mellin,
     eta_truncation,
     kronecker_f,
     theta_lattice,
@@ -36,7 +32,6 @@ from abrikosov.modular import _adaptive_simpson, _theta_radius
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
-CATALAN = 0.915965594177219015  # sum (-1)^k / (2k+1)^2
 
 
 # ---------------------------------------------------------------------------
@@ -48,14 +43,6 @@ def test_series_control_validation():
     for bad in (0.0, -1e-12, math.inf, math.nan):
         with pytest.raises(NonPositiveParameter):
             SeriesControl(abs_tol=bad)
-
-
-def test_lattice_modulus_validation():
-    with pytest.raises(NonPositiveImaginaryPart):
-        LatticeModulus(0.0, 0.0)
-    with pytest.raises(NonPositiveParameter):
-        LatticeModulus(0.0, 1.0, m=0.0)
-    assert LatticeModulus(0.25, 1.5).tau == complex(0.25, 1.5)
 
 
 def test_precision_unreachable_when_capped():
@@ -133,7 +120,7 @@ def test_eta_truncation_reports_a_true_bound():
 
 
 # ---------------------------------------------------------------------------
-# Kronecker's f and the Eisenstein series
+# Kronecker's f
 # ---------------------------------------------------------------------------
 
 
@@ -173,40 +160,6 @@ def test_kronecker_f_lattice_point_handling():
     assert kronecker_f(complex(2.0, 1.0), complex(0.0, 1.0)) == 0.0  # z = 2 + tau
     with pytest.raises(LatticePointSingularity):
         kronecker_f(complex(1e-12, 0.0), 1j)
-
-
-def _eisenstein_direct(u: float, v: float, tau: complex, shells: int = 400) -> float:
-    """Conditionally convergent double sum, square-shell partial sums.
-
-    E = sum'_{(m,n)} e^{2 pi i (m u + n v)} * b / |m tau + n|^2, averaged over
-    the last two shells to damp the conditional-convergence oscillation.
-    """
-    b = tau.imag
-    rng = np.arange(-shells, shells + 1)
-    mm, nn = np.meshgrid(rng, rng, indexing="ij")
-    mask = (mm != 0) | (nn != 0)
-    phase = np.cos(2.0 * np.pi * (mm * u + nn * v))
-    den = np.abs(mm * tau + nn) ** 2
-    shell = np.maximum(np.abs(mm), np.abs(nn))
-    term = np.where(mask, phase * b / np.where(mask, den, 1.0), 0.0)
-    full = float(np.sum(term[shell <= shells]))
-    prev = float(np.sum(term[shell <= shells - 1]))
-    return 0.5 * (full + prev)
-
-
-def test_eisenstein_matches_direct_sum():
-    direct = _eisenstein_direct(0.5, 0.5, 1j)
-    closed = eisenstein(0.5, 0.5, 1j)
-    assert abs(direct - (-2.177582965293836)) < 1e-9    # frozen direct sum
-    assert abs(closed - (-2.177586090303602)) < 1e-9    # frozen closed form
-    assert abs(closed - direct) < 1e-3
-
-
-def test_eisenstein_diverges_at_integer_characters():
-    with pytest.raises(DivergentSeries):
-        eisenstein(0.0, 0.0, 1j)
-    with pytest.raises(DivergentSeries):
-        eisenstein(1.0, 2.0, complex(0.3, 0.8))
 
 
 # ---------------------------------------------------------------------------
@@ -286,48 +239,8 @@ def test_theta_radius_is_tight(tau, alpha, tol):
 
 
 # ---------------------------------------------------------------------------
-# Epstein zeta (Mellin route) and the x -> 0 difference limit
+# The x -> 0 zeta difference limit
 # ---------------------------------------------------------------------------
-
-
-def test_epstein_zeta_closed_form_x2():
-    # For the dual of the covolume-2pi square lattice the power sum at
-    # exponent 4 is (2 pi)^2 * 4 zeta(2) beta(2); the route reports it
-    # divided by 8 pi^2.
-    side = math.sqrt(2.0 * math.pi)
-    dual = LatticeBasis([side, 0.0], [0.0, side]).dual()
-    expected = (2.0 * math.pi) ** 2 * 4.0 * (math.pi ** 2 / 6.0) * CATALAN
-    expected /= 8.0 * math.pi ** 2
-    got = epstein_zeta_mellin(dual, 2.0, SeriesControl(abs_tol=1e-12))
-    assert abs(got - expected) < 1e-9
-
-
-def test_epstein_zeta_direct_shell_sum_x1():
-    # independent check at x = 1: direct sum' |p|^(-3) with an integral tail
-    side = math.sqrt(2.0 * math.pi)
-    dual = LatticeBasis([side, 0.0], [0.0, side]).dual()
-    scale = 1.0 / side  # dual is (1/side) Z^2
-    rng = np.arange(-600, 601)
-    mm, nn = np.meshgrid(rng, rng, indexing="ij")
-    nsq = (mm * mm + nn * nn).astype(float)
-    mask = nsq > 0
-    r2 = nsq[mask] * scale ** 2
-    cut = (500 * scale) ** 2
-    direct = float((r2[r2 <= cut] ** -1.5).sum())
-    # integral tail of the radial density (2 pi / covol) r^(-3) r dr beyond the cut
-    covol = dual.covolume
-    tail = (2.0 * math.pi / covol) / math.sqrt(cut)
-    expected = (direct + tail) / (8.0 * math.pi ** 2)
-    got = epstein_zeta_mellin(dual, 1.0, SeriesControl(abs_tol=1e-12))
-    assert abs(got - expected) < 2e-3 * abs(expected)
-
-
-def test_epstein_zeta_rejects_nonpositive_exponent():
-    basis = LatticeBasis([1.0, 0.0], [0.0, 1.0])
-    with pytest.raises(NonPositiveParameter):
-        epstein_zeta_mellin(basis, 0.0)
-    with pytest.raises(NonPositiveParameter):
-        epstein_zeta_mellin(basis, -1.0)
 
 
 def _shape_basis_cov(tau: complex, covol: float) -> LatticeBasis:

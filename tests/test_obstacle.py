@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 
 from abrikosov import backend, obstacle
 from abrikosov.errors import (
-    GridMismatch,
-    InputError,
     InfeasibleObstacle,
     NoConvergence,
     NonConvexDomain,
@@ -24,14 +22,11 @@ from abrikosov.errors import (
     UnderResolved,
 )
 from abrikosov.obstacle import (
-    BarrierCheck,
     ConvexPolygon,
     DomainGrid,
     Ellipse,
     UnitDisk,
-    barrier_check,
     coincidence_metrics,
-    quadratic_excess_potential,
     solve_h0,
     solve_obstacle,
     sup_gradient,
@@ -127,24 +122,24 @@ def test_grid_validation_and_geometry():
     with pytest.raises(NonPositiveParameter):
         DomainGrid(UnitDisk(), 0.0)
     grid = DomainGrid(UnitDisk(), 1.0 / 16.0)
-    assert grid.interior_count > 0
+    assert grid.n > 0
     # cell-counting area converges to pi
     assert abs(grid.area - math.pi) < 0.05
     fine = DomainGrid(UnitDisk(), 1.0 / 64.0)
     assert abs(fine.area - math.pi) < 0.01
     # mask: interior cells are exactly the centers the shape contains
     inter = grid.mask == 1
-    assert inter.sum() == grid.interior_count
+    assert inter.sum() == grid.n
 
 
 def test_operator_on_constant_one():
     # with boundary data 1, (-Delta + 1) applied to the constant 1 is 1
     grid = DomainGrid(UnitDisk(), 1.0 / 24.0)
-    ones = np.ones(grid.interior_count)
-    op = grid.operator_values(ones, boundary_value=1.0)
+    ones = np.ones(grid.n)
+    op = grid.operator_values(ones)
     assert np.allclose(op, 1.0, atol=1e-11)
     # leg gradients of the constant vanish
-    legs = grid.leg_gradients(ones, boundary_value=1.0)
+    legs = grid.leg_gradients(ones)
     assert np.max(np.abs(legs)) < 1e-12
 
 
@@ -691,74 +686,3 @@ def test_ellipse_limit_round_on_disk():
     thin = solve_obstacle(grid, base + 0.001, tol=1e-10)
     with pytest.raises(UnderResolved):
         verify_ellipse_limit(thin)
-
-
-def test_quadratic_excess_potential():
-    q = 2.0
-    r0 = 1.0 / math.sqrt(math.pi)
-    assert quadratic_excess_potential(r0, q) == 0.0
-    assert quadratic_excess_potential(0.3 * r0, q) == 0.0
-    # C^1 matching at the free boundary: one-sided slopes agree
-    eps = 1e-7
-    outer_slope = (quadratic_excess_potential(r0 + eps, q)
-                   - quadratic_excess_potential(r0, q)) / eps
-    assert abs(outer_slope) < 1e-5
-    # far-field growth is the pure quadratic (q/4) r^2 up to log corrections
-    big = 60.0
-    val = quadratic_excess_potential(big, q)
-    assert abs(val / (0.25 * q * big * big) - 1.0) < 0.01
-    arr = quadratic_excess_potential(np.array([0.1, r0, 1.0, 2.0]), q)
-    assert arr.shape == (4,)
-    assert arr[0] == 0.0 and arr[1] == 0.0 and arr[2] > 0.0
-    assert np.all(np.diff(arr) >= 0.0)
-    with pytest.raises(NonPositiveParameter):
-        quadratic_excess_potential(-0.5, q)
-
-
-# ---------------------------------------------------------------------------
-# Barrier comparisons
-# ---------------------------------------------------------------------------
-
-
-def test_barrier_reflexive_interior():
-    grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
-    field = solve_obstacle(grid, 0.9, tol=1e-10)
-    chk = barrier_check(field, field.values, "interior")
-    assert isinstance(chk, BarrierCheck)
-    assert chk.hypotheses_ok and chk.conclusion_holds and bool(chk)
-
-
-def test_barrier_h0_is_exterior_below_threshold():
-    grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
-    h0 = solve_h0(grid, tol=1e-10)
-    field = solve_obstacle(grid, 0.5, tol=1e-10)
-    chk = barrier_check(field, h0.values, "exterior")
-    assert chk.hypotheses_ok and chk.conclusion_holds
-
-
-def test_barrier_shifted_solution_is_interior():
-    grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
-    lo = solve_obstacle(grid, 0.85, tol=1e-10)
-    hi = solve_obstacle(grid, 0.90, tol=1e-10)
-    cand = hi.values + 0.05
-    chk = barrier_check(lo, cand, "interior", candidate_boundary=1.05)
-    assert chk.hypotheses_ok and chk.conclusion_holds
-
-
-def test_barrier_detects_violation():
-    grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
-    field = solve_obstacle(grid, 0.9, tol=1e-10)
-    too_low = np.full_like(field.values, 0.9)
-    chk = barrier_check(field, too_low, "interior", candidate_boundary=0.9)
-    # the flat candidate fails to dominate near the boundary
-    assert not chk.conclusion_holds
-    assert not chk.hypotheses_ok  # its boundary data sits below the field's
-
-
-def test_barrier_grid_mismatch():
-    grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
-    field = solve_obstacle(grid, 0.9, tol=1e-10)
-    with pytest.raises(GridMismatch):
-        barrier_check(field, field.values[:-1], "interior")
-    with pytest.raises(InputError):
-        barrier_check(field, field.values, "sideways")
