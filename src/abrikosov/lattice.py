@@ -6,8 +6,10 @@ The energy of a unit-density lattice of shape ``tau = a + i b`` is
 
 extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  Three
 evaluation routes are provided: the eta product, Ewald lattice sums over
-the lattice and its dual (no q-series), and theta-integral differences.
-They rest on independent formulas and agree to about 1e-15.
+the lattice and its dual (no q-series), and the limit of a zeta difference.
+The last is the Ewald sum at split 1/(4 pi) with its constants cancelled,
+so the two lattice-sum routes share Poisson summation: their agreement
+with the eta route (about 1e-15) checks it, not each other.
 
 ``moduli_scan`` verifies that the minimum over shapes is the hexagonal
 point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
@@ -24,13 +26,12 @@ from .errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from .modular import (
     LatticeBasis,
     SeriesControl,
-    _enumerate_norms_sq,
+    _exp1,
+    _gaussian_sum_support,
     _require_upper,
-    _theta_radius,
     dedekind_eta,
     eta_truncation,
     theta_lattice,
-    theta_tail_bound,
     zeta_difference_limit,
 )
 
@@ -52,7 +53,6 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
-_EXP1_CROSSOVER = 1.0      # _exp1 uses its series below, continued fraction above
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -61,7 +61,7 @@ class EnergyReport:
     """An energy value plus the route and truncation data that produced it."""
 
     value: float
-    route: str  # one of "eta", "fourier", "zetadiff"
+    route: str  # "eta" or "fourier"
     truncation: SeriesControl
     error_estimate: float
 
@@ -173,40 +173,6 @@ def w_eta(tau: complex, m: float = 1.0,
                         error_estimate=m * log_tail)
 
 
-def _exp1(z) -> np.ndarray:
-    """Exponential integral E1(z) = int_z^inf exp(-t) / t dt, elementwise, z > 0.
-
-    Up to ``_EXP1_CROSSOVER`` it sums the power series
-    E1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!)  (Abramowitz & Stegun
-    5.1.11); above it, the continued fraction 5.1.22 in its even contraction
-    E1(z) = exp(-z) / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated
-    backward from a fixed depth.  Each branch is within about 2e-15 of E1
-    relative on its side of the crossover.
-    """
-    z = np.asarray(z, dtype=float)
-    lo = np.minimum(z, _EXP1_CROSSOVER)
-    term = np.ones_like(lo)
-    total = np.zeros_like(lo)
-    for k in range(1, 21):
-        term *= -lo / k
-        total += term / k
-    series = -np.euler_gamma - np.log(lo) - total
-    hi = np.maximum(z, _EXP1_CROSSOVER)
-    frac = hi + 201.0
-    for n in range(100, 0, -1):
-        frac = hi + (2 * n - 1) - n * n / frac
-    return np.where(z <= _EXP1_CROSSOVER, series, np.exp(-hi) / frac)
-
-
-def _lattice_sum_support(basis: LatticeBasis, alpha: float,
-                         ctl: SeriesControl):
-    """Squared norms of the points a Gaussian-weighted sum over ``basis``
-    keeps, and the dropped Gaussian tail divided by the squared radius."""
-    radius = _theta_radius(basis, alpha, ctl.abs_tol)
-    tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
-    return _enumerate_norms_sq(basis, radius), tail
-
-
 def w_fourier(tau: complex, m: float = 1.0,
               ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
     """Energy from Ewald lattice sums, with no q-series.
@@ -229,8 +195,8 @@ def w_fourier(tau: complex, m: float = 1.0,
     lat = shape_basis(reduce_fundamental(tau))
     # the rows of the inverse basis matrix are the dual basis vectors
     dual = LatticeBasis(*(TWO_PI * np.linalg.inv(lat.matrix)))
-    k_nsq, k_tail = _lattice_sum_support(dual, eps / math.pi, ctl)
-    p_nsq, p_tail = _lattice_sum_support(lat, 0.25 / (math.pi * eps), ctl)
+    k_nsq, k_tail = _gaussian_sum_support(dual, eps / math.pi, ctl)
+    p_nsq, p_tail = _gaussian_sum_support(lat, 0.25 / (math.pi * eps), ctl)
     two_w = (float(np.sum(np.exp(-eps * k_nsq) / k_nsq))
              + 0.5 * float(np.sum(_exp1(p_nsq / (4.0 * eps))))
              - eps + 0.5 * (math.log(4.0 * eps) - np.euler_gamma))
@@ -355,6 +321,8 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     """
     if not (m > 0.0):
         raise NonPositiveParameter("density m must be > 0")
+    if refine_iters < 0:
+        raise NonPositiveParameter("refine_iters must be >= 0")
     a, b = grid.points()
     eta = dedekind_eta(a + 1j * b, ctl)
     w = m * (-0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2)

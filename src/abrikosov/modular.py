@@ -11,7 +11,10 @@ Conventions used throughout:
 * ``zeta(basis, x) = sum_{p != 0} 1 / (8 pi^2 |p|^(2+x))`` for ``x > 0``; each
   zeta blows up at ``x = 0``, but for two lattices of equal covolume the
   difference has a limit there, which ``zeta_difference_limit`` computes
-  from theta integrals.
+  from theta integrals done term by term.
+* Every Gaussian-weighted lattice sum (theta, the Ewald sums of
+  ``lattice.w_fourier``, the zeta-difference limit) keeps the points that
+  ``_gaussian_sum_support`` returns.
 """
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ __all__ = [
 DEFAULT_CONTROL_TOL = 1e-12
 MAX_SERIES_TERMS = 512
 SINGULAR_TUBE = 1e-9
+_EXP1_CROSSOVER = 1.0      # _exp1 uses its series below, continued fraction above
 
 
 @dataclass(frozen=True)
@@ -209,7 +213,7 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
 
 
 # ---------------------------------------------------------------------------
-# Lattice point enumeration and theta sums
+# Lattice point enumeration and Gaussian-weighted lattice sums
 # ---------------------------------------------------------------------------
 
 
@@ -281,74 +285,53 @@ def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
         * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
 
 
-class _ThetaTable:
-    """theta(a) - 1 evaluated from a frozen point enumeration, valid a >= a_min."""
+def _gaussian_sum_support(basis: LatticeBasis, alpha: float,
+                          ctl: SeriesControl):
+    """Squared norms of the nonzero points that a sum over ``basis`` with
+    Gaussian weight exp(-pi alpha |p|^2) keeps, and the dropped Gaussian
+    tail divided by the squared radius.
 
-    def __init__(self, basis: LatticeBasis, a_min: float, tol: float):
-        radius = _theta_radius(basis, a_min, tol)
-        self.nsq = _enumerate_norms_sq(basis, radius)
-        self.lambda1 = float(np.min(self.nsq)) if self.nsq.size else math.inf
+    The radius is the smallest (to 0.1%) whose proven Gaussian tail is below
+    ctl.abs_tol.  The returned tail bounds the dropped terms of a sum whose
+    terms are at most exp(-pi alpha |p|^2) / |p|^2.
+    """
+    radius = _theta_radius(basis, alpha, ctl.abs_tol)
+    tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
+    return _enumerate_norms_sq(basis, radius), tail
 
-    def centered(self, a: float) -> float:
-        return float(np.sum(np.exp(-np.pi * a * self.nsq)))
+
+def _exp1(z) -> np.ndarray:
+    """Exponential integral E1(z) = int_z^inf exp(-t) / t dt, elementwise, z > 0.
+
+    Up to ``_EXP1_CROSSOVER`` it sums the power series
+    E1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!)  (Abramowitz & Stegun
+    5.1.11); above it, the continued fraction 5.1.22 in its even contraction
+    E1(z) = exp(-z) / (z + 1 - 1 / (z + 3 - 4 / (z + 5 - ...))), evaluated
+    backward from a fixed depth.  Each branch is within about 2e-15 of E1
+    relative on its side of the crossover.
+    """
+    z = np.asarray(z, dtype=float)
+    lo = np.minimum(z, _EXP1_CROSSOVER)
+    term = np.ones_like(lo)
+    total = np.zeros_like(lo)
+    for k in range(1, 21):
+        term *= -lo / k
+        total += term / k
+    series = -np.euler_gamma - np.log(lo) - total
+    hi = np.maximum(z, _EXP1_CROSSOVER)
+    frac = hi + 201.0
+    for n in range(100, 0, -1):
+        frac = hi + (2 * n - 1) - n * n / frac
+    return np.where(z <= _EXP1_CROSSOVER, series, np.exp(-hi) / frac)
 
 
 def theta_lattice(basis: LatticeBasis, alpha: float,
                   ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2).
-
-    The enumeration radius is the smallest (to 0.1%) whose proven Gaussian
-    tail is below ctl.abs_tol, as for every lattice sum here.
-    """
+    """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2)."""
     if not (alpha > 0.0):
         raise NonPositiveParameter("alpha must be > 0")
-    return 1.0 + _ThetaTable(basis, alpha, ctl.abs_tol).centered(alpha)
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 28) -> float:
-    """Adaptive Simpson integral of f over [a, b] to absolute error tol.
-
-    Raises PrecisionUnreachable when a subinterval still misses its share
-    of tol after ``max_depth`` halvings.  Halving an interval halves both
-    its share of tol and the rounding noise of its Simpson estimates, so a
-    tol below the integrand's rounding level is met at no depth: the first
-    chain of halvings reaches max_depth and raises after about 2 max_depth
-    evaluations, where returning a best effort would let the recursion run
-    on toward 2^max_depth evaluations.
-    """
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(x0, x2, f0, f1, f2, acc, share, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm, frm = f(lm), f(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if abs(left + right - acc) <= 15.0 * share:
-            return left + right + (left + right - acc) / 15.0
-        if depth <= 0:
-            raise PrecisionUnreachable(
-                f"adaptive Simpson: abs_tol {tol:g} not met within "
-                f"{max_depth} halvings; it may be below the integrand's "
-                "rounding level")
-        return (rec(x0, x1, f0, flm, f1, left, 0.5 * share, depth - 1)
-                + rec(x1, x2, f1, frm, f2, right, 0.5 * share, depth - 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _integral_cutoff(table: _ThetaTable, tol: float) -> float:
-    """Upper limit A with the theta tail past it, at most
-    (theta(A) - 1) / (pi lambda1), below tol."""
-    lam = math.pi * table.lambda1
-    a_end = 4.0
-    for _ in range(60):
-        if table.centered(a_end) / lam < tol:
-            return a_end
-        a_end *= 1.5
-    raise PrecisionUnreachable("integral cutoff search failed")
+    nsq, _ = _gaussian_sum_support(basis, alpha, ctl)
+    return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
 
 
 def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
@@ -361,25 +344,24 @@ def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
       (1/(8 pi)) [ int_1^inf (theta_{L1*} - theta_{L2*})(a) da
                    + V int_1^inf (theta_{L1} - theta_{L2})(a) da/a ].
 
-    (For unimodular inputs this collapses to the single-integral
-    ``(1/(8 pi)) int (theta_1* - theta_2*)(a) (1 + a) da / a`` form.)
+    Integrated term by term, int_1^inf exp(-pi a |k|^2) da =
+    exp(-pi |k|^2) / (pi |k|^2) and int_1^inf exp(-pi a |p|^2) da/a =
+    E1(pi |p|^2), so each integral is a lattice sum with Gaussian weight at
+    alpha = 1: the Ewald sum of ``lattice.w_fourier`` at split 1/(4 pi),
+    whose constants cancel in the difference.
     """
     v1, v2 = lat1.covolume, lat2.covolume
     if abs(v1 - v2) > 1e-9 * max(v1, v2):
         raise CovolumeMismatch(f"covolumes differ: {v1} vs {v2}")
     vol = 0.5 * (v1 + v2)
-    tol = ctl.abs_tol
-    d1, d2 = lat1.dual(), lat2.dual()
-    td1 = _ThetaTable(d1, 1.0, tol)
-    td2 = _ThetaTable(d2, 1.0, tol)
-    tl1 = _ThetaTable(lat1, 1.0, tol)
-    tl2 = _ThetaTable(lat2, 1.0, tol)
 
-    a_end = max(_integral_cutoff(td1, tol), _integral_cutoff(td2, tol))
-    i_dual = _adaptive_simpson(lambda a: td1.centered(a) - td2.centered(a),
-                               1.0, a_end, tol)
-    a_end2 = max(_integral_cutoff(tl1, tol / max(vol, 1.0)),
-                 _integral_cutoff(tl2, tol / max(vol, 1.0)))
-    i_lat = _adaptive_simpson(lambda a: (tl1.centered(a) - tl2.centered(a)) / a,
-                              1.0, a_end2, tol / max(vol, 1.0))
-    return float((i_dual + vol * i_lat) / (8.0 * math.pi))
+    def dual_sum(lat):
+        nsq, _ = _gaussian_sum_support(lat.dual(), 1.0, ctl)
+        return np.sum(np.exp(-np.pi * nsq) / (np.pi * nsq))
+
+    def lattice_sum(lat):
+        nsq, _ = _gaussian_sum_support(lat, 1.0, ctl)
+        return np.sum(_exp1(np.pi * nsq))
+
+    return float(dual_sum(lat1) - dual_sum(lat2)
+                 + vol * (lattice_sum(lat1) - lattice_sum(lat2))) / (8.0 * math.pi)

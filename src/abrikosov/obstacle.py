@@ -855,7 +855,6 @@ class EllipseLimitReport:
     outer_defect: float        # how far active cells poke out of the disk
     inner_defect: float        # how far inactive cells intrude into it
     limit_radius: float
-    quad_coefficient: float    # 1.0: the limit assumes an isotropic well
 
 
 def verify_ellipse_limit(field: ObstacleField) -> EllipseLimitReport:
@@ -884,5 +883,5 @@ def verify_ellipse_limit(field: ObstacleField) -> EllipseLimitReport:
     return EllipseLimitReport(
         count=met.count, length=length, axis_ratio=met.axis_ratio,
         outer_defect=max(0.0, outer), inner_defect=max(0.0, inner),
-        limit_radius=r0, quad_coefficient=1.0,
+        limit_radius=r0,
     )

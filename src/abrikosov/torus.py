@@ -754,7 +754,7 @@ def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
     rows = []
     for n in n_list:
         n = int(n)
-        reference = w_eta(TRIANGULAR_TAU, float(n)).value
+        reference = w_eta(TRIANGULAR_TAU, float(n), series).value
         variants = [("square", TorusSpec.square(), None)]
         emb = triangular_embedding(n)
         if emb is not None:

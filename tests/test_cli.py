@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from abrikosov import cli
+from abrikosov import cli, lattice
 from abrikosov.cli import build_parser, main
 
 
@@ -156,17 +156,27 @@ def test_gradient_bound_suite_takes_its_levels(capsys):
     assert doc["run_config"]["m"] is None
 
 
-def test_zetadiff_below_rounding_is_a_numerical_failure():
-    # the quadrature raises at once instead of recursing toward 2^28
-    # evaluations, and a reachable tol still gives the frozen value
+def test_zetadiff_reaches_a_tol_below_rounding():
+    # the route's lattice sums meet any tol with a few more points: a tol
+    # below rounding gives the same value as a reachable one, promptly
     args = ("lattice", "--tau", "0", "1", "--route", "zetadiff-vs")
-    proc = subprocess.run(
-        [sys.executable, "-m", "abrikosov", *args, "--abs-tol", "1e-16"],
-        capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 3
-    assert "PrecisionUnreachable" in proc.stderr
-    proc = run_cli(*args, "--abs-tol", "1e-14", check=True)
-    assert json.loads(proc.stdout)["report"]["value"] == 0.00529225125826
+    for tol in ("1e-16", "1e-14"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "abrikosov", *args, "--abs-tol", tol],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["report"]["value"] == 0.00529225125826
+
+
+def test_negative_refine_iters_is_an_input_error(capsys, monkeypatch):
+    # rejected before the scan evaluates any energy
+    def no_work(*_, **__):
+        raise AssertionError("the scan ran before the input was checked")
+
+    monkeypatch.setattr(lattice, "dedekind_eta", no_work)
+    assert main(["moduli-scan", "--resolution", "8",
+                 "--refine-iters", "-3"]) == 2
+    assert "NonPositiveParameter" in capsys.readouterr().err
 
 
 def _readme_cli_flags():

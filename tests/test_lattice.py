@@ -20,7 +20,6 @@ from abrikosov.lattice import (
     EnergyReport,
     ModuliGrid,
     ScanReport,
-    _exp1,
     lattice_to_tau,
     moduli_scan,
     reduce_fundamental,
@@ -30,7 +29,7 @@ from abrikosov.lattice import (
     w_fourier,
     w_zeta_diff,
 )
-from abrikosov.modular import LatticeBasis, SeriesControl
+from abrikosov.modular import LatticeBasis, SeriesControl, _exp1
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -200,7 +199,7 @@ def test_exp1_table_values(z, expected):
 
 
 def test_exp1_continuous_across_crossover():
-    x = lattice._EXP1_CROSSOVER
+    x = modular._EXP1_CROSSOVER
     below, above = _exp1([x, np.nextafter(x, np.inf)])
     assert abs(above / below - 1.0) < 1e-14
 

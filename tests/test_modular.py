@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrikosov.errors import (
     CovolumeMismatch,
@@ -28,7 +30,8 @@ from abrikosov.modular import (
     theta_tail_bound,
     zeta_difference_limit,
 )
-from abrikosov.modular import _adaptive_simpson, _theta_radius
+from abrikosov.lattice import shape_basis, w_eta
+from abrikosov.modular import _theta_radius
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -260,23 +263,27 @@ def test_zeta_difference_limit_square_vs_triangular():
     assert abs(same) < 1e-13
 
 
-def test_adaptive_simpson_meets_tol_or_raises():
-    # a smooth integrand meets its tol; one whose noise exceeds the tol at
-    # every scale raises along its first path of 28 halvings, instead of
-    # returning a best effort there and recursing toward 2^28 evaluations
-    got = _adaptive_simpson(math.exp, 0.0, 1.0, 1e-13)
-    assert abs(got - (math.e - 1.0)) < 1e-13
-    rng = np.random.default_rng(3)
-    evals = 0
+_fundamental_tau = st.builds(
+    lambda a, lift: complex(a, math.sqrt(1.0 - a * a) + lift),
+    st.floats(-0.5, 0.5), st.floats(0.0, 2.0))
 
-    def noisy(x):
-        nonlocal evals
-        evals += 1
-        return math.exp(x) + rng.uniform(-1e-12, 1e-12)
 
-    with pytest.raises(PrecisionUnreachable):
-        _adaptive_simpson(noisy, 0.0, 1.0, 1e-16)
-    assert evals < 100
+@settings(max_examples=40, deadline=None)
+@given(tau1=_fundamental_tau, tau2=_fundamental_tau)
+def test_zeta_difference_limit_is_the_eta_gap(tau1, tau2):
+    got = zeta_difference_limit(shape_basis(tau1), shape_basis(tau2))
+    assert abs(got - (w_eta(tau1).value - w_eta(tau2).value)) < 1e-13
+    rev = zeta_difference_limit(shape_basis(tau2), shape_basis(tau1))
+    assert abs(got + rev) < 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau=_fundamental_tau, k=st.integers(-3, 3))
+def test_zeta_difference_limit_vanishes_on_unreduced_bases(tau, k):
+    # tau + k and -1/tau are skewed bases of the same lattice
+    base = shape_basis(tau)
+    for image in (tau + k, -1.0 / tau):
+        assert abs(zeta_difference_limit(base, shape_basis(image))) < 1e-13
 
 
 def test_zeta_difference_rejects_covolume_mismatch():

@@ -21,8 +21,8 @@ from abrikosov.errors import (
     NonPositiveParameter,
     VolumeNotNormalized,
 )
-from abrikosov.lattice import _exp1, shape_basis, w_eta
-from abrikosov.modular import LatticeBasis, SeriesControl
+from abrikosov.lattice import shape_basis, w_eta
+from abrikosov.modular import LatticeBasis, SeriesControl, _exp1
 from abrikosov.torus import (
     GreenEvaluator,
     MinimizeControl,
@@ -787,3 +787,12 @@ def test_conjecture1_probe_rows():
     # the exact embedding start lands on the closed-form triangular value
     tri_row = rep.rows[1]
     assert abs(tri_row["best"] - w_eta(TRI_TAU, 2.0).value) < 1e-8
+
+
+def test_conjecture1_reference_takes_the_series_control():
+    # a coarse abs_tol truncates the reference's eta product too
+    series = SeriesControl(1e-3)
+    rep = conjecture1_probe([2], MinimizeControl(restarts=0), series)
+    want = w_eta(TRI_TAU, 2.0, series).value
+    assert want != w_eta(TRI_TAU, 2.0).value
+    assert all(row["reference"] == want for row in rep.rows)
