@@ -172,9 +172,9 @@ def green_grads(ds, dt, a, b, nterms):
 # neighbor carries Dirichlet data folded into ``bc``, the right-hand side);
 # ``cE..cS`` and ``diag`` (the diagonal of -Delta_h + 1) are per-cell arrays
 # or one number for all; ``obstacle`` is the lower-bound clamp, a number or
-# one per cell (a huge negative number for an unconstrained solve).  Cells of
-# one color share no stencil leg, so the vectorized update is exact
-# Gauss-Seidel for that color.
+# one per cell (-inf for an unconstrained solve).  Cells of one color share
+# no stencil leg, so the vectorized update is exact Gauss-Seidel for that
+# color.
 # ---------------------------------------------------------------------------
 
 
@@ -195,4 +195,4 @@ def warmup():
     one = np.arange(2, dtype=np.int64)
     cf = np.ones(2)
     psor_sweep(vals, vals[4:6], one, one, one, one, cf, cf, cf, cf,
-               cf * 5.0, cf, -1e300)
+               cf * 5.0, cf, -np.inf)

@@ -35,7 +35,6 @@ from .lattice import (
 )
 from .modular import LatticeBasis, SeriesControl
 from .obstacle import (
-    MAX_CYCLES,
     ConvexPolygon,
     DomainGrid,
     Ellipse,
@@ -295,16 +294,16 @@ def _make_shape(args):
     return ConvexPolygon(verts), {"shape": "polygon", "vertices": verts}
 
 
-def _basic_suite(grid: DomainGrid, tol: float, max_cycles) -> dict:
+def _basic_suite(grid: DomainGrid, tol: float) -> dict:
     """Activation threshold, endpoint, monotonicity, and mass checks.
 
     Two solves are compared up to the sum of their value-error bounds.
     """
-    h0 = solve_h0(grid, tol, max_cycles)
-    low = solve_obstacle(grid, 0.5, tol, max_cycles)
-    top = solve_obstacle(grid, 1.0, tol, max_cycles)
+    h0 = solve_h0(grid, tol)
+    low = solve_obstacle(grid, 0.5, tol)
+    top = solve_obstacle(grid, 1.0, tol)
     levels = (0.80, 0.85, 0.90, 0.95)
-    fields = [solve_obstacle(grid, m, tol, max_cycles) for m in levels]
+    fields = [solve_obstacle(grid, m, tol) for m in levels]
 
     chain = [low] + fields + [top]
     monotone = True
@@ -383,32 +382,29 @@ def cmd_obstacle(args) -> int:
             ms = list(args.m_grid)
         else:
             raise InputError("provide --m, --m-grid, or --suite")
-        fields = [solve_obstacle(grid, m, args.tol, args.max_cycles)
-                  for m in ms]
+        fields = [solve_obstacle(grid, m, args.tol) for m in ms]
         payload["fields"] = [f.to_json_dict() for f in fields]
         if args.field_csv:
             fields[0].to_csv(args.field_csv)
             payload["field_csv_path"] = args.field_csv
     elif suite == "propA1":
-        payload["suite"] = _basic_suite(grid, args.tol, args.max_cycles)
+        payload["suite"] = _basic_suite(grid, args.tol)
     elif suite == "gradient-bound":
         ms = list(args.m_grid) if args.m_grid else [0.90, 0.95, 0.99]
-        fields = [solve_obstacle(grid, m, args.tol, args.max_cycles)
-                  for m in ms]
+        fields = [solve_obstacle(grid, m, args.tol) for m in ms]
         payload["suite"] = verify_gradient_bound(fields)
     elif suite == "scale-law":
-        base = solve_h0(grid, args.tol, args.max_cycles)
+        base = solve_h0(grid, args.tol)
         # inside the small-excess law's range, 2 pi offset/base <= 1/(4e)
         offsets = list(args.offsets) if args.offsets else [0.005, 0.01]
-        fields = [solve_obstacle(grid, base.min_value + off, args.tol,
-                                 args.max_cycles) for off in offsets]
+        fields = [solve_obstacle(grid, base.min_value + off, args.tol)
+                  for off in offsets]
         payload["h0"] = base.to_json_dict()
         payload["suite"] = verify_scale_law(fields, base.min_value)
     else:  # ellipse
-        base = solve_h0(grid, args.tol, args.max_cycles)
+        base = solve_h0(grid, args.tol)
         off = args.offsets[0] if args.offsets else 0.03
-        fld = solve_obstacle(grid, base.min_value + off, args.tol,
-                             args.max_cycles)
+        fld = solve_obstacle(grid, base.min_value + off, args.tol)
         payload["h0"] = base.to_json_dict()
         payload["suite"] = verify_ellipse_limit(fld)
     _emit_json(payload, args.output)
@@ -500,8 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=float, default=None, help="obstacle level")
     p.add_argument("--m-grid", type=float, nargs="+", default=None)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-cycles", type=int, default=MAX_CYCLES,
-                   help="cap on multigrid V-cycles per solve")
     p.add_argument("--suite",
                    choices=("propA1", "gradient-bound", "scale-law", "ellipse"),
                    default=None)

@@ -102,9 +102,6 @@ def _reduce_with_matrix(tau: complex):
     if abs(norm - 1.0) < 1e-14 and tau.real < -1e-14:
         tau = complex(-tau.real / norm, tau.imag / norm)
         m = np.array([[0, -1], [1, 0]], dtype=np.int64) @ m
-        if abs(tau.real + 0.5) < 1e-14:
-            tau = complex(0.5, tau.imag)
-            m = np.array([[1, 1], [0, 1]], dtype=np.int64) @ m
     return tau, m
 
 
@@ -391,24 +388,6 @@ class ThetaProbeReport:
     inconclusive: int = 0
     comparisons: int = 0
     min_margin: float = math.inf  # min over conclusive samples of theta - theta_tri
-
-    @property
-    def n_violations(self) -> int:
-        return len(self.violations)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alphas": list(self.alphas),
-            "samples": self.samples,
-            "seed": self.seed,
-            "comparisons": self.comparisons,
-            "violations": [
-                {"alpha": v[0], "a": v[1], "b": v[2], "margin": v[3]}
-                for v in self.violations
-            ],
-            "inconclusive": self.inconclusive,
-            "min_margin": None if math.isinf(self.min_margin) else self.min_margin,
-        }
 
 
 def theta_minimality_probe(alphas, samples: int, seed: int = 0,

@@ -21,10 +21,11 @@ of V(2,2) to V(6,6), V(4,4) had the lowest median time over the disk
 solves at h = 1/256 and 1/128.  That contraction is slow but steady, so
 while the contact set is non-empty each cycle is accelerated by depth-1
 Anderson mixing and projected onto H >= m (``_cycles``): on the disk the
-constrained solves take 6-7 V-cycles instead of 9-13.  Unconstrained and
-empty-contact solves run plain cycles, which contract 50-100 times each
-there.  Each solve reports a value-error bound
-next to its residual.  The verification helpers measure the coincidence set
+constrained solves take 6-7 V-cycles instead of 9-13.  The unconstrained
+field H_0 is the same solve at m = -inf, an obstacle that never binds; it
+and every other empty-contact solve run plain cycles, which contract 50-100
+times each there.  Each solve reports a value-error bound next to its
+residual.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
 the obstacle-activation level, and ellipse roundness of the small
@@ -72,8 +73,7 @@ __all__ = [
 BOUNDARY_VALUE = 1.0
 MIN_CUT_FRACTION = 1e-6
 ACTIVE_BAND = 10.0          # active iff H - m < ACTIVE_BAND * tol
-_UNCONSTRAINED = -1e300
-MAX_CYCLES = 200            # default cap on V-cycles per solve
+MAX_CYCLES = 200            # cap on V-cycles per solve
 SMOOTH_SWEEPS = 4           # red-black sweeps before and after each coarse step
 COARSEST_SWEEPS = 8         # red-black sweeps on the coarsest grid
 MIN_COARSE_CELLS = 16       # a 2h grid with fewer unknowns is not used
@@ -337,12 +337,11 @@ class DomainGrid:
     def _smooth(self, values, rhs, lower, sweeps: int) -> None:
         """Projected red-black Gauss-Seidel for A v >= rhs, v >= lower.
 
-        ``lower`` is None (no bound), a number, or one bound per unknown.
+        ``lower`` is a number (-inf for no bound) or one bound per unknown.
         """
         for _ in range(sweeps):
             for sel, stencil in self._blocks:
-                bound = _UNCONSTRAINED if lower is None else (
-                    lower[sel] if isinstance(lower, np.ndarray) else lower)
+                bound = lower[sel] if isinstance(lower, np.ndarray) else lower
                 backend.psor_sweep(values, values[sel], *stencil, rhs[sel],
                                    bound)
 
@@ -441,7 +440,7 @@ def _vcycle(grid: DomainGrid, values, rhs, lower) -> None:
         grid._smooth(values, rhs, lower, COARSEST_SWEEPS)
         return
     grid._smooth(values, rhs, lower, SMOOTH_SWEEPS)
-    bound = None if lower is None else grid._defect_bound(lower - values)
+    bound = grid._defect_bound(lower - values)
     correction = np.zeros(coarse.n)
     _vcycle(coarse, correction, grid._restrict(rhs - grid._apply(values)),
             bound)
@@ -449,12 +448,12 @@ def _vcycle(grid: DomainGrid, values, rhs, lower) -> None:
     grid._smooth(values, rhs, lower, SMOOTH_SWEEPS)
 
 
-def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
+def _cycles(grid: DomainGrid, values, m, tol: float):
     """V-cycles in place until the scaled complementarity residual < tol.
 
-    ``m`` is the obstacle level, or None for the unconstrained problem.
-    Stops after ``max_cycles`` cycles at the latest; returns the number of
-    cycles run and the last residual.
+    ``m`` is the obstacle level, -inf for the unconstrained problem.  Stops
+    after ``MAX_CYCLES`` cycles at the latest; returns the number of cycles
+    run and the last residual.
 
     While the contact set is non-empty, each cycle is accelerated by
     depth-1 Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
@@ -469,28 +468,23 @@ def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
     component: on the unit disk the solves near the activation level at
     h = 1/256 take 6 cycles instead of 9-10, and m = 0.8-0.95 at h = 1/128
     take 6-7 instead of 12-13.  The history is dropped when a cycle's
-    residual rises or the contact set is empty.  Unconstrained and
-    empty-contact solves, where a plain cycle already contracts 50-100 times,
-    run the plain cycles unchanged.  At most three history arrays (x_k,
-    f_(k-1), G(x_(k-1))) are alive.
+    residual rises or the contact set is empty, so empty-contact solves,
+    where a plain cycle already contracts 50-100 times, run the plain cycles
+    unchanged; the unconstrained solve, at m = -inf, is one of them.  At
+    most three history arrays (x_k, f_(k-1), G(x_(k-1))) are alive.
     """
     rhs = BOUNDARY_VALUE * grid._bc_unit
     x = f_old = g_old = None
     last = math.inf
-    for it in range(1, max_cycles + 1):
-        if m is not None:
-            if x is None:
-                x = np.empty_like(values)
-            np.copyto(x, values)
+    for it in range(1, MAX_CYCLES + 1):
+        if x is None:
+            x = np.empty_like(values)
+        np.copyto(x, values)
         _vcycle(grid, values, rhs, m)
-        scaled = grid.scaled_residual(values)
-        if m is not None:
-            scaled = np.minimum(values - m, scaled)
+        scaled = np.minimum(values - m, grid.scaled_residual(values))
         res = float(np.max(np.abs(scaled)))
         if res < tol:
             break
-        if m is None:
-            continue
         f = np.subtract(values, x, out=x)
         if res > last or values.min() > m:
             f_old = g_old = None
@@ -510,7 +504,7 @@ def _cycles(grid: DomainGrid, values, m, tol: float, max_cycles: int):
     return it, res
 
 
-def _start(grid: DomainGrid, m, tol: float, max_cycles: int) -> np.ndarray:
+def _start(grid: DomainGrid, m, tol: float) -> np.ndarray:
     """H = 1 on the coarsest grid; elsewhere the 2h solution as a start.
 
     The 2h problem is solved to START_TOL_FACTOR * tol from its own start
@@ -521,15 +515,14 @@ def _start(grid: DomainGrid, m, tol: float, max_cycles: int) -> np.ndarray:
     if coarse is None:
         return np.ones(grid.n)
     coarse_tol = START_TOL_FACTOR * tol
-    v = _start(coarse, m, coarse_tol, max_cycles)
-    _cycles(coarse, v, m, coarse_tol, max_cycles)
+    v = _start(coarse, m, coarse_tol)
+    _cycles(coarse, v, m, coarse_tol)
     v = grid._prolong(v, fill=BOUNDARY_VALUE)
-    if m is not None:
-        np.maximum(v, m, out=v)
+    np.maximum(v, m, out=v)
     return v
 
 
-def _solve(grid: DomainGrid, m, tol: float, max_cycles: int):
+def _solve(grid: DomainGrid, m, tol: float):
     """Multigrid solve to a scaled complementarity residual below tol.
 
     Returns the values, the cycle count, the scaled residual and the value
@@ -539,18 +532,14 @@ def _solve(grid: DomainGrid, m, tol: float, max_cycles: int):
     """
     if not (tol > 0.0):
         raise NonPositiveParameter("tol must be > 0")
-    if max_cycles < 1:
-        raise NonPositiveParameter("max_cycles must be >= 1")
-    v = _start(grid, m, tol, max_cycles)
-    iters, res = _cycles(grid, v, m, tol, max_cycles)
+    v = _start(grid, m, tol)
+    iters, res = _cycles(grid, v, m, tol)
     if not (res < tol):
         raise NoConvergence(
-            f"multigrid: residual {res:.3e} after {max_cycles} V-cycles "
+            f"multigrid: residual {res:.3e} after {iters} V-cycles "
             f"(tol {tol:g})"
         )
-    raw = grid.operator_values(v)
-    if m is not None:
-        raw = np.minimum(v - m, raw)
+    raw = np.minimum(v - m, grid.operator_values(v))
     return v, iters, res, float(np.max(np.abs(raw)))
 
 
@@ -574,9 +563,6 @@ class H0Field:
     tol: float
     value_error: float
 
-    def to_csv(self, path) -> None:
-        _field_csv(path, self.grid, self.values, None)
-
     def to_json_dict(self) -> dict:
         return {
             "min_value": self.min_value,
@@ -590,10 +576,9 @@ class H0Field:
         }
 
 
-def solve_h0(grid: DomainGrid, tol: float = 1e-10,
-             max_cycles: int = MAX_CYCLES) -> H0Field:
-    """Multigrid solve of the unconstrained problem, plus its minimum."""
-    v, iters, res, err = _solve(grid, None, tol, max_cycles)
+def solve_h0(grid: DomainGrid, tol: float = 1e-10) -> H0Field:
+    """The obstacle solve at m = -inf (no obstacle), plus its minimum."""
+    v, iters, res, err = _solve(grid, -math.inf, tol)
     k = int(np.argmin(v))
     mn = float(v[k])
     thr = math.inf if mn >= 1.0 - 1e-15 else 1.0 / (2.0 * (1.0 - mn))
@@ -622,7 +607,16 @@ class ObstacleField:
     value_error: float
 
     def to_csv(self, path) -> None:
-        _field_csv(path, self.grid, self.values, self.active)
+        """CSV rows x,y,H,active over interior and boundary-data cells."""
+        grid = self.grid
+        full_vals = np.where(grid.mask == 2, BOUNDARY_VALUE, 0.0)
+        full_vals[grid.ii, grid.jj] = self.values
+        full_act = np.zeros(grid.mask.shape, dtype=np.int8)
+        full_act[grid.ii, grid.jj] = self.active
+        sel_i, sel_j = np.nonzero(grid.mask > 0)
+        write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
+                  (grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
+                   full_act[sel_i, sel_j]))
 
     def to_json_dict(self) -> dict:
         met = coincidence_metrics(self)
@@ -637,36 +631,25 @@ class ObstacleField:
         }
 
 
-def solve_obstacle(grid: DomainGrid, m: float, tol: float = 1e-10,
-                   max_cycles: int = MAX_CYCLES) -> ObstacleField:
-    """Monotone multigrid for the obstacle at level m (requires m <= 1).
+def solve_obstacle(grid: DomainGrid, m: float,
+                   tol: float = 1e-10) -> ObstacleField:
+    """Monotone multigrid for the obstacle at a finite level m <= 1.
 
     Convergence criterion is the complementarity residual
     sup |min(H - m, scaled operator value)| < tol; cells within
     ``ACTIVE_BAND * tol`` of the obstacle are flagged active.
     """
     m = float(m)
-    if not math.isfinite(m) or m > 1.0:
+    if not math.isfinite(m):
+        raise InputError(f"obstacle level m must be finite, not {m}")
+    if m > 1.0:
         raise InfeasibleObstacle(
             f"obstacle level m = {m} above the boundary value 1"
         )
-    v, iters, res, err = _solve(grid, m, tol, max_cycles)
+    v, iters, res, err = _solve(grid, m, tol)
     active = (v - m) < ACTIVE_BAND * tol
     return ObstacleField(grid=grid, m=m, values=v, active=active,
                          residual=res, iters=iters, tol=tol, value_error=err)
-
-
-def _field_csv(path, grid: DomainGrid, values: np.ndarray, active) -> None:
-    """CSV rows x,y,H,active over interior and boundary-data cells."""
-    full_vals = np.where(grid.mask == 2, BOUNDARY_VALUE, 0.0)
-    full_vals[grid.ii, grid.jj] = values
-    full_act = np.zeros(grid.mask.shape, dtype=np.int8)
-    if active is not None:
-        full_act[grid.ii, grid.jj] = active.astype(np.int8)
-    sel_i, sel_j = np.nonzero(grid.mask > 0)
-    write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
-              (grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
-               full_act[sel_i, sel_j]))
 
 
 # ---------------------------------------------------------------------------

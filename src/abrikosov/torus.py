@@ -13,16 +13,16 @@ derivatives of the same closed form (``_pair_derivs``).
 
 ``minimize_config`` runs a seeded multi-start search over point positions (a
 weighted-Fekete search).  Each start descends by modified Newton steps
-(Nocedal & Wright, *Numerical Optimization*, ch. 3): the pair-energy Hessian
-is restricted to displacements that move no point on average, which removes
-the two uniform translations along which the energy is constant, and its
-eigenvalues are replaced by their absolute values, floored, so that every
-step points downhill, at saddles too.  A backtracking line search accepts a
-step only if the energy rises by no more than its rounding error, and every
-start reports whether it reached the gradient tolerance.  The trial a line
-search accepts brings its per-pair Hessian blocks along, so the next
-Newton step needs no further kernel call; the blocks become the full
-Hessian only when a step uses them.
+(Nocedal & Wright, *Numerical Optimization*, ch. 3): the pair-energy
+Hessian's eigenvalues are replaced by their absolute values, floored, so
+that every step points downhill, at saddles too, and each step is
+re-centred so that it moves no point on average, which removes the two
+uniform translations along which the energy is constant.  A backtracking
+line search accepts a step only if the energy rises by no more than its
+rounding error, and every start reports whether it reached the gradient
+tolerance.  The trial a line search accepts brings its per-pair Hessian
+blocks along, so the next Newton step needs no further kernel call; the
+blocks become the full Hessian only when a step uses them.
 
 All starts of one search descend in lockstep as one (k, n, 2) stack: a
 round evaluates one trial of every live start with one value kernel call,
@@ -168,12 +168,11 @@ class _PairLayout(NamedTuple):
     ju: np.ndarray          # second point
     grad_index: np.ndarray  # (2, 2m) flat 2n positions of the pair gradients
     hess_index: np.ndarray  # flat (2n)^2 positions of the pair Hessian blocks
-    free: np.ndarray        # (2n, 2n-2) orthonormal basis of zero-mean moves
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_layout(n: int) -> _PairLayout:
-    """Pair indices, scatter positions and the translation complement.
+    """Pair indices and the scatter positions of the pair derivatives.
 
     Gradients and Hessian rows and columns run over (x_0, y_0, x_1, y_1,
     ...).  Row c of the gradient positions is coordinate c of every pair's
@@ -192,11 +191,7 @@ def _pair_layout(n: int) -> _PairLayout:
 
     hess_index = np.concatenate([blocks(iu, iu), blocks(ju, ju),
                                  blocks(iu, ju), blocks(ju, iu)]).ravel()
-    shift = np.zeros((2 * n, 2))
-    shift[0::2, 0] = shift[1::2, 1] = 1.0 / math.sqrt(n)
-    # eigenvalues of the projector are 0 (twice, the translations), then 1
-    _, vec = np.linalg.eigh(np.eye(2 * n) - shift @ shift.T)
-    layout = _PairLayout(iu, ju, grad_index, hess_index, vec[:, 2:])
+    layout = _PairLayout(iu, ju, grad_index, hess_index)
     for arr in layout:
         arr.flags.writeable = False
     return layout
@@ -476,19 +471,21 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray,
 
     ``blocks`` (k, m, 2, 2) (the pair Hessian blocks of ``_pair_derivs``) and
     ``grad`` (k, n, 2) are the pair-energy derivatives at the current points
-    of k configurations.  Each Hessian is restricted to zero-mean
-    displacements (the two uniform translations leave the energy
-    unchanged), and its eigenvalues are replaced by max(|lambda|,
-    EIG_FLOOR), which makes the solve positive definite; one stacked
-    ``eigh`` serves all k.  A step whose largest per-point length exceeds
-    ``max_step`` is scaled down to it.
+    of k configurations.  Each Hessian's eigenvalues are replaced by
+    max(|lambda|, EIG_FLOOR), which makes the solve positive definite; one
+    stacked ``eigh`` serves all k.  The Hessian annihilates the two uniform
+    translations (they leave the energy unchanged) and maps the zero-mean
+    displacements to themselves, so the step differs from the one taken
+    within the zero-mean displacements only along the translations, and
+    re-centring it removes that part.  A step whose largest per-point
+    length exceeds ``max_step`` is scaled down to it.
     """
     k, n = grad.shape[:2]
-    free = _pair_layout(n).free
-    lam, vec = np.linalg.eigh(free.T @ _pair_hessian(blocks, n) @ free)
-    rhs = vec.swapaxes(-1, -2) @ (free.T @ grad.reshape(k, 2 * n, 1))
+    lam, vec = np.linalg.eigh(_pair_hessian(blocks, n))
+    rhs = vec.swapaxes(-1, -2) @ grad.reshape(k, 2 * n, 1)
     coef = rhs / np.maximum(np.abs(lam), EIG_FLOOR)[..., None]
-    step = -(free @ (vec @ coef)).reshape(k, n, 2)
+    step = -(vec @ coef).reshape(k, n, 2)
+    step -= step.mean(axis=1, keepdims=True)
     longest = _sup_norm(step)
     cut = longest > max_step
     step[cut] *= (max_step / longest[cut])[:, None, None]

@@ -110,7 +110,7 @@ def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("obstacle", [-1e300, 0.6, "array"])
+@pytest.mark.parametrize("obstacle", [-np.inf, -1e300, 0.6, "array"])
 def test_psor_sweep_writes_only_its_block(obstacle):
     # cells 5..8 are swept from neighbors outside the block; every other
     # cell keeps its sentinel value

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from abrikosov import cli, lattice
+from abrikosov import cli, lattice, obstacle
 from abrikosov.cli import build_parser, main
 
 
@@ -97,6 +97,14 @@ def test_removed_series_flags_are_rejected(command, flag, capsys):
     # abs_tol is the one truncation setting
     with pytest.raises(SystemExit) as exc:
         main([*command, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_removed_cycle_cap_flag_is_rejected(capsys):
+    # the V-cycle cap is the module constant every run uses
+    with pytest.raises(SystemExit) as exc:
+        main(["obstacle", "--disk", "--m", "0.9", "--max-cycles", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -291,11 +299,18 @@ def test_obstacle_basic_and_field_csv(tmp_path):
     assert json.loads((tmp_path / "o.json").read_text()) == doc
 
 
-def test_obstacle_cycle_cap_is_a_numerical_failure():
-    proc = run_cli("obstacle", "--disk", "--h", "0.0625", "--m", "0.9",
-                   "--tol", "1e-12", "--max-cycles", "1")
-    assert proc.returncode == 3
-    assert "NoConvergence" in proc.stderr
+def test_obstacle_cycle_cap_is_a_numerical_failure(capsys, monkeypatch):
+    monkeypatch.setattr(obstacle, "MAX_CYCLES", 1)
+    assert main(["obstacle", "--disk", "--h", "0.0625", "--m", "0.9",
+                 "--tol", "1e-12"]) == 3
+    assert "NoConvergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["nan", "-inf"])
+def test_obstacle_non_finite_level_is_an_input_error(level, capsys):
+    assert main(["obstacle", "--disk", "--h", "0.125", f"--m={level}"]) == 2
+    err = capsys.readouterr().err
+    assert "m must be finite" in err and "InfeasibleObstacle" not in err
 
 
 def test_obstacle_field_csv_needs_single_level():

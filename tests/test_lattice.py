@@ -77,6 +77,31 @@ def test_reduce_fundamental_invariance_of_energy():
         assert abs(w_eta(tau).value - w_eta(red).value) < 1e-12
 
 
+# generic moduli, translates of the unit arc and of the line Re = -1/2, where
+# the boundary canonicalization acts
+_MODULI = st.one_of(
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.1, 4.0)),
+    st.builds(lambda k, t: k + complex(math.cos(t), math.sin(t)),
+              st.integers(-3, 3), st.floats(math.pi / 3, 2 * math.pi / 3)),
+    st.builds(lambda k, b: complex(k - 0.5, b),
+              st.integers(-3, 3), st.floats(0.87, 4.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tau=_MODULI)
+def test_reduce_with_matrix_property(tau):
+    red, mat = lattice._reduce_with_matrix(tau)
+    norm = red.real * red.real + red.imag * red.imag
+    assert -0.5 < red.real <= 0.5 and norm >= (1.0 - 1e-14) ** 2
+    if abs(norm - 1.0) < 1e-14:                    # on the unit arc
+        assert red.real >= -1e-14
+    (alpha, beta), (gamma, delta) = mat.tolist()
+    assert alpha * delta - beta * gamma == 1
+    assert abs((alpha * tau + beta) / (gamma * tau + delta) - red) < 1e-12
+    assert abs(lattice._reduce_with_matrix(red)[0] - red) < 1e-15
+
+
 def test_reduce_rejects_lower_half_plane():
     with pytest.raises(NonPositiveImaginaryPart):
         reduce_fundamental(complex(0.3, -1.0))
@@ -302,7 +327,7 @@ def test_moduli_scan_deterministic():
 
 def test_theta_probe_no_violations_small():
     rep = theta_minimality_probe([0.5, 2.0], samples=12, seed=3)
-    assert rep.n_violations == 0
+    assert len(rep.violations) == 0
     assert rep.comparisons == 2 * 12
     assert rep.min_margin > 0.0
 
@@ -310,7 +335,7 @@ def test_theta_probe_no_violations_small():
 def test_theta_probe_deterministic():
     r1 = theta_minimality_probe([1.0], samples=6, seed=11)
     r2 = theta_minimality_probe([1.0], samples=6, seed=11)
-    assert r1.to_json_dict() == r2.to_json_dict()
+    assert r1 == r2
     r3 = theta_minimality_probe([1.0], samples=6, seed=12)
     assert r3.min_margin != r1.min_margin
 
@@ -319,7 +344,7 @@ def test_theta_probe_flags_the_hexagonal_point_itself():
     # feeding the minimizer back in gives a zero margin, counted as
     # inconclusive (below the noise floor) rather than a violation
     rep = theta_minimality_probe([1.0], samples=2, seed=0, extra_taus=[TRI_TAU])
-    assert rep.n_violations == 0
+    assert len(rep.violations) == 0
     assert rep.inconclusive >= 1
 
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from abrikosov import backend, obstacle
 from abrikosov.errors import (
     InfeasibleObstacle,
+    InputError,
     NoConvergence,
     NonConvexDomain,
     NonPositiveParameter,
@@ -204,12 +205,11 @@ def test_h0_solver_determinism():
     assert a.iters == b.iters
 
 
-def test_no_convergence_raises():
+def test_no_convergence_raises(monkeypatch):
     grid = DomainGrid(UnitDisk(), 1.0 / 32.0)
+    monkeypatch.setattr(obstacle, "MAX_CYCLES", 2)
     with pytest.raises(NoConvergence):
-        solve_h0(grid, tol=1e-12, max_cycles=2)
-    with pytest.raises(NonPositiveParameter):
-        solve_h0(grid, max_cycles=0)
+        solve_h0(grid, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,11 @@ def test_obstacle_requires_feasible_level():
     grid = DomainGrid(UnitDisk(), 1.0 / 16.0)
     with pytest.raises(InfeasibleObstacle):
         solve_obstacle(grid, 1.0 + 1e-9)
-    with pytest.raises(InfeasibleObstacle):
-        solve_obstacle(grid, math.nan)
+    # a non-finite level is not a level at all, rather than one too high
+    for m in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="must be finite") as exc:
+            solve_obstacle(grid, m)
+        assert not isinstance(exc.value, InfeasibleObstacle)
 
 
 def test_obstacle_below_threshold_is_untouched():
@@ -495,8 +498,7 @@ def _smooth_ref(grid, values, rhs, lower, sweeps):
     """Projected red-black Gauss-Seidel scattering through ``np.arange``."""
     for _ in range(sweeps):
         for sel, (iE, iW, iN, iS, cE, cW, cN, cS, diag) in grid._blocks:
-            bound = -1e300 if lower is None else (
-                lower[sel] if isinstance(lower, np.ndarray) else lower)
+            bound = lower[sel] if isinstance(lower, np.ndarray) else lower
             gs = (cE * values.take(iE) + cW * values.take(iW)
                   + cN * values.take(iN) + cS * values.take(iS)
                   + rhs[sel]) / diag
@@ -508,7 +510,7 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
     grid = DomainGrid(shape, 1.0 / 37.0)
     rng = np.random.default_rng(5)
     rhs = grid._bc_unit.copy()
-    lowers = (None, 0.8, rng.uniform(0.5, 0.9, grid.n))
+    lowers = (-np.inf, 0.8, rng.uniform(0.5, 0.9, grid.n))
     for lower in lowers:
         start = rng.uniform(0.0, 1.0, grid.n)
         got, want = start.copy(), start.copy()
@@ -526,7 +528,7 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
         swept.append(len(out))
         return sweep(values, out, *rest)
     monkeypatch.setattr(backend, "psor_sweep", record)
-    grid._smooth(np.ones(grid.n), rhs, None, 2)
+    grid._smooth(np.ones(grid.n), rhs, -np.inf, 2)
     assert sum(swept) == 2 * grid.n
     assert len(swept) == 2 * len(grid._blocks)
 
@@ -536,14 +538,12 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _plain_cycles(grid, values, m, tol, max_cycles):
+def _plain_cycles(grid, values, m, tol):
     """V-cycles in place until the residual < tol, with no acceleration."""
     rhs = obstacle.BOUNDARY_VALUE * grid._bc_unit
-    for it in range(1, max_cycles + 1):
+    for it in range(1, obstacle.MAX_CYCLES + 1):
         obstacle._vcycle(grid, values, rhs, m)
-        scaled = grid.scaled_residual(values)
-        if m is not None:
-            scaled = np.minimum(values - m, scaled)
+        scaled = np.minimum(values - m, grid.scaled_residual(values))
         res = float(np.max(np.abs(scaled)))
         if res < tol:
             break
@@ -575,9 +575,16 @@ def test_accelerated_solve_agrees_with_plain_cycles(k, m):
                          ids=[repr(s) for s in TRANSFER_SHAPES])
 def test_empty_and_full_contact_solves_are_plain_cycles(k):
     # with no contact the mixing never engages, and at m = 1 the first cycle
-    # converges: both solves are the plain loop's, bit for bit
+    # converges: both solves are the plain loop's, bit for bit; so is the
+    # unconstrained solve, the obstacle solve at m = -inf
     grid = ACCEL_GRIDS[k]
-    below = solve_h0(grid).min_value - 0.05
+    h0 = solve_h0(grid)
+    with mock.patch.object(obstacle, "_cycles", _plain_cycles):
+        plain_h0 = solve_h0(grid)
+    assert np.array_equal(h0.values, plain_h0.values)
+    assert (h0.iters, h0.residual, h0.value_error) == \
+        (plain_h0.iters, plain_h0.residual, plain_h0.value_error)
+    below = h0.min_value - 0.05
     for m in (below, 1.0):
         fast, plain = solve_obstacle(grid, m), _plain_solve(grid, m)
         assert np.array_equal(fast.values, plain.values)
