@@ -39,6 +39,7 @@ from .obstacle import (
     DomainGrid,
     Ellipse,
     UnitDisk,
+    check_level,
     coincidence_metrics,
     solve_h0,
     solve_obstacle,
@@ -93,9 +94,25 @@ def _emit_json(payload: dict, path) -> None:
         sys.stdout.write(text)
 
 
-def _payload(command: str, params: dict) -> dict:
+_OUTPUT_FILES = ("csv", "trace_csv", "field_csv")
+
+
+def _payload(args, table: dict) -> dict:
+    """The report's version stamp and ``run_config``, from the run's table.
+
+    ``table`` maps every input of the subcommand to the value the run uses,
+    defaults included, or to None where the run does not read it.  An input
+    given on the command line whose entry is None is an input error: the
+    run would ignore it.  Output files follow the same rule but stay out of
+    ``run_config``.
+    """
+    for key, value in table.items():
+        if value is None and getattr(args, key, None) is not None:
+            flag = "--" + key.replace("_", "-")
+            raise InputError(f"this run does not use {flag}")
+    config = {k: v for k, v in table.items() if k not in _OUTPUT_FILES}
     return {"version": __version__,
-            "run_config": {"command": command, **params}}
+            "run_config": {"command": args.command, **config}}
 
 
 def _series_control(args) -> SeriesControl:
@@ -103,7 +120,7 @@ def _series_control(args) -> SeriesControl:
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=1e-12,
+    p.add_argument("--abs-tol", type=float, default=SeriesControl.abs_tol,
                    help="absolute tolerance that sizes every q-series and "
                         "lattice sum")
 
@@ -116,8 +133,6 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 def cmd_lattice(args) -> int:
     if (args.tau is None) == (args.basis is None):
         raise InputError("provide exactly one of --tau A B or --basis U1 U2 V1 V2")
-    if args.ref_tau is not None and args.route != "zetadiff-vs":
-        raise InputError("--ref-tau belongs to the zetadiff-vs route")
     ctl = _series_control(args)
     if args.tau is not None:
         tau = complex(args.tau[0], args.tau[1])
@@ -131,13 +146,12 @@ def cmd_lattice(args) -> int:
     ref = None
     if args.route == "zetadiff-vs":
         ref = complex(*args.ref_tau) if args.ref_tau else TRIANGULAR_TAU
-    params = {
+    payload = _payload(args, {
         "m": m, "route": args.route,
         "tau": [tau.real, tau.imag],
         "ref_tau": [ref.real, ref.imag] if ref is not None else None,
         "abs_tol": args.abs_tol,
-    }
-    payload = _payload("lattice", params)
+    })
     if args.route == "eta":
         payload["report"] = w_eta(tau, m, ctl)
     elif args.route == "fourier":
@@ -159,18 +173,18 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_moduli_scan(args) -> int:
-    ctl = _series_control(args)
-    grid = ModuliGrid(a_range=(args.a_min, args.a_max),
-                      b_range=(args.b_min, args.b_max),
-                      resolution=args.resolution)
-    report = moduli_scan(grid, args.m, ctl, refine_iters=args.refine_iters)
-    params = {
+    payload = _payload(args, {
         "a_min": args.a_min, "a_max": args.a_max,
         "b_min": args.b_min, "b_max": args.b_max,
         "resolution": args.resolution, "m": args.m,
         "refine_iters": args.refine_iters, "abs_tol": args.abs_tol,
-    }
-    payload = _payload("moduli-scan", params)
+        "csv": args.csv,
+    })
+    grid = ModuliGrid(a_range=(args.a_min, args.a_max),
+                      b_range=(args.b_min, args.b_max),
+                      resolution=args.resolution)
+    report = moduli_scan(grid, args.m, _series_control(args),
+                         refine_iters=args.refine_iters)
     payload["scan"] = report.to_json_dict()
     if args.csv:
         report.to_csv(args.csv)
@@ -196,76 +210,54 @@ def cmd_fekete(args) -> int:
     if args.elkies and args.conjecture1:
         raise InputError("--elkies and --conjecture1 are separate runs; "
                          "give one")
-    if args.elkies or args.conjecture1:
-        for flag, value in (("--trace-csv", args.trace_csv), ("--n", args.n)):
-            if value is not None:
-                raise InputError(f"{flag} belongs to a single --n search; it "
-                                 "cannot go with --elkies or --conjecture1")
-    if args.n_max is not None and not args.elkies:
-        raise InputError("--n-max belongs to --elkies")
-    if args.n_list is not None and not args.conjecture1:
-        raise InputError("--n-list belongs to --conjecture1")
-    if args.torus is not None and args.conjecture1:
-        raise InputError("--conjecture1 chooses its own tori; it cannot go "
-                         "with --torus")
+    search = not (args.elkies or args.conjecture1)
+    if search and args.n is None:
+        raise InputError("provide --n (or one of --elkies / --conjecture1)")
     torus_name = None if args.conjecture1 else args.torus or "square"
-    if args.aspect is not None and torus_name != "rect":
-        raise InputError("--aspect belongs to --torus rect")
     aspect = None
     if torus_name == "rect":
         aspect = math.sqrt(3.0) if args.aspect is None else args.aspect
-    series = _series_control(args)
-    mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
-                           step_init=args.step, restarts=args.restarts,
-                           rng_seed=args.seed)
-    base_params = {
+    table = {
+        "mode": ("elkies" if args.elkies else
+                 "conjecture1" if args.conjecture1 else "minimize"),
+        "n": args.n if search else None,
+        "n_max": (8 if args.n_max is None else args.n_max)
+        if args.elkies else None,
+        "n_list": (args.n_list or [2, 3, 4]) if args.conjecture1 else None,
         "torus": torus_name, "aspect": aspect, "seed": args.seed,
         "restarts": args.restarts, "max_iters": args.max_iters,
-        "grad_tol": args.grad_tol, "step": args.step,
-        "abs_tol": args.abs_tol,
+        "grad_tol": args.grad_tol, "abs_tol": args.abs_tol,
+        "trace_csv": args.trace_csv if search else None,
     }
+    payload = _payload(args, table)
+    series = _series_control(args)
+    mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
+                           restarts=args.restarts, rng_seed=args.seed)
     if args.elkies:
-        n_max = 8 if args.n_max is None else args.n_max
-        params = dict(base_params, mode="elkies", n_max=n_max)
-        payload = _payload("fekete", params)
-        rep = elkies_experiment(range(2, n_max + 1),
+        rep = elkies_experiment(range(2, table["n_max"] + 1),
                                 _make_torus(torus_name, aspect), mctl, series)
         payload["elkies"] = rep.to_json_dict()
-        _emit_json(payload, args.output)
-        return 0
-    if args.conjecture1:
-        n_list = args.n_list if args.n_list else [2, 3, 4]
-        params = dict(base_params, mode="conjecture1", n_list=list(n_list))
-        payload = _payload("fekete", params)
-        rep = conjecture1_probe(n_list, mctl, series)
-        payload["conjecture1"] = rep
-        _emit_json(payload, args.output)
-        return 0
-    if args.n is None:
-        raise InputError("provide --n (or one of --elkies / --conjecture1)")
-    n = args.n
-    if n < 1:
-        raise InputError("--n must be >= 1")
-    torus = _make_torus(torus_name, aspect)
-    out = minimize_config(TorusConfig(torus, _input_start(n, args.seed)), mctl,
-                          series)
-    params = dict(base_params, mode="minimize", n=n)
-    payload = _payload("fekete", params)
-    payload["energy"] = out.report
-    payload["config"] = out.config.to_json_dict()
-    payload["stalled"] = out.stalled
-    payload["converged"] = out.converged
-    payload["exit_reason"] = out.exit_reason
-    payload["final_grad_norm"] = out.trace[-1][2]
-    payload["iterations"] = len(out.trace) - 1
-    payload["restart_table"] = [
-        {"index": i, "energy": e, "iters": k, "grad_norm": g, "stalled": s}
-        for i, e, k, g, s in out.restart_table
-    ]
-    if args.trace_csv:
-        write_csv(args.trace_csv, "iter,energy,grad_norm", "%d,%.9g,%.9g",
-                  zip(*out.trace))
-        payload["trace_csv_path"] = args.trace_csv
+    elif args.conjecture1:
+        payload["conjecture1"] = conjecture1_probe(table["n_list"], mctl,
+                                                   series)
+    else:
+        if args.n < 1:
+            raise InputError("--n must be >= 1")
+        out = minimize_config(
+            TorusConfig(_make_torus(torus_name, aspect),
+                        _input_start(args.n, args.seed)), mctl, series)
+        payload.update(
+            energy=out.report, config=out.config.to_json_dict(),
+            stalled=out.stalled, converged=out.converged,
+            exit_reason=out.exit_reason, final_grad_norm=out.trace[-1][2],
+            iterations=len(out.trace) - 1,
+            restart_table=[{"index": i, "energy": e, "iters": k,
+                            "grad_norm": g, "stalled": s}
+                           for i, e, k, g, s in out.restart_table])
+        if args.trace_csv:
+            write_csv(args.trace_csv, "iter,energy,grad_norm",
+                      "%d,%.9g,%.9g", zip(*out.trace))
+            payload["trace_csv_path"] = args.trace_csv
     _emit_json(payload, args.output)
     return 0
 
@@ -350,63 +342,51 @@ def _basic_suite(grid: DomainGrid, tol: float) -> dict:
 def cmd_obstacle(args) -> int:
     shape, shape_params = _make_shape(args)
     suite = args.suite
-    if args.field_csv and suite is not None:
-        raise InputError("--field-csv writes a single-level solve; it cannot "
-                         "go with --suite")
-    if args.m is not None and args.m_grid:
-        raise InputError("give one of --m and --m-grid")
+    if suite is None and (args.m is None) == (args.m_grid is None):
+        raise InputError("provide exactly one of --m and --m-grid, or a "
+                         "--suite")
     if args.field_csv and args.m_grid and len(args.m_grid) != 1:
         raise InputError("--field-csv requires exactly one level")
-    if suite is not None and args.m is not None:
-        raise InputError("--m sets a single-level solve; it cannot go with "
-                         "--suite")
-    if suite not in (None, "gradient-bound") and args.m_grid:
-        raise InputError(f"--suite {suite} chooses its own levels; it cannot "
-                         "go with --m-grid")
-    if suite not in ("scale-law", "ellipse") and args.offsets:
-        raise InputError("--offsets belongs to the scale-law and ellipse "
-                         "suites")
+    if suite == "ellipse" and args.offsets and len(args.offsets) != 1:
+        raise InputError("--suite ellipse takes one --offsets value")
+    m_grid = {None: args.m_grid,
+              "gradient-bound": args.m_grid or [0.90, 0.95, 0.99]}.get(suite)
+    # the scale-law defaults lie inside the small-excess law's range,
+    # 2 pi offset/base <= 1/(4e)
+    offsets = {"scale-law": args.offsets or [0.005, 0.01],
+               "ellipse": args.offsets or [0.03]}.get(suite)
     h = args.h if args.h is not None else (
         1.0 / 256.0 if suite in ("scale-law", "ellipse") else 1.0 / 128.0)
+    single = suite is None
+    payload = _payload(args, dict(
+        shape_params, h=h, tol=args.tol, suite=suite,
+        m=args.m if single else None, m_grid=m_grid, offsets=offsets,
+        field_csv=args.field_csv if single else None))
+    # a bad level is rejected before the grid is built
+    levels = [check_level(m)
+              for m in ([args.m] if args.m is not None else m_grid or [])]
     grid = DomainGrid(shape, h)
-    params = dict(shape_params, h=h, tol=args.tol, suite=suite,
-                  m=args.m, m_grid=list(args.m_grid) if args.m_grid else None,
-                  offsets=list(args.offsets) if args.offsets else None)
-    payload = _payload("obstacle", params)
     payload["grid"] = {"h": h, "interior_cells": grid.n, "area": grid.area}
 
-    if suite is None:
-        if args.m is not None:
-            ms = [args.m]
-        elif args.m_grid:
-            ms = list(args.m_grid)
+    if suite in (None, "gradient-bound"):
+        fields = [solve_obstacle(grid, m, args.tol) for m in levels]
+        if suite is not None:
+            payload["suite"] = verify_gradient_bound(fields)
         else:
-            raise InputError("provide --m, --m-grid, or --suite")
-        fields = [solve_obstacle(grid, m, args.tol) for m in ms]
-        payload["fields"] = [f.to_json_dict() for f in fields]
-        if args.field_csv:
-            fields[0].to_csv(args.field_csv)
-            payload["field_csv_path"] = args.field_csv
+            payload["fields"] = [f.to_json_dict() for f in fields]
+            if args.field_csv:
+                fields[0].to_csv(args.field_csv)
+                payload["field_csv_path"] = args.field_csv
     elif suite == "propA1":
         payload["suite"] = _basic_suite(grid, args.tol)
-    elif suite == "gradient-bound":
-        ms = list(args.m_grid) if args.m_grid else [0.90, 0.95, 0.99]
-        fields = [solve_obstacle(grid, m, args.tol) for m in ms]
-        payload["suite"] = verify_gradient_bound(fields)
-    elif suite == "scale-law":
+    else:
         base = solve_h0(grid, args.tol)
-        # inside the small-excess law's range, 2 pi offset/base <= 1/(4e)
-        offsets = list(args.offsets) if args.offsets else [0.005, 0.01]
         fields = [solve_obstacle(grid, base.min_value + off, args.tol)
                   for off in offsets]
         payload["h0"] = base.to_json_dict()
-        payload["suite"] = verify_scale_law(fields, base.min_value)
-    else:  # ellipse
-        base = solve_h0(grid, args.tol)
-        off = args.offsets[0] if args.offsets else 0.03
-        fld = solve_obstacle(grid, base.min_value + off, args.tol)
-        payload["h0"] = base.to_json_dict()
-        payload["suite"] = verify_ellipse_limit(fld)
+        payload["suite"] = (verify_scale_law(fields, base.min_value)
+                            if suite == "scale-law"
+                            else verify_ellipse_limit(fields[0]))
     _emit_json(payload, args.output)
     return 0
 
@@ -445,11 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moduli-scan",
                        help="energy scan over fundamental-domain shapes")
-    p.add_argument("--a-min", type=float, default=-0.5)
-    p.add_argument("--a-max", type=float, default=0.5)
-    p.add_argument("--b-min", type=float, default=0.8)
-    p.add_argument("--b-max", type=float, default=1.6)
-    p.add_argument("--resolution", type=int, default=200)
+    p.add_argument("--a-min", type=float, default=ModuliGrid.a_range[0])
+    p.add_argument("--a-max", type=float, default=ModuliGrid.a_range[1])
+    p.add_argument("--b-min", type=float, default=ModuliGrid.b_range[0])
+    p.add_argument("--b-max", type=float, default=ModuliGrid.b_range[1])
+    p.add_argument("--resolution", type=int, default=ModuliGrid.resolution)
     p.add_argument("--m", type=float, default=1.0)
     p.add_argument("--refine-iters", type=int, default=60)
     _add_series_flags(p)
@@ -465,12 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="torus of a --n search or --elkies (default square)")
     p.add_argument("--aspect", type=float, default=None,
                    help="side ratio of the rect torus (default sqrt(3))")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--grad-tol", type=float, default=1e-9)
-    p.add_argument("--step", type=float, default=0.25,
-                   help="largest per-point displacement of one Newton step")
+    p.add_argument("--restarts", type=int, default=MinimizeControl.restarts)
+    p.add_argument("--seed", type=int, default=MinimizeControl.rng_seed)
+    p.add_argument("--max-iters", type=int, default=MinimizeControl.max_iters)
+    p.add_argument("--grad-tol", type=float, default=MinimizeControl.grad_tol)
     p.add_argument("--elkies", action="store_true",
                    help="run the excess-band experiment for n = 2..n-max")
     p.add_argument("--n-max", type=int, default=None,

@@ -631,6 +631,19 @@ class ObstacleField:
         }
 
 
+def check_level(m) -> float:
+    """The obstacle level ``m`` as a float; it must be finite and at most
+    the boundary value 1."""
+    m = float(m)
+    if not math.isfinite(m):
+        raise InputError(f"obstacle level m must be finite, not {m}")
+    if m > BOUNDARY_VALUE:
+        raise InfeasibleObstacle(
+            f"obstacle level m = {m} above the boundary value 1"
+        )
+    return m
+
+
 def solve_obstacle(grid: DomainGrid, m: float,
                    tol: float = 1e-10) -> ObstacleField:
     """Monotone multigrid for the obstacle at a finite level m <= 1.
@@ -639,13 +652,7 @@ def solve_obstacle(grid: DomainGrid, m: float,
     sup |min(H - m, scaled operator value)| < tol; cells within
     ``ACTIVE_BAND * tol`` of the obstacle are flagged active.
     """
-    m = float(m)
-    if not math.isfinite(m):
-        raise InputError(f"obstacle level m must be finite, not {m}")
-    if m > 1.0:
-        raise InfeasibleObstacle(
-            f"obstacle level m = {m} above the boundary value 1"
-        )
+    m = check_level(m)
     v, iters, res, err = _solve(grid, m, tol)
     active = (v - m) < ACTIVE_BAND * tol
     return ObstacleField(grid=grid, m=m, values=v, active=active,

@@ -79,6 +79,7 @@ VOLUME_RTOL = 1e-12
 SEPARATION_EPS = 1e-8      # fractional coordinates
 ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
 EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
+MAX_STEP = 0.25            # largest per-point displacement of one Newton step
 ELKIES_BAND = 5.0          # the Elkies excesses must span less than this
 _DEFAULT_CTL = SeriesControl()
 
@@ -423,23 +424,16 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
 
 @dataclass(frozen=True)
 class MinimizeControl:
-    """Knobs of the multi-start Newton descent.
-
-    ``step_init`` caps the largest per-point Cartesian displacement of one
-    Newton step.
-    """
+    """Knobs of the multi-start Newton descent."""
 
     max_iters: int = 2000
     grad_tol: float = 1e-9
-    step_init: float = 0.25
     restarts: int = 16
     rng_seed: int = 0
 
     def __post_init__(self):
         if not (self.grad_tol > 0.0):
             raise NonPositiveParameter("grad_tol must be > 0")
-        if not (self.step_init > 0.0):
-            raise NonPositiveParameter("step_init must be > 0")
         if self.max_iters < 0 or self.restarts < 0:
             raise NonPositiveParameter("max_iters and restarts must be >= 0")
 
@@ -465,8 +459,7 @@ class MinimizeOutcome:
     exit_reason: str
 
 
-def _newton_step(blocks: np.ndarray, grad: np.ndarray,
-                 max_step: float) -> np.ndarray:
+def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Modified Newton steps in Cartesian coordinates, shape (k, n, 2).
 
     ``blocks`` (k, m, 2, 2) (the pair Hessian blocks of ``_pair_derivs``) and
@@ -478,7 +471,7 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray,
     displacements to themselves, so the step differs from the one taken
     within the zero-mean displacements only along the translations, and
     re-centring it removes that part.  A step whose largest per-point
-    length exceeds ``max_step`` is scaled down to it.
+    length exceeds ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
     lam, vec = np.linalg.eigh(_pair_hessian(blocks, n))
@@ -487,8 +480,8 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray,
     step = -(vec @ coef).reshape(k, n, 2)
     step -= step.mean(axis=1, keepdims=True)
     longest = _sup_norm(step)
-    cut = longest > max_step
-    step[cut] *= (max_step / longest[cut])[:, None, None]
+    cut = longest > MAX_STEP
+    step[cut] *= (MAX_STEP / longest[cut])[:, None, None]
     return step
 
 
@@ -497,7 +490,7 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     stack of starts (k, n, 2) in lockstep.
 
     Each iteration of a start takes the step of ``_newton_step`` (capped at
-    ``ctl.step_init`` per point), halves it up to 40 times, and accepts the
+    ``MAX_STEP`` per point), halves it up to 40 times, and accepts the
     first trial whose energy is at most ``ENERGY_SLACK`` above the current
     one and which either lowers the energy by more than ``ENERGY_SLACK`` or
     lowers the largest per-point gradient norm.  Below ``ENERGY_SLACK`` a
@@ -547,8 +540,8 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
                 iters[i] += 1
                 stepping.append(i)
         if stepping:
-            direction[stepping] = _newton_step(
-                blocks[stepping], grad[stepping], ctl.step_init) @ inv_t
+            direction[stepping] = _newton_step(blocks[stepping],
+                                               grad[stepping]) @ inv_t
             frac[stepping] = 1.0
             left[stepping] = 40
         live = np.array([i for i in range(k) if reasons[i] is None], int)
@@ -585,7 +578,7 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
 def _random_start(n: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(100):
         pts = rng.random((n, 2))
-        if n == 1 or _min_separation(pts) > 1e-4:
+        if _min_separation(pts) > 1e-4:
             return pts
     return pts  # pragma: no cover - accept last draw at absurd densities
 
@@ -613,16 +606,6 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     ev = GreenEvaluator(cfg.torus, series)
     lat = w_eta(ev.tau, 1.0, series)
     n = cfg.n
-    if n == 1:
-        report = EnergyReport(value=lat.value, route="eta",
-                              truncation=series,
-                              error_estimate=lat.error_estimate)
-        return MinimizeOutcome(config=cfg, report=report,
-                               trace=[(0, lat.value, 0.0)],
-                               restart_table=[(0, lat.value, 0, 0.0, False)],
-                               stalled=False, converged=True,
-                               exit_reason="converged")
-
     starts = [cfg.points]
     for r in range(ctl.restarts):
         rng = np.random.default_rng((ctl.rng_seed, r, n))
@@ -691,10 +674,6 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
         n = int(n)
         if n < 1:
             raise NonPositiveParameter("n must be >= 1")
-        if n == 1:
-            rows.append((1, 0.0, 0.0))
-            converged.append(True)
-            continue
         start = TorusConfig(torus, _input_start(n, ctl.rng_seed))
         out = minimize_config(start, ctl, series)
         e_pair = 2.0 * (out.report.value - n * w_lat)

@@ -141,6 +141,7 @@ def test_an_output_file_the_run_cannot_write_is_an_input_error(
     ("fekete", "--n", "2", "--n-list", "3", "4"),
     ("fekete", "--conjecture1", "--torus", "hex"),
     ("lattice", "--tau", "0", "1", "--ref-tau", "0.1", "1.2"),
+    ("obstacle", "--disk", "--suite", "ellipse", "--offsets", "0.01", "0.02"),
 ], ids=" ".join)
 def test_an_input_the_run_would_ignore_is_an_input_error(
         args, capsys, monkeypatch):
@@ -154,6 +155,48 @@ def test_an_input_the_run_would_ignore_is_an_input_error(
         monkeypatch.setattr(cli, name, no_work)
     assert main(list(args)) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("obstacle", "--disk", "--h", "0.0625", "--suite", "gradient-bound"),
+    ("obstacle", "--disk", "--h", "0.015625", "--suite", "scale-law"),
+    ("obstacle", "--disk", "--h", "0.0625", "--suite", "ellipse"),
+], ids=" ".join)
+def test_run_config_echoes_suite_defaults(args, capsys):
+    assert main(list(args)) == 0
+    config = json.loads(capsys.readouterr().out)["run_config"]
+    assert (config["m_grid"], config["offsets"]) == {
+        "gradient-bound": ([0.9, 0.95, 0.99], None),
+        "scale-law": (None, [0.005, 0.01]),
+        "ellipse": (None, [0.03]),
+    }[args[-1]]
+
+
+def test_every_fekete_mode_echoes_the_same_keys(capsys):
+    configs = {}
+    for mode in (("--n", "2"), ("--elkies", "--n-max", "2"),
+                 ("--conjecture1", "--n-list", "2")):
+        assert main(["fekete", *mode, "--restarts", "0",
+                     "--max-iters", "5"]) == 0
+        configs[mode[0]] = json.loads(capsys.readouterr().out)["run_config"]
+    keys = {"command", "mode", "n", "n_max", "n_list", "torus", "aspect",
+            "seed", "restarts", "max_iters", "grad_tol", "abs_tol"}
+    assert all(set(c) == keys for c in configs.values())
+    assert configs["--n"]["n_max"] is None and configs["--n"]["n"] == 2
+    assert configs["--elkies"]["n_max"] == 2
+    assert configs["--conjecture1"]["n_list"] == [2]
+    assert configs["--conjecture1"]["torus"] is None
+
+
+def test_fekete_n1_lists_every_start(capsys):
+    # one point has no pairs: every start is converged at the lattice energy
+    assert main(["fekete", "--n", "1", "--restarts", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [row["index"] for row in doc["restart_table"]] == [0, 1, 2]
+    assert all(row["iters"] == 0 and row["grad_norm"] == 0.0
+               for row in doc["restart_table"])
+    assert doc["exit_reason"] == "converged" and doc["iterations"] == 0
+    assert doc["energy"]["value"] == -0.195797196353
 
 
 def test_gradient_bound_suite_takes_its_levels(capsys):
@@ -304,6 +347,20 @@ def test_obstacle_cycle_cap_is_a_numerical_failure(capsys, monkeypatch):
     assert main(["obstacle", "--disk", "--h", "0.0625", "--m", "0.9",
                  "--tol", "1e-12"]) == 3
     assert "NoConvergence" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["--m=nan", "--m=inf", "--m=1.5",
+                                   "--m-grid=0.9 1.5"])
+def test_obstacle_bad_level_is_rejected_before_the_grid(
+        level, capsys, monkeypatch):
+    def no_grid(*_, **__):
+        raise AssertionError("the grid was built before the level was checked")
+
+    monkeypatch.setattr(cli, "DomainGrid", no_grid)
+    flag, _, values = level.partition("=")
+    assert main(["obstacle", "--disk", "--h", "0.002", flag,
+                 *values.split()]) == 2
+    assert "input error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", ["nan", "-inf"])

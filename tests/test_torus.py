@@ -532,8 +532,6 @@ def test_minimize_control_validation():
     with pytest.raises(NonPositiveParameter):
         MinimizeControl(grad_tol=0.0)
     with pytest.raises(NonPositiveParameter):
-        MinimizeControl(step_init=-0.1)
-    with pytest.raises(NonPositiveParameter):
         MinimizeControl(restarts=-1)
     MinimizeControl(restarts=0)   # no restarts is legal
     MinimizeControl(max_iters=0)  # evaluate-the-starts-only is legal
