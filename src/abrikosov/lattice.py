@@ -26,8 +26,10 @@ from .errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from .modular import (
     LatticeBasis,
     SeriesControl,
+    _eta_product,
     _exp1,
     _gaussian_sum_support,
+    _nterms_for,
     _require_upper,
     dedekind_eta,
     eta_truncation,
@@ -53,6 +55,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
+SCAN_BLOCK = 1 << 14       # points moduli_scan evaluates at a time
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -262,15 +265,14 @@ class ModuliGrid:
         n = self.resolution
         a_vals = np.linspace(a_min, a_max, n)
         b_vals = np.linspace(b_min, b_max, n)
-        aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
-        keep = aa * aa + bb * bb >= 1.0 - 1e-12
-        pts_a = [aa[keep]]
-        pts_b = [bb[keep]]
+        b_sq = b_vals * b_vals
+        # rounded a^2 + b^2 never falls as b grows: each column keeps a suffix
+        kept = [np.count_nonzero(x * x + b_sq >= 1.0 - 1e-12) for x in a_vals]
         arc = np.sqrt(np.maximum(1.0 - a_vals * a_vals, 0.0))
         on = (arc >= b_min - 1e-12) & (arc <= b_max + 1e-12)
-        pts_a.append(a_vals[on])
-        pts_b.append(arc[on])
-        return np.concatenate(pts_a), np.concatenate(pts_b)
+        a = np.concatenate([np.repeat(a_vals, kept), a_vals[on]])
+        b = np.concatenate([b_vals[n - k:] for k in kept] + [arc[on]])
+        return a, b
 
 
 @dataclass
@@ -305,6 +307,17 @@ class ScanReport:
         write_csv(path, "a,b,W", "%.9g,%.9g,%.9g", (self.a, self.b, self.w))
 
 
+def _first_min(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> int:
+    """Index of the smallest w, ties broken by (a, b), then by index.
+
+    This is ``np.lexsort((b, a, w))[0]``, sorting only the ties of the
+    minimum.  fmin skips nan, which lexsort sorts last.
+    """
+    low = np.fmin.reduce(w)
+    ties = np.flatnonzero(w == low) if low == low else np.arange(w.size)
+    return int(ties[np.lexsort((b[ties], a[ties]))[0]])
+
+
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,
                 ctl: SeriesControl = _DEFAULT_CTL,
                 refine_iters: int = 60) -> ScanReport:
@@ -321,11 +334,16 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     if refine_iters < 0:
         raise NonPositiveParameter("refine_iters must be >= 0")
     a, b = grid.points()
-    eta = dedekind_eta(a + 1j * b, ctl)
-    w = m * (-0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2)
-             - 0.25 * math.log(m))
-    order = np.lexsort((b, a, w))  # w is the primary key
-    best = order[0]
+    # every block takes the term count of the whole scan's smallest b, so
+    # each w keeps the bits of one dedekind_eta call over the whole grid
+    n_terms = _nterms_for(float(b.min()), ctl)
+    w = np.empty_like(a)
+    for start in range(0, a.size, SCAN_BLOCK):
+        block = slice(start, start + SCAN_BLOCK)
+        eta = _eta_product(a[block] + 1j * b[block], n_terms)
+        w[block] = m * (-0.5 * np.log(np.sqrt(TWO_PI * b[block]) * np.abs(eta) ** 2)
+                        - 0.25 * math.log(m))
+    best = _first_min(a, b, w)
     tau0 = reduce_fundamental(complex(float(a[best]), float(b[best])))
     argmin_grid = (tau0.real, tau0.imag)
     min_grid = float(w[best])

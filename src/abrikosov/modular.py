@@ -163,7 +163,11 @@ def dedekind_eta(tau, ctl: SeriesControl = _DEFAULT_CTL):
     else:
         tau = _require_upper(tau)
         b = tau.imag
-    n = _nterms_for(b, ctl)
+    return _eta_product(tau, _nterms_for(b, ctl))
+
+
+def _eta_product(tau, n: int):
+    """dedekind_eta's product truncated at n factors, elementwise in tau."""
     q = np.exp(2j * np.pi * tau)
     qn = q.copy()
     prod = 1.0 - qn
@@ -239,8 +243,23 @@ def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
 
 
 def _covering_radius_bound(basis: LatticeBasis) -> float:
+    """Half the longer diagonal of the lattice's Lagrange-Gauss reduced basis.
+
+    Each point of a basis's cell lies within half the cell's longer
+    diagonal of a corner, so every basis bounds the covering radius, a
+    lattice invariant.  The reduced basis gives one small bound to all bases
+    of a lattice, where a skewed basis's own diagonal can be many times
+    longer.  A step needs a clear gain (1e-9 relative), so a basis already
+    reduced up to rounding is kept, up to order, and gives the same float.
+    """
     u, v = basis.u, basis.v
-    return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+    while True:
+        if v @ v < (1.0 - 1e-9) * (u @ u):
+            u, v = v, u
+        mu = (u @ v) / (u @ u)
+        if abs(mu) <= 0.5 + 1e-9:
+            return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+        v = v - round(mu) * u
 
 
 def _theta_radius(basis: LatticeBasis, alpha: float, tol: float) -> float:

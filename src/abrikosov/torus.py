@@ -657,6 +657,14 @@ class ElkiesReport:
         }
 
 
+def _point_counts(n_list) -> list:
+    """``n_list`` as ints, each checked to be >= 1 before any run starts."""
+    n_list = [int(n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise NonPositiveParameter("n must be >= 1")
+    return n_list
+
+
 def elkies_experiment(n_list, torus: TorusSpec = None,
                       ctl: MinimizeControl = MinimizeControl(),
                       series: SeriesControl = _DEFAULT_CTL) -> ElkiesReport:
@@ -666,14 +674,14 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
     excess (E(n) + (n/4) log n)/n.  The verdict checks the excesses stay in
     a band of width below ``ELKIES_BAND``.
     """
+    n_list = _point_counts(n_list)
+    if not n_list:
+        raise NonPositiveParameter("the Elkies band needs at least one n")
     torus = torus or TorusSpec.square()
     w_lat = w_eta(_shape_modulus(torus.basis), 1.0, series).value
     rows = []
     converged = []
     for n in n_list:
-        n = int(n)
-        if n < 1:
-            raise NonPositiveParameter("n must be >= 1")
         start = TorusConfig(torus, _input_start(n, ctl.rng_seed))
         out = minimize_config(start, ctl, series)
         e_pair = 2.0 * (out.report.value - n * w_lat)
@@ -681,7 +689,7 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
         rows.append((n, e_pair, excess))
         converged.append(out.converged)
     excesses = [x for _, _, x in rows]
-    width = (max(excesses) - min(excesses)) if excesses else 0.0
+    width = max(excesses) - min(excesses)
     return ElkiesReport(rows=rows, converged=converged, band_width=width,
                         band_ok=width < ELKIES_BAND)
 
@@ -728,8 +736,7 @@ def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
     counterexample candidates; the probe records, never asserts.
     """
     rows = []
-    for n in n_list:
-        n = int(n)
+    for n in _point_counts(n_list):
         reference = w_eta(TRIANGULAR_TAU, float(n), series).value
         variants = [("square", TorusSpec.square(), None)]
         emb = triangular_embedding(n)

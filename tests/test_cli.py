@@ -224,7 +224,7 @@ def test_negative_refine_iters_is_an_input_error(capsys, monkeypatch):
     def no_work(*_, **__):
         raise AssertionError("the scan ran before the input was checked")
 
-    monkeypatch.setattr(lattice, "dedekind_eta", no_work)
+    monkeypatch.setattr(lattice, "_eta_product", no_work)
     assert main(["moduli-scan", "--resolution", "8",
                  "--refine-iters", "-3"]) == 2
     assert "NonPositiveParameter" in capsys.readouterr().err
@@ -322,6 +322,18 @@ def test_fekete_elkies_tiny():
     assert abs(rows[0]["e_min"] - (-0.693147180559945)) < 1e-5
     assert rows[0]["converged"] is True
     assert doc["elkies"]["band_ok"] is True
+
+
+@pytest.mark.parametrize("args,message", [
+    (("--elkies", "--n-max", "1"), "at least one n"),
+    (("--conjecture1", "--n-list", "0"), "n must be >= 1"),
+])
+def test_fekete_experiment_without_a_valid_n_is_an_input_error(
+        args, message, capsys):
+    assert main(["fekete", *args]) == 2
+    err = capsys.readouterr().err
+    assert "NonPositiveParameter" in err and message in err
+    assert "density" not in err
 
 
 def test_obstacle_basic_and_field_csv(tmp_path):

@@ -7,6 +7,7 @@ are asserted as literals here; closed-form identities are used where exact.
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -309,6 +310,83 @@ def test_moduli_scan_csv_matches_row_loop(tmp_path, monkeypatch):
     want = "a,b,W\n" + "".join(f"{ai:.9g},{bi:.9g},{wi:.9g}\n"
                                 for ai, bi, wi in zip(rep.a, rep.b, rep.w))
     assert (tmp_path / "scan.csv").read_text() == want
+
+
+_CSV_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                 1e300, -1e300, 1e-300, -1e-300, -1.23456789e-100, 0.5]
+_csv_value = st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats())
+
+
+@settings(max_examples=80, deadline=None)
+@given(block=st.integers(1, 6),
+       row_format=st.sampled_from(["%.9g,%.9g,%d", "x=%.17g %%|%-12.3e|%d;"]),
+       data=st.data())
+def test_write_csv_matches_row_format(tmp_path_factory, block, row_format,
+                                      data):
+    # rows just under, at and over one block, and over two
+    n = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
+    cols = [data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
+            data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
+            data.draw(st.lists(st.integers(-2**53, 2**53), min_size=n,
+                               max_size=n))]
+    path = tmp_path_factory.mktemp("csv") / "rows.csv"
+    with mock.patch.object(csvfile, "BLOCK_ROWS", block):
+        csvfile.write_csv(path, "p,q,k", row_format, cols)
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    want = "p,q,k\n" + "".join(row_format % tuple(r) + "\n"
+                               for r in rows.tolist())
+    assert path.read_bytes() == want.encode()
+
+
+def test_moduli_scan_blocks_keep_the_whole_array_bits():
+    grid = ModuliGrid(b_range=(0.8, 3.0), resolution=300)
+    m = 1.7
+    rep = moduli_scan(grid, m=m, refine_iters=0)
+    assert rep.a.size > 3 * lattice.SCAN_BLOCK
+    a, b = grid.points()
+    eta = modular.dedekind_eta(a + 1j * b)
+    want = m * (-0.5 * np.log(np.sqrt(2.0 * math.pi * b) * np.abs(eta) ** 2)
+                - 0.25 * math.log(m))
+    assert rep.w.tobytes() == want.tobytes()
+    assert rep.min_grid == want[np.lexsort((b, a, want))[0]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30))
+def test_first_min_is_the_full_lexsort_pick(data, n):
+    # few distinct values, so w ties exactly (0.0 with -0.0 too) and (a, b)
+    # pairs repeat; nan sorts last, and an all-nan w falls back to (a, b)
+    small = st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=n, max_size=n)
+    a, b = (np.array(data.draw(small)) for _ in range(2))
+    w = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 2.0, -3.0, math.nan]),
+        min_size=n, max_size=n)))
+    assert lattice._first_min(a, b, w) == np.lexsort((b, a, w))[0]
+
+
+def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
+    # an eta that depends on b alone makes every column tie at its lowest b
+    def eta_of_b(tau, n):
+        return np.exp(-np.imag(tau)) + 0j
+
+    monkeypatch.setattr(lattice, "_eta_product", eta_of_b)
+    grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(1.1, 1.5), resolution=5)
+    rep = moduli_scan(grid, refine_iters=0)
+    best = np.lexsort((rep.b, rep.a, rep.w))[0]
+    assert np.count_nonzero(rep.w == rep.w[best]) == 5
+    assert rep.argmin_grid == (rep.a[best], rep.b[best]) == (0.1, 1.1)
+
+
+def test_moduli_scan_memory_per_point():
+    # a, b and w are 24 bytes a point; block temporaries add a few more
+    grid = ModuliGrid(resolution=1000)
+    tracemalloc.start()
+    try:
+        rep = moduli_scan(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * rep.a.size, peak / rep.a.size
 
 
 def test_moduli_scan_deterministic():

@@ -31,7 +31,7 @@ from abrikosov.modular import (
     zeta_difference_limit,
 )
 from abrikosov.lattice import shape_basis, w_eta
-from abrikosov.modular import _theta_radius
+from abrikosov.modular import _gaussian_sum_support, _theta_radius
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -284,6 +284,21 @@ def test_zeta_difference_limit_vanishes_on_unreduced_bases(tau, k):
     base = shape_basis(tau)
     for image in (tau + k, -1.0 / tau):
         assert abs(zeta_difference_limit(base, shape_basis(image))) < 1e-13
+
+
+def test_skewed_basis_keeps_the_reduced_support():
+    # the covering-radius bound is the reduced basis's, so tau = i + 10 keeps
+    # the points of tau = i (it kept 480 against 20 with its own diagonal)
+    square, skewed = shape_basis(1j), shape_basis(1j + 10)
+    for alpha in (1.0, 0.5 / math.pi):
+        kept = [_gaussian_sum_support(lat, alpha, SeriesControl())[0].size
+                for lat in (square, skewed)]
+        assert kept[0] == kept[1]
+        assert abs(theta_lattice(square, alpha)
+                   - theta_lattice(skewed, alpha)) < 1e-15
+    tri = shape_basis(TRI_TAU)
+    assert abs(zeta_difference_limit(square, tri)
+               - zeta_difference_limit(skewed, tri)) < 1e-15
 
 
 def test_zeta_difference_rejects_covolume_mismatch():

@@ -753,6 +753,21 @@ def test_elkies_rows_small():
     assert [r["n"] for r in d["rows"]] == [1, 2]
 
 
+@pytest.mark.parametrize("probe", [elkies_experiment, conjecture1_probe])
+def test_experiments_check_their_point_counts(probe, monkeypatch):
+    # rejected before any energy is evaluated, with the input's own name
+    def no_work(*_, **__):
+        raise AssertionError("an energy was evaluated before n was checked")
+
+    monkeypatch.setattr(torus, "w_eta", no_work)
+    with pytest.raises(NonPositiveParameter, match="n must be >= 1"):
+        probe([2, 0])
+    if probe is elkies_experiment:
+        # an empty band is no band: it does not pass vacuously
+        with pytest.raises(NonPositiveParameter, match="at least one n"):
+            probe(range(2, 2))
+
+
 def test_elkies_starts_are_distinct(monkeypatch):
     stacks = []
     descent = torus._descent
