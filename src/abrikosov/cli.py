@@ -256,7 +256,7 @@ def cmd_fekete(args) -> int:
                            for i, e, k, g, s in out.restart_table])
         if args.trace_csv:
             write_csv(args.trace_csv, "iter,energy,grad_norm",
-                      "%d,%.9g,%.9g", zip(*out.trace))
+                      "%d,%.9g,%.9g", [zip(*out.trace)])
             payload["trace_csv_path"] = args.trace_csv
     _emit_json(payload, args.output)
     return 0

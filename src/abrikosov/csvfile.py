@@ -44,30 +44,34 @@ def _field_table(spec: str, column: np.ndarray):
     return table, where
 
 
-def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write ``header`` and one ``row_format`` line per row of ``columns``.
+def write_csv(path, header: str, row_format: str, blocks) -> None:
+    """Write ``header`` and one ``row_format`` line per row of ``blocks``.
 
-    The file is byte for byte ``header`` and ``row_format % row`` for each
-    row, with the columns read as float64: an integer column printed with
-    ``%d`` must be exact in it.  Rows go out in blocks.  In each block every
-    distinct value of a column is formatted once, and the block's lines are
-    assembled as bytes in numpy (dropping the NUL padding, so ``row_format``
-    must hold no NUL), so the text of the whole file never sits in memory.
+    ``blocks`` yields tuples of equal-length columns, the rows of one block
+    after those of the one before, so a caller holding whole columns passes
+    ``[columns]``.  The file is byte for byte ``header`` and
+    ``row_format % row`` for each row, with the columns read as float64: an
+    integer column printed with ``%d`` must be exact in it.  Rows go out at
+    most BLOCK_ROWS at a time.  In each such run every distinct value of a
+    column is formatted once, and the lines are assembled as bytes in numpy
+    (dropping the NUL padding, so ``row_format`` must hold no NUL), so the
+    text of the whole file never sits in memory.
     """
-    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
     literals, specs = _split_format(row_format + "\n")
-    if len(specs) != len(cols):
-        raise ValueError(f"{row_format!r} formats {len(specs)} columns, "
-                         f"not {len(cols)}")
     literals = [np.frombuffer(t.encode(), dtype=np.uint8) for t in literals]
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(cols[0]), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            rows = len(cols[0][block])
-            parts = [np.broadcast_to(literals[0], (rows, literals[0].size))]
-            for spec, col, lit in zip(specs, cols, literals[1:]):
-                table, where = _field_table(spec, col[block])
-                parts += [table[where], np.broadcast_to(lit, (rows, lit.size))]
-            lines = np.concatenate(parts, axis=1)
-            fh.write(lines.tobytes().replace(b"\0", b""))
+        for columns in blocks:
+            cols = [np.ascontiguousarray(c, dtype=np.float64) for c in columns]
+            if len(specs) != len(cols):
+                raise ValueError(f"{row_format!r} formats {len(specs)} "
+                                 f"columns, not {len(cols)}")
+            for start in range(0, len(cols[0]), BLOCK_ROWS):
+                block = slice(start, start + BLOCK_ROWS)
+                rows = len(cols[0][block])
+                parts = [np.broadcast_to(literals[0], (rows, literals[0].size))]
+                for spec, col, lit in zip(specs, cols, literals[1:]):
+                    table, where = _field_table(spec, col[block])
+                    parts += [table[where], np.broadcast_to(lit, (rows, lit.size))]
+                lines = np.concatenate(parts, axis=1)
+                fh.write(lines.tobytes().replace(b"\0", b""))

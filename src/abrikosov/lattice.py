@@ -55,7 +55,7 @@ __all__ = [
 TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
-SCAN_BLOCK = 1 << 14       # points moduli_scan evaluates at a time
+SCAN_BLOCK = 1 << 14       # most points in a ModuliGrid block, bar one long column
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -258,31 +258,73 @@ class ModuliGrid:
         if b_max < _arc_b(max(abs(a_min), abs(a_max))) - 1e-12:
             raise InputError("grid rectangle lies entirely below |tau| = 1")
 
-    def points(self):
-        """(a, b) arrays of all scanned sample points, deterministic order."""
-        a_min, a_max = self.a_range
-        b_min, b_max = self.b_range
+    def _columns(self):
+        """(a_vals, b_vals, kept, on, arc): the grid's abscissae and ordinates,
+        the length of the b_vals suffix each column keeps, and the columns
+        whose arc ordinate ``arc`` falls inside b_range."""
         n = self.resolution
-        a_vals = np.linspace(a_min, a_max, n)
-        b_vals = np.linspace(b_min, b_max, n)
+        a_vals = np.linspace(*self.a_range, n)
+        b_vals = np.linspace(*self.b_range, n)
         b_sq = b_vals * b_vals
         # rounded a^2 + b^2 never falls as b grows: each column keeps a suffix
         kept = [np.count_nonzero(x * x + b_sq >= 1.0 - 1e-12) for x in a_vals]
         arc = np.sqrt(np.maximum(1.0 - a_vals * a_vals, 0.0))
-        on = (arc >= b_min - 1e-12) & (arc <= b_max + 1e-12)
-        a = np.concatenate([np.repeat(a_vals, kept), a_vals[on]])
-        b = np.concatenate([b_vals[n - k:] for k in kept] + [arc[on]])
-        return a, b
+        on = (arc >= self.b_range[0] - 1e-12) & (arc <= self.b_range[1] + 1e-12)
+        return a_vals, b_vals, kept, on, arc
+
+    @property
+    def size(self) -> int:
+        """Number of scanned points."""
+        _, _, kept, on, _ = self._columns()
+        return sum(kept) + np.count_nonzero(on)
+
+    @property
+    def min_b(self) -> float:
+        """Smallest b of the scanned points, without building them.
+
+        Every column keeps a suffix of the same b values, so the longest
+        suffix holds the smallest column b.
+        """
+        _, b_vals, kept, on, arc = self._columns()
+        return float(np.concatenate((b_vals[b_vals.size - max(kept):],
+                                     arc[on])).min())
+
+    def blocks(self):
+        """Yield (a, b) arrays of the scanned points, deterministic order.
+
+        The columns come in order of a, grouped into blocks of whole column
+        suffixes of at most SCAN_BLOCK points (a longer column is one block),
+        then one block of the arc points.
+        """
+        a_vals, b_vals, kept, on, arc = self._columns()
+        n = self.resolution
+        first = 0
+        while first < n:
+            last, size = first + 1, kept[first]
+            while last < n and size + kept[last] <= SCAN_BLOCK:
+                size += kept[last]
+                last += 1
+            yield (np.repeat(a_vals[first:last], kept[first:last]),
+                   np.concatenate([b_vals[n - k:] for k in kept[first:last]]))
+            first = last
+        yield a_vals[on], arc[on]
+
+    def points(self):
+        """(a, b) arrays of all scanned sample points: the blocks, joined."""
+        a, b = zip(*self.blocks())
+        return np.concatenate(a), np.concatenate(b)
 
 
 @dataclass
 class ScanReport:
-    """Result of a moduli scan: raw grid data plus the refined minimizer."""
+    """Result of a moduli scan: W over the grid plus the refined minimizer.
+
+    Only ``w`` is stored per point.  ``a`` and ``b``, the points in the
+    order of ``w``, are rebuilt from ``grid`` on each access.
+    """
 
     m: float
-    resolution: int
-    a: np.ndarray
-    b: np.ndarray
+    grid: ModuliGrid
     w: np.ndarray
     argmin_grid: tuple        # (a, b) of the best grid sample, canonicalized
     min_grid: float
@@ -290,11 +332,23 @@ class ScanReport:
     min_value: float
     refine_iters: int
 
+    @property
+    def resolution(self) -> int:
+        return self.grid.resolution
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.grid.points()[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.grid.points()[1]
+
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
             "resolution": self.resolution,
-            "n_points": int(self.a.size),
+            "n_points": int(self.w.size),
             "argmin_grid": {"a": self.argmin_grid[0], "b": self.argmin_grid[1]},
             "min_grid": self.min_grid,
             "argmin": {"a": self.argmin[0], "b": self.argmin[1]},
@@ -303,19 +357,39 @@ class ScanReport:
         }
 
     def to_csv(self, path) -> None:
-        """Write the scanned surface to ``path`` as a,b,W rows."""
-        write_csv(path, "a,b,W", "%.9g,%.9g,%.9g", (self.a, self.b, self.w))
+        """Write the scanned surface to ``path`` as a,b,W rows, one grid
+        block at a time."""
+        write_csv(path, "a,b,W", "%.9g,%.9g,%.9g",
+                  ((a, b, self.w[at]) for at, a, b in _spans(self.grid)))
 
 
-def _first_min(a: np.ndarray, b: np.ndarray, w: np.ndarray) -> int:
-    """Index of the smallest w, ties broken by (a, b), then by index.
+def _spans(grid: ModuliGrid):
+    """(at, a, b) for each of the grid's blocks, ``at`` the slice of the
+    point order that the block fills."""
+    start = 0
+    for a, b in grid.blocks():
+        yield slice(start, start + a.size), a, b
+        start += a.size
 
-    This is ``np.lexsort((b, a, w))[0]``, sorting only the ties of the
-    minimum.  fmin skips nan, which lexsort sorts last.
+
+def _first_min(w: np.ndarray, spans):
+    """(index, a, b) of the smallest w, ties broken by (a, b), then by index.
+
+    ``spans`` yields the (at, a, b) blocks of ``_spans``, covering w.  The
+    index is ``np.lexsort((b, a, w))[0]``, with (a, b) taken and sorted at
+    the ties of the minimum only.  fmin skips nan, which lexsort sorts last.
     """
     low = np.fmin.reduce(w)
     ties = np.flatnonzero(w == low) if low == low else np.arange(w.size)
-    return int(ties[np.lexsort((b[ties], a[ties]))[0]])
+    tie_a, tie_b = [], []
+    for at, a, b in spans:
+        rows = ties[np.searchsorted(ties, at.start):
+                    np.searchsorted(ties, at.stop)] - at.start
+        tie_a.append(a[rows])
+        tie_b.append(b[rows])
+    tie_a, tie_b = np.concatenate(tie_a), np.concatenate(tie_b)
+    pick = np.lexsort((tie_b, tie_a))[0]
+    return int(ties[pick]), float(tie_a[pick]), float(tie_b[pick])
 
 
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,
@@ -333,18 +407,16 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
         raise NonPositiveParameter("density m must be > 0")
     if refine_iters < 0:
         raise NonPositiveParameter("refine_iters must be >= 0")
-    a, b = grid.points()
     # every block takes the term count of the whole scan's smallest b, so
     # each w keeps the bits of one dedekind_eta call over the whole grid
-    n_terms = _nterms_for(float(b.min()), ctl)
-    w = np.empty_like(a)
-    for start in range(0, a.size, SCAN_BLOCK):
-        block = slice(start, start + SCAN_BLOCK)
-        eta = _eta_product(a[block] + 1j * b[block], n_terms)
-        w[block] = m * (-0.5 * np.log(np.sqrt(TWO_PI * b[block]) * np.abs(eta) ** 2)
-                        - 0.25 * math.log(m))
-    best = _first_min(a, b, w)
-    tau0 = reduce_fundamental(complex(float(a[best]), float(b[best])))
+    n_terms = _nterms_for(grid.min_b, ctl)
+    w = np.empty(grid.size)
+    for at, a, b in _spans(grid):
+        eta = _eta_product(a + 1j * b, n_terms)
+        w[at] = m * (-0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2)
+                     - 0.25 * math.log(m))
+    best, a_best, b_best = _first_min(w, _spans(grid))
+    tau0 = reduce_fundamental(complex(a_best, b_best))
     argmin_grid = (tau0.real, tau0.imag)
     min_grid = float(w[best])
 
@@ -382,7 +454,7 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
         if not moved:
             break
     tau_fin = reduce_fundamental(complex(*p))
-    return ScanReport(m=m, resolution=grid.resolution, a=a, b=b, w=w,
+    return ScanReport(m=m, grid=grid, w=w,
                       argmin_grid=argmin_grid, min_grid=min_grid,
                       argmin=(tau_fin.real, tau_fin.imag),
                       min_value=min(fval, min_grid),

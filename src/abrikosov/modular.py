@@ -221,9 +221,32 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
 # ---------------------------------------------------------------------------
 
 
-def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
-    """Squared norms of all nonzero lattice points with |p| <= radius."""
+def _reduced_basis(basis: LatticeBasis):
+    """(u, v), a Lagrange-Gauss reduced basis of the lattice of ``basis``.
+
+    A step needs a clear gain (1e-9 relative), so a basis already reduced up
+    to rounding comes back as given, in its own order.
+    """
     u, v = basis.u, basis.v
+    stepped = False
+    while True:
+        if v @ v < (1.0 - 1e-9) * (u @ u):
+            u, v = v, u
+        mu = (u @ v) / (u @ u)
+        if abs(mu) <= 0.5 + 1e-9:
+            return (u, v) if stepped else (basis.u, basis.v)
+        v = v - round(mu) * u
+        stepped = True
+
+
+def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
+    """Squared norms of all nonzero lattice points with |p| <= radius.
+
+    The index window is that of the reduced basis, whose coefficients stay
+    small for every basis of the lattice; a skewed basis's own would grow
+    with the skew.
+    """
+    u, v = _reduced_basis(basis)
     vol = basis.covolume
     ki = int(math.ceil(radius * np.linalg.norm(v) / vol)) + 1
     kj = int(math.ceil(radius * np.linalg.norm(u) / vol)) + 1
@@ -249,17 +272,10 @@ def _covering_radius_bound(basis: LatticeBasis) -> float:
     diagonal of a corner, so every basis bounds the covering radius, a
     lattice invariant.  The reduced basis gives one small bound to all bases
     of a lattice, where a skewed basis's own diagonal can be many times
-    longer.  A step needs a clear gain (1e-9 relative), so a basis already
-    reduced up to rounding is kept, up to order, and gives the same float.
+    longer.
     """
-    u, v = basis.u, basis.v
-    while True:
-        if v @ v < (1.0 - 1e-9) * (u @ u):
-            u, v = v, u
-        mu = (u @ v) / (u @ u)
-        if abs(mu) <= 0.5 + 1e-9:
-            return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
-        v = v - round(mu) * u
+    u, v = _reduced_basis(basis)
+    return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
 
 
 def _theta_radius(basis: LatticeBasis, alpha: float, tol: float) -> float:

@@ -615,8 +615,8 @@ class ObstacleField:
         full_act[grid.ii, grid.jj] = self.active
         sel_i, sel_j = np.nonzero(grid.mask > 0)
         write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
-                  (grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
-                   full_act[sel_i, sel_j]))
+                  [(grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
+                    full_act[sel_i, sel_j])])
 
     def to_json_dict(self) -> dict:
         met = coincidence_metrics(self)

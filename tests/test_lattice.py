@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from abrikosov import backend, csvfile, lattice, modular
@@ -278,6 +278,54 @@ def test_moduli_grid_points_respect_domain():
     assert np.any(on_arc)
 
 
+def _whole_grid_points(grid):
+    """The scanned points as one whole-grid pass builds them: every column's
+    kept suffix in order of a, then the arc points."""
+    n = grid.resolution
+    a_vals = np.linspace(*grid.a_range, n)
+    b_vals = np.linspace(*grid.b_range, n)
+    kept = [np.count_nonzero(x * x + b_vals * b_vals >= 1.0 - 1e-12)
+            for x in a_vals]
+    arc = np.sqrt(np.maximum(1.0 - a_vals * a_vals, 0.0))
+    on = (arc >= grid.b_range[0] - 1e-12) & (arc <= grid.b_range[1] + 1e-12)
+    return (np.concatenate([np.repeat(a_vals, kept), a_vals[on]]),
+            np.concatenate([b_vals[n - k:] for k in kept] + [arc[on]]))
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.tuples(_unit, _unit), b_min=st.floats(0.3, 1.5),
+       b_span=st.floats(0.0, 1.5), resolution=st.integers(1, 60),
+       block=st.integers(1, 200))
+@example(a=(0.0, 1.0), b_min=0.8, b_span=0.8, resolution=60, block=100)
+@example(a=(0.1, 0.9), b_min=1.05, b_span=0.5, resolution=37, block=7)
+def test_grid_blocks_join_to_the_whole_grid_points(a, b_min, b_span,
+                                                   resolution, block):
+    # the examples are a window with arc points and one above the arc
+    try:
+        grid = ModuliGrid(a_range=tuple(sorted(x - 0.5 for x in a)),
+                          b_range=(b_min, b_min + b_span),
+                          resolution=resolution)
+    except InputError:
+        assume(False)
+    with mock.patch.object(lattice, "SCAN_BLOCK", block):
+        blocks = list(grid.blocks())
+    want_a, want_b = _whole_grid_points(grid)
+    assume(want_a.size)     # a window can hold no point at all
+    got_a, got_b = grid.points()
+    for got, want in ((got_a, want_a), (got_b, want_b),
+                      (np.concatenate([x for x, _ in blocks]), want_a),
+                      (np.concatenate([y for _, y in blocks]), want_b)):
+        assert got.tobytes() == want.tobytes()
+    assert grid.size == want_a.size
+    assert grid.min_b == want_b.min()
+    # whole columns: a block holds at most `block` points or one column
+    for x, _ in blocks[:-1]:
+        assert x.size <= block or np.all(x == x[0])
+
+
 def test_moduli_scan_finds_hexagonal_point():
     grid = ModuliGrid(resolution=60)
     rep = moduli_scan(grid, refine_iters=40)
@@ -295,21 +343,25 @@ def test_moduli_scan_csv_shape(tmp_path):
     rep.to_csv(tmp_path / "scan.csv")
     lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
     assert lines[0] == "a,b,W"
-    assert len(lines) == 1 + rep.a.size
+    assert len(lines) == 1 + rep.a.size == 1 + rep.w.size
+    assert rep.to_json_dict()["n_points"] == rep.w.size
     first = lines[1].split(",")
     assert len(first) == 3
     float(first[0]), float(first[1]), float(first[2])
 
 
 def test_moduli_scan_csv_matches_row_loop(tmp_path, monkeypatch):
-    # blocks of 7 rows, so the last block is short
+    # runs of 7 rows, so the last run of a grid block is short; grid blocks
+    # of one column and of the whole grid
     monkeypatch.setattr(csvfile, "BLOCK_ROWS", 7)
     rep = moduli_scan(ModuliGrid(resolution=8), refine_iters=5)
     assert rep.a.size % 7 != 0
-    rep.to_csv(tmp_path / "scan.csv")
     want = "a,b,W\n" + "".join(f"{ai:.9g},{bi:.9g},{wi:.9g}\n"
                                 for ai, bi, wi in zip(rep.a, rep.b, rep.w))
-    assert (tmp_path / "scan.csv").read_text() == want
+    for scan_block in (5, 1 << 14):
+        monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
+        rep.to_csv(tmp_path / "scan.csv")
+        assert (tmp_path / "scan.csv").read_text() == want
 
 
 _CSV_SPECIALS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
@@ -323,15 +375,18 @@ _csv_value = st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats())
        data=st.data())
 def test_write_csv_matches_row_format(tmp_path_factory, block, row_format,
                                       data):
-    # rows just under, at and over one block, and over two
+    # rows just under, at and over one block, and over two, handed over in
+    # up to four pieces (empty ones too) cut anywhere
     n = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
     cols = [data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
             data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
             data.draw(st.lists(st.integers(-2**53, 2**53), min_size=n,
                                max_size=n))]
+    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
+    pieces = [tuple(c[lo:hi] for c in cols) for lo, hi in zip(cuts, cuts[1:])]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
     with mock.patch.object(csvfile, "BLOCK_ROWS", block):
-        csvfile.write_csv(path, "p,q,k", row_format, cols)
+        csvfile.write_csv(path, "p,q,k", row_format, pieces)
     rows = np.column_stack([np.asarray(c, dtype=float) for c in cols])
     want = "p,q,k\n" + "".join(row_format % tuple(r) + "\n"
                                for r in rows.tolist())
@@ -342,43 +397,78 @@ def test_moduli_scan_blocks_keep_the_whole_array_bits():
     grid = ModuliGrid(b_range=(0.8, 3.0), resolution=300)
     m = 1.7
     rep = moduli_scan(grid, m=m, refine_iters=0)
-    assert rep.a.size > 3 * lattice.SCAN_BLOCK
-    a, b = grid.points()
+    a, b = _whole_grid_points(grid)
+    assert a.size > 3 * lattice.SCAN_BLOCK
     eta = modular.dedekind_eta(a + 1j * b)
     want = m * (-0.5 * np.log(np.sqrt(2.0 * math.pi * b) * np.abs(eta) ** 2)
                 - 0.25 * math.log(m))
     assert rep.w.tobytes() == want.tobytes()
-    assert rep.min_grid == want[np.lexsort((b, a, want))[0]]
+    best = np.lexsort((b, a, want))[0]
+    assert rep.min_grid == want[best]
+    tau0 = reduce_fundamental(complex(a[best], b[best]))
+    assert rep.argmin_grid == (tau0.real, tau0.imag)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), n=st.integers(1, 30))
 def test_first_min_is_the_full_lexsort_pick(data, n):
     # few distinct values, so w ties exactly (0.0 with -0.0 too) and (a, b)
-    # pairs repeat; nan sorts last, and an all-nan w falls back to (a, b)
+    # pairs repeat; nan sorts last, and an all-nan w falls back to (a, b);
+    # the points come in up to four blocks (empty ones too) cut anywhere
     small = st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=n, max_size=n)
     a, b = (np.array(data.draw(small)) for _ in range(2))
     w = np.array(data.draw(st.lists(
         st.sampled_from([0.0, -0.0, 2.0, -3.0, math.nan]),
         min_size=n, max_size=n)))
-    assert lattice._first_min(a, b, w) == np.lexsort((b, a, w))[0]
+    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
+    spans = [(slice(lo, hi), a[lo:hi], b[lo:hi])
+             for lo, hi in zip(cuts, cuts[1:])]
+    best = np.lexsort((b, a, w))[0]
+    assert lattice._first_min(w, spans) == (best, a[best], b[best])
 
 
 def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
-    # an eta that depends on b alone makes every column tie at its lowest b
+    # an eta that depends on b alone makes every column tie at its lowest b;
+    # 5 points a column, so blocks of 5 and 12 split the ties between blocks
     def eta_of_b(tau, n):
         return np.exp(-np.imag(tau)) + 0j
 
     monkeypatch.setattr(lattice, "_eta_product", eta_of_b)
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(1.1, 1.5), resolution=5)
+    for scan_block in (5, 12, 1 << 14):
+        monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
+        rep = moduli_scan(grid, refine_iters=0)
+        best = np.lexsort((rep.b, rep.a, rep.w))[0]
+        assert np.count_nonzero(rep.w == rep.w[best]) == 5
+        assert rep.argmin_grid == (rep.a[best], rep.b[best]) == (0.1, 1.1)
+
+
+@pytest.mark.parametrize("scan_block", [5, 1 << 14])
+def test_moduli_scan_argmin_tie_can_be_won_blocks_later(monkeypatch,
+                                                        scan_block):
+    # eta = inf pins w = -inf at the top of the a = 0.4 column and at the arc
+    # point of a = 0.1; the arc block comes last, and its smaller a wins
+    a_vals = np.linspace(0.1, 0.4, 5)
+    pinned = [complex(a_vals[4], 1.5), complex(a_vals[0], math.sqrt(0.99))]
+
+    def eta_pinned(tau, n):
+        return np.where(np.isin(tau, pinned), np.inf, np.exp(-np.imag(tau))) + 0j
+
+    monkeypatch.setattr(lattice, "_eta_product", eta_pinned)
+    monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
+    grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(0.9, 1.5), resolution=5)
     rep = moduli_scan(grid, refine_iters=0)
-    best = np.lexsort((rep.b, rep.a, rep.w))[0]
-    assert np.count_nonzero(rep.w == rep.w[best]) == 5
-    assert rep.argmin_grid == (rep.a[best], rep.b[best]) == (0.1, 1.1)
+    a, b = rep.a, rep.b
+    ties = np.flatnonzero(rep.w == -np.inf)
+    assert ties.size == 2 and ties[1] == a.size - 5   # first of 5 arc points
+    best = np.lexsort((b, a, rep.w))[0]
+    assert best == ties[1]
+    assert rep.argmin_grid == (a[best], b[best]) == (0.1, math.sqrt(0.99))
 
 
 def test_moduli_scan_memory_per_point():
-    # a, b and w are 24 bytes a point; block temporaries add a few more
+    # w is 8 bytes a point; the grid's blocks and their eta temporaries add
+    # a bounded amount, 2 bytes a point at this resolution
     grid = ModuliGrid(resolution=1000)
     tracemalloc.start()
     try:
@@ -386,7 +476,24 @@ def test_moduli_scan_memory_per_point():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * rep.a.size, peak / rep.a.size
+    assert peak <= 12 * rep.w.size, peak / rep.w.size
+
+
+def _csv_peak(path, resolution):
+    rep = moduli_scan(ModuliGrid(resolution=resolution), refine_iters=0)
+    tracemalloc.start()
+    try:
+        rep.to_csv(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_csv_memory_does_not_grow_with_the_points(tmp_path):
+    # rows are written a grid block at a time, so at 201,470 and 805,040
+    # points to_csv needs the same few MB over the report
+    small, large = (_csv_peak(tmp_path / "scan.csv", r) for r in (500, 1000))
+    assert large < 4e6 and abs(large - small) < 0.5e6, (small, large)
 
 
 def test_moduli_scan_deterministic():

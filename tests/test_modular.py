@@ -7,6 +7,7 @@ library's, with the previously computed value frozen as a literal.
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,6 +300,22 @@ def test_skewed_basis_keeps_the_reduced_support():
     tri = shape_basis(TRI_TAU)
     assert abs(zeta_difference_limit(square, tri)
                - zeta_difference_limit(skewed, tri)) < 1e-15
+
+
+@pytest.mark.parametrize("skew", [10, 100, -100])
+def test_skewed_basis_enumerates_the_reduced_window(skew):
+    # the index window is the reduced basis's: the 81 pairs that tau = i
+    # scans, where tau = i + 100's own basis took 4,653
+    norms, windows = [], []
+    for lat in (shape_basis(1j), shape_basis(1j + skew)):
+        with mock.patch.object(np, "meshgrid", wraps=np.meshgrid) as grid:
+            norms.append(np.sort(_gaussian_sum_support(lat, 1.0,
+                                                       SeriesControl())[0]))
+        windows.append(grid.call_args.args[0].size
+                       * grid.call_args.args[1].size)
+    assert norms[0].size == 20
+    assert norms[0].tobytes() == norms[1].tobytes()
+    assert windows[0] == windows[1] == 81
 
 
 def test_zeta_difference_rejects_covolume_mismatch():
