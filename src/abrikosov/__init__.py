@@ -1,12 +1,11 @@
 """Coulombian renormalized energy of planar lattices and torus configurations.
 
 The package computes the renormalized interaction energy of 2D lattices and
-periodic point configurations through three routes (modular eta product,
-Ewald lattice sums, and a zeta-difference limit that is the same Ewald sum
-at another split, so the last two share Poisson summation and check the
-first rather than each other), optimizes the energy over lattice shapes and over n-point
-torus configurations, and solves the companion constant-obstacle problem
-with its verification suite.  The hot kernels are vectorized numpy.
+periodic point configurations (through the modular eta product, or through
+Ewald lattice sums, absolute or as a zeta-difference limit), optimizes the
+energy over lattice shapes and over n-point torus configurations, and
+solves the companion constant-obstacle problem with its verification
+suite.  The hot kernels are vectorized numpy.
 """
 from ._version import __version__
 from . import backend, errors

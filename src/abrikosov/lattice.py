@@ -5,11 +5,9 @@ The energy of a unit-density lattice of shape ``tau = a + i b`` is
     w(tau) = -1/2 * log( sqrt(2 pi b) |eta(tau)|^2 ),
 
 extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  Three
-evaluation routes are provided: the eta product, Ewald lattice sums over
-the lattice and its dual (no q-series), and the limit of a zeta difference.
-The last is the Ewald sum at split 1/(4 pi) with its constants cancelled,
-so the two lattice-sum routes share Poisson summation: their agreement
-with the eta route (about 1e-15) checks it, not each other.
+evaluation routes are provided: the eta product, and two built on
+``modular._ewald_sums`` (no q-series): ``w_fourier`` and the zeta
+difference ``w_zeta_diff``.
 
 ``moduli_scan`` verifies that the minimum over shapes is the hexagonal
 point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
@@ -27,8 +25,7 @@ from .modular import (
     LatticeBasis,
     SeriesControl,
     _eta_product,
-    _exp1,
-    _gaussian_sum_support,
+    _ewald_sums,
     _nterms_for,
     _require_upper,
     dedekind_eta,
@@ -158,8 +155,8 @@ def _w_eta_value(tau: complex, ctl: SeriesControl) -> float:
 
 
 def _density_scale(value_unit: float, m: float) -> float:
-    if not (m > 0.0):
-        raise NonPositiveParameter("density m must be > 0")
+    if not (0.0 < m < math.inf):
+        raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
     return m * (value_unit - 0.25 * math.log(m))
 
 
@@ -175,34 +172,21 @@ def w_eta(tau: complex, m: float = 1.0,
 
 def w_fourier(tau: complex, m: float = 1.0,
               ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
-    """Energy from Ewald lattice sums, with no q-series.
+    """Energy from the ``modular._ewald_sums`` of the covolume-2pi
+    realization of tau at split eps = EWALD_SPLIT, with no q-series:
 
-    Take the covolume-2pi realization L of tau and its dual K (k.p in 2 pi Z,
-    also of covolume 2 pi).  Splitting 1/|k|^2 = int_0^inf exp(-t |k|^2) dt
-    at t = eps and applying Poisson summation to the t < eps part gives, with
-    eps = EWALD_SPLIT (Ewald, Ann. Phys. 369 (1921) 253),
+        2 w = dual + lattice / 2 - eps + (log(4 eps) - gamma) / 2.
 
-        2 w = sum_{k in K, k != 0} exp(-eps |k|^2) / |k|^2
-              + 1/2 sum_{p in L, p != 0} E1(|p|^2 / (4 eps))
-              - eps + (log(4 eps) - gamma) / 2.
-
-    Each sum runs over the radius R that ``theta_lattice`` would use for its
-    Gaussian weight (alpha = eps/pi on K, 1/(4 pi eps) on L).  The dropped
-    terms are at most the Gaussian tail bound over R^2 (times 4 eps on L,
-    since E1(z) <= exp(-z)/z), and that proven bound is ``error_estimate``.
+    ``error_estimate`` is the proven bound on the terms the sums drop.
     """
     eps = EWALD_SPLIT
-    lat = shape_basis(reduce_fundamental(tau))
-    # the rows of the inverse basis matrix are the dual basis vectors
-    dual = LatticeBasis(*(TWO_PI * np.linalg.inv(lat.matrix)))
-    k_nsq, k_tail = _gaussian_sum_support(dual, eps / math.pi, ctl)
-    p_nsq, p_tail = _gaussian_sum_support(lat, 0.25 / (math.pi * eps), ctl)
-    two_w = (float(np.sum(np.exp(-eps * k_nsq) / k_nsq))
-             + 0.5 * float(np.sum(_exp1(p_nsq / (4.0 * eps))))
+    k_sum, k_tail, p_sum, p_tail = _ewald_sums(
+        shape_basis(reduce_fundamental(tau)), eps, ctl)
+    two_w = (k_sum + 0.5 * p_sum
              - eps + 0.5 * (math.log(4.0 * eps) - np.euler_gamma))
     return EnergyReport(value=_density_scale(0.5 * two_w, m), route="fourier",
                         truncation=ctl,
-                        error_estimate=0.5 * m * (k_tail + 2.0 * eps * p_tail))
+                        error_estimate=0.5 * m * (k_tail + 0.5 * p_tail))
 
 
 def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,
@@ -213,8 +197,8 @@ def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,
     of their dual zeta functions equals the energy difference directly, and
     the density factor multiplies through (the -1/4 log m terms cancel).
     """
-    if not (m > 0.0):
-        raise NonPositiveParameter("density m must be > 0")
+    if not (0.0 < m < math.inf):
+        raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
     b1 = shape_basis(reduce_fundamental(tau1))
     b2 = shape_basis(reduce_fundamental(tau2))
     return m * zeta_difference_limit(b1, b2, ctl)
@@ -249,6 +233,8 @@ class ModuliGrid:
         b_min, b_max = self.b_range
         if self.resolution < 1:
             raise InputError("resolution must be >= 1")
+        if not all(map(math.isfinite, (a_min, a_max, b_min, b_max))):
+            raise InputError("a_range and b_range must be finite")
         if not (a_min <= a_max) or not (b_min <= b_max):
             raise InputError("ranges must be ordered (min <= max)")
         if a_min < -0.5 - 1e-12 or a_max > 0.5 + 1e-12:
@@ -257,6 +243,8 @@ class ModuliGrid:
             raise NonPositiveImaginaryPart("b_range must be positive")
         if b_max < _arc_b(max(abs(a_min), abs(a_max))) - 1e-12:
             raise InputError("grid rectangle lies entirely below |tau| = 1")
+        if self.size == 0:
+            raise InputError("the window holds no grid point with |tau| >= 1")
 
     def _columns(self):
         """(a_vals, b_vals, kept, on, arc): the grid's abscissae and ordinates,
@@ -403,8 +391,6 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     modular-invariant, so stencil legs may leave the domain freely and the
     final point is reduced back.
     """
-    if not (m > 0.0):
-        raise NonPositiveParameter("density m must be > 0")
     if refine_iters < 0:
         raise NonPositiveParameter("refine_iters must be >= 0")
     # every block takes the term count of the whole scan's smallest b, so
@@ -413,8 +399,8 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     w = np.empty(grid.size)
     for at, a, b in _spans(grid):
         eta = _eta_product(a + 1j * b, n_terms)
-        w[at] = m * (-0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2)
-                     - 0.25 * math.log(m))
+        w[at] = _density_scale(
+            -0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2), m)
     best, a_best, b_best = _first_min(w, _spans(grid))
     tau0 = reduce_fundamental(complex(a_best, b_best))
     argmin_grid = (tau0.real, tau0.imag)
@@ -424,16 +410,18 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     span_a = max(grid.a_range[1] - grid.a_range[0], 1e-3)
     cell = span_a / max(grid.resolution - 1, 1)
     delta = cell / 8.0
+
+    def energy(a, b):
+        return _density_scale(_w_eta_value(complex(a, b), ctl), m)
+
     p = np.array([tau0.real, tau0.imag])
-    fval = _density_scale(_w_eta_value(complex(*p), ctl), m)
+    fval = energy(*p)
     iters_done = 0
     step = cell
     for _ in range(refine_iters):
-        ga = (_density_scale(_w_eta_value(complex(p[0] + delta, p[1]), ctl), m)
-              - _density_scale(_w_eta_value(complex(p[0] - delta, p[1]), ctl), m)) \
+        ga = (energy(p[0] + delta, p[1]) - energy(p[0] - delta, p[1])) \
             / (2.0 * delta)
-        gb = (_density_scale(_w_eta_value(complex(p[0], p[1] + delta), ctl), m)
-              - _density_scale(_w_eta_value(complex(p[0], p[1] - delta), ctl), m)) \
+        gb = (energy(p[0], p[1] + delta) - energy(p[0], p[1] - delta)) \
             / (2.0 * delta)
         g = np.array([ga, gb])
         gn = float(np.hypot(ga, gb))
@@ -444,7 +432,7 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
         for _ in range(30):
             cand = p - s * g
             if cand[1] > 0.05:
-                fc = _density_scale(_w_eta_value(complex(*cand), ctl), m)
+                fc = energy(*cand)
                 if fc < fval - 1e-4 * s * gn * gn:
                     p, fval, moved = cand, fc, True
                     step = min(s * 1.5, cell)

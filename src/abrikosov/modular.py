@@ -12,9 +12,6 @@ Conventions used throughout:
   zeta blows up at ``x = 0``, but for two lattices of equal covolume the
   difference has a limit there, which ``zeta_difference_limit`` computes
   from theta integrals done term by term.
-* Every Gaussian-weighted lattice sum (theta, the Ewald sums of
-  ``lattice.w_fourier``, the zeta-difference limit) keeps the points that
-  ``_gaussian_sum_support`` returns.
 """
 from __future__ import annotations
 
@@ -27,6 +24,7 @@ from . import backend
 from .errors import (
     CovolumeMismatch,
     DegenerateBasis,
+    InputError,
     LatticePointSingularity,
     NonPositiveImaginaryPart,
     NonPositiveParameter,
@@ -82,6 +80,8 @@ class LatticeBasis:
     def __init__(self, u, v):
         u = np.asarray(u, dtype=float).reshape(2).copy()
         v = np.asarray(v, dtype=float).reshape(2).copy()
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+            raise InputError(f"basis vectors must be finite, not {u}, {v}")
         cross = u[0] * v[1] - u[1] * v[0]
         scale = np.linalg.norm(u) * np.linalg.norm(v)
         if scale == 0.0 or abs(cross) < 1e-12 * scale:
@@ -111,6 +111,8 @@ class LatticeBasis:
 
 def _require_upper(tau: complex) -> complex:
     tau = complex(tau)
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise InputError(f"tau must be finite, not {tau}")
     if not (tau.imag > 0.0):
         raise NonPositiveImaginaryPart(f"tau must satisfy Im tau > 0, got {tau}")
     return tau
@@ -369,6 +371,29 @@ def theta_lattice(basis: LatticeBasis, alpha: float,
     return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
 
 
+def _ewald_sums(basis: LatticeBasis, eps: float, ctl: SeriesControl):
+    """(dual, dual_tail, lattice, lattice_tail): the Ewald sums of the
+    lattice L of ``basis`` at split eps, and bounds on the terms they drop.
+
+    Splitting 1/|k|^2 = int_0^inf exp(-t |k|^2) dt at t = eps and applying
+    Poisson summation to the t < eps part (Ewald, Ann. Phys. 369 (1921) 253)
+    leaves closed forms and, over the dual K of L (k.p in 2 pi Z),
+
+        dual    = sum_{k in K, k != 0} exp(-eps |k|^2) / |k|^2,
+        lattice = sum_{p in L, p != 0} E1(|p|^2 / (4 eps)).
+
+    Both routes to W are these sums: ``lattice.w_fourier`` adds the closed
+    forms, and ``zeta_difference_limit`` takes a difference that cancels them.
+    Each sum keeps the points of ``_gaussian_sum_support``; as E1(z) <=
+    exp(-z)/z, the lattice tail is 4 eps times its Gaussian tail.
+    """
+    dual = LatticeBasis(*(2.0 * math.pi * basis.dual().matrix.T))
+    k_nsq, k_tail = _gaussian_sum_support(dual, eps / math.pi, ctl)
+    p_nsq, p_tail = _gaussian_sum_support(basis, 0.25 / (math.pi * eps), ctl)
+    return (float(np.sum(np.exp(-eps * k_nsq) / k_nsq)), k_tail,
+            float(np.sum(_exp1(p_nsq / (4.0 * eps)))), 4.0 * eps * p_tail)
+
+
 def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
                           ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """lim_{x -> 0} [zeta_{L1*}(x) - zeta_{L2*}(x)] for equal-covolume L1, L2.
@@ -379,24 +404,13 @@ def zeta_difference_limit(lat1: LatticeBasis, lat2: LatticeBasis,
       (1/(8 pi)) [ int_1^inf (theta_{L1*} - theta_{L2*})(a) da
                    + V int_1^inf (theta_{L1} - theta_{L2})(a) da/a ].
 
-    Integrated term by term, int_1^inf exp(-pi a |k|^2) da =
-    exp(-pi |k|^2) / (pi |k|^2) and int_1^inf exp(-pi a |p|^2) da/a =
-    E1(pi |p|^2), so each integral is a lattice sum with Gaussian weight at
-    alpha = 1: the Ewald sum of ``lattice.w_fourier`` at split 1/(4 pi),
-    whose constants cancel in the difference.
+    Integrated term by term, these are the ``_ewald_sums`` at split
+    eps = 1/(4 pi): with k_i and p_i the dual and lattice sums of L_i, the
+    limit is (k_1 - k_2) / 2 + V (p_1 - p_2) / (8 pi).
     """
     v1, v2 = lat1.covolume, lat2.covolume
     if abs(v1 - v2) > 1e-9 * max(v1, v2):
         raise CovolumeMismatch(f"covolumes differ: {v1} vs {v2}")
-    vol = 0.5 * (v1 + v2)
-
-    def dual_sum(lat):
-        nsq, _ = _gaussian_sum_support(lat.dual(), 1.0, ctl)
-        return np.sum(np.exp(-np.pi * nsq) / (np.pi * nsq))
-
-    def lattice_sum(lat):
-        nsq, _ = _gaussian_sum_support(lat, 1.0, ctl)
-        return np.sum(_exp1(np.pi * nsq))
-
-    return float(dual_sum(lat1) - dual_sum(lat2)
-                 + vol * (lattice_sum(lat1) - lattice_sum(lat2))) / (8.0 * math.pi)
+    k1, _, p1, _ = _ewald_sums(lat1, 0.25 / math.pi, ctl)
+    k2, _, p2, _ = _ewald_sums(lat2, 0.25 / math.pi, ctl)
+    return 0.5 * (k1 - k2) + 0.5 * (v1 + v2) * (p1 - p2) / (8.0 * math.pi)

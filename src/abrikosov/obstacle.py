@@ -92,8 +92,9 @@ class Ellipse:
     origin; ``UnitDisk`` is the one with semi-axes (1, 1)."""
 
     def __init__(self, rx: float, ry: float):
-        if not (rx > 0.0 and ry > 0.0):
-            raise NonPositiveParameter("ellipse semi-axes must be > 0")
+        if not (0.0 < rx < math.inf and 0.0 < ry < math.inf):
+            raise NonPositiveParameter(
+                f"ellipse semi-axes must be finite and > 0, not {rx}, {ry}")
         self.rx = float(rx)
         self.ry = float(ry)
 
@@ -138,6 +139,8 @@ class ConvexPolygon:
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 3:
             raise NonConvexDomain("need at least 3 vertices of shape (k, 2)")
+        if not np.all(np.isfinite(verts)):
+            raise InputError("polygon vertices must be finite")
         nxt = np.roll(verts, -1, axis=0)
         edges = nxt - verts
         scale = float(np.max(np.abs(verts))) or 1.0

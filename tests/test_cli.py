@@ -382,6 +382,33 @@ def test_obstacle_non_finite_level_is_an_input_error(level, capsys):
     assert "m must be finite" in err and "InfeasibleObstacle" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    "lattice --tau nan 1",
+    "lattice --tau inf 1",
+    "lattice --tau 0 inf",
+    "lattice --tau 0 1 --m inf",
+    "lattice --basis 1 0 0 inf",
+    "lattice --tau 0 1 --route zetadiff-vs --ref-tau nan 1",
+    "moduli-scan --m inf",
+    "moduli-scan --b-max inf",
+    "obstacle --ellipse inf 1 --m 0.5",
+    "obstacle --polygon 0 0 1 0 nan 1 --m 0.5",
+])
+def test_non_finite_input_is_an_input_error(argv, capsys):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert "input error" in err and out == ""
+
+
+def test_empty_moduli_window_is_an_input_error(capsys):
+    # a one-point grid whose only point lies below |tau| = 1
+    assert main(["moduli-scan", "--a-min", "0", "--a-max", "0.5",
+                 "--b-min", "0.875", "--b-max", "0.875",
+                 "--resolution", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert "no grid point" in err and out == ""
+
+
 def test_obstacle_field_csv_needs_single_level():
     proc = run_cli("obstacle", "--disk", "--h", "0.125",
                    "--m-grid", "0.85", "0.9", "--field-csv", "x.csv")

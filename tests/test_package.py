@@ -1,6 +1,7 @@
 """Package surface: every exported name, and every name the benchmark's tracer
-wraps, resolves."""
+wraps, resolves; the package imports nothing beyond numpy."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -11,6 +12,7 @@ import pytest
 
 import abrikosov
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(abrikosov.__path__)
                  if not m.name.startswith("_"))
 
@@ -32,7 +34,7 @@ def test_module_exports_resolve(name):
 def test_tracer_spans_resolve(monkeypatch):
     # the benchmark's tracer wraps each (module, attribute) of its SPANS;
     # a renamed function must not leave a span that no longer resolves
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    path = ROOT / "bench" / "tracing.py"
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -47,3 +49,30 @@ def test_tracer_spans_resolve(monkeypatch):
             missing.append(f"{mod_name}.{attr}")
     assert tracing.SPANS
     assert not missing
+
+
+def _imported_roots(path):
+    """Top-level names of the absolute imports in one source file."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+@pytest.mark.parametrize("folder,extra", [
+    ("src/abrikosov", set()),
+    ("tests", {"pytest", "hypothesis"}),
+])
+def test_imports_stay_within_the_declared_dependencies(folder, extra):
+    # scipy or mpmath may be installed, so an import of either would pass
+    # every other test; neither is a dependency
+    files = sorted((ROOT / folder).glob("*.py"))
+    allowed = (set(sys.stdlib_module_names) | {"numpy", "abrikosov"} | extra
+               | {f.stem for f in files})
+    stray = {f"{f.name}: {root}" for f in files
+             for root in _imported_roots(f) - allowed}
+    assert files
+    assert not stray
