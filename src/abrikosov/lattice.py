@@ -2,9 +2,11 @@
 
 The energy of a unit-density lattice of shape ``tau = a + i b`` is
 
-    w(tau) = -1/2 * log( sqrt(2 pi b) |eta(tau)|^2 ),
+    w(tau) = -1/4 log(2 pi b) - log|eta(tau)|
+           = pi b / 12 - 1/4 log(2 pi b) - log|prod_{n>=1} (1 - q^n)|,
 
-extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  Three
+extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  ``_w_unit``
+evaluates the second form, finite up to b = ``MAX_B``.  Three
 evaluation routes are provided: the eta product, and two built on
 ``modular._ewald_sums`` (no q-series): ``w_fourier`` and the zeta
 difference ``w_zeta_diff``.
@@ -28,7 +30,6 @@ from .modular import (
     _ewald_sums,
     _nterms_for,
     _require_upper,
-    dedekind_eta,
     eta_truncation,
     theta_lattice,
     zeta_difference_limit,
@@ -53,6 +54,7 @@ TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
 SCAN_BLOCK = 1 << 14       # most points in a ModuliGrid block, bar one long column
+MAX_B = 1e307              # largest b that w_eta and the scan take: 2 pi b < inf
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -78,31 +80,33 @@ class EnergyReport:
 def _reduce_with_matrix(tau: complex):
     """Reduce tau into {|Re| <= 1/2, |tau| >= 1} tracking the group word.
 
-    Returns (tau', M) with M = [[alpha, beta], [gamma, delta]] integer,
-    det M = 1, and tau' = (alpha tau + beta) / (gamma tau + delta).
+    Returns (tau', M) with M = ((alpha, beta), (gamma, delta)) in Python
+    ints, det M = 1, and tau' = (alpha tau + beta) / (gamma tau + delta).
+    A |tau|^2 that underflows to 0 is inverted as -1/tau.
     """
     tau = _require_upper(tau)
-    m = np.eye(2, dtype=np.int64)
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10_000):
-        k = int(np.floor(tau.real + 0.5))
+        k = math.floor(tau.real + 0.5)
         if k != 0:
             tau = tau - k
-            m = np.array([[1, -k], [0, 1]], dtype=np.int64) @ m
+            a, b = a - k * c, b - k * d
         norm = tau.real * tau.real + tau.imag * tau.imag
         if norm < 1.0 - 1e-15:
-            tau = complex(-tau.real / norm, tau.imag / norm)
-            m = np.array([[0, -1], [1, 0]], dtype=np.int64) @ m
+            tau = (complex(-tau.real / norm, tau.imag / norm) if norm
+                   else -1.0 / tau)
+            a, b, c, d = -c, -d, a, b
             continue
         break
     # canonical representative on the boundary identifications
     if abs(tau.real + 0.5) < 1e-14:
         tau = complex(0.5, tau.imag)
-        m = np.array([[1, 1], [0, 1]], dtype=np.int64) @ m
+        a, b = a + c, b + d
     norm = tau.real * tau.real + tau.imag * tau.imag
     if abs(norm - 1.0) < 1e-14 and tau.real < -1e-14:
         tau = complex(-tau.real / norm, tau.imag / norm)
-        m = np.array([[0, -1], [1, 0]], dtype=np.int64) @ m
-    return tau, m
+        a, b, c, d = -c, -d, a, b
+    return tau, ((a, b), (c, d))
 
 
 def reduce_fundamental(tau: complex) -> complex:
@@ -148,24 +152,38 @@ def shape_basis(tau: complex, covolume: float = TWO_PI) -> LatticeBasis:
 # ---------------------------------------------------------------------------
 
 
-def _w_eta_value(tau: complex, ctl: SeriesControl) -> float:
-    tau = reduce_fundamental(tau)
-    eta = dedekind_eta(tau, ctl)
-    return -0.5 * math.log(math.sqrt(TWO_PI * tau.imag) * abs(eta) ** 2)
+def _w_unit(tau, n: int):
+    """w_1 at tau (one or an array) in the module's log form, n factors."""
+    b = np.imag(tau)
+    return (np.pi * b / 12.0 - 0.25 * np.log(TWO_PI * b)
+            - np.log(np.abs(_eta_product(tau, n))))
 
 
-def _density_scale(value_unit: float, m: float) -> float:
+def _density_scale(value_unit, m: float):
+    """w_m = m (w_1 - 1/4 log m), elementwise in w_1."""
     if not (0.0 < m < math.inf):
         raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
-    return m * (value_unit - 0.25 * math.log(m))
+    with np.errstate(over="ignore"):
+        return _in_range(m * (value_unit - 0.25 * math.log(m)), value_unit, m)
+
+
+def _in_range(value, value_unit, m: float):
+    """``value``, the density-m scaling of ``value_unit``; InputError where
+    it takes a finite value out of the float range."""
+    if np.any(np.isinf(value) & np.isfinite(value_unit)):
+        raise InputError(f"density m = {m} scales the energy out of the "
+                         "float range")
+    return value
 
 
 def w_eta(tau: complex, m: float = 1.0,
           ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
     """Energy of the shape-tau lattice at density m, eta-product route."""
     tau_r = reduce_fundamental(tau)
-    value = _density_scale(_w_eta_value(tau_r, ctl), m)
-    _, log_tail = eta_truncation(tau_r, ctl)
+    if tau_r.imag > MAX_B:
+        raise InputError(f"tau = {tau} reduces to Im tau above {MAX_B:g}")
+    n, log_tail = eta_truncation(tau_r, ctl)
+    value = _density_scale(float(_w_unit(tau_r, n)), m)
     return EnergyReport(value=value, route="eta", truncation=ctl,
                         error_estimate=m * log_tail)
 
@@ -201,7 +219,8 @@ def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,
         raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
     b1 = shape_basis(reduce_fundamental(tau1))
     b2 = shape_basis(reduce_fundamental(tau2))
-    return m * zeta_difference_limit(b1, b2, ctl)
+    unit = float(zeta_difference_limit(b1, b2, ctl))
+    return _in_range(m * unit, unit, m)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +260,8 @@ class ModuliGrid:
             raise InputError("a_range must lie inside [-1/2, 1/2]")
         if b_min <= 0.0:
             raise NonPositiveImaginaryPart("b_range must be positive")
+        if b_max > MAX_B:
+            raise InputError(f"b_range must lie below {MAX_B:g}")
         if b_max < _arc_b(max(abs(a_min), abs(a_max))) - 1e-12:
             raise InputError("grid rectangle lies entirely below |tau| = 1")
         if self.size == 0:
@@ -394,13 +415,11 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     if refine_iters < 0:
         raise NonPositiveParameter("refine_iters must be >= 0")
     # every block takes the term count of the whole scan's smallest b, so
-    # each w keeps the bits of one dedekind_eta call over the whole grid
+    # each w keeps the bits of one _w_unit call over the whole grid
     n_terms = _nterms_for(grid.min_b, ctl)
     w = np.empty(grid.size)
     for at, a, b in _spans(grid):
-        eta = _eta_product(a + 1j * b, n_terms)
-        w[at] = _density_scale(
-            -0.5 * np.log(np.sqrt(TWO_PI * b) * np.abs(eta) ** 2), m)
+        w[at] = _density_scale(_w_unit(a + 1j * b, n_terms), m)
     best, a_best, b_best = _first_min(w, _spans(grid))
     tau0 = reduce_fundamental(complex(a_best, b_best))
     argmin_grid = (tau0.real, tau0.imag)
@@ -412,7 +431,7 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     delta = cell / 8.0
 
     def energy(a, b):
-        return _density_scale(_w_eta_value(complex(a, b), ctl), m)
+        return w_eta(complex(a, b), m, ctl).value
 
     p = np.array([tau0.real, tau0.imag])
     fval = energy(*p)

@@ -165,19 +165,19 @@ def dedekind_eta(tau, ctl: SeriesControl = _DEFAULT_CTL):
     else:
         tau = _require_upper(tau)
         b = tau.imag
-    return _eta_product(tau, _nterms_for(b, ctl))
+    n = _nterms_for(b, ctl)
+    return np.exp(2j * np.pi * tau / 24.0) * _eta_product(tau, n)
 
 
 def _eta_product(tau, n: int):
-    """dedekind_eta's product truncated at n factors, elementwise in tau."""
+    """prod_{k<=n} (1 - q^k), dedekind_eta without q^(1/24), elementwise."""
     q = np.exp(2j * np.pi * tau)
     qn = q.copy()
     prod = 1.0 - qn
     for _ in range(n - 1):
         qn *= q
         prod *= 1.0 - qn
-    del q, qn  # freed before the prefactor's temporaries are made
-    return np.exp(2j * np.pi * tau / 24.0) * prod
+    return prod
 
 
 def _frac_wrap(x: float) -> float:

@@ -234,8 +234,7 @@ class GreenEvaluator:
         self.torus = torus
         tau_r, m = _reduce_with_matrix(_shape_modulus(torus.basis))
         self.tau = tau_r
-        alpha, beta = int(m[0, 0]), int(m[0, 1])
-        gamma, delta = int(m[1, 0]), int(m[1, 1])
+        (alpha, beta), (gamma, delta) = m
         self.coord_map = np.array([[alpha, -beta], [-gamma, delta]], float)
         b0 = torus.basis.matrix
         self._inv_basis = np.linalg.inv(b0)
@@ -599,8 +598,9 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     """Multi-start descent over point positions; deterministic given seeds.
 
     The input configuration is always one of the starts; `ctl.restarts`
-    seeded random starts follow.  The best final energy wins, ties broken
-    by start order.
+    seeded random starts follow.  The lowest final pair energy, the one the
+    descent minimized, wins, ties broken by start order; the self-term
+    n W is added to the winner once.
     """
     _require_normalized(cfg)
     ev = GreenEvaluator(cfg.torus, series)
@@ -615,15 +615,15 @@ def minimize_config(cfg: TorusConfig, ctl: MinimizeControl = MinimizeControl(),
     table = []
     runs = _descent(ev, np.stack(starts), ctl)
     for idx, (pts, e_pair, trace, reason, iters) in enumerate(runs):
-        total = e_pair + n * lat.value
-        table.append((idx, total, iters, trace[-1][2], reason == "stalled"))
-        if best is None or total < best[1]:
-            best = (idx, total, pts, trace, reason)
-    idx, total, pts, trace, reason = best
+        table.append((idx, e_pair + n * lat.value, iters, trace[-1][2],
+                      reason == "stalled"))
+        if best is None or e_pair < best[1]:
+            best = (idx, e_pair, pts, trace, reason)
+    idx, e_pair, pts, trace, reason = best
     out_cfg = TorusConfig(cfg.torus, pts)
     pair_count = n * (n - 1) / 2.0
     report = EnergyReport(
-        value=total, route="eta", truncation=series,
+        value=e_pair + n * lat.value, route="eta", truncation=series,
         error_estimate=pair_count * series.abs_tol + n * lat.error_estimate,
     )
     # shift traces to report total energy rather than the pairwise part

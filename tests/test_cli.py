@@ -6,11 +6,13 @@ bytes, stdout or files.
 
 import argparse
 import json
+import math
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from abrikosov import cli, lattice, obstacle
@@ -389,8 +391,13 @@ def test_obstacle_non_finite_level_is_an_input_error(level, capsys):
     "lattice --tau 0 1 --m inf",
     "lattice --basis 1 0 0 inf",
     "lattice --tau 0 1 --route zetadiff-vs --ref-tau nan 1",
+    "lattice --tau 0 1 --m 1e308",
+    "lattice --tau 0 100 --route zetadiff-vs --m 1e308",
     "moduli-scan --m inf",
+    "moduli-scan --m 1e308 --resolution 4",
     "moduli-scan --b-max inf",
+    "lattice --tau 0 1e308",
+    "moduli-scan --b-max 1e308",
     "obstacle --ellipse inf 1 --m 0.5",
     "obstacle --polygon 0 0 1 0 nan 1 --m 0.5",
 ])
@@ -398,6 +405,35 @@ def test_non_finite_input_is_an_input_error(argv, capsys):
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert "input error" in err and out == ""
+
+
+@pytest.mark.parametrize("argv,same_as", [
+    ("lattice --tau 0 2800", None),
+    ("lattice --tau 0 1e-5", "lattice --tau 0 1e5"),
+    ("lattice --tau 1e300 1", "lattice --tau 0 1"),
+    ("lattice --tau 0 1e-300", "lattice --tau 0 1e300"),
+])
+def test_extreme_moduli_give_finite_energies(argv, same_as, capsys):
+    # far up the eta route is its closed form; a shape is its reduced one
+    def report(args):
+        assert main(args.split()) == 0
+        return json.loads(capsys.readouterr().out)["report"]
+
+    rep = report(argv)
+    assert math.isfinite(rep["value"])
+    if same_as is not None:
+        assert rep == report(same_as)
+
+
+def test_moduli_scan_far_up_writes_finite_rows(tmp_path, capsys):
+    path = tmp_path / "scan.csv"
+    assert main(["moduli-scan", "--b-min", "1400", "--b-max", "1500",
+                 "--resolution", "3", "--csv", str(path)]) == 0
+    scan = json.loads(capsys.readouterr().out)["scan"]
+    w = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+    assert w.size == 9 and np.all(np.isfinite(w))
+    closed_form = math.pi * 1400 / 12.0 - 0.25 * math.log(2 * math.pi * 1400)
+    assert scan["min_grid"] == float(f"{closed_form:.12g}")
 
 
 def test_empty_moduli_window_is_an_input_error(capsys):

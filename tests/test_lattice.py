@@ -97,7 +97,7 @@ def test_reduce_with_matrix_property(tau):
     assert -0.5 < red.real <= 0.5 and norm >= (1.0 - 1e-14) ** 2
     if abs(norm - 1.0) < 1e-14:                    # on the unit arc
         assert red.real >= -1e-14
-    (alpha, beta), (gamma, delta) = mat.tolist()
+    (alpha, beta), (gamma, delta) = mat
     assert alpha * delta - beta * gamma == 1
     assert abs((alpha * tau + beta) / (gamma * tau + delta) - red) < 1e-12
     assert abs(lattice._reduce_with_matrix(red)[0] - red) < 1e-15
@@ -108,6 +108,16 @@ def test_reduce_rejects_lower_half_plane():
         reduce_fundamental(complex(0.3, -1.0))
     with pytest.raises(NonPositiveImaginaryPart):
         reduce_fundamental(complex(0.3, 0.0))
+
+
+def test_reduce_takes_extreme_moduli():
+    # the group word stays in Python ints past int64; a |tau|^2 that
+    # underflows to 0 is inverted as -1/tau
+    red, mat = lattice._reduce_with_matrix(complex(1e300, 1.0))
+    assert red == 1j and mat == ((1, -int(1e300)), (0, 1))
+    red, mat = lattice._reduce_with_matrix(complex(0.0, 1e-300))
+    assert red.real == 0.0 and math.isclose(red.imag, 1e300, rel_tol=1e-15)
+    assert mat == ((0, -1), (1, 0))
 
 
 def test_lattice_to_tau_round_trip():
@@ -183,6 +193,32 @@ def test_w_fourier_error_estimate_bounds_its_error(tol):
         assert abs(rep.value - w_eta(tau).value) <= rep.error_estimate
 
 
+@pytest.mark.parametrize("b", [1380.0, 1400.0, 1420.0, 2800.0, 1e5, 1e300])
+def test_w_eta_is_its_closed_form_far_up(b):
+    # from b ~ 1,380 the product is 1 to double precision, so W is
+    # pi b / 12 - 1/4 log(2 pi b), while |eta| underflows from b ~ 2,840
+    rep = w_eta(complex(0.0, b))
+    want = math.pi * b / 12.0 - 0.25 * math.log(2.0 * math.pi * b)
+    assert abs(rep.value - want) <= 1e-12 * want
+    assert rep.error_estimate == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-0.5, 0.5),
+       log_b=st.floats(math.log(SQRT3 / 2.0), math.log(1e4)))
+def test_w_eta_matches_w_fourier_up_to_b_1e4(a, log_b):
+    # the routes share no series.  Rounding allowance: each route adds up
+    # to four rounded terms no larger than about max(1, |W|) (eta: pi b / 12,
+    # 1/4 log(2 pi b), log|prod|; fourier: half the dual sum, the lattice
+    # sum, the constants), so each is within about 4 eps max(1, |W|) of its
+    # exact truncation, and their difference within 8 eps max(1, |W|)
+    tau = complex(a, math.exp(log_b))
+    eta, fourier = w_eta(tau), w_fourier(tau)
+    rounding = 8.0 * np.finfo(float).eps * max(1.0, abs(eta.value))
+    assert abs(eta.value - fourier.value) <= (
+        eta.error_estimate + fourier.error_estimate + rounding)
+
+
 def test_w_fourier_density_scaling():
     rep = w_fourier(TRI_TAU, m=3.0)
     expected = 3.0 * (w_eta(TRI_TAU).value - 0.25 * math.log(3.0))
@@ -214,8 +250,8 @@ def test_w_fourier_evaluates_no_q_series():
         raise AssertionError("w_fourier reached a q-series")
 
     with mock.patch.object(backend, "green_values", forbidden), \
-            mock.patch.object(lattice, "dedekind_eta", forbidden), \
-            mock.patch.object(modular, "dedekind_eta", forbidden):
+            mock.patch.object(lattice, "_eta_product", forbidden), \
+            mock.patch.object(modular, "_eta_product", forbidden):
         rep = w_fourier(complex(0.3, 1.2), m=2.0)
     assert rep.route == "fourier"
     assert math.isfinite(rep.value)
@@ -407,9 +443,8 @@ def test_moduli_scan_blocks_keep_the_whole_array_bits():
     rep = moduli_scan(grid, m=m, refine_iters=0)
     a, b = _whole_grid_points(grid)
     assert a.size > 3 * lattice.SCAN_BLOCK
-    eta = modular.dedekind_eta(a + 1j * b)
-    want = m * (-0.5 * np.log(np.sqrt(2.0 * math.pi * b) * np.abs(eta) ** 2)
-                - 0.25 * math.log(m))
+    n = modular._nterms_for(b.min(), SeriesControl())
+    want = lattice._density_scale(lattice._w_unit(a + 1j * b, n), m)
     assert rep.w.tobytes() == want.tobytes()
     best = np.lexsort((b, a, want))[0]
     assert rep.min_grid == want[best]

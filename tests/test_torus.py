@@ -6,6 +6,7 @@ closed-form shape energy at density n; gradients vanish at those critical
 points and always sum to zero by translation invariance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -811,3 +812,26 @@ def test_conjecture1_reference_takes_the_series_control():
     want = w_eta(TRI_TAU, 2.0, series).value
     assert want != w_eta(TRI_TAU, 2.0).value
     assert all(row["reference"] == want for row in rep.rows)
+
+
+@pytest.mark.parametrize("torus_spec,n", [(TorusSpec.hexagonal(), 5),
+                                          (TorusSpec.rectangular(2.5), 3)])
+def test_winning_start_does_not_follow_the_self_term_rounding(
+        torus_spec, n, monkeypatch):
+    # the self-term n W is the same for every start, so the winner is the
+    # start with the lowest pair energy, whatever the last bits of W; a
+    # winner picked by total energy moves within 16 ulps of W on both tori
+    ctl = MinimizeControl()
+    start = TorusConfig(torus_spec, torus._input_start(n, ctl.rng_seed))
+    want = minimize_config(start, ctl).config.points
+    w_eta_exact = torus.w_eta
+
+    for ulps in range(-16, 17):
+        def nudged(*args, ulps=ulps):
+            rep = w_eta_exact(*args)
+            return dataclasses.replace(
+                rep, value=rep.value + ulps * math.ulp(rep.value))
+
+        monkeypatch.setattr(torus, "w_eta", nudged)
+        got = minimize_config(start, ctl).config.points
+        assert got.tobytes() == want.tobytes(), ulps
