@@ -177,14 +177,12 @@ def cmd_moduli_scan(args) -> int:
         "a_min": args.a_min, "a_max": args.a_max,
         "b_min": args.b_min, "b_max": args.b_max,
         "resolution": args.resolution, "m": args.m,
-        "refine_iters": args.refine_iters, "abs_tol": args.abs_tol,
-        "csv": args.csv,
+        "abs_tol": args.abs_tol, "csv": args.csv,
     })
     grid = ModuliGrid(a_range=(args.a_min, args.a_max),
                       b_range=(args.b_min, args.b_max),
                       resolution=args.resolution)
-    report = moduli_scan(grid, args.m, _series_control(args),
-                         refine_iters=args.refine_iters)
+    report = moduli_scan(grid, args.m, _series_control(args))
     payload["scan"] = report.to_json_dict()
     if args.csv:
         report.to_csv(args.csv)
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-max", type=float, default=ModuliGrid.b_range[1])
     p.add_argument("--resolution", type=int, default=ModuliGrid.resolution)
     p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--refine-iters", type=int, default=60)
     _add_series_flags(p)
     p.add_argument("--csv", help="write the (a, b, W) grid CSV here")
     p.add_argument("--output", help="write JSON here instead of stdout")

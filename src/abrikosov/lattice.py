@@ -55,6 +55,11 @@ TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
 SCAN_BLOCK = 1 << 14       # most points in a ModuliGrid block, bar one long column
 MAX_B = 1e307              # largest b that w_eta and the scan take: 2 pi b < inf
+# The compass polish stops once its step is below POLISH_STEP.  Near rho
+# Hess w = I/6, so a step of 5e-8 changes w by about 8 ulp of |w(rho)|:
+# smaller steps would follow rounding, not the energy.
+POLISH_STEP = 1e-7
+_COMPASS = (1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j)
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -274,8 +279,10 @@ class ModuliGrid:
         n = self.resolution
         a_vals = np.linspace(*self.a_range, n)
         b_vals = np.linspace(*self.b_range, n)
-        b_sq = b_vals * b_vals
-        # rounded a^2 + b^2 never falls as b grows: each column keeps a suffix
+        # every b >= 1 is kept whatever a is, so b is clipped to 1 there,
+        # which keeps b^2 finite; rounded a^2 + b^2 never falls as b grows:
+        # each column keeps a suffix
+        b_sq = np.square(np.minimum(b_vals, 1.0))
         kept = [np.count_nonzero(x * x + b_sq >= 1.0 - 1e-12) for x in a_vals]
         arc = np.sqrt(np.maximum(1.0 - a_vals * a_vals, 0.0))
         on = (arc >= self.b_range[0] - 1e-12) & (arc <= self.b_range[1] + 1e-12)
@@ -326,7 +333,7 @@ class ModuliGrid:
 
 @dataclass
 class ScanReport:
-    """Result of a moduli scan: W over the grid plus the refined minimizer.
+    """Result of a moduli scan: W over the grid plus the polished minimizer.
 
     Only ``w`` is stored per point.  ``a`` and ``b``, the points in the
     order of ``w``, are rebuilt from ``grid`` on each access.
@@ -337,7 +344,7 @@ class ScanReport:
     w: np.ndarray
     argmin_grid: tuple        # (a, b) of the best grid sample, canonicalized
     min_grid: float
-    argmin: tuple             # after local descent refinement
+    argmin: tuple             # after the compass polish, reduced
     min_value: float
     refine_iters: int
 
@@ -402,18 +409,16 @@ def _first_min(w: np.ndarray, spans):
 
 
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,
-                ctl: SeriesControl = _DEFAULT_CTL,
-                refine_iters: int = 60) -> ScanReport:
-    """Scan w over the grid and refine the best sample by local descent.
+                ctl: SeriesControl = _DEFAULT_CTL) -> ScanReport:
+    """Scan w over the grid and polish the best sample by a compass search.
 
     The grid argmin (deterministic lexicographic tie-break on (a, b)) is
-    canonicalized through the fundamental-domain reduction, then refined by
-    a five-point-stencil gradient descent with backtracking; the energy is
-    modular-invariant, so stencil legs may leave the domain freely and the
-    final point is reduced back.
+    canonicalized through the fundamental-domain reduction, then polished
+    by ``_polish`` from a step of one grid cell.  The energy is
+    modular-invariant, so the search may leave the window; the polished
+    argmin is the reduced shape it ends on, and ``refine_iters`` counts
+    its rounds.
     """
-    if refine_iters < 0:
-        raise NonPositiveParameter("refine_iters must be >= 0")
     # every block takes the term count of the whole scan's smallest b, so
     # each w keeps the bits of one _w_unit call over the whole grid
     n_terms = _nterms_for(grid.min_b, ctl)
@@ -422,50 +427,43 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
         w[at] = _density_scale(_w_unit(a + 1j * b, n_terms), m)
     best, a_best, b_best = _first_min(w, _spans(grid))
     tau0 = reduce_fundamental(complex(a_best, b_best))
-    argmin_grid = (tau0.real, tau0.imag)
     min_grid = float(w[best])
-
-    # local refinement (descent on the smooth modular-invariant energy)
-    span_a = max(grid.a_range[1] - grid.a_range[0], 1e-3)
-    cell = span_a / max(grid.resolution - 1, 1)
-    delta = cell / 8.0
-
-    def energy(a, b):
-        return w_eta(complex(a, b), m, ctl).value
-
-    p = np.array([tau0.real, tau0.imag])
-    fval = energy(*p)
-    iters_done = 0
-    step = cell
-    for _ in range(refine_iters):
-        ga = (energy(p[0] + delta, p[1]) - energy(p[0] - delta, p[1])) \
-            / (2.0 * delta)
-        gb = (energy(p[0], p[1] + delta) - energy(p[0], p[1] - delta)) \
-            / (2.0 * delta)
-        g = np.array([ga, gb])
-        gn = float(np.hypot(ga, gb))
-        if gn < 1e-12:
-            break
-        s = step
-        moved = False
-        for _ in range(30):
-            cand = p - s * g
-            if cand[1] > 0.05:
-                fc = energy(*cand)
-                if fc < fval - 1e-4 * s * gn * gn:
-                    p, fval, moved = cand, fc, True
-                    step = min(s * 1.5, cell)
-                    break
-            s *= 0.5
-        iters_done += 1
-        if not moved:
-            break
-    tau_fin = reduce_fundamental(complex(*p))
+    cell = max(grid.a_range[1] - grid.a_range[0], 1e-3) \
+        / max(grid.resolution - 1, 1)
+    tau, rounds = _polish(tau0, cell, ctl)
     return ScanReport(m=m, grid=grid, w=w,
-                      argmin_grid=argmin_grid, min_grid=min_grid,
-                      argmin=(tau_fin.real, tau_fin.imag),
-                      min_value=min(fval, min_grid),
-                      refine_iters=iters_done)
+                      argmin_grid=(tau0.real, tau0.imag), min_grid=min_grid,
+                      argmin=(tau.real, tau.imag),
+                      min_value=min(w_eta(tau, m, ctl).value, min_grid),
+                      refine_iters=rounds)
+
+
+def _polish(tau: complex, step: float, ctl: SeriesControl):
+    """Compass search on w_1 from tau: (reduced end point, rounds).
+
+    Each round evaluates the 8 points tau + step * d, d in ``_COMPASS``; it
+    moves to the first of the lowest if that is strictly below w_1(tau),
+    reduces it and doubles the step, and otherwise halves the step
+    (Kolda, Lewis & Torczon, SIAM Rev. 45 (2003), sec. 3).  w_m is
+    increasing in w_1, so unit density finds the same point.  Every move
+    strictly lowers a w bounded below, so the search ends.
+    """
+    def energy(t):
+        return w_eta(t, 1.0, ctl).value if t.imag > 0.0 else math.inf
+
+    value = energy(tau)
+    rounds = 0
+    while step >= POLISH_STEP:
+        rounds += 1
+        trial = [tau + step * d for d in _COMPASS]
+        values = [energy(t) for t in trial]
+        k = values.index(min(values))
+        if values[k] < value:
+            tau, value = reduce_fundamental(trial[k]), values[k]
+            step *= 2.0
+        else:
+            step *= 0.5
+    return tau, rounds
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,22 @@ class LatticeBasis:
         v = np.asarray(v, dtype=float).reshape(2).copy()
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise InputError(f"basis vectors must be finite, not {u}, {v}")
-        cross = u[0] * v[1] - u[1] * v[0]
-        scale = np.linalg.norm(u) * np.linalg.norm(v)
-        if scale == 0.0 or abs(cross) < 1e-12 * scale:
+        (u0, u1), (v0, v1) = u.tolist(), v.tolist()
+        # the collinearity test runs on u and v scaled by their largest
+        # components, where the cross product neither overflows nor
+        # underflows
+        su, sv = max(abs(u0), abs(u1)) or 1.0, max(abs(v0), abs(v1)) or 1.0
+        a0, a1, b0, b1 = u0 / su, u1 / su, v0 / sv, v1 / sv
+        scale = math.hypot(a0, a1) * math.hypot(b0, b1)
+        if scale == 0.0 or abs(a0 * b1 - a1 * b0) < 1e-12 * scale:
             raise DegenerateBasis("basis vectors are collinear or zero")
+        cross = u0 * v1 - u1 * v0
+        if not 0.0 < abs(cross) < math.inf:
+            # exact past the float range; imported on this error path only
+            from decimal import Decimal
+            exact = Decimal(u0) * Decimal(v1) - Decimal(u1) * Decimal(v0)
+            raise InputError(f"basis covolume {abs(exact):.3g} lies outside "
+                             "the float range")
         if cross < 0.0:
             v = -v
         self.u = u

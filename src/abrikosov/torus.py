@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -44,6 +45,7 @@ import numpy as np
 from . import backend
 from .errors import (
     CoincidentPoints,
+    InputError,
     LatticePointSingularity,
     NonPositiveParameter,
     VolumeNotNormalized,
@@ -81,6 +83,10 @@ ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
 EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
 MAX_STEP = 0.25            # largest per-point displacement of one Newton step
 ELKIES_BAND = 5.0          # the Elkies excesses must span less than this
+# Largest reduced Im tau the Green kernels take.  The wrapped t reaches
+# 1/2, so |p| = |exp(2 i pi z)| reaches exp(pi b), and green_grads squares
+# p - 1: exp(2 pi b) stays finite while 2 pi b < log(DBL_MAX).
+MAX_GREEN_B = math.log(sys.float_info.max) / (2.0 * math.pi)   # ~112.97
 _DEFAULT_CTL = SeriesControl()
 
 
@@ -233,6 +239,10 @@ class GreenEvaluator:
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
         self.torus = torus
         tau_r, m = _reduce_with_matrix(_shape_modulus(torus.basis))
+        if tau_r.imag > MAX_GREEN_B:
+            raise InputError(f"the torus shape reduces to Im tau = "
+                             f"{tau_r.imag:.6g}, above the {MAX_GREEN_B:.6g} "
+                             "the Green kernels take")
         self.tau = tau_r
         (alpha, beta), (gamma, delta) = m
         self.coord_map = np.array([[alpha, -beta], [-gamma, delta]], float)

@@ -305,8 +305,8 @@ def test_criterion_11_scale_law_band():
 
 
 def _cli(*args):
-    proc = subprocess.run([sys.executable, "-m", "abrikosov", *args],
-                          capture_output=True)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "abrikosov", *args], capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout
 
@@ -316,7 +316,7 @@ def test_criterion_12_cli_reproducibility(tmp_path):
         ("lattice", "--tau", "0.21", "1.33", "--m", "2.0"),
         ("lattice", "--tau", "0", "1", "--route", "fourier"),
         ("lattice", "--tau", "0", "1", "--route", "zetadiff-vs"),
-        ("moduli-scan", "--resolution", "24", "--refine-iters", "15"),
+        ("moduli-scan", "--resolution", "24"),
         ("fekete", "--n", "2", "--restarts", "1", "--max-iters", "400"),
         ("obstacle", "--disk", "--h", "0.0625", "--m", "0.9", "--tol", "1e-9"),
     ]

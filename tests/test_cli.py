@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abrikosov import cli, lattice, obstacle
+from abrikosov import cli, obstacle
 from abrikosov.cli import build_parser, main
 
 
 def run_cli(*args, check=False):
     proc = subprocess.run(
-        [sys.executable, "-m", "abrikosov", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "abrikosov",
+         *args],
         capture_output=True, text=True,
     )
     if check and proc.returncode != 0:
@@ -215,21 +216,11 @@ def test_zetadiff_reaches_a_tol_below_rounding():
     args = ("lattice", "--tau", "0", "1", "--route", "zetadiff-vs")
     for tol in ("1e-16", "1e-14"):
         proc = subprocess.run(
-            [sys.executable, "-m", "abrikosov", *args, "--abs-tol", tol],
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "abrikosov",
+             *args, "--abs-tol", tol],
             capture_output=True, text=True, timeout=10)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["report"]["value"] == 0.00529225125826
-
-
-def test_negative_refine_iters_is_an_input_error(capsys, monkeypatch):
-    # rejected before the scan evaluates any energy
-    def no_work(*_, **__):
-        raise AssertionError("the scan ran before the input was checked")
-
-    monkeypatch.setattr(lattice, "_eta_product", no_work)
-    assert main(["moduli-scan", "--resolution", "8",
-                 "--refine-iters", "-3"]) == 2
-    assert "NonPositiveParameter" in capsys.readouterr().err
 
 
 def _readme_cli_flags():
@@ -265,8 +256,7 @@ def test_lattice_rerun_byte_identical(tmp_path):
 
 def test_moduli_scan_outputs(tmp_path):
     csv_path = tmp_path / "grid.csv"
-    args = ("moduli-scan", "--resolution", "16", "--refine-iters", "10",
-            "--csv", str(csv_path))
+    args = ("moduli-scan", "--resolution", "16", "--csv", str(csv_path))
     proc = run_cli(*args, check=True)
     doc = json.loads(proc.stdout)
     assert doc["run_config"]["resolution"] == 16
@@ -275,8 +265,8 @@ def test_moduli_scan_outputs(tmp_path):
     assert lines[0] == "a,b,W"
     assert len(lines) == 1 + doc["scan"]["n_points"]
     csv2 = tmp_path / "grid2.csv"
-    run_cli("moduli-scan", "--resolution", "16", "--refine-iters", "10",
-            "--csv", str(csv2), check=True)
+    run_cli("moduli-scan", "--resolution", "16", "--csv", str(csv2),
+            check=True)
     assert csv_path.read_bytes() == csv2.read_bytes()
 
 
@@ -412,6 +402,8 @@ def test_non_finite_input_is_an_input_error(argv, capsys):
     ("lattice --tau 0 1e-5", "lattice --tau 0 1e5"),
     ("lattice --tau 1e300 1", "lattice --tau 0 1"),
     ("lattice --tau 0 1e-300", "lattice --tau 0 1e300"),
+    ("lattice --basis 1e150 0 0 1e150", None),
+    ("lattice --basis 1e-150 0 0 1e-150", None),
 ])
 def test_extreme_moduli_give_finite_energies(argv, same_as, capsys):
     # far up the eta route is its closed form; a shape is its reduced one
@@ -423,6 +415,35 @@ def test_extreme_moduli_give_finite_energies(argv, same_as, capsys):
     assert math.isfinite(rep["value"])
     if same_as is not None:
         assert rep == report(same_as)
+
+
+@pytest.mark.parametrize("side,covolume", [("1e300", "1.00e+600"),
+                                           ("1e-200", "1.00e-400")])
+def test_basis_covolume_out_of_float_range_is_an_input_error(side, covolume,
+                                                             capsys):
+    # a square basis, not collinear, whose covolume no float holds
+    assert main(["lattice", "--basis", side, "0", "0", side]) == 2
+    out, err = capsys.readouterr()
+    assert f"basis covolume {covolume} lies outside" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "fekete --n 2 --torus rect --aspect 115",
+    "fekete --n 2 --torus rect --aspect 120",
+    "fekete --n 2 --torus rect --aspect 300",
+    "fekete --n 2 --torus rect --aspect 0.001",
+    "fekete --elkies --n-max 3 --torus rect --aspect 150",
+])
+def test_long_torus_is_an_input_error(argv, capsys):
+    # the Green kernels' terms overflow above Im tau = torus.MAX_GREEN_B
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert "above the 112.965 the Green kernels take" in err and out == ""
+
+
+def test_longest_torus_the_kernels_take_runs(capsys):
+    assert main("fekete --n 2 --torus rect --aspect 112".split()) == 0
+    assert json.loads(capsys.readouterr().out)["converged"]
 
 
 def test_moduli_scan_far_up_writes_finite_rows(tmp_path, capsys):

@@ -323,6 +323,12 @@ def test_moduli_grid_points_respect_domain():
     assert np.any(on_arc)
 
 
+def test_moduli_grid_far_up_keeps_every_point_without_overflow():
+    # every b >= 1 is kept whatever a is; b^2 would overflow from ~1.34e154
+    grid = ModuliGrid(b_range=(1e300, 2e300), resolution=5)
+    assert grid.size == 25 and grid.min_b == 1e300
+
+
 def _whole_grid_points(grid):
     """The scanned points as one whole-grid pass builds them: every column's
     kept suffix in order of a, then the arc points."""
@@ -372,7 +378,7 @@ def test_grid_blocks_join_to_the_whole_grid_points(a, b_min, b_span,
 
 def test_moduli_scan_finds_hexagonal_point():
     grid = ModuliGrid(resolution=60)
-    rep = moduli_scan(grid, refine_iters=40)
+    rep = moduli_scan(grid)
     assert isinstance(rep, ScanReport)
     a_star, b_star = rep.argmin
     assert abs(a_star - 0.5) < 0.05
@@ -381,9 +387,60 @@ def test_moduli_scan_finds_hexagonal_point():
     assert rep.min_value <= rep.min_grid + 1e-15
 
 
+@pytest.mark.parametrize("m", [1.0, 1.7])
+@pytest.mark.parametrize("resolution", [1, 2, 16, 24, 60, 200])
+def test_moduli_scan_keeps_rho_when_the_grid_holds_it(resolution, m):
+    # the arc point of the a = 1/2 column is rho to the last bit; no compass
+    # point around it is lower, so the polish stays there (at resolution 1,
+    # a step of one whole cell reaches below Im tau = 0)
+    rep = moduli_scan(ModuliGrid(resolution=resolution), m=m)
+    rho = (0.5, math.sqrt(0.75))
+    assert rep.argmin_grid == rep.argmin == rho
+    assert rep.min_value == rep.min_grid == w_eta(complex(*rho), m).value
+
+
+# Where the polish may end.  Its last round, at a step s with POLISH_STEP <=
+# s < 2 POLISH_STEP, finds no compass point lower.  Near rho,
+# w = w(rho) + |d|^2 / 12 for d = tau - rho (Hess w = I/6), so the axis
+# point toward rho lowers w by (2 s |d_x| - s^2) / 12; with each w value
+# within E = 4 eps max(1, |w|) of exact (as in the route property above)
+# that drop is at most 2 E, so |d_x| <= s/2 + 12 E / s < POLISH_STEP +
+# 12 E / POLISH_STEP, and the same for d_y.  The end point's own rounding
+# (1e-16) is negligible beside it.
+_POLISH_E = 4.0 * np.finfo(float).eps
+_POLISH_REACH = math.sqrt(2.0) * (lattice.POLISH_STEP
+                                  + 12.0 * _POLISH_E / lattice.POLISH_STEP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       b=st.tuples(*[st.floats(math.log(0.5), math.log(1e4)).map(math.exp)] * 2),
+       resolution=st.integers(2, 40), m=st.floats(0.25, 4.0))
+@example(a=(0.0, 0.4), b=(0.9, 1.5), resolution=50, m=1.0)
+@example(a=(-0.5, 0.5), b=(1.2, 1.6), resolution=200, m=1.0)
+@example(a=(-0.5, 0.5), b=(3.0, 6.0), resolution=40, m=1.0)
+def test_moduli_scan_polish_ends_at_rho_from_any_window(a, b, resolution, m):
+    # W is modular-invariant, so windows that exclude rho reach it too.
+    # min_value is at most m |d|^2 / 12 above m w(rho), plus the rounding
+    # of two values of w_m: 4 eps max(1, |w_1|) times m, and at most four
+    # more rounded terms of the scaling, each within eps max(m, |w_m|)
+    try:
+        grid = ModuliGrid(a_range=tuple(sorted(a)), b_range=tuple(sorted(b)),
+                          resolution=resolution)
+    except InputError:
+        assume(False)
+    rep = moduli_scan(grid, m=m)
+    tau = complex(*rep.argmin)
+    assert min(abs(tau - TRI_TAU), abs(tau - (TRI_TAU - 1.0))) <= _POLISH_REACH
+    want = w_eta(TRI_TAU, m).value
+    rounding = 8.0 * np.finfo(float).eps * max(m, abs(want))
+    assert abs(rep.min_value - want) <= (m * _POLISH_REACH ** 2 / 12.0
+                                         + 2.0 * rounding)
+
+
 def test_moduli_scan_csv_shape(tmp_path):
     grid = ModuliGrid(resolution=8)
-    rep = moduli_scan(grid, refine_iters=5)
+    rep = moduli_scan(grid)
     rep.to_csv(tmp_path / "scan.csv")
     lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
     assert lines[0] == "a,b,W"
@@ -398,7 +455,7 @@ def test_moduli_scan_csv_matches_row_loop(tmp_path, monkeypatch):
     # runs of 7 rows, so the last run of a grid block is short; grid blocks
     # of one column and of the whole grid
     monkeypatch.setattr(csvfile, "BLOCK_ROWS", 7)
-    rep = moduli_scan(ModuliGrid(resolution=8), refine_iters=5)
+    rep = moduli_scan(ModuliGrid(resolution=8))
     assert rep.a.size % 7 != 0
     want = "a,b,W\n" + "".join(f"{ai:.9g},{bi:.9g},{wi:.9g}\n"
                                 for ai, bi, wi in zip(rep.a, rep.b, rep.w))
@@ -440,7 +497,7 @@ def test_write_csv_matches_row_format(tmp_path_factory, block, row_format,
 def test_moduli_scan_blocks_keep_the_whole_array_bits():
     grid = ModuliGrid(b_range=(0.8, 3.0), resolution=300)
     m = 1.7
-    rep = moduli_scan(grid, m=m, refine_iters=0)
+    rep = moduli_scan(grid, m=m)
     a, b = _whole_grid_points(grid)
     assert a.size > 3 * lattice.SCAN_BLOCK
     n = modular._nterms_for(b.min(), SeriesControl())
@@ -480,7 +537,7 @@ def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(1.1, 1.5), resolution=5)
     for scan_block in (5, 12, 1 << 14):
         monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
-        rep = moduli_scan(grid, refine_iters=0)
+        rep = moduli_scan(grid)
         best = np.lexsort((rep.b, rep.a, rep.w))[0]
         assert np.count_nonzero(rep.w == rep.w[best]) == 5
         assert rep.argmin_grid == (rep.a[best], rep.b[best]) == (0.1, 1.1)
@@ -500,7 +557,7 @@ def test_moduli_scan_argmin_tie_can_be_won_blocks_later(monkeypatch,
     monkeypatch.setattr(lattice, "_eta_product", eta_pinned)
     monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(0.9, 1.5), resolution=5)
-    rep = moduli_scan(grid, refine_iters=0)
+    rep = moduli_scan(grid)
     a, b = rep.a, rep.b
     ties = np.flatnonzero(rep.w == -np.inf)
     assert ties.size == 2 and ties[1] == a.size - 5   # first of 5 arc points
@@ -523,7 +580,7 @@ def test_moduli_scan_memory_per_point():
 
 
 def _csv_peak(path, resolution):
-    rep = moduli_scan(ModuliGrid(resolution=resolution), refine_iters=0)
+    rep = moduli_scan(ModuliGrid(resolution=resolution))
     tracemalloc.start()
     try:
         rep.to_csv(path)
@@ -541,8 +598,8 @@ def test_scan_csv_memory_does_not_grow_with_the_points(tmp_path):
 
 def test_moduli_scan_deterministic():
     grid = ModuliGrid(resolution=24)
-    r1 = moduli_scan(grid, refine_iters=10)
-    r2 = moduli_scan(grid, refine_iters=10)
+    r1 = moduli_scan(grid)
+    r2 = moduli_scan(grid)
     assert r1.argmin == r2.argmin
     assert r1.min_value == r2.min_value
     assert np.array_equal(r1.w, r2.w)
