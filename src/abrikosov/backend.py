@@ -71,17 +71,6 @@ def _powers(q, nterms):
     return col
 
 
-def _series_sum(terms):
-    """Sum ``terms`` along axis 0, row after row from the first.
-
-    ``np.add.reduce`` over axis 0 adds whole rows in order, but for a single
-    column it sums pairwise; ``cumsum`` keeps the order there.
-    """
-    if terms[0].size == 1:
-        return np.cumsum(terms, axis=0)[-1]
-    return np.add.reduce(terms, axis=0)
-
-
 def _blocks(size):
     """Consecutive slices of at most PAIR_BLOCK points covering ``size``."""
     return [slice(lo, lo + PAIR_BLOCK) for lo in range(0, size, PAIR_BLOCK)]
@@ -133,12 +122,15 @@ def green_grads(ds, dt, a, b, nterms):
     dl = p / (p - 1.0) ** 2
     for blk in _blocks(len(p)):
         pb = p[blk]
-        # L's rows: its n = 0 part, then 2 pi i (u/(1-u) - v/(1-v)) per term;
-        # L''s rows: its n = 0 part, then u/(1-u)^2 and v/(1-v)^2 per term
+        # L's rows: minus its n = 0 part, then 2 pi i (u/(1-u) - v/(1-v)) per
+        # term; L''s rows: minus its n = 0 part, then u/(1-u)^2 and v/(1-v)^2
+        # per term.  As in green_values, the rows are subtracted in turn:
+        # (-a) - b - ... is -(a + b + ...) summed in series order, to the
+        # bit but for the sign of an exactly cancelling zero
         lterms = np.empty((nterms + 1, len(pb)), complex)
         dterms = np.empty((2 * nterms + 1, len(pb)), complex)
-        lterms[0] = lsum[blk]
-        dterms[0] = dl[blk]
+        np.negative(lsum[blk], out=lterms[0])
+        np.negative(dl[blk], out=dterms[0])
         # x holds u, then v; om holds 1 - x.  Squares are taken out of place:
         # numpy rounds an in-place square of a lone complex element
         # differently
@@ -153,11 +145,12 @@ def green_grads(ds, dt, a, b, nterms):
         np.subtract(lterms[1:], dterms[2::2], out=lterms[1:])
         np.multiply(2j * np.pi, lterms[1:], out=lterms[1:])
         np.divide(x, om ** 2, out=dterms[2::2])
-        lsum[blk] = _series_sum(lterms)
-        dl[blk] = _series_sum(dterms)
+        np.subtract.reduce(lterms, axis=0, out=lsum[blk])
+        np.subtract.reduce(dterms, axis=0, out=dl[blk])
+    # lsum now holds -L and dl -L' / (4 pi^2)
     dl *= 4.0 * np.pi * np.pi
-    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
-    hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
+    grad = (lsum.real, (tau * lsum).real + 2.0 * np.pi * b * t)
+    hess = (dl.real, (tau * dl).real, (tau * tau * dl).real + 2.0 * np.pi * b)
     return grad, hess
 
 

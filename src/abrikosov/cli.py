@@ -23,7 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .csvfile import write_csv
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, positive
 from .lattice import (
     ModuliGrid,
     TRIANGULAR_TAU,
@@ -360,9 +360,10 @@ def cmd_obstacle(args) -> int:
         shape_params, h=h, tol=args.tol, suite=suite,
         m=args.m if single else None, m_grid=m_grid, offsets=offsets,
         field_csv=args.field_csv if single else None))
-    # a bad level is rejected before the grid is built
+    # a bad level or tol is rejected before the grid is built
     levels = [check_level(m)
               for m in ([args.m] if args.m is not None else m_grid or [])]
+    positive("tol", args.tol)
     grid = DomainGrid(shape, h)
     payload["grid"] = {"h": h, "interior_cells": grid.n, "area": grid.area}
 

@@ -4,6 +4,7 @@ Two broad families matter for the CLI exit-code mapping: input/usage problems
 (`InputError`, exit code 2) and numerical failures discovered mid-computation
 (`NumericalError`, exit code 3).
 """
+import math
 
 
 class AbrikosovError(Exception):
@@ -26,6 +27,15 @@ class NonPositiveImaginaryPart(InputError):
 
 class NonPositiveParameter(InputError):
     """A parameter that must be strictly positive was not."""
+
+
+def positive(name: str, x) -> float:
+    """``float(x)`` if it is finite and > 0; otherwise NonPositiveParameter
+    naming the parameter ``name`` and its value."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise NonPositiveParameter(f"{name} must be finite and > 0, not {x}")
+    return x
 
 
 class DegenerateBasis(InputError):

@@ -17,12 +17,18 @@ point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .csvfile import write_csv
-from .errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
+from .errors import (
+    InputError,
+    NonPositiveImaginaryPart,
+    NonPositiveParameter,
+    positive,
+)
 from .modular import (
     LatticeBasis,
     SeriesControl,
@@ -40,6 +46,7 @@ __all__ = [
     "ModuliGrid",
     "ScanReport",
     "ThetaProbeReport",
+    "TRIANGULAR_TAU",
     "reduce_fundamental",
     "lattice_to_tau",
     "shape_basis",
@@ -124,8 +131,18 @@ def reduce_fundamental(tau: complex) -> complex:
 
 
 def _shape_modulus(basis: LatticeBasis) -> complex:
-    """Shape modulus v/u of a basis (not reduced)."""
-    return complex(basis.v[0], basis.v[1]) / complex(basis.u[0], basis.u[1])
+    """Shape modulus v/u of a basis (not reduced).
+
+    An oriented basis has Im v/u > 0; a quotient that overflows, or whose
+    imaginary part underflows below the normal floats (it would reduce to
+    an infinite modulus), is an InputError naming the basis.
+    """
+    tau = complex(basis.v[0], basis.v[1]) / complex(basis.u[0], basis.u[1])
+    if not (math.isfinite(tau.real) and sys.float_info.min <= tau.imag
+            < math.inf):
+        raise InputError(f"the shape modulus v/u of {basis} lies outside "
+                         "the float range")
+    return tau
 
 
 def lattice_to_tau(basis: LatticeBasis):
@@ -146,8 +163,7 @@ def lattice_to_tau(basis: LatticeBasis):
 def shape_basis(tau: complex, covolume: float = TWO_PI) -> LatticeBasis:
     """A concrete basis realizing shape tau at the requested covolume."""
     tau = _require_upper(tau)
-    if not (covolume > 0.0):
-        raise NonPositiveParameter("covolume must be > 0")
+    covolume = positive("covolume", covolume)
     c = math.sqrt(covolume / tau.imag)
     return LatticeBasis((c, 0.0), (c * tau.real, c * tau.imag))
 
@@ -166,8 +182,7 @@ def _w_unit(tau, n: int):
 
 def _density_scale(value_unit, m: float):
     """w_m = m (w_1 - 1/4 log m), elementwise in w_1."""
-    if not (0.0 < m < math.inf):
-        raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
+    m = positive("density m", m)
     with np.errstate(over="ignore"):
         return _in_range(m * (value_unit - 0.25 * math.log(m)), value_unit, m)
 
@@ -220,8 +235,7 @@ def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,
     of their dual zeta functions equals the energy difference directly, and
     the density factor multiplies through (the -1/4 log m terms cancel).
     """
-    if not (0.0 < m < math.inf):
-        raise NonPositiveParameter(f"density m must be finite and > 0, not {m}")
+    m = positive("density m", m)
     b1 = shape_basis(reduce_fundamental(tau1))
     b2 = shape_basis(reduce_fundamental(tau2))
     unit = float(zeta_difference_limit(b1, b2, ctl))
@@ -496,9 +510,7 @@ def theta_minimality_probe(alphas, samples: int, seed: int = 0,
     than the noise floor -> recorded violation; differences below the
     floor are counted inconclusive (ties included).
     """
-    alphas = [float(x) for x in alphas]
-    if any(x <= 0.0 for x in alphas):
-        raise NonPositiveParameter("alphas must be > 0")
+    alphas = [positive("alphas", x) for x in alphas]
     report = ThetaProbeReport(alphas=alphas, samples=int(samples), seed=seed,
                               noise_floor=1e-11)
     rng = np.random.default_rng(seed)

@@ -27,8 +27,8 @@ from .errors import (
     InputError,
     LatticePointSingularity,
     NonPositiveImaginaryPart,
-    NonPositiveParameter,
     PrecisionUnreachable,
+    positive,
 )
 
 __all__ = [
@@ -61,8 +61,7 @@ class SeriesControl:
     abs_tol: float = DEFAULT_CONTROL_TOL
 
     def __post_init__(self):
-        if not (0.0 < self.abs_tol < math.inf):
-            raise NonPositiveParameter("abs_tol must be finite and > 0")
+        positive("abs_tol", self.abs_tol)
 
 
 _DEFAULT_CTL = SeriesControl()
@@ -377,8 +376,7 @@ def _exp1(z) -> np.ndarray:
 def theta_lattice(basis: LatticeBasis, alpha: float,
                   ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2)."""
-    if not (alpha > 0.0):
-        raise NonPositiveParameter("alpha must be > 0")
+    alpha = positive("alpha", alpha)
     nsq, _ = _gaussian_sum_support(basis, alpha, ctl)
     return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
 

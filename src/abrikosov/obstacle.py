@@ -46,8 +46,8 @@ from .errors import (
     InputError,
     NoConvergence,
     NonConvexDomain,
-    NonPositiveParameter,
     UnderResolved,
+    positive,
 )
 
 __all__ = [
@@ -92,11 +92,8 @@ class Ellipse:
     origin; ``UnitDisk`` is the one with semi-axes (1, 1)."""
 
     def __init__(self, rx: float, ry: float):
-        if not (0.0 < rx < math.inf and 0.0 < ry < math.inf):
-            raise NonPositiveParameter(
-                f"ellipse semi-axes must be finite and > 0, not {rx}, {ry}")
-        self.rx = float(rx)
-        self.ry = float(ry)
+        self.rx = positive("ellipse semi-axis rx", rx)
+        self.ry = positive("ellipse semi-axis ry", ry)
 
     def bounds(self):
         return (-self.rx, self.rx, -self.ry, self.ry)
@@ -207,10 +204,8 @@ class DomainGrid:
     """
 
     def __init__(self, shape, h: float):
-        if not (h > 0.0):
-            raise NonPositiveParameter("grid spacing h must be > 0")
         self.shape = shape
-        self.h = float(h)
+        self.h = h = positive("grid spacing h", h)
         xmin, xmax, ymin, ymax = shape.bounds()
         imin = int(math.floor(xmin / h)) - 1
         imax = int(math.ceil(xmax / h)) + 1
@@ -533,8 +528,7 @@ def _solve(grid: DomainGrid, m, tol: float):
     M-matrix whose rows sum to at least 1, so this residual bounds the
     max-norm distance to the exact discrete solution.
     """
-    if not (tol > 0.0):
-        raise NonPositiveParameter("tol must be > 0")
+    tol = positive("tol", tol)
     v = _start(grid, m, tol)
     iters, res = _cycles(grid, v, m, tol)
     if not (res < tol):

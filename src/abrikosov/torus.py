@@ -49,6 +49,7 @@ from .errors import (
     LatticePointSingularity,
     NonPositiveParameter,
     VolumeNotNormalized,
+    positive,
 )
 from .lattice import (
     EnergyReport,
@@ -116,12 +117,20 @@ class TorusSpec:
 
     @staticmethod
     def rectangular(aspect: float, volume: float = TWO_PI) -> "TorusSpec":
-        if not (aspect > 0.0):
-            raise NonPositiveParameter("aspect must be > 0")
-        return TorusSpec(shape_basis(complex(0.0, aspect), volume))
+        return TorusSpec(shape_basis(complex(0.0, positive("aspect", aspect)),
+                                     volume))
 
     def __repr__(self):
         return f"TorusSpec(basis={self.basis!r})"
+
+
+def _finite(points, what: str) -> np.ndarray:
+    """``points`` as a float array; InputError if any coordinate is not
+    finite."""
+    points = np.asarray(points, float)
+    if not np.all(np.isfinite(points)):
+        raise InputError(f"{what} must be finite")
+    return points
 
 
 def _wrap01(points: np.ndarray) -> np.ndarray:
@@ -137,7 +146,7 @@ class TorusConfig:
     __slots__ = ("torus", "points")
 
     def __init__(self, torus: TorusSpec, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_finite(points, "torus points"))
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise NonPositiveParameter("points must be an (n, 2) array with n >= 1")
         self.torus = torus
@@ -298,21 +307,21 @@ class GreenEvaluator:
 
     def value(self, x) -> float:
         """G(x) for a Cartesian 2-vector x."""
-        x = np.asarray(x, float).reshape(2)
+        x = _finite(x, "x").reshape(2)
         frac = self._inv_basis @ x
         self._check_singular(frac)
         return float(self._values_frac(np.array([frac[0]]),
                                        np.array([frac[1]]))[0])
 
     def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, float).reshape(-1, 2)
+        xs = _finite(xs, "xs").reshape(-1, 2)
         frac = xs @ self._inv_basis.T
         self._check_singular(frac)
         return self._values_frac(frac[:, 0], frac[:, 1])
 
     def grad(self, x) -> np.ndarray:
         """Cartesian gradient of G at a Cartesian 2-vector x."""
-        x = np.asarray(x, float).reshape(2)
+        x = _finite(x, "x").reshape(2)
         frac = self._inv_basis @ x
         self._check_singular(frac)
         g, _ = self._derivs_frac(np.array([frac[0]]), np.array([frac[1]]))
@@ -441,10 +450,11 @@ class MinimizeControl:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not (self.grad_tol > 0.0):
-            raise NonPositiveParameter("grad_tol must be > 0")
-        if self.max_iters < 0 or self.restarts < 0:
-            raise NonPositiveParameter("max_iters and restarts must be >= 0")
+        positive("grad_tol", self.grad_tol)
+        if min(self.max_iters, self.restarts, self.rng_seed) < 0:
+            raise NonPositiveParameter(
+                "max_iters, restarts and rng_seed must be >= 0, not "
+                f"{self.max_iters}, {self.restarts}, {self.rng_seed}")
 
 
 @dataclass

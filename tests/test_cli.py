@@ -354,7 +354,8 @@ def test_obstacle_cycle_cap_is_a_numerical_failure(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("level", ["--m=nan", "--m=inf", "--m=1.5",
-                                   "--m-grid=0.9 1.5"])
+                                   "--m-grid=0.9 1.5", "--tol=0 --m=0.5",
+                                   "--tol=inf --m=0.5"])
 def test_obstacle_bad_level_is_rejected_before_the_grid(
         level, capsys, monkeypatch):
     def no_grid(*_, **__):
@@ -390,11 +391,31 @@ def test_obstacle_non_finite_level_is_an_input_error(level, capsys):
     "moduli-scan --b-max 1e308",
     "obstacle --ellipse inf 1 --m 0.5",
     "obstacle --polygon 0 0 1 0 nan 1 --m 0.5",
+    "fekete --n 3 --grad-tol inf",
+    "obstacle --disk --h 0.125 --m 0.8 --tol inf",
+    "obstacle --disk --h inf --m 0.5",
 ])
 def test_non_finite_input_is_an_input_error(argv, capsys):
     assert main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert "input error" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", ["fekete --n 2 --seed -1",
+                                  "fekete --elkies --n-max 3 --seed -5"])
+def test_negative_seed_is_an_input_error(argv, capsys):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert "rng_seed must be >= 0" in err and out == ""
+
+
+@pytest.mark.parametrize("basis", ["1e200 0 0 1e-200", "1e160 0 0 1e-160",
+                                   "1e-200 0 0 1e200"])
+def test_shape_modulus_out_of_float_range_is_an_input_error(basis, capsys):
+    # covolume 1, but v/u underflows, reduces to inf, or overflows
+    assert main(["lattice", "--basis", *basis.split()]) == 2
+    out, err = capsys.readouterr()
+    assert "shape modulus v/u of LatticeBasis" in err and out == ""
 
 
 @pytest.mark.parametrize("argv,same_as", [

@@ -17,6 +17,24 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(abrikosov.__path__)
                  if not m.name.startswith("_"))
 
 
+def test_package_surface_is_the_module_lists():
+    # the package re-exports each module's __all__, in this order
+    lists = [importlib.import_module(f"abrikosov.{name}").__all__
+             for name in ("modular", "lattice", "torus", "obstacle")]
+    assert abrikosov.__all__ == ["__version__", "backend", "errors",
+                                 *(name for names in lists for name in names)]
+
+
+def test_no_name_is_exported_by_two_modules():
+    # a star import lets a later module shadow an earlier one's name
+    seen = {}
+    for name in MODULES:
+        for attr in getattr(importlib.import_module(f"abrikosov.{name}"),
+                            "__all__", []):
+            seen.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in seen.items() if len(mods) > 1} == {}
+
+
 def test_package_exports_resolve():
     missing = [name for name in abrikosov.__all__
                if not hasattr(abrikosov, name)]

@@ -18,6 +18,7 @@ from abrikosov import backend, torus
 
 from abrikosov.errors import (
     CoincidentPoints,
+    InputError,
     LatticePointSingularity,
     NonPositiveParameter,
     VolumeNotNormalized,
@@ -527,6 +528,29 @@ def test_minimize_seed_changes_restarts():
     assert out_a.restart_table != out_b.restart_table
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_torus_points_are_input_errors(bad):
+    torus_sq = TorusSpec.square()
+    with pytest.raises(InputError, match="torus points must be finite"):
+        TorusConfig(torus_sq, [[bad, 0.1], [0.5, 0.5]])
+    ev = GreenEvaluator(torus_sq)
+    with pytest.raises(InputError, match="must be finite"):
+        ev.value([bad, 0.0])
+    with pytest.raises(InputError, match="must be finite"):
+        ev.value_many([[0.3, 0.2], [0.0, bad]])
+    with pytest.raises(InputError, match="must be finite"):
+        ev.grad([0.1, bad])
+
+
+@pytest.mark.parametrize("u,v", [((1e200, 0.0), (0.0, 1e-200)),
+                                 ((1e160, 0.0), (0.0, 1e-160)),
+                                 ((1e-200, 0.0), (0.0, 1e200))])
+def test_shape_modulus_out_of_float_range_names_the_basis(u, v):
+    # v/u underflows to 0, to a subnormal that reduces to inf, or overflows
+    with pytest.raises(InputError, match=r"shape modulus v/u of LatticeBasis"):
+        GreenEvaluator(TorusSpec(LatticeBasis(u, v)))
+
+
 def test_minimize_control_validation():
     with pytest.raises(NonPositiveParameter):
         MinimizeControl(max_iters=-1)
@@ -534,6 +558,8 @@ def test_minimize_control_validation():
         MinimizeControl(grad_tol=0.0)
     with pytest.raises(NonPositiveParameter):
         MinimizeControl(restarts=-1)
+    with pytest.raises(NonPositiveParameter, match="rng_seed"):
+        MinimizeControl(rng_seed=-1)
     MinimizeControl(restarts=0)   # no restarts is legal
     MinimizeControl(max_iters=0)  # evaluate-the-starts-only is legal
 
