@@ -1,27 +1,10 @@
 """Streaming CSV writer shared by every CSV side file the package writes."""
 from __future__ import annotations
 
-import re
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK_ROWS = 1 << 14    # rows formatted and written at a time
-_CONVERSION = r"(%%|%[^%a-zA-Z]*[a-zA-Z])"   # compiled on first use, not at import
-
-
-def _split_format(row_format: str):
-    """(literals, specs): the % conversions of ``row_format`` and the text
-    around them, with ``len(literals) == len(specs) + 1``."""
-    pieces = re.split(_CONVERSION, row_format)
-    literals, specs = [pieces[0]], []
-    for match, text in zip(pieces[1::2], pieces[2::2]):
-        if match == "%%":
-            literals[-1] += "%" + text
-        else:
-            specs.append(match)
-            literals.append(text)
-    return literals, specs
 
 
 def _field_table(spec: str, column: np.ndarray):
@@ -47,18 +30,19 @@ def _field_table(spec: str, column: np.ndarray):
 def write_csv(path, header: str, row_format: str, blocks) -> None:
     """Write ``header`` and one ``row_format`` line per row of ``blocks``.
 
-    ``blocks`` yields tuples of equal-length columns, the rows of one block
-    after those of the one before, so a caller holding whole columns passes
-    ``[columns]``.  The file is byte for byte ``header`` and
-    ``row_format % row`` for each row, with the columns read as float64: an
-    integer column printed with ``%d`` must be exact in it.  Rows go out at
-    most BLOCK_ROWS at a time.  In each such run every distinct value of a
-    column is formatted once, and the lines are assembled as bytes in numpy
-    (dropping the NUL padding, so ``row_format`` must hold no NUL), so the
-    text of the whole file never sits in memory.
+    ``row_format`` is comma-joined % conversions, one per column, such as
+    ``"%.9g,%.9g,%d"``.  ``blocks`` yields tuples of equal-length columns,
+    the rows of one block after those of the one before, so a caller
+    holding whole columns passes ``[columns]``.  The file is byte for byte
+    ``header`` and ``row_format % row`` for each row, with the columns read
+    as float64: an integer column printed with ``%d`` must be exact in it.
+    Rows go out at most BLOCK_ROWS at a time.  In each such run every
+    distinct value of a column is formatted once, and the lines are
+    assembled as bytes in numpy (dropping the NUL padding), so the text of
+    the whole file never sits in memory.
     """
-    literals, specs = _split_format(row_format + "\n")
-    literals = [np.frombuffer(t.encode(), dtype=np.uint8) for t in literals]
+    specs = row_format.split(",")
+    comma, newline = (np.frombuffer(c, dtype=np.uint8) for c in (b",", b"\n"))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
         for columns in blocks:
@@ -69,9 +53,10 @@ def write_csv(path, header: str, row_format: str, blocks) -> None:
             for start in range(0, len(cols[0]), BLOCK_ROWS):
                 block = slice(start, start + BLOCK_ROWS)
                 rows = len(cols[0][block])
-                parts = [np.broadcast_to(literals[0], (rows, literals[0].size))]
-                for spec, col, lit in zip(specs, cols, literals[1:]):
+                parts = []
+                for spec, col in zip(specs, cols):
                     table, where = _field_table(spec, col[block])
-                    parts += [table[where], np.broadcast_to(lit, (rows, lit.size))]
+                    parts += [table[where], np.broadcast_to(comma, (rows, 1))]
+                parts[-1] = np.broadcast_to(newline, (rows, 1))
                 lines = np.concatenate(parts, axis=1)
                 fh.write(lines.tobytes().replace(b"\0", b""))

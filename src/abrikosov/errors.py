@@ -5,6 +5,7 @@ Two broad families matter for the CLI exit-code mapping: input/usage problems
 (`NumericalError`, exit code 3).
 """
 import math
+import numbers
 
 
 class AbrikosovError(Exception):
@@ -36,6 +37,15 @@ def positive(name: str, x) -> float:
     if not 0.0 < x < math.inf:
         raise NonPositiveParameter(f"{name} must be finite and > 0, not {x}")
     return x
+
+
+def count(name: str, x, least: int = 0) -> int:
+    """``int(x)`` if x is an integer (a numpy one too) >= ``least``;
+    otherwise NonPositiveParameter naming the count ``name`` and its value."""
+    if not (isinstance(x, numbers.Integral) and x >= least):
+        raise NonPositiveParameter(f"{name} must be >= {least} and an "
+                                   f"integer, not {x}")
+    return int(x)
 
 
 class DegenerateBasis(InputError):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     InputError,
     NonPositiveImaginaryPart,
     NonPositiveParameter,
+    count,
     positive,
 )
 from .modular import (
@@ -61,7 +63,7 @@ TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
 SCAN_BLOCK = 1 << 14       # most points in a ModuliGrid block, bar one long column
-MAX_B = 1e307              # largest b that w_eta and the scan take: 2 pi b < inf
+MAX_B = 1e307              # largest b the routes and the scan take: 2 pi b < inf
 # The compass polish stops once its step is below POLISH_STEP.  Near rho
 # Hess w = I/6, so a step of 5e-8 changes w by about 8 ulp of |w(rho)|:
 # smaller steps would follow rounding, not the energy.
@@ -130,6 +132,16 @@ def reduce_fundamental(tau: complex) -> complex:
     return _reduce_with_matrix(tau)[0]
 
 
+def _reduced(tau: complex, what: str = "") -> complex:
+    """``reduce_fundamental(tau)``; InputError naming ``what`` (by default
+    tau) if its imaginary part exceeds MAX_B, the largest the routes take."""
+    tau_r = reduce_fundamental(tau)
+    if tau_r.imag > MAX_B:
+        raise InputError(f"{what or f'tau = {tau}'} reduces to Im tau above "
+                         f"{MAX_B:g}")
+    return tau_r
+
+
 def _shape_modulus(basis: LatticeBasis) -> complex:
     """Shape modulus v/u of a basis (not reduced).
 
@@ -155,7 +167,7 @@ def lattice_to_tau(basis: LatticeBasis):
     scale = sqrt(covolume / (2 pi)).  The unit-density modulus therefore has
     m = 1/scale^2.
     """
-    tau = reduce_fundamental(_shape_modulus(basis))
+    tau = _reduced(_shape_modulus(basis), f"the shape modulus v/u of {basis}")
     scale = math.sqrt(basis.covolume / TWO_PI)
     return tau, scale
 
@@ -199,9 +211,7 @@ def _in_range(value, value_unit, m: float):
 def w_eta(tau: complex, m: float = 1.0,
           ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
     """Energy of the shape-tau lattice at density m, eta-product route."""
-    tau_r = reduce_fundamental(tau)
-    if tau_r.imag > MAX_B:
-        raise InputError(f"tau = {tau} reduces to Im tau above {MAX_B:g}")
+    tau_r = _reduced(tau)
     n, log_tail = eta_truncation(tau_r, ctl)
     value = _density_scale(float(_w_unit(tau_r, n)), m)
     return EnergyReport(value=value, route="eta", truncation=ctl,
@@ -219,7 +229,7 @@ def w_fourier(tau: complex, m: float = 1.0,
     """
     eps = EWALD_SPLIT
     k_sum, k_tail, p_sum, p_tail = _ewald_sums(
-        shape_basis(reduce_fundamental(tau)), eps, ctl)
+        shape_basis(_reduced(tau)), eps, ctl)
     two_w = (k_sum + 0.5 * p_sum
              - eps + 0.5 * (math.log(4.0 * eps) - np.euler_gamma))
     return EnergyReport(value=_density_scale(0.5 * two_w, m), route="fourier",
@@ -236,8 +246,8 @@ def w_zeta_diff(tau1: complex, tau2: complex, m: float = 1.0,
     the density factor multiplies through (the -1/4 log m terms cancel).
     """
     m = positive("density m", m)
-    b1 = shape_basis(reduce_fundamental(tau1))
-    b2 = shape_basis(reduce_fundamental(tau2))
+    b1 = shape_basis(_reduced(tau1))
+    b2 = shape_basis(_reduced(tau2))
     unit = float(zeta_difference_limit(b1, b2, ctl))
     return _in_range(m * unit, unit, m)
 
@@ -269,8 +279,7 @@ class ModuliGrid:
     def __post_init__(self):
         a_min, a_max = self.a_range
         b_min, b_max = self.b_range
-        if self.resolution < 1:
-            raise InputError("resolution must be >= 1")
+        count("resolution", self.resolution, 1)
         if not all(map(math.isfinite, (a_min, a_max, b_min, b_max))):
             raise InputError("a_range and b_range must be finite")
         if not (a_min <= a_max) or not (b_min <= b_max):
@@ -286,6 +295,7 @@ class ModuliGrid:
         if self.size == 0:
             raise InputError("the window holds no grid point with |tau| >= 1")
 
+    @cached_property
     def _columns(self):
         """(a_vals, b_vals, kept, on, arc): the grid's abscissae and ordinates,
         the length of the b_vals suffix each column keeps, and the columns
@@ -305,7 +315,7 @@ class ModuliGrid:
     @property
     def size(self) -> int:
         """Number of scanned points."""
-        _, _, kept, on, _ = self._columns()
+        _, _, kept, on, _ = self._columns
         return sum(kept) + np.count_nonzero(on)
 
     @property
@@ -315,7 +325,7 @@ class ModuliGrid:
         Every column keeps a suffix of the same b values, so the longest
         suffix holds the smallest column b.
         """
-        _, b_vals, kept, on, arc = self._columns()
+        _, b_vals, kept, on, arc = self._columns
         return float(np.concatenate((b_vals[b_vals.size - max(kept):],
                                      arc[on])).min())
 
@@ -326,7 +336,7 @@ class ModuliGrid:
         suffixes of at most SCAN_BLOCK points (a longer column is one block),
         then one block of the arc points.
         """
-        a_vals, b_vals, kept, on, arc = self._columns()
+        a_vals, b_vals, kept, on, arc = self._columns
         n = self.resolution
         first = 0
         while first < n:
@@ -363,10 +373,6 @@ class ScanReport:
     refine_iters: int
 
     @property
-    def resolution(self) -> int:
-        return self.grid.resolution
-
-    @property
     def a(self) -> np.ndarray:
         return self.grid.points()[0]
 
@@ -377,7 +383,7 @@ class ScanReport:
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "resolution": self.resolution,
+            "resolution": self.grid.resolution,
             "n_points": int(self.w.size),
             "argmin_grid": {"a": self.argmin_grid[0], "b": self.argmin_grid[1]},
             "min_grid": self.min_grid,
@@ -402,46 +408,32 @@ def _spans(grid: ModuliGrid):
         start += a.size
 
 
-def _first_min(w: np.ndarray, spans):
-    """(index, a, b) of the smallest w, ties broken by (a, b), then by index.
-
-    ``spans`` yields the (at, a, b) blocks of ``_spans``, covering w.  The
-    index is ``np.lexsort((b, a, w))[0]``, with (a, b) taken and sorted at
-    the ties of the minimum only.  fmin skips nan, which lexsort sorts last.
-    """
-    low = np.fmin.reduce(w)
-    ties = np.flatnonzero(w == low) if low == low else np.arange(w.size)
-    tie_a, tie_b = [], []
-    for at, a, b in spans:
-        rows = ties[np.searchsorted(ties, at.start):
-                    np.searchsorted(ties, at.stop)] - at.start
-        tie_a.append(a[rows])
-        tie_b.append(b[rows])
-    tie_a, tie_b = np.concatenate(tie_a), np.concatenate(tie_b)
-    pick = np.lexsort((tie_b, tie_a))[0]
-    return int(ties[pick]), float(tie_a[pick]), float(tie_b[pick])
-
-
 def moduli_scan(grid: ModuliGrid, m: float = 1.0,
                 ctl: SeriesControl = _DEFAULT_CTL) -> ScanReport:
     """Scan w over the grid and polish the best sample by a compass search.
 
-    The grid argmin (deterministic lexicographic tie-break on (a, b)) is
-    canonicalized through the fundamental-domain reduction, then polished
-    by ``_polish`` from a step of one grid cell.  The energy is
-    modular-invariant, so the search may leave the window; the polished
-    argmin is the reduced shape it ends on, and ``refine_iters`` counts
-    its rounds.
+    The grid argmin is the smallest (w, a, b), exact ties of w broken by a
+    and then b (the pick of ``np.lexsort((b, a, w))[0]``), taken block by
+    block as the blocks fill w.  It is canonicalized through the
+    fundamental-domain reduction, then polished by ``_polish`` from a step
+    of one grid cell.  The energy is modular-invariant, so the search may
+    leave the window; the polished argmin is the reduced shape it ends on,
+    and ``refine_iters`` counts its rounds.
     """
     # every block takes the term count of the whole scan's smallest b, so
     # each w keeps the bits of one _w_unit call over the whole grid
     n_terms = _nterms_for(grid.min_b, ctl)
-    w = np.empty(grid.size)
+    w, picks = np.empty(grid.size), []
     for at, a, b in _spans(grid):
-        w[at] = _density_scale(_w_unit(a + 1j * b, n_terms), m)
-    best, a_best, b_best = _first_min(w, _spans(grid))
+        w[at] = block = _density_scale(_w_unit(a + 1j * b, n_terms), m)
+        if block.size:
+            ties = np.flatnonzero(block == block.min())
+            k = ties[np.lexsort((b[ties], a[ties]))[0]]
+            picks.append((block[k], a[k], b[k]))
+    # min keeps the first of equal tuples, so a later block wins only with
+    # a strictly smaller one
+    min_grid, a_best, b_best = map(float, min(picks))
     tau0 = reduce_fundamental(complex(a_best, b_best))
-    min_grid = float(w[best])
     cell = max(grid.a_range[1] - grid.a_range[0], 1e-3) \
         / max(grid.resolution - 1, 1)
     tau, rounds = _polish(tau0, cell, ctl)

@@ -799,7 +799,7 @@ def verify_scale_law(fields, base_level: float) -> AsymptoticsReport:
     larger offsets are reported but cannot confirm the law.
     """
     rows, excluded = [], []
-    lo, hi = 0.5, 2.0
+    lo, hi = AsymptoticsReport.band
     for f in sorted(fields, key=lambda f: f.m):
         offset = f.m - base_level
         met = coincidence_metrics(f)

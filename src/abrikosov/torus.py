@@ -49,6 +49,7 @@ from .errors import (
     LatticePointSingularity,
     NonPositiveParameter,
     VolumeNotNormalized,
+    count,
     positive,
 )
 from .lattice import (
@@ -160,12 +161,6 @@ class TorusConfig:
     def n(self) -> int:
         return self.points.shape[0]
 
-    def cartesian(self) -> np.ndarray:
-        return self.points @ self.torus.basis.matrix.T
-
-    def translated(self, offset) -> "TorusConfig":
-        return TorusConfig(self.torus, self.points + np.asarray(offset, float))
-
     def to_json_dict(self) -> dict:
         return {
             "basis": {
@@ -242,11 +237,13 @@ class GreenEvaluator:
 
     Construction reduces the torus shape to a fundamental-domain modulus,
     stores the integer change of fractional coordinates and sizes the
-    q-series by ``modular._green_nterms``, as ``kronecker_f`` does.
+    q-series by ``modular._green_nterms``, as ``kronecker_f`` does.  It
+    keeps ``ctl``, at which ``config_energy`` adds the lattice self-term.
     """
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
         self.torus = torus
+        self.ctl = ctl
         tau_r, m = _reduce_with_matrix(_shape_modulus(torus.basis))
         if tau_r.imag > MAX_GREEN_B:
             raise InputError(f"the torus shape reduces to Im tau = "
@@ -312,12 +309,6 @@ class GreenEvaluator:
         self._check_singular(frac)
         return float(self._values_frac(np.array([frac[0]]),
                                        np.array([frac[1]]))[0])
-
-    def value_many(self, xs: np.ndarray) -> np.ndarray:
-        xs = _finite(xs, "xs").reshape(-1, 2)
-        frac = xs @ self._inv_basis.T
-        self._check_singular(frac)
-        return self._values_frac(frac[:, 0], frac[:, 1])
 
     def grad(self, x) -> np.ndarray:
         """Cartesian gradient of G at a Cartesian 2-vector x."""
@@ -411,18 +402,16 @@ def _sup_norm(grad: np.ndarray) -> np.ndarray:
     return np.max(np.sqrt(np.sum(grad * grad, axis=-1)), axis=-1)
 
 
-def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None,
-                  ctl: SeriesControl = _DEFAULT_CTL) -> float:
-    """Total energy: pairwise Green sum plus n times the lattice self-term."""
+def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None) -> float:
+    """Total energy: pairwise Green sum plus n times the lattice self-term,
+    both at the series control of ``ev`` (by default a new evaluator)."""
     _require_normalized(cfg)
-    if ev is None:
-        ev = GreenEvaluator(cfg.torus, ctl)
-    w_lat = w_eta(ev.tau, 1.0, ctl).value
+    ev = ev or GreenEvaluator(cfg.torus)
+    w_lat = w_eta(ev.tau, 1.0, ev.ctl).value
     return float(_pair_energy(ev, cfg.points[None])[0]) + cfg.n * w_lat
 
 
-def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
-                ctl: SeriesControl = _DEFAULT_CTL) -> np.ndarray:
+def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None) -> np.ndarray:
     """Cartesian energy gradient per point, shape (n, 2).
 
     The lattice self-term does not depend on the points, so the gradient is
@@ -430,8 +419,7 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None,
     rounding (translation invariance).
     """
     _require_normalized(cfg)
-    if ev is None:
-        ev = GreenEvaluator(cfg.torus, ctl)
+    ev = ev or GreenEvaluator(cfg.torus)
     return _pair_derivs(ev, cfg.points)[0]
 
 
@@ -451,10 +439,8 @@ class MinimizeControl:
 
     def __post_init__(self):
         positive("grad_tol", self.grad_tol)
-        if min(self.max_iters, self.restarts, self.rng_seed) < 0:
-            raise NonPositiveParameter(
-                "max_iters, restarts and rng_seed must be >= 0, not "
-                f"{self.max_iters}, {self.restarts}, {self.rng_seed}")
+        for name in ("max_iters", "restarts", "rng_seed"):
+            count(name, getattr(self, name))
 
 
 @dataclass
@@ -678,11 +664,8 @@ class ElkiesReport:
 
 
 def _point_counts(n_list) -> list:
-    """``n_list`` as ints, each checked to be >= 1 before any run starts."""
-    n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise NonPositiveParameter("n must be >= 1")
-    return n_list
+    """``n_list`` as ints, each checked before any run starts."""
+    return [count("n", n, 1) for n in n_list]
 
 
 def elkies_experiment(n_list, torus: TorusSpec = None,
@@ -720,8 +703,7 @@ def triangular_embedding(n: int):
     Supported families: n = 2 k^2 on the aspect-sqrt(3) rectangular torus,
     and n = k^2 on the hexagonal torus.  Returns None for other n.
     """
-    if n < 1:
-        raise NonPositiveParameter("n must be >= 1")
+    n = count("n", n, 1)
     k2 = n // 2
     k = int(round(math.sqrt(k2)))
     if n % 2 == 0 and k * k == k2 and k >= 1:

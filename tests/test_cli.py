@@ -418,6 +418,27 @@ def test_shape_modulus_out_of_float_range_is_an_input_error(basis, capsys):
     assert "shape modulus v/u of LatticeBasis" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "lattice --tau 0 1e308",
+    "lattice --tau 0 1e308 --route fourier",
+    "lattice --tau 0 1e308 --route zetadiff-vs",
+    "lattice --tau 0 1 --route zetadiff-vs --ref-tau 0 1e308",
+])
+def test_every_route_checks_the_modulus_range(argv, capsys):
+    assert main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert "tau = 1e+308j reduces to Im tau above 1e+307" in err and out == ""
+
+
+def test_a_basis_beyond_the_modulus_range_is_named(capsys):
+    # covolume 1, and v/u = 1e308j is a normal float that no route takes
+    assert main(["lattice", "--basis", "1e-154", "0", "0", "1e154"]) == 2
+    out, err = capsys.readouterr()
+    assert ("the shape modulus v/u of LatticeBasis(u=[1e-154, 0.0], "
+            "v=[0.0, 1e+154]) reduces to Im tau above 1e+307") in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("argv,same_as", [
     ("lattice --tau 0 2800", None),
     ("lattice --tau 0 1e-5", "lattice --tau 0 1e5"),

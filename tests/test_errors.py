@@ -1,14 +1,17 @@
 """Parameter validation: every float parameter that must be finite and > 0
-goes through ``errors.positive``, which names the parameter and its value."""
+goes through ``errors.positive``, and every count through ``errors.count``;
+both name the parameter and its value."""
 
 import math
 import re
 
+import numpy as np
 import pytest
 
-from abrikosov.errors import NonPositiveParameter, positive
+from abrikosov.errors import NonPositiveParameter, count, positive
 from abrikosov.lattice import (
     TRIANGULAR_TAU,
+    ModuliGrid,
     shape_basis,
     theta_minimality_probe,
     w_eta,
@@ -16,7 +19,13 @@ from abrikosov.lattice import (
 )
 from abrikosov.modular import SeriesControl, theta_lattice
 from abrikosov.obstacle import DomainGrid, Ellipse, UnitDisk, solve_obstacle
-from abrikosov.torus import MinimizeControl, TorusSpec
+from abrikosov.torus import (
+    MinimizeControl,
+    TorusSpec,
+    conjecture1_probe,
+    elkies_experiment,
+    triangular_embedding,
+)
 
 BAD = [0.0, -1.0, math.inf, math.nan]
 
@@ -62,3 +71,49 @@ def test_each_positive_parameter_is_checked_by_name(site, x):
                        match=re.escape(f"{name} must be finite and > 0")):
         SITES[site](x)
 
+
+
+def test_count_returns_the_int():
+    for x in (3, np.int64(3), np.uint8(3)):
+        assert count("x", x, 1) == 3 and type(count("x", x, 1)) is int
+    assert count("x", 0) == 0
+
+
+@pytest.mark.parametrize("x", [2.5, 3.0, -1, np.int64(0), "3", None])
+def test_count_rejects_what_is_not_an_integer_at_least(x):
+    with pytest.raises(NonPositiveParameter,
+                       match=r"^x must be >= 1 and an integer, not "):
+        count("x", x, 1)
+
+
+# each count site at a non-integer value it once took: the experiments
+# silently ran n = 2, max_iters = 3.5 never ended a start, and the others
+# died with TypeErrors
+COUNT_SITES = {
+    "n (Elkies)": lambda: elkies_experiment([2.5, 3]),
+    "n (conjecture 1)": lambda: conjecture1_probe([2.9]),
+    "n (embedding)": lambda: triangular_embedding(4.5),
+    "max_iters": lambda: MinimizeControl(max_iters=3.5),
+    "restarts": lambda: MinimizeControl(restarts=2.5),
+    "rng_seed": lambda: MinimizeControl(rng_seed=1.5),
+    "resolution": lambda: ModuliGrid(resolution=2.5),
+}
+
+
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_each_count_is_checked_by_name(site):
+    name = site.split(" (")[0]
+    with pytest.raises(NonPositiveParameter,
+                       match=re.escape(f"{name} must be >= ")):
+        COUNT_SITES[site]()
+
+
+def test_counts_take_numpy_integers():
+    three = np.int64(3)
+    ctl = MinimizeControl(max_iters=three, restarts=three, rng_seed=three)
+    assert (ctl.max_iters, ctl.restarts, ctl.rng_seed) == (3, 3, 3)
+    assert ModuliGrid(resolution=three).size == ModuliGrid(resolution=3).size
+    assert triangular_embedding(np.int64(4))[1].shape == (4, 2)
+    rep = elkies_experiment(np.array([1, 2]),
+                            ctl=MinimizeControl(restarts=0, max_iters=50))
+    assert [n for n, _, _ in rep.rows] == [1, 2]

@@ -472,17 +472,20 @@ _csv_value = st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats())
 
 @settings(max_examples=80, deadline=None)
 @given(block=st.integers(1, 6),
-       row_format=st.sampled_from(["%.9g,%.9g,%d", "x=%.17g %%|%-12.3e|%d;"]),
+       row_format=st.sampled_from(["%.9g,%.9g,%d", "%.17g,%-12.3e,%d",
+                                   # the formats of the package's CSV files
+                                   "%.9g,%.9g,%.9g", "%.9g,%.9g,%.9g,%d",
+                                   "%d,%.9g,%.9g"]),
        data=st.data())
 def test_write_csv_matches_row_format(tmp_path_factory, block, row_format,
                                       data):
     # rows just under, at and over one block, and over two, handed over in
-    # up to four pieces (empty ones too) cut anywhere
+    # up to four pieces (empty ones too) cut anywhere; %d columns hold
+    # integers
     n = data.draw(st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
-    cols = [data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
-            data.draw(st.lists(_csv_value, min_size=n, max_size=n)),
-            data.draw(st.lists(st.integers(-2**53, 2**53), min_size=n,
-                               max_size=n))]
+    cols = [data.draw(st.lists(st.integers(-2**53, 2**53) if spec == "%d"
+                               else _csv_value, min_size=n, max_size=n))
+            for spec in row_format.split(",")]
     cuts = [0] + sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
     pieces = [tuple(c[lo:hi] for c in cols) for lo, hi in zip(cuts, cuts[1:])]
     path = tmp_path_factory.mktemp("csv") / "rows.csv"
@@ -492,6 +495,13 @@ def test_write_csv_matches_row_format(tmp_path_factory, block, row_format,
     want = "p,q,k\n" + "".join(row_format % tuple(r) + "\n"
                                for r in rows.tolist())
     assert path.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("row_format", ["%.9g,%.9g", "%.9g,%.9g,%.9g,%d"])
+def test_write_csv_needs_one_conversion_per_column(tmp_path, row_format):
+    with pytest.raises(ValueError, match="formats .* columns, not 3"):
+        csvfile.write_csv(tmp_path / "rows.csv", "p,q,k", row_format,
+                          [([1.0], [2.0], [3.0])])
 
 
 def test_moduli_scan_blocks_keep_the_whole_array_bits():
@@ -507,24 +517,6 @@ def test_moduli_scan_blocks_keep_the_whole_array_bits():
     assert rep.min_grid == want[best]
     tau0 = reduce_fundamental(complex(a[best], b[best]))
     assert rep.argmin_grid == (tau0.real, tau0.imag)
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 30))
-def test_first_min_is_the_full_lexsort_pick(data, n):
-    # few distinct values, so w ties exactly (0.0 with -0.0 too) and (a, b)
-    # pairs repeat; nan sorts last, and an all-nan w falls back to (a, b);
-    # the points come in up to four blocks (empty ones too) cut anywhere
-    small = st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=n, max_size=n)
-    a, b = (np.array(data.draw(small)) for _ in range(2))
-    w = np.array(data.draw(st.lists(
-        st.sampled_from([0.0, -0.0, 2.0, -3.0, math.nan]),
-        min_size=n, max_size=n)))
-    cuts = [0] + sorted(data.draw(st.lists(st.integers(0, n), max_size=3))) + [n]
-    spans = [(slice(lo, hi), a[lo:hi], b[lo:hi])
-             for lo, hi in zip(cuts, cuts[1:])]
-    best = np.lexsort((b, a, w))[0]
-    assert lattice._first_min(w, spans) == (best, a[best], b[best])
 
 
 def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):

@@ -1,5 +1,6 @@
-"""Package surface: every exported name, and every name the benchmark's tracer
-wraps, resolves; the package imports nothing beyond numpy."""
+"""Package surface: every exported name, every name the benchmark's tracer
+wraps and every package attribute the benchmark reads resolves; the package
+imports nothing beyond numpy."""
 
 import ast
 import importlib
@@ -66,6 +67,30 @@ def test_tracer_spans_resolve(monkeypatch):
         if name not in vars(owner or object):
             missing.append(f"{mod_name}.{attr}")
     assert tracing.SPANS
+    assert not missing
+
+
+def _bench_chains():
+    """Each ``abr.<module>.<name>`` attribute chain in bench/*.py, where the
+    benchmark's worker binds ``abr`` to the package."""
+    chains = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name)
+                    and node.value.value.id == "abr"):
+                chains.add((path.name, node.value.attr, node.attr))
+    return sorted(chains)
+
+
+def test_bench_attribute_chains_resolve():
+    # bench/worker.py reads abr.backend.BACKEND and calls abr.backend.warmup;
+    # a name deleted from src/ must not break every benchmark run
+    chains = _bench_chains()
+    missing = [f"{file}: abr.{mod}.{name}" for file, mod, name in chains
+               if not hasattr(importlib.import_module(f"abrikosov.{mod}"), name)]
+    assert ("worker.py", "backend", "warmup") in chains
     assert not missing
 
 

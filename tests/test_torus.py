@@ -89,10 +89,6 @@ def test_config_wraps_fractional_coordinates():
     cfg = TorusConfig(TorusSpec.square(), [[1.2, -0.3], [0.5, 0.5]])
     assert np.allclose(cfg.points[0], [0.2, 0.7])
     assert cfg.n == 2
-    cart = cfg.cartesian()
-    assert cart.shape == (2, 2)
-    side = math.sqrt(TWO_PI)
-    assert np.allclose(cart[1], [0.5 * side, 0.5 * side])
 
 
 def test_config_rejects_coincident_points():
@@ -105,13 +101,6 @@ def test_config_rejects_coincident_points():
         TorusConfig(TorusSpec.square(), np.empty((0, 2)))
 
 
-def test_config_translation():
-    cfg = TorusConfig(TorusSpec.square(), [[0.1, 0.2], [0.6, 0.9]])
-    moved = cfg.translated([0.5, 0.3])
-    assert np.allclose(moved.points[0], [0.6, 0.5])
-    assert np.allclose(moved.points[1], [0.1, 0.2])
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 8), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
        seed=st.integers(0, 2 ** 32 - 1))
@@ -122,7 +111,7 @@ def test_config_energy_is_translation_and_permutation_invariant(n, a, b, seed):
     ev = GreenEvaluator(spec)
     energy = config_energy(TorusConfig(spec, pts), ev)
     shift = rng.random(2)
-    shifted = config_energy(TorusConfig(spec, pts).translated(shift), ev)
+    shifted = config_energy(TorusConfig(spec, pts + shift), ev)
     permuted = config_energy(TorusConfig(spec, pts[rng.permutation(n)]), ev)
     # pairs sit at least 1e-4 apart, where rounding the shifted
     # differences moves G by about 1e-12
@@ -142,10 +131,11 @@ def test_green_half_period_closed_form():
     assert abs(val - (-0.5 * math.log(2.0))) < 1e-12
 
 
-def test_green_symmetry_and_value_many():
+def test_green_symmetry_and_values_frac():
     ev = GreenEvaluator(TorusSpec.hexagonal())
     xs = np.array([[0.4, 0.7], [-1.1, 0.35], [2.0, -0.6]])
-    vals = ev.value_many(xs)
+    frac = np.linalg.solve(ev.torus.basis.matrix, xs.T)
+    vals = ev._values_frac(frac[0], frac[1])
     for x, v in zip(xs, vals):
         assert abs(ev.value(x) - v) < 1e-14
         assert abs(ev.value(-x) - v) < 1e-12   # even kernel
@@ -199,7 +189,7 @@ def test_green_is_modular_invariant(a, b, seed):
     spec = _shape_torus(a, b)
     frac = np.random.default_rng(seed).random((16, 2))
     direct = backend.green_values(frac[:, 0], frac[:, 1], a, b, 200)
-    got = GreenEvaluator(spec).value_many(frac @ spec.basis.matrix.T)
+    got = GreenEvaluator(spec)._values_frac(frac[:, 0], frac[:, 1])
     assert np.max(np.abs(got - direct)) < 1e-12
 
 
@@ -254,10 +244,10 @@ def test_green_matches_ewald_on_unreduced_bases():
 def test_green_is_even(a, b, seed):
     # most of these moduli reduce through a non-identity coord_map
     spec = _shape_torus(a, b)
-    frac = np.random.default_rng(seed).uniform(0.01, 0.99, (16, 2))
-    xs = frac @ spec.basis.matrix.T
+    s, t = np.random.default_rng(seed).uniform(0.01, 0.99, (16, 2)).T
     ev = GreenEvaluator(spec)
-    assert np.max(np.abs(ev.value_many(xs) - ev.value_many(-xs))) < 1e-11
+    assert np.max(np.abs(ev._values_frac(s, t) - ev._values_frac(-s, -t))) \
+        < 1e-11
 
 
 @pytest.mark.parametrize("spec", [
@@ -271,8 +261,7 @@ def test_green_has_mean_zero(spec):
     def mean(k):
         mids = (np.arange(k) + 0.5) / k
         ss, tt = np.meshgrid(mids, mids, indexing="ij")
-        frac = np.column_stack([ss.ravel(), tt.ravel()])
-        return float(np.mean(ev.value_many(frac @ spec.basis.matrix.T)))
+        return float(np.mean(ev._values_frac(ss, tt)))
 
     assert abs(4.0 * mean(128) - mean(64)) / 3.0 < 1e-8
 
@@ -309,6 +298,19 @@ def test_series_error_estimates_bound_truncation(n, a, b, seed, tol):
     estimate = (n * (n - 1) / 2 * ctl.abs_tol
                 + n * w_eta(ev.tau, 1.0, ctl).error_estimate)
     assert gap <= estimate
+
+
+def test_config_energy_adds_the_self_term_at_the_evaluators_control():
+    # an evaluator built at a coarse control sums the pairs and the lattice
+    # self-term at that control, not the self-term at the default one
+    spec = TorusSpec.hexagonal()
+    cfg = TorusConfig(spec, [[0.1, 0.2], [0.6, 0.5], [0.3, 0.8]])
+    coarse = SeriesControl(abs_tol=1e-3)
+    ev = GreenEvaluator(spec, coarse)
+    self_term = w_eta(ev.tau, 1.0, coarse).value
+    assert self_term != w_eta(ev.tau).value
+    pairs = float(torus._pair_energy(ev, cfg.points[None])[0])
+    assert config_energy(cfg, ev) == pairs + cfg.n * self_term
 
 
 def test_green_grad_matches_finite_differences():
@@ -536,8 +538,6 @@ def test_non_finite_torus_points_are_input_errors(bad):
     ev = GreenEvaluator(torus_sq)
     with pytest.raises(InputError, match="must be finite"):
         ev.value([bad, 0.0])
-    with pytest.raises(InputError, match="must be finite"):
-        ev.value_many([[0.3, 0.2], [0.0, bad]])
     with pytest.raises(InputError, match="must be finite"):
         ev.grad([0.1, bad])
 
