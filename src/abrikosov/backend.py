@@ -160,22 +160,39 @@ def green_grads(ds, dt, a, b, nterms):
 #
 # Flat-array representation: ``out`` is the block of ``values`` swept, a
 # view (``values[start:stop]``) that the sweep writes in place, so its length
-# is the number of cells swept; ``iE..iS`` are the neighbor flat indices of
-# each swept cell into ``values`` (any index with zero coefficient when the
-# neighbor carries Dirichlet data folded into ``bc``, the right-hand side);
-# ``cE..cS`` and ``diag`` (the diagonal of -Delta_h + 1) are per-cell arrays
-# or one number for all; ``obstacle`` is the lower-bound clamp, a number or
-# one per cell (-inf for an unconstrained solve).  Cells of one color share
-# no stencil leg, so the vectorized update is exact Gauss-Seidel for that
-# color.
+# is the number of cells swept; ``legs`` is one int64 run of 4 * len(out)
+# flat indices into ``values``, the block's E, W, N, then S neighbors (any
+# index with zero coefficient when the neighbor carries Dirichlet data folded
+# into ``bc``, the right-hand side); ``coef`` is one number or a
+# (4, len(out)) array and ``diag`` (the diagonal of -Delta_h + 1) one number
+# or one per cell; ``obstacle`` is the lower-bound clamp, a number or one per
+# cell (-inf for an unconstrained solve); ``work`` is scratch space of at
+# least 4 * len(out) floats.  Cells of one color share no stencil leg, so the
+# vectorized update is exact Gauss-Seidel for that color.
+#
+# One ``take`` gathers the four legs: mode="clip" writes them straight into
+# ``work``, where mode="raise" gathers into a temporary first, but it would
+# also clamp a bad index silently, so the grid keeps ``legs`` in
+# [0, len(values)).  The weighted legs are summed E + W + N + S, in turn.
 # ---------------------------------------------------------------------------
 
 
-def psor_sweep(values, out, iE, iW, iN, iS, cE, cW, cN, cS, diag, bc,
-               obstacle):
-    gs = (cE * values.take(iE) + cW * values.take(iW)
-          + cN * values.take(iN) + cS * values.take(iS) + bc) / diag
-    np.maximum(gs, obstacle, out=out)
+def _leg_sum(values, legs, coef, work):
+    """coef-weighted sum of the four legs, E + W + N + S, in ``work``."""
+    terms = values.take(legs, out=work[:legs.size], mode="clip").reshape(4, -1)
+    terms *= coef
+    acc = terms[0]
+    acc += terms[1]
+    acc += terms[2]
+    acc += terms[3]
+    return acc
+
+
+def psor_sweep(values, out, legs, coef, diag, bc, obstacle, work):
+    acc = _leg_sum(values, legs, coef, work)
+    acc += bc
+    acc /= diag
+    np.maximum(acc, obstacle, out=out)
 
 
 def warmup():
@@ -185,7 +202,7 @@ def warmup():
     green_values(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     green_grads(ds, dt, 0.5, np.sqrt(3.0) / 2.0, 4)
     vals = np.zeros(9)
-    one = np.arange(2, dtype=np.int64)
+    legs = np.arange(8, dtype=np.int64)
     cf = np.ones(2)
-    psor_sweep(vals, vals[4:6], one, one, one, one, cf, cf, cf, cf,
-               cf * 5.0, cf, -np.inf)
+    psor_sweep(vals, vals[4:6], legs, 1.0, cf * 5.0, cf, -np.inf,
+               np.empty(8))

@@ -503,11 +503,12 @@ def theta_minimality_probe(alphas, samples: int, seed: int = 0,
     floor are counted inconclusive (ties included).
     """
     alphas = [positive("alphas", x) for x in alphas]
-    report = ThetaProbeReport(alphas=alphas, samples=int(samples), seed=seed,
+    samples = count("samples", samples)
+    report = ThetaProbeReport(alphas=alphas, samples=samples, seed=seed,
                               noise_floor=1e-11)
     rng = np.random.default_rng(seed)
     taus = []
-    for _ in range(int(samples)):
+    for _ in range(samples):
         av = rng.uniform(-0.5, 0.5)
         bv = _arc_b(av) * (1.0 + 1.5 * rng.random() ** 2)
         taus.append(complex(av, bv))

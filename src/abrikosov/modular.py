@@ -263,9 +263,11 @@ def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
     vol = basis.covolume
     ki = int(math.ceil(radius * np.linalg.norm(v) / vol)) + 1
     kj = int(math.ceil(radius * np.linalg.norm(u) / vol)) + 1
-    if (2 * ki + 1) * (2 * kj + 1) > 64_000_000:
+    points = (2.0 * ki + 1.0) * (2.0 * kj + 1.0)
+    if points > 64_000_000:
         raise PrecisionUnreachable(
-            f"enumeration window {2*ki+1} x {2*kj+1} too large"
+            f"enumeration window of {points:.3g} lattice points too large; "
+            "the q-series route (--route eta) takes such a modulus"
         )
     i = np.arange(-ki, ki + 1)
     j = np.arange(-kj, kj + 1)

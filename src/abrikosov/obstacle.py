@@ -198,9 +198,12 @@ class DomainGrid:
     Rectangle cell (i, j) is the point ``(origin[0] + i, origin[1] + j) * h``.
 
     Unknowns are numbered one red-black color after the other, each color
-    with its cells of four full legs first, so that each such block's
-    stencil is a slice of the grid's arrays rather than a copy; only the
-    cut-leg blocks store their own coefficients.
+    with its cells of four full legs first.  Each of these (up to four)
+    blocks stores its stencil once, as ``backend.psor_sweep`` takes it: its
+    E, W, N and S neighbor indices joined into one int64 run, then its
+    coefficients and diagonal.  The full-leg blocks share one number for
+    each; only the cut-leg blocks store per-cell coefficients, and their
+    diagonal is their slice of ``diag``.
     """
 
     def __init__(self, shape, h: float):
@@ -236,26 +239,31 @@ class DomainGrid:
         ids = np.full(interior.shape, -1, dtype=np.int64)
         ids[ii, jj] = np.arange(self.n, dtype=np.int64)
         self.mask = np.where(interior, 1, 0).astype(np.int8)
-        self._gidx = {}
-        for name, di, dj in _LEG_STEPS:
+        # neighbor indices: block by block, its E, W, N and S legs one run
+        # after another; a cut leg points at unknown 0 with coefficient 0
+        spans = list(zip([0] + ends[:3], ends))
+        gidx = np.empty(4 * self.n, dtype=np.int64)
+        for k, (_, di, dj) in enumerate(_LEG_STEPS):
             nb = interior[ii + di, jj + dj]
             self.mask[ii[~nb] + di, jj[~nb] + dj] = 2
-            self._gidx[name] = np.where(nb, ids[ii + di, jj + dj], 0)
+            nbi = np.where(nb, ids[ii + di, jj + dj], 0)
+            for start, stop in spans:
+                gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
         del ids, interior
 
         # Full-leg blocks have scalar coefficients: the leg formulas below
         # at leg length h.  Only the cut-leg blocks store their own.
         hh = self.h
-        full_leg = (2.0 / (hh * (hh + hh)),) * 4 \
-            + (2.0 / (hh * hh) + 2.0 / (hh * hh) + 1.0,)
-        self.diag = np.full(self.n, full_leg[4])
+        full_coef = 2.0 / (hh * (hh + hh))
+        full_diag = 2.0 / (hh * hh) + 2.0 / (hh * hh) + 1.0
+        self.diag = np.full(self.n, full_diag)
         self._bc_unit = np.zeros(self.n)
-        self._blocks = []     # (slice, psor_sweep's stencil)
-        for k, (start, stop) in enumerate(zip([0] + ends[:3], ends)):
+        self._blocks = []     # (slice, (legs, coef, diag)) for psor_sweep
+        for k, (start, stop) in enumerate(spans):
             if start == stop:
                 continue
             sel = slice(start, stop)
-            coefs = full_leg
+            coef, diag = full_coef, full_diag
             if k % 2:
                 legs, nbin = self._leg_lengths(sel)
                 cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
@@ -264,13 +272,13 @@ class DomainGrid:
                 cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
                 self.diag[sel] = 2.0 / (legs["E"] * legs["W"]) \
                     + 2.0 / (legs["N"] * legs["S"]) + 1.0
-                coef = {"E": cE, "W": cW, "N": cN, "S": cS}
-                self._bc_unit[sel] = sum(np.where(~nbin[d], coef[d], 0.0)
-                                         for d in coef)
-                coefs = tuple(np.where(nbin[d], coef[d], 0.0)
-                              for d in "EWNS") + (self.diag[sel],)
-            stencil = tuple(self._gidx[d][sel] for d in "EWNS") + coefs
-            self._blocks.append((sel, stencil))
+                leg_coef = {"E": cE, "W": cW, "N": cN, "S": cS}
+                self._bc_unit[sel] = sum(np.where(~nbin[d], leg_coef[d], 0.0)
+                                         for d in leg_coef)
+                coef = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
+                                 for d in "EWNS"])
+                diag = self.diag[sel]
+            self._blocks.append((sel, (gidx[4 * start:4 * stop], coef, diag)))
 
     @property
     def area(self) -> float:
@@ -303,13 +311,18 @@ class DomainGrid:
             nbin[name] = nb
         return legs, nbin
 
+    def _work(self) -> np.ndarray:
+        """A buffer for the four legs of the largest block."""
+        return np.empty(max(legs.size for _, (legs, _, _) in self._blocks))
+
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """(-Delta_h + 1) applied to interior values with zero boundary data."""
         out = np.empty(self.n)
-        for sel, (iE, iW, iN, iS, cE, cW, cN, cS, diag) in self._blocks:
-            gather = (cE * values.take(iE) + cW * values.take(iW)
-                      + cN * values.take(iN) + cS * values.take(iS))
-            out[sel] = diag * values[sel] - gather
+        work = self._work()
+        for sel, (legs, coef, diag) in self._blocks:
+            gather = backend._leg_sum(values, legs, coef, work)
+            np.multiply(diag, values[sel], out=out[sel])
+            out[sel] -= gather
         return out
 
     def operator_values(self, values: np.ndarray) -> np.ndarray:
@@ -324,9 +337,10 @@ class DomainGrid:
         """One-sided difference quotient along every stencil leg, (4, n)."""
         legs, nbin = self._leg_lengths()
         out = np.empty((4, self.n))
+        for sel, (idx, _, _) in self._blocks:
+            out[:, sel] = values.take(idx).reshape(4, -1)
         for k, name in enumerate("EWNS"):
-            nbv = np.where(nbin[name], values[self._gidx[name]],
-                           BOUNDARY_VALUE)
+            nbv = np.where(nbin[name], out[k], BOUNDARY_VALUE)
             out[k] = (nbv - values) / legs[name]
         return out
 
@@ -337,11 +351,12 @@ class DomainGrid:
 
         ``lower`` is a number (-inf for no bound) or one bound per unknown.
         """
+        work = self._work()
         for _ in range(sweeps):
-            for sel, stencil in self._blocks:
+            for sel, (legs, coef, diag) in self._blocks:
                 bound = lower[sel] if isinstance(lower, np.ndarray) else lower
-                backend.psor_sweep(values, values[sel], *stencil, rhs[sel],
-                                   bound)
+                backend.psor_sweep(values, values[sel], legs, coef, diag,
+                                   rhs[sel], bound, work)
 
     @functools.cached_property
     def _coarse(self):

@@ -91,6 +91,18 @@ def test_exit_code_2_on_usage_error():
     assert proc.returncode == 2
 
 
+def test_exit_code_3_on_a_modulus_past_the_ewald_window():
+    # at b = 1e306 the lattice-point window holds about 1.4e307 points: the
+    # message gives that count in three digits and names the route that
+    # takes such a modulus
+    proc = run_cli("lattice", "--tau", "0", "1e306", "--route", "fourier")
+    assert proc.returncode == 3
+    assert "PrecisionUnreachable" in proc.stderr
+    assert "1.4e+307" in proc.stderr and "--route eta" in proc.stderr
+    assert len(proc.stderr) < 200
+    assert run_cli("lattice", "--tau", "0", "1e306").returncode == 0
+
+
 @pytest.mark.parametrize("flag", [("--truncation-order", "2"),
                                   ("--max-terms", "600")])
 @pytest.mark.parametrize("command", [("lattice", "--tau", "0", "1"),

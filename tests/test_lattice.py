@@ -625,6 +625,13 @@ def test_theta_probe_flags_the_hexagonal_point_itself():
     assert rep.inconclusive >= 1
 
 
+@pytest.mark.parametrize("samples", [2.5, -1, "3"])
+def test_theta_probe_sample_count_is_a_whole_number(samples):
+    # a fractional count is refused, not truncated to 2 samples
+    with pytest.raises(NonPositiveParameter, match="samples"):
+        theta_minimality_probe([1.0], samples=samples)
+
+
 def test_energy_report_round_trip():
     rep = w_eta(1j, m=2.0, ctl=SeriesControl(abs_tol=1e-10))
     d = dataclasses.asdict(rep)

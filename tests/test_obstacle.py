@@ -494,20 +494,62 @@ def test_transfers_equal_two_d_indexing(shape, k):
         grid = coarse
 
 
+def _stencil_ref(grid):
+    """Neighbor indices, coefficients (both (4, n), legs E, W, N, S) and
+    diagonal of every unknown, built from the leg lengths and the mask.
+
+    A cut leg points at unknown 0 with coefficient 0, its datum being part
+    of the right-hand side.
+    """
+    legs, nbin = grid._leg_lengths()
+    ids = np.full(grid.mask.shape, -1, dtype=np.int64)
+    ids[grid.ii, grid.jj] = np.arange(grid.n)
+    idx = np.empty((4, grid.n), dtype=np.int64)
+    coef = np.empty((4, grid.n))
+    e, w, n, s = (legs[d] for d in "EWNS")
+    across = {"E": e + w, "W": e + w, "N": n + s, "S": n + s}
+    for k, (name, di, dj) in enumerate(obstacle._LEG_STEPS):
+        assert np.array_equal(nbin[name],
+                              grid.mask[grid.ii + di, grid.jj + dj] == 1)
+        idx[k] = np.where(nbin[name], ids[grid.ii + di, grid.jj + dj], 0)
+        coef[k] = np.where(nbin[name],
+                           2.0 / (legs[name] * across[name]), 0.0)
+    assert idx.min() >= 0
+    diag = 2.0 / (e * w) + 2.0 / (n * s) + 1.0
+    return idx, coef, diag
+
+
+def _leg_sum_ref(values, idx, coef, cells):
+    nbv = values[idx[:, cells]]
+    c = coef[:, cells]
+    return c[0] * nbv[0] + c[1] * nbv[1] + c[2] * nbv[2] + c[3] * nbv[3]
+
+
 def _smooth_ref(grid, values, rhs, lower, sweeps):
-    """Projected red-black Gauss-Seidel scattering through ``np.arange``."""
+    """Projected red-black Gauss-Seidel, one whole color at a time."""
+    idx, coef, diag = _stencil_ref(grid)
+    red = (grid.ii + grid.jj) % 2 == 0
     for _ in range(sweeps):
-        for sel, (iE, iW, iN, iS, cE, cW, cN, cS, diag) in grid._blocks:
-            bound = lower[sel] if isinstance(lower, np.ndarray) else lower
-            gs = (cE * values.take(iE) + cW * values.take(iW)
-                  + cN * values.take(iN) + cS * values.take(iS)
-                  + rhs[sel]) / diag
-            values[np.arange(sel.start, sel.stop)] = np.maximum(gs, bound)
+        for color in (red, ~red):
+            cells = np.flatnonzero(color)
+            bound = lower[cells] if isinstance(lower, np.ndarray) else lower
+            gs = (_leg_sum_ref(values, idx, coef, cells)
+                  + rhs[cells]) / diag[cells]
+            values[cells] = np.maximum(gs, bound)
 
 
+def _apply_ref(grid, values):
+    idx, coef, diag = _stencil_ref(grid)
+    cells = np.arange(grid.n)
+    return diag * values - _leg_sum_ref(values, idx, coef, cells)
+
+
+@pytest.mark.parametrize("k", [37, 64])
 @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
-def test_smooth_writes_each_block_in_place(shape, monkeypatch):
-    grid = DomainGrid(shape, 1.0 / 37.0)
+def test_smooth_and_apply_keep_the_bits_of_the_stencil(shape, k):
+    # the stored blocks give bit for bit the sweep and operator of the
+    # stencil built cell by cell from the leg lengths
+    grid = DomainGrid(shape, 1.0 / k)
     rng = np.random.default_rng(5)
     rhs = grid._bc_unit.copy()
     lowers = (-np.inf, 0.8, rng.uniform(0.5, 0.9, grid.n))
@@ -517,6 +559,33 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
         grid._smooth(got, rhs, lower, 3)
         _smooth_ref(grid, want, rhs, lower, 3)
         assert np.array_equal(got, want)
+        assert np.array_equal(grid._apply(got), _apply_ref(grid, got))
+
+
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_block_legs_are_in_range_int64_runs(shape):
+    # take(mode="clip") would clamp an index out of range rather than fail,
+    # so every grid of the chain must build its legs inside [0, n)
+    grid = DomainGrid(shape, 1.0 / 64.0)
+    while grid is not None:
+        stop = 0
+        for sel, (legs, coef, diag) in grid._blocks:
+            assert sel.start == stop < sel.stop
+            stop = sel.stop
+            size = sel.stop - sel.start
+            assert legs.dtype == np.int64 and legs.flags.c_contiguous
+            assert legs.shape == (4 * size,)
+            assert 0 <= legs.min() and legs.max() < grid.n
+            assert np.ndim(coef) == 0 or np.shape(coef) == (4, size)
+            assert np.ndim(diag) == 0 or np.shares_memory(diag, grid.diag)
+        assert stop == grid.n
+        grid = grid._coarse
+
+
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_smooth_writes_each_block_in_place(shape, monkeypatch):
+    grid = DomainGrid(shape, 1.0 / 37.0)
+    rhs = grid._bc_unit.copy()
 
     # each sweep's second argument is a view of its block of the values,
     # sized by the cells it sweeps (the benchmark tracer counts len(out))
