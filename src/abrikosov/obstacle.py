@@ -24,8 +24,17 @@ Anderson mixing and projected onto H >= m (``_cycles``): on the disk the
 constrained solves take 6-7 V-cycles instead of 9-13.  The unconstrained
 field H_0 is the same solve at m = -inf, an obstacle that never binds; it
 and every other empty-contact solve run plain cycles, which contract 50-100
-times each there.  Each solve reports a value-error bound next to its
-residual.  The verification helpers measure the coincidence set
+times each there.  On a shape with mirror axes (every ellipse, the disk
+among them) the cycles run on one quadrant, x >= 0 and y >= 0, whose
+stencil legs and transfer stencils that cross an axis read the mirror cell
+at x = h (y = h) through a ghost line (``DomainGrid``); the 2h grids are
+kept while the whole 2h grid has MIN_COARSE_CELLS unknowns, so the
+quadrant's hierarchy has the whole grid's levels.  A polygon declares no
+axes and solves on its whole grid.  Every field is unfolded onto the whole
+grid and certified there: its residual and a value-error bound come from
+one whole-grid operator evaluation, and a field whose residual is not
+below tol, for instance from a shape that declares an axis it lacks,
+raises NoConvergence.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
 the obstacle-activation level, and ellipse roundness of the small
@@ -89,7 +98,13 @@ _LEG_STEPS = (("E", 1, 0), ("W", -1, 0), ("N", 0, 1), ("S", 0, -1))
 
 class Ellipse:
     """Open axis-aligned ellipse with semi-axes (rx, ry), centered at the
-    origin; ``UnitDisk`` is the one with semi-axes (1, 1)."""
+    origin; ``UnitDisk`` is the one with semi-axes (1, 1).
+
+    ``mirror_axes`` lists the coordinates whose sign flip maps a shape onto
+    itself (0: x -> -x, 1: y -> -y); an ellipse has both.
+    """
+
+    mirror_axes = (0, 1)
 
     def __init__(self, rx: float, ry: float):
         self.rx = positive("ellipse semi-axis rx", rx)
@@ -130,7 +145,12 @@ class UnitDisk(Ellipse):
 
 
 class ConvexPolygon:
-    """Open convex polygon from counterclockwise vertices, shape (k, 2)."""
+    """Open convex polygon from counterclockwise vertices, shape (k, 2).
+
+    It declares no mirror axes, whatever its vertices.
+    """
+
+    mirror_axes = ()
 
     def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
@@ -204,7 +224,24 @@ class DomainGrid:
     coefficients and diagonal.  The full-leg blocks share one number for
     each; only the cut-leg blocks store per-cell coefficients, and their
     diagonal is their slice of ``diag``.
+
+    A ``DomainGrid`` is always the whole grid: ``n``, ``ii``, ``jj``,
+    ``mask``, ``diag`` and the operator cover every unknown.  Solves run
+    on its fold (``_fold``), a ``_Quadrant`` of the same shape and spacing,
+    or the grid itself when the shape declares no mirror axes.  The
+    quadrant's unknowns are the cells with x >= 0 on mirror axis 0 and
+    y >= 0 on axis 1, numbered blockwise as above; its rectangle starts
+    one ghost line below each mirror axis, at x = -h (y = -h), and reaches
+    the farther side of the shape.  A ghost cell is interior where its
+    mirror cell at x = h (y = h) is and carries that cell's unknown, so
+    every stencil leg, and every restriction or defect-bound stencil, that
+    crosses an axis reads the mirror value.  Colors are those of the whole
+    grid's rectangle, so the quadrant sweeps each cell in the color the
+    whole grid does.  ``_unfold`` gives each unknown of the whole grid its
+    representative in the fold, the unknown at (|x|, |y|).
     """
+
+    _mirrors = ()       # axes folded onto their x >= 0 (y >= 0) half
 
     def __init__(self, shape, h: float):
         self.shape = shape
@@ -214,30 +251,49 @@ class DomainGrid:
         imax = int(math.ceil(xmax / h)) + 1
         jmin = int(math.floor(ymin / h)) - 1
         jmax = int(math.ceil(ymax / h)) + 1
-        self.origin = (imin, jmin)
-        self.xs = np.arange(imin, imax + 1, dtype=np.int64) * self.h
-        self.ys = np.arange(jmin, jmax + 1, dtype=np.int64) * self.h
+        lo, hi = [imin, jmin], [imax, jmax]
+        for axis in self._mirrors:
+            lo[axis], hi[axis] = -1, max(hi[axis], -lo[axis])
+        self.origin = (lo[0], lo[1])
+        self.xs = np.arange(lo[0], hi[0] + 1, dtype=np.int64) * self.h
+        self.ys = np.arange(lo[1], hi[1] + 1, dtype=np.int64) * self.h
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
         interior = np.asarray(shape.contains(gx, gy), dtype=bool)
         del gx, gy
-        interior[0, :] = interior[-1, :] = False
-        interior[:, 0] = interior[:, -1] = False
-        self.n = int(interior.sum())
+        for axis in (0, 1):
+            lines = np.swapaxes(interior, 0, axis)
+            lines[-1] = False
+            lines[0] = lines[2] if axis in self._mirrors else False
+        ghosts = [int(axis in self._mirrors) for axis in (0, 1)]
+        ii, jj = np.nonzero(interior[ghosts[0]:, ghosts[1]:])
+        ii += ghosts[0]
+        jj += ghosts[1]
+        self.n = len(ii)
         if self.n == 0:
             raise InputError("grid spacing too coarse: no interior cells")
-        ii, jj = np.nonzero(interior)
+        # unknowns of the whole grid: a cell off a mirror axis (rectangle
+        # line 1) stands for its mirror image too
+        weight = np.ones(self.n, dtype=np.int64)
+        for axis in self._mirrors:
+            weight[(ii, jj)[axis] != 1] *= 2
+        self._whole_n = int(weight.sum())
         whole = [interior[ii + di, jj + dj] for _, di, dj in _LEG_STEPS]
         # blocks: red cells with four whole legs, other red cells, then the
-        # black cells likewise
+        # black cells likewise; red is an even i + j on the whole grid's
+        # rectangle
         cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
-        block = 2 * ((ii + jj) % 2) + cut
+        color = (ii + jj + lo[0] - imin + lo[1] - jmin) % 2
+        block = 2 * color + cut
         order = np.argsort(block, kind="stable")
         ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
-        del whole, cut, block
+        del weight, whole, cut, color, block
         ii, jj = ii[order], jj[order]
         self.ii, self.jj = ii, jj
         ids = np.full(interior.shape, -1, dtype=np.int64)
         ids[ii, jj] = np.arange(self.n, dtype=np.int64)
+        for axis in self._mirrors:
+            lines = np.swapaxes(ids, 0, axis)
+            lines[0] = lines[2]
         self.mask = np.where(interior, 1, 0).astype(np.int8)
         # neighbor indices: block by block, its E, W, N and S legs one run
         # after another; a cut leg points at unknown 0 with coefficient 0
@@ -359,13 +415,38 @@ class DomainGrid:
                                    rhs[sel], bound, work)
 
     @functools.cached_property
+    def _fold(self):
+        """The grid solves run on: its quadrant, or itself without mirror
+        axes."""
+        return _Quadrant(self.shape, self.h) if self.shape.mirror_axes \
+            else self
+
+    @functools.cached_property
+    def _unfold(self) -> np.ndarray:
+        """Each unknown's representative among the fold's unknowns.
+
+        A shape that declares a mirror axis it lacks can leave a cell with
+        no representative; it reads index -1, the fold's last unknown, and
+        the solve's whole-grid certificate rejects the field.
+        """
+        fold = self._fold
+        ids = np.full(fold.mask.shape, -1, dtype=np.int64)
+        ids[fold.ii, fold.jj] = np.arange(fold.n, dtype=np.int64)
+        cell = [self.ii + self.origin[0], self.jj + self.origin[1]]
+        for axis in fold._mirrors:
+            cell[axis] = np.abs(cell[axis])
+        return ids[cell[0] - fold.origin[0], cell[1] - fold.origin[1]]
+
+    @functools.cached_property
     def _coarse(self):
-        """The same shape at spacing 2h, or None below MIN_COARSE_CELLS."""
+        """The same shape at spacing 2h, or None while the whole 2h grid
+        has fewer than MIN_COARSE_CELLS unknowns; a quadrant's is a
+        quadrant."""
         try:
-            coarse = DomainGrid(self.shape, 2.0 * self.h)
+            coarse = type(self)(self.shape, 2.0 * self.h)
         except InputError:
             return None
-        return coarse if coarse.n >= MIN_COARSE_CELLS else None
+        return coarse if coarse._whole_n >= MIN_COARSE_CELLS else None
 
     @functools.cached_property
     def _flat(self) -> np.ndarray:
@@ -391,6 +472,10 @@ class DomainGrid:
         nx, ny = self._coarse.mask.shape
         frame = np.full((2 * nx + 1, 2 * ny + 1), fill)
         frame.reshape(-1)[self._frame_flat] = values
+        for axis in self._mirrors:
+            # a quadrant's ghost line x = -h is frame line 2, x = h line 4
+            lines = np.swapaxes(frame, 0, axis)
+            lines[2] = lines[4]
         return frame
 
     def _restrict(self, values: np.ndarray) -> np.ndarray:
@@ -426,6 +511,14 @@ class DomainGrid:
         f[2:-1:2, 2:-1:2] = 0.25 * ((full[:-1, :-1] + full[1:, 1:])
                                     + (full[1:, :-1] + full[:-1, 1:]))
         return f.take(self._frame_flat)
+
+
+class _Quadrant(DomainGrid):
+    """The fold of a ``DomainGrid`` over its shape's mirror axes."""
+
+    @property
+    def _mirrors(self):
+        return self.shape.mirror_axes
 
 
 # ---------------------------------------------------------------------------
@@ -538,21 +631,28 @@ def _start(grid: DomainGrid, m, tol: float) -> np.ndarray:
 def _solve(grid: DomainGrid, m, tol: float):
     """Multigrid solve to a scaled complementarity residual below tol.
 
-    Returns the values, the cycle count, the scaled residual and the value
-    error bound max |min(H - m, (-Delta_h + 1) H - b)|: the operator is an
+    The cycles run on the grid's fold, whose field is then unfolded onto
+    the whole grid and certified there: one whole-grid operator evaluation
+    gives the scaled residual, which must be below tol, and the value error
+    bound max |min(H - m, (-Delta_h + 1) H - b)|.  The operator is an
     M-matrix whose rows sum to at least 1, so this residual bounds the
-    max-norm distance to the exact discrete solution.
+    max-norm distance to the exact discrete solution, whatever the fold.
+    Returns the values, the cycle count, the residual and that bound.
     """
     tol = positive("tol", tol)
-    v = _start(grid, m, tol)
-    iters, res = _cycles(grid, v, m, tol)
+    fold = grid._fold
+    v = _start(fold, m, tol)
+    iters, _ = _cycles(fold, v, m, tol)
+    if fold is not grid:
+        v = v.take(grid._unfold)
+    op = grid.operator_values(v)
+    res = float(np.max(np.abs(np.minimum(v - m, op / grid.diag))))
     if not (res < tol):
         raise NoConvergence(
             f"multigrid: residual {res:.3e} after {iters} V-cycles "
             f"(tol {tol:g})"
         )
-    raw = np.minimum(v - m, grid.operator_values(v))
-    return v, iters, res, float(np.max(np.abs(raw)))
+    return v, iters, res, float(np.max(np.abs(np.minimum(v - m, op))))
 
 
 @dataclass

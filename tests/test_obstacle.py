@@ -313,6 +313,13 @@ SHAPES = {
 }
 
 
+class WholeEllipse(Ellipse):
+    """An ellipse that declares no mirror axes, so its grid solves on the
+    whole grid."""
+
+    mirror_axes = ()
+
+
 def _assembled(grid):
     """Dense (-Delta_h + 1) and its right-hand side for boundary value 1."""
     zero = np.zeros(grid.n)
@@ -378,15 +385,23 @@ def test_cycle_count_independent_of_h(name):
 
 
 def test_disk_fields_are_symmetric():
-    grid = DomainGrid(UnitDisk(), 1.0 / 64.0)
+    # a solve on the disk's quadrant unfolds into a field with x -> -x and
+    # y -> -y by construction; x <-> y it must find itself.  The whole-grid
+    # solve, of a disk that declares no mirror axes, must find all three.
     mirrors = (lambda a: a[::-1, :], lambda a: a[:, ::-1], np.transpose)
-    inside = grid.mask == 1
-    assert all(np.array_equal(inside, f(inside)) for f in mirrors)
-    for values in (solve_h0(grid).values, solve_obstacle(grid, 0.9).values):
-        full = np.zeros(grid.mask.shape)
-        full[grid.ii, grid.jj] = values
-        for f in mirrors:
-            assert np.max(np.abs(full - f(full))) < 1e-13
+    for shape in (UnitDisk(), WholeEllipse(1.0, 1.0)):
+        grid = DomainGrid(shape, 1.0 / 64.0)
+        inside = grid.mask == 1
+        assert all(np.array_equal(inside, f(inside)) for f in mirrors)
+        for values in (solve_h0(grid).values,
+                       solve_obstacle(grid, 0.9).values):
+            full = np.zeros(grid.mask.shape)
+            full[grid.ii, grid.jj] = values
+            for k, f in enumerate(mirrors):
+                if shape.mirror_axes and k < 2:
+                    assert np.array_equal(full, f(full))
+                else:
+                    assert np.max(np.abs(full - f(full))) < 1e-13
 
 
 def test_constrained_solves_take_few_cycles():
@@ -565,9 +580,12 @@ def test_smooth_and_apply_keep_the_bits_of_the_stencil(shape, k):
 @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
 def test_block_legs_are_in_range_int64_runs(shape):
     # take(mode="clip") would clamp an index out of range rather than fail,
-    # so every grid of the chain must build its legs inside [0, n)
-    grid = DomainGrid(shape, 1.0 / 64.0)
-    while grid is not None:
+    # so every grid of the chain, and of the fold's chain with its ghost
+    # legs, must build its legs inside [0, n)
+    whole = DomainGrid(shape, 1.0 / 64.0)
+    grids = [whole, whole._fold]
+    while grids:
+        grid = grids.pop()
         stop = 0
         for sel, (legs, coef, diag) in grid._blocks:
             assert sel.start == stop < sel.stop
@@ -579,7 +597,8 @@ def test_block_legs_are_in_range_int64_runs(shape):
             assert np.ndim(coef) == 0 or np.shape(coef) == (4, size)
             assert np.ndim(diag) == 0 or np.shares_memory(diag, grid.diag)
         assert stop == grid.n
-        grid = grid._coarse
+        if grid._coarse is not None:
+            grids.append(grid._coarse)
 
 
 @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
@@ -600,6 +619,160 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
     grid._smooth(np.ones(grid.n), rhs, -np.inf, 2)
     assert sum(swept) == 2 * grid.n
     assert len(swept) == 2 * len(grid._blocks)
+
+
+# ---------------------------------------------------------------------------
+# Quadrant folds against the whole grid
+# ---------------------------------------------------------------------------
+
+
+FOLD_SHAPES = [UnitDisk(), Ellipse(1.3, 0.7), Ellipse(1.2, 0.8)]
+
+
+class HalfEllipse(Ellipse):
+    """An ellipse that declares one of its two mirror axes."""
+
+    def __init__(self, rx, ry, axis):
+        super().__init__(rx, ry)
+        self.mirror_axes = (axis,)
+
+    def __repr__(self):
+        return f"HalfEllipse({self.rx}, {self.ry}, {self.mirror_axes[0]})"
+
+
+class OffCentreEllipse(Ellipse):
+    """Ellipse(rx, ry) centered at (cx, cy).  It keeps the mirror axes of
+    the centered ellipse, which it does not have."""
+
+    def __init__(self, rx, ry, cx, cy):
+        super().__init__(rx, ry)
+        self.centre = (cx, cy)
+
+    def bounds(self):
+        (cx, cy), (xmin, xmax, ymin, ymax) = self.centre, super().bounds()
+        return (xmin + cx, xmax + cx, ymin + cy, ymax + cy)
+
+    def contains(self, x, y):
+        return super().contains(x - self.centre[0], y - self.centre[1])
+
+    def exit_fraction(self, px, py, dx, dy):
+        return super().exit_fraction(px - self.centre[0], py - self.centre[1],
+                                     dx, dy)
+
+
+def _solves(grid):
+    """h0, an empty-contact level, a mid level and m = 0.97 on ``grid``."""
+    h0 = solve_h0(grid)
+    levels = (h0.min_value - 0.05, 0.5 * (1.0 + h0.min_value), 0.97)
+    return [h0] + [solve_obstacle(grid, m) for m in levels]
+
+
+@pytest.mark.parametrize("k", [16, 37, 64])
+@pytest.mark.parametrize("shape", FOLD_SHAPES, ids=repr)
+def test_folded_solves_equal_whole_grid_solves(shape, k):
+    # at h = 1/37 counting MIN_COARSE_CELLS on the quadrant rather than the
+    # whole 2h grid drops the 21-cell coarsest level, and h0 takes 6 cycles
+    folded = _solves(DomainGrid(shape, 1.0 / k))
+    whole = _solves(DomainGrid(WholeEllipse(shape.rx, shape.ry), 1.0 / k))
+    for f, w in zip(folded, whole):
+        assert f.iters == w.iters
+        dist = float(np.max(np.abs(f.values - w.values)))
+        assert dist <= f.value_error + w.value_error
+        assert f.residual < f.tol
+    for f, w in zip(folded[1:], whole[1:]):
+        assert np.array_equal(f.active, w.active)
+    assert not folded[1].active.any() and folded[2].active.any()
+
+
+def _representatives(whole, fold):
+    """Index maps between a whole grid and the fold at the same spacing,
+    found by coordinates: each whole unknown's representative in the fold
+    (the cell at |x|, |y| on the fold's mirror axes), and the whole
+    unknown at each fold unknown's own cell."""
+    axes = fold.shape.mirror_axes
+    at_fold = {(i, j): k for k, (i, j) in enumerate(zip(
+        (fold.ii + fold.origin[0]).tolist(),
+        (fold.jj + fold.origin[1]).tolist()))}
+    cells = list(zip((whole.ii + whole.origin[0]).tolist(),
+                     (whole.jj + whole.origin[1]).tolist()))
+    at_whole = {c: k for k, c in enumerate(cells)}
+    unfold = [at_fold[(abs(i) if 0 in axes else i, abs(j) if 1 in axes else j)]
+              for i, j in cells]
+    own = [at_whole[c] for c in sorted(at_fold, key=at_fold.get)]
+    return np.array(unfold), np.array(own)
+
+
+@pytest.mark.parametrize("k", [16, 37, 64])
+@pytest.mark.parametrize("shape", FOLD_SHAPES + [
+    HalfEllipse(1.3, 0.7, 0), HalfEllipse(1.3, 0.7, 1)], ids=repr)
+def test_quadrant_kernels_equal_the_whole_grid(shape, k):
+    # each level of the fold's hierarchy against the whole grid at the same
+    # spacing, on a field unfolded from the fold.  The transfers read the
+    # same numbers in the same pairings on both, so they agree bit for bit.
+    # The operator and the sweep do too at the fold's own cells, but a cell
+    # below the x-axis sums its N and S legs in the other order.  For the
+    # operator d v - sum_k c_k v_k that changes the leg sum by at most
+    # 2 gamma_3 sum |c_k v_k| and each side's final subtraction rounds by at
+    # most u |result|: with sum_k c_k <= d - 1, at most 8 u (d |v| +
+    # sum |c_k v_k|) <= 8 eps d max|v| (eps = 2u).  The sweep's values stay in
+    # [0, 1] (rhs is the boundary datum's part of the operator, and
+    # sum c_k + rhs <= d), so each color's five-term sum and division differ
+    # by at most 2 gamma_4 + 2u = 10u, and the second color carries the
+    # first's difference in with weights summing below 1: 20u = 10 eps.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(k)
+    fold = DomainGrid(shape, 1.0 / k)._fold
+    whole = DomainGrid(WholeEllipse(shape.rx, shape.ry), 1.0 / k)
+    assert fold.shape is shape and fold._mirrors == shape.mirror_axes
+    unfold, own = _representatives(whole, fold)
+    while True:
+        assert fold._whole_n == whole.n
+        assert np.array_equal(DomainGrid(shape, fold.h)._unfold, unfold)
+        u = rng.uniform(-1.0, 1.0, fold.n)
+        got, want = fold._apply(u), whole._apply(u[unfold])
+        assert np.array_equal(want[own], got)
+        assert np.all(np.abs(want - got[unfold])
+                      <= 8.0 * eps * whole.diag * np.max(np.abs(u)))
+        for lower in (-np.inf, 0.8, rng.uniform(0.5, 0.9, fold.n)):
+            start = rng.uniform(0.0, 1.0, fold.n)
+            lo_fold, lo_whole = (lower, lower[unfold]) \
+                if isinstance(lower, np.ndarray) else (lower, lower)
+            got, want = start.copy(), start[unfold]
+            fold._smooth(got, fold._bc_unit, lo_fold, 1)
+            whole._smooth(want, whole._bc_unit, lo_whole, 1)
+            assert np.all(np.abs(want - got[unfold]) <= 10.0 * eps)
+        assert (fold._coarse is None) == (whole._coarse is None)
+        if fold._coarse is None:
+            break
+        coarse_unfold, coarse_own = _representatives(whole._coarse,
+                                                     fold._coarse)
+        assert np.array_equal(whole._restrict(u[unfold]),
+                              fold._restrict(u)[coarse_unfold])
+        defect = -rng.uniform(0.0, 1.0, fold.n)
+        assert np.array_equal(whole._defect_bound(defect[unfold]),
+                              fold._defect_bound(defect)[coarse_unfold])
+        corr = rng.uniform(-1.0, 1.0, fold._coarse.n)
+        for fill in (0.0, 1.0):
+            assert np.array_equal(whole._prolong(corr[coarse_unfold], fill),
+                                  fold._prolong(corr, fill)[unfold])
+        fold, whole = fold._coarse, whole._coarse
+        unfold, own = coarse_unfold, coarse_own
+
+
+@pytest.mark.parametrize("centre", [(0.15, 0.0), (0.0, 0.1), (0.15, 0.1)])
+def test_a_wrongly_declared_mirror_axis_fails_loudly(centre):
+    # the quadrant solves another problem, and the whole-grid certificate
+    # turns its field into NoConvergence (exit code 3 on the command line)
+    shape = OffCentreEllipse(1.2, 0.8, *centre)
+    grid = DomainGrid(shape, 1.0 / 32.0)
+    with pytest.raises(NoConvergence):
+        solve_h0(grid)
+    with pytest.raises(NoConvergence):
+        solve_obstacle(grid, 0.9)
+    # the same shape declaring no mirror axes solves
+    shape.mirror_axes = ()
+    field = solve_obstacle(DomainGrid(shape, 1.0 / 32.0), 0.9)
+    assert field.residual < field.tol
 
 
 # ---------------------------------------------------------------------------
