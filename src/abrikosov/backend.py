@@ -163,11 +163,13 @@ def green_grads(ds, dt, a, b, nterms):
 # is the number of cells swept; ``legs`` is one int64 run of 4 * len(out)
 # flat indices into ``values``, the block's E, W, N, then S neighbors (any
 # index with zero coefficient when the neighbor carries Dirichlet data folded
-# into ``bc``, the right-hand side); ``coef`` is one number or a
-# (4, len(out)) array and ``diag`` (the diagonal of -Delta_h + 1) one number
-# or one per cell; ``obstacle`` is the lower-bound clamp, a number or one per
-# cell (-inf for an unconstrained solve); ``work`` is scratch space of at
-# least 4 * len(out) floats.  Cells of one color share no stencil leg, so the
+# into ``bc``, the right-hand side); ``coef`` is a pair (full, cut): the
+# block's last k cells have cut legs and their coefficients in ``cut``, a
+# (4, k) array, and every leg of the cells before them has the one number
+# ``full``; ``diag`` (the diagonal of -Delta_h + 1) is one number per cell;
+# ``obstacle`` is the lower-bound clamp, a number or one per cell (-inf for
+# an unconstrained solve); ``work`` is scratch space of at least
+# 4 * len(out) floats.  Cells of one color share no stencil leg, so the
 # vectorized update is exact Gauss-Seidel for that color.
 #
 # One ``take`` gathers the four legs: mode="clip" writes them straight into
@@ -179,8 +181,11 @@ def green_grads(ds, dt, a, b, nterms):
 
 def _leg_sum(values, legs, coef, work):
     """coef-weighted sum of the four legs, E + W + N + S, in ``work``."""
+    full, cut = coef
     terms = values.take(legs, out=work[:legs.size], mode="clip").reshape(4, -1)
-    terms *= coef
+    k = terms.shape[1] - cut.shape[1]
+    terms[:, :k] *= full
+    terms[:, k:] *= cut
     acc = terms[0]
     acc += terms[1]
     acc += terms[2]
@@ -204,5 +209,5 @@ def warmup():
     vals = np.zeros(9)
     legs = np.arange(8, dtype=np.int64)
     cf = np.ones(2)
-    psor_sweep(vals, vals[4:6], legs, 1.0, cf * 5.0, cf, -np.inf,
-               np.empty(8))
+    psor_sweep(vals, vals[4:6], legs, (1.0, np.ones((4, 1))), cf * 5.0, cf,
+               -np.inf, np.empty(8))

@@ -295,46 +295,46 @@ class DomainGrid:
             lines = np.swapaxes(ids, 0, axis)
             lines[0] = lines[2]
         self.mask = np.where(interior, 1, 0).astype(np.int8)
-        # neighbor indices: block by block, its E, W, N and S legs one run
-        # after another; a cut leg points at unknown 0 with coefficient 0
-        spans = list(zip([0] + ends[:3], ends))
+        # neighbor indices: block by block, one block per color, its E, W,
+        # N and S legs one run after another; a cut leg points at unknown 0
+        # with coefficient 0
+        spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
         gidx = np.empty(4 * self.n, dtype=np.int64)
         for k, (_, di, dj) in enumerate(_LEG_STEPS):
             nb = interior[ii + di, jj + dj]
             self.mask[ii[~nb] + di, jj[~nb] + dj] = 2
             nbi = np.where(nb, ids[ii + di, jj + dj], 0)
-            for start, stop in spans:
+            for start, _, stop in spans:
                 gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
         del ids, interior
 
-        # Full-leg blocks have scalar coefficients: the leg formulas below
-        # at leg length h.  Only the cut-leg blocks store their own.
+        # Full-leg cells share one coefficient: the leg formulas below at
+        # leg length h.  Only the cut-leg cells store their own.
         hh = self.h
         full_coef = 2.0 / (hh * (hh + hh))
         full_diag = 2.0 / (hh * hh) + 2.0 / (hh * hh) + 1.0
         self.diag = np.full(self.n, full_diag)
         self._bc_unit = np.zeros(self.n)
         self._blocks = []     # (slice, (legs, coef, diag)) for psor_sweep
-        for k, (start, stop) in enumerate(spans):
+        for start, split, stop in spans:
             if start == stop:
                 continue
-            sel = slice(start, stop)
-            coef, diag = full_coef, full_diag
-            if k % 2:
-                legs, nbin = self._leg_lengths(sel)
-                cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
-                cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
-                cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
-                cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
-                self.diag[sel] = 2.0 / (legs["E"] * legs["W"]) \
-                    + 2.0 / (legs["N"] * legs["S"]) + 1.0
-                leg_coef = {"E": cE, "W": cW, "N": cN, "S": cS}
-                self._bc_unit[sel] = sum(np.where(~nbin[d], leg_coef[d], 0.0)
-                                         for d in leg_coef)
-                coef = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
-                                 for d in "EWNS"])
-                diag = self.diag[sel]
-            self._blocks.append((sel, (gidx[4 * start:4 * stop], coef, diag)))
+            sel = slice(split, stop)
+            legs, nbin = self._leg_lengths(sel)
+            cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
+            cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
+            cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
+            cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
+            self.diag[sel] = 2.0 / (legs["E"] * legs["W"]) \
+                + 2.0 / (legs["N"] * legs["S"]) + 1.0
+            leg_coef = {"E": cE, "W": cW, "N": cN, "S": cS}
+            self._bc_unit[sel] = sum(np.where(~nbin[d], leg_coef[d], 0.0)
+                                     for d in leg_coef)
+            cut = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
+                            for d in "EWNS"])
+            self._blocks.append((slice(start, stop), (
+                gidx[4 * start:4 * stop], (full_coef, cut),
+                self.diag[start:stop])))
 
     @property
     def area(self) -> float:
@@ -408,11 +408,13 @@ class DomainGrid:
         ``lower`` is a number (-inf for no bound) or one bound per unknown.
         """
         work = self._work()
+        blocks = [(values[sel], legs, coef, diag, rhs[sel],
+                   lower[sel] if isinstance(lower, np.ndarray) else lower)
+                  for sel, (legs, coef, diag) in self._blocks]
         for _ in range(sweeps):
-            for sel, (legs, coef, diag) in self._blocks:
-                bound = lower[sel] if isinstance(lower, np.ndarray) else lower
-                backend.psor_sweep(values, values[sel], legs, coef, diag,
-                                   rhs[sel], bound, work)
+            for out, legs, coef, diag, bc, bound in blocks:
+                backend.psor_sweep(values, out, legs, coef, diag, bc, bound,
+                                   work)
 
     @functools.cached_property
     def _fold(self):

@@ -113,8 +113,10 @@ def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
 @pytest.mark.parametrize("obstacle", [-np.inf, -1e300, 0.6, "array"])
 def test_psor_sweep_writes_only_its_block(obstacle):
     # cells 5..8 are swept from neighbors outside the block; every other
-    # cell keeps its sentinel value.  Cell 6's S leg is cut: index 0 with
-    # coefficient 0
+    # cell keeps its sentinel value.  The last k cells have cut legs and
+    # their own coefficients, the others 1.5 on every leg: no cut cell
+    # (k = 0), a mixed block and an all-cut block.  Cell 6's S leg is cut
+    # where cell 6 is a cut cell: index 0 with coefficient 0
     rng = np.random.default_rng(3)
     values = rng.uniform(0.0, 1.0, 16)
     before = values.copy()
@@ -123,22 +125,19 @@ def test_psor_sweep_writes_only_its_block(obstacle):
                       ([0, 1, 2, 3], [9, 10, 11, 12], [13, 14, 15, 0],
                        [4, 0, 13, 9]))
     legs = np.concatenate([iE, iW, iN, iS])
-    cE, cW, cN, cS = rng.uniform(1.0, 2.0, (4, 4))
-    cS[1] = 0.0
+    cut = rng.uniform(1.0, 2.0, (4, 4))
+    cut[3, 1] = 0.0
     diag, bc = rng.uniform(6.0, 8.0, 4), rng.uniform(0.0, 1.0, 4)
     if obstacle == "array":
         obstacle = rng.uniform(0.0, 1.0, 4)
-    work = np.full(20, np.nan)
-    backend.psor_sweep(values, out, legs, np.stack([cE, cW, cN, cS]), diag,
-                       bc, obstacle, work)
-    gs = (cE * before[iE] + cW * before[iW] + cN * before[iN]
-          + cS * before[iS] + bc) / diag
-    assert np.array_equal(values[5:9], np.maximum(gs, obstacle))
-    # one number for every leg and the diagonal, as a full-leg block has
-    values[5:9] = before[5:9]
-    backend.psor_sweep(values, out, legs, 1.5, 7.0, bc, obstacle, work)
-    gs = (1.5 * before[iE] + 1.5 * before[iW] + 1.5 * before[iN]
-          + 1.5 * before[iS] + bc) / 7.0
-    assert np.array_equal(values[5:9], np.maximum(gs, obstacle))
     keep = np.r_[0:5, 9:16]
-    assert np.array_equal(values[keep], before[keep])
+    for k in (0, 3, 4):
+        values[5:9] = before[5:9]
+        work = np.full(20, np.nan)
+        backend.psor_sweep(values, out, legs, (1.5, cut[:, 4 - k:].copy()),
+                           diag, bc, obstacle, work)
+        cE, cW, cN, cS = np.hstack([np.full((4, 4 - k), 1.5), cut[:, 4 - k:]])
+        gs = (cE * before[iE] + cW * before[iW] + cN * before[iN]
+              + cS * before[iS] + bc) / diag
+        assert np.array_equal(values[5:9], np.maximum(gs, obstacle))
+        assert np.array_equal(values[keep], before[keep])

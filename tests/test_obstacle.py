@@ -587,15 +587,23 @@ def test_block_legs_are_in_range_int64_runs(shape):
     while grids:
         grid = grids.pop()
         stop = 0
-        for sel, (legs, coef, diag) in grid._blocks:
+        assert len(grid._blocks) == 2       # one block per color
+        for sel, (legs, (full, cut), diag) in grid._blocks:
             assert sel.start == stop < sel.stop
             stop = sel.stop
             size = sel.stop - sel.start
             assert legs.dtype == np.int64 and legs.flags.c_contiguous
             assert legs.shape == (4 * size,)
             assert 0 <= legs.min() and legs.max() < grid.n
-            assert np.ndim(coef) == 0 or np.shape(coef) == (4, size)
-            assert np.ndim(diag) == 0 or np.shares_memory(diag, grid.diag)
+            # full-leg cells first, with one number for every leg; the last
+            # k cells are the ones with a boundary datum
+            k = cut.shape[1]
+            assert np.ndim(full) == 0 and cut.shape == (4, k) and k <= size
+            assert np.all(grid._bc_unit[sel][:size - k] == 0.0)
+            assert np.all(grid._bc_unit[sel][size - k:] > 0.0)
+            assert diag.base is grid.diag
+            assert np.shares_memory(diag, grid.diag[sel]) \
+                and diag.shape == (size,)
         assert stop == grid.n
         if grid._coarse is not None:
             grids.append(grid._coarse)
@@ -619,6 +627,30 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
     grid._smooth(np.ones(grid.n), rhs, -np.inf, 2)
     assert sum(swept) == 2 * grid.n
     assert len(swept) == 2 * len(grid._blocks)
+
+
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_smooth_sweeps_each_color_in_one_call(shape, monkeypatch):
+    # one sweep call per color per sweep, each over every cell of its color
+    whole = DomainGrid(shape, 1.0 / 37.0)
+    swept = []
+    sweep = backend.psor_sweep
+
+    def record(values, out, *rest):
+        start = (out.ctypes.data - values.ctypes.data) // values.itemsize
+        swept.append(np.arange(start, start + len(out)))
+        return sweep(values, out, *rest)
+    monkeypatch.setattr(backend, "psor_sweep", record)
+    for grid in (whole, whole._fold):
+        swept.clear()
+        grid._smooth(np.ones(grid.n), grid._bc_unit, -np.inf, 3)
+        assert len(swept) == 2 * 3
+        for red, black in zip(swept[0::2], swept[1::2]):
+            assert len(red) + len(black) == grid.n
+            parity = [np.unique((grid.ii + grid.jj)[cells] % 2)
+                      for cells in (red, black)]
+            assert [len(p) for p in parity] == [1, 1]
+            assert parity[0] != parity[1]
 
 
 # ---------------------------------------------------------------------------
