@@ -260,53 +260,63 @@ class DomainGrid:
         gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
         interior = np.asarray(shape.contains(gx, gy), dtype=bool)
         del gx, gy
+        # unknowns: the interior cells off the rectangle's first and last
+        # lines, in row-major order; a quadrant's first line on a mirror
+        # axis is then its ghost line, the copy of line 2
         for axis in (0, 1):
             lines = np.swapaxes(interior, 0, axis)
-            lines[-1] = False
-            lines[0] = lines[2] if axis in self._mirrors else False
-        ghosts = [int(axis in self._mirrors) for axis in (0, 1)]
-        ii, jj = np.nonzero(interior[ghosts[0]:, ghosts[1]:])
-        ii += ghosts[0]
-        jj += ghosts[1]
-        self.n = len(ii)
+            lines[0] = lines[-1] = False
+        flat = np.flatnonzero(interior)
+        for axis in self._mirrors:
+            lines = np.swapaxes(interior, 0, axis)
+            lines[0] = lines[2]
+        self.n = len(flat)
         if self.n == 0:
             raise InputError("grid spacing too coarse: no interior cells")
+        ny = interior.shape[1]
+        ii, jj = np.divmod(flat, ny)
         # unknowns of the whole grid: a cell off a mirror axis (rectangle
         # line 1) stands for its mirror image too
         weight = np.ones(self.n, dtype=np.int64)
         for axis in self._mirrors:
             weight[(ii, jj)[axis] != 1] *= 2
         self._whole_n = int(weight.sum())
-        whole = [interior[ii + di, jj + dj] for _, di, dj in _LEG_STEPS]
+        # each leg's neighbor test, once, at flat offset di * ny + dj
+        steps = [di * ny + dj for _, di, dj in _LEG_STEPS]
+        inside = interior.reshape(-1)
+        whole = [inside.take(flat + step) for step in steps]
         # blocks: red cells with four whole legs, other red cells, then the
         # black cells likewise; red is an even i + j on the whole grid's
         # rectangle
         cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
         color = (ii + jj + lo[0] - imin + lo[1] - jmin) % 2
         block = 2 * color + cut
-        order = np.argsort(block, kind="stable")
+        order = np.concatenate([np.flatnonzero(block == k) for k in range(4)])
         ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
-        del weight, whole, cut, color, block
-        ii, jj = ii[order], jj[order]
-        self.ii, self.jj = ii, jj
+        del weight, cut, color, block
+        flat = flat.take(order)
+        whole = [nb.take(order) for nb in whole]
+        self.ii, self.jj = ii.take(order), jj.take(order)
+        del ii, jj, order
         ids = np.full(interior.shape, -1, dtype=np.int64)
-        ids[ii, jj] = np.arange(self.n, dtype=np.int64)
+        ids.reshape(-1)[flat] = np.arange(self.n, dtype=np.int64)
         for axis in self._mirrors:
             lines = np.swapaxes(ids, 0, axis)
             lines[0] = lines[2]
-        self.mask = np.where(interior, 1, 0).astype(np.int8)
+        self.mask = interior.astype(np.int8)
+        del interior
         # neighbor indices: block by block, one block per color, its E, W,
         # N and S legs one run after another; a cut leg points at unknown 0
         # with coefficient 0
         spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
         gidx = np.empty(4 * self.n, dtype=np.int64)
-        for k, (_, di, dj) in enumerate(_LEG_STEPS):
-            nb = interior[ii + di, jj + dj]
-            self.mask[ii[~nb] + di, jj[~nb] + dj] = 2
-            nbi = np.where(nb, ids[ii + di, jj + dj], 0)
+        for k, (nb, step) in enumerate(zip(whole, steps)):
+            at = flat + step
+            self.mask.reshape(-1)[at[~nb]] = 2
+            nbi = np.where(nb, ids.reshape(-1).take(at), 0)
             for start, _, stop in spans:
                 gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
-        del ids, interior
+        del ids, flat
 
         # Full-leg cells share one coefficient: the leg formulas below at
         # leg length h.  Only the cut-leg cells store their own.
@@ -320,7 +330,7 @@ class DomainGrid:
             if start == stop:
                 continue
             sel = slice(split, stop)
-            legs, nbin = self._leg_lengths(sel)
+            legs, nbin = self._leg_lengths(sel, [nb[sel] for nb in whole])
             cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
             cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
             cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
@@ -346,17 +356,20 @@ class DomainGrid:
         """Coordinates of the unknowns, shape (n, 2)."""
         return np.column_stack([self.xs[self.ii], self.ys[self.jj]])
 
-    def _leg_lengths(self, sel=slice(None)):
+    def _leg_lengths(self, sel=slice(None), whole=None):
         """Leg lengths of unknowns ``sel`` and whether each leg is whole.
 
         A leg is h where it reaches another unknown, and h times the exit
-        fraction where it is cut by the boundary.  Returns two dicts keyed
+        fraction where it is cut by the boundary.  ``whole`` gives the
+        E, W, N and S neighbor tests of those unknowns if the caller has
+        them; else they are read from ``mask``.  Returns two dicts keyed
         E, W, N, S.
         """
         ii, jj = self.ii[sel], self.jj[sel]
         legs, nbin = {}, {}
-        for name, di, dj in _LEG_STEPS:
-            nb = self.mask[ii + di, jj + dj] == 1
+        for k, (name, di, dj) in enumerate(_LEG_STEPS):
+            nb = self.mask[ii + di, jj + dj] == 1 if whole is None \
+                else whole[k]
             leg = np.full(len(ii), self.h)
             cut = ~nb
             if np.any(cut):

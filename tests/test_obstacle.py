@@ -716,6 +716,125 @@ def test_folded_solves_equal_whole_grid_solves(shape, k):
     assert not folded[1].active.any() and folded[2].active.any()
 
 
+def _two_d_build(shape, h, mirrors):
+    """A grid's unknowns, mask and stencil built with two-dimensional
+    indexing: ``np.nonzero`` for the unknowns, [i, j] fancy indexing for
+    every neighbor and a stable ``argsort`` for the order of the four
+    blocks (red full-leg, red cut-leg, black full-leg, black cut-leg).
+
+    Returns a dict with ``origin``, ``n``, ``whole_n``, ``ii``, ``jj``,
+    ``mask``, ``diag``, ``bc_unit``, the blocks' ``spans`` and each block's
+    ``legs`` (4, size) and ``coef``: one number for a full-leg block, a
+    (4, size) array for a cut-leg block.
+    """
+    xmin, xmax, ymin, ymax = shape.bounds()
+    imin = int(math.floor(xmin / h)) - 1
+    imax = int(math.ceil(xmax / h)) + 1
+    jmin = int(math.floor(ymin / h)) - 1
+    jmax = int(math.ceil(ymax / h)) + 1
+    lo, hi = [imin, jmin], [imax, jmax]
+    for axis in mirrors:
+        lo[axis], hi[axis] = -1, max(hi[axis], -lo[axis])
+    xs = np.arange(lo[0], hi[0] + 1, dtype=np.int64) * h
+    ys = np.arange(lo[1], hi[1] + 1, dtype=np.int64) * h
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    interior = np.asarray(shape.contains(gx, gy), dtype=bool)
+    for axis in (0, 1):
+        lines = np.swapaxes(interior, 0, axis)
+        lines[-1] = False
+        lines[0] = lines[2] if axis in mirrors else False
+    ghosts = [int(axis in mirrors) for axis in (0, 1)]
+    ii, jj = np.nonzero(interior[ghosts[0]:, ghosts[1]:])
+    ii += ghosts[0]
+    jj += ghosts[1]
+    n = len(ii)
+    weight = np.ones(n, dtype=np.int64)
+    for axis in mirrors:
+        weight[(ii, jj)[axis] != 1] *= 2
+    whole = [interior[ii + di, jj + dj] for _, di, dj in obstacle._LEG_STEPS]
+    cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
+    color = (ii + jj + lo[0] - imin + lo[1] - jmin) % 2
+    block = 2 * color + cut
+    order = np.argsort(block, kind="stable")
+    ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
+    spans = list(zip([0] + ends[:3], ends))
+    ii, jj = ii[order], jj[order]
+    ids = np.full(interior.shape, -1, dtype=np.int64)
+    ids[ii, jj] = np.arange(n, dtype=np.int64)
+    for axis in mirrors:
+        lines = np.swapaxes(ids, 0, axis)
+        lines[0] = lines[2]
+    mask = np.where(interior, 1, 0).astype(np.int8)
+    idx = np.empty((4, n), dtype=np.int64)
+    for k, (_, di, dj) in enumerate(obstacle._LEG_STEPS):
+        nb = interior[ii + di, jj + dj]
+        mask[ii[~nb] + di, jj[~nb] + dj] = 2
+        idx[k] = np.where(nb, ids[ii + di, jj + dj], 0)
+    full_coef = 2.0 / (h * (h + h))
+    diag = np.full(n, 2.0 / (h * h) + 2.0 / (h * h) + 1.0)
+    bc_unit = np.zeros(n)
+    coefs = []
+    for k, (start, stop) in enumerate(spans):
+        if k % 2 == 0:
+            coefs.append(full_coef)
+            continue
+        sel = slice(start, stop)
+        legs, nbin = {}, {}
+        for name, di, dj in obstacle._LEG_STEPS:
+            nb = mask[ii[sel] + di, jj[sel] + dj] == 1
+            leg = np.full(stop - start, h)
+            if np.any(~nb):
+                theta = shape.exit_fraction(xs[ii[sel][~nb]], ys[jj[sel][~nb]],
+                                            di * h, dj * h)
+                leg[~nb] = np.clip(theta, obstacle.MIN_CUT_FRACTION, 1.0) * h
+            legs[name], nbin[name] = leg, nb
+        e, w, nn, ss = (legs[d] for d in "EWNS")
+        c = {"E": 2.0 / (e * (e + w)), "W": 2.0 / (w * (e + w)),
+             "N": 2.0 / (nn * (nn + ss)), "S": 2.0 / (ss * (nn + ss))}
+        diag[sel] = 2.0 / (e * w) + 2.0 / (nn * ss) + 1.0
+        bc_unit[sel] = sum(np.where(~nbin[d], c[d], 0.0) for d in c)
+        coefs.append(np.stack([np.where(nbin[d], c[d], 0.0) for d in "EWNS"]))
+    return {"origin": (lo[0], lo[1]), "n": n, "whole_n": int(weight.sum()),
+            "ii": ii, "jj": jj, "mask": mask, "diag": diag,
+            "bc_unit": bc_unit, "spans": spans,
+            "legs": [idx[:, a:b] for a, b in spans], "coef": coefs}
+
+
+@pytest.mark.parametrize("k", [16, 37, 64])
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES + [
+    HalfEllipse(1.3, 0.7, 0), HalfEllipse(1.3, 0.7, 1)], ids=repr)
+def test_grid_build_equals_two_d_indexing(shape, k):
+    # the flat-index build gives the bits of the two-dimensional one on
+    # every level of the whole grid's chain and of the fold's; each color's
+    # block is that build's full-leg block followed by its cut-leg block
+    whole = DomainGrid(shape, 1.0 / k)
+    grids = [whole, whole._fold]
+    while grids:
+        grid = grids.pop()
+        ref = _two_d_build(shape, grid.h, grid._mirrors)
+        assert grid.origin == ref["origin"]
+        assert (grid.n, grid._whole_n) == (ref["n"], ref["whole_n"])
+        for got, want in ((grid.ii, ref["ii"]), (grid.jj, ref["jj"]),
+                          (grid.mask, ref["mask"]), (grid.diag, ref["diag"]),
+                          (grid._bc_unit, ref["bc_unit"])):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        blocks = list(grid._blocks)
+        for color in (0, 1):
+            (start, _), (_, stop) = ref["spans"][2 * color:2 * color + 2]
+            if start == stop:
+                continue
+            sel, (legs, (full, cut), diag) = blocks.pop(0)
+            assert sel == slice(start, stop)
+            assert np.array_equal(legs.reshape(4, -1), np.hstack(
+                ref["legs"][2 * color:2 * color + 2]))
+            assert full == ref["coef"][2 * color]
+            assert np.array_equal(cut, ref["coef"][2 * color + 1])
+            assert np.array_equal(diag, ref["diag"][sel])
+        assert not blocks
+        if grid._coarse is not None:
+            grids.append(grid._coarse)
+
+
 def _representatives(whole, fold):
     """Index maps between a whole grid and the fold at the same spacing,
     found by coordinates: each whole unknown's representative in the fold
