@@ -20,20 +20,11 @@ import time
 import numpy as np
 import pytest
 
+from bessel_series import bessel_i0
 from conftest import REPORT_PATH
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
-
-
-def bessel_i0(x: float) -> float:
-    term, total, k = 1.0, 1.0, 0
-    z = 0.25 * x * x
-    while term > 1e-18:
-        k += 1
-        term *= z / (k * k)
-        total += term
-    return total
 
 
 H0_BAR = 1.0 / bessel_i0(1.0)

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bessel_series import bessel_i0
+
 from abrikosov import backend, obstacle
 from abrikosov.errors import (
     InfeasibleObstacle,
@@ -35,17 +37,6 @@ from abrikosov.obstacle import (
     verify_gradient_bound,
     verify_scale_law,
 )
-
-
-def bessel_i0(x: float) -> float:
-    """Modified Bessel I0 by its power series: sum ((x/2)^2k) / (k!)^2."""
-    term, total, k = 1.0, 1.0, 0
-    z = 0.25 * x * x
-    while term > 1e-18:
-        k += 1
-        term *= z / (k * k)
-        total += term
-    return total
 
 
 H0_BAR = 1.0 / bessel_i0(1.0)          # radial closed form of the disk minimum
