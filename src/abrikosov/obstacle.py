@@ -14,12 +14,12 @@ Math. 69, 1994): V(4,4) cycles of projected red-black Gauss-Seidel over
 grids of spacing h, 2h, 4h, ..., whose coarse corrections are bounded below
 so that every iterate stays above the obstacle, started from the solution
 on the 2h grid, which is solved only to START_TOL_FACTOR = 3000 times the
-tolerance (``_start``); deterministic for fixed inputs.  Near the contact set those
-bounds block the downward corrections the iterate needs, so the fine-level
-smoother does most of the work: a V(2,2) cycle contracts the residual of
-a constrained solve by only about 0.63-0.67, a V(4,4) cycle by 0.48-0.53;
-of V(2,2) to V(6,6), V(4,4) had the lowest median time over the disk
-solves at h = 1/256 and 1/128.  That contraction is slow but steady, so
+tolerance (``_start``); deterministic for fixed inputs.  Near the contact
+set those bounds block the downward corrections the iterate needs, so the
+fine-level smoother does most of the work: a V(2,2) cycle contracts the
+residual of a constrained solve by only about 0.63-0.67, a V(4,4) cycle by
+0.48-0.53; of V(2,2) to V(6,6), V(4,4) had the lowest median time over the
+disk solves at h = 1/256 and 1/128.  That contraction is slow but steady, so
 while the contact set is non-empty each cycle is accelerated by depth-1
 Anderson mixing and projected onto H >= m (``_cycles``): on the disk the
 constrained solves take 6-7 V-cycles instead of 9-13.  The unconstrained
@@ -312,13 +312,14 @@ class DomainGrid:
         # with coefficient 0
         spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
         gidx = np.empty(4 * self.n, dtype=np.int64)
+        ids, mask = ids.reshape(-1), self.mask.reshape(-1)
         for k, (nb, step) in enumerate(zip(whole, steps)):
             at = flat + step
-            self.mask.reshape(-1)[at[~nb]] = 2
-            nbi = np.where(nb, ids.reshape(-1).take(at), 0)
+            mask[at[~nb]] = 2
+            nbi = np.where(nb, ids.take(at), 0)
             for start, _, stop in spans:
                 gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
-        del ids, flat
+        del ids, mask, flat
 
         # Full-leg cells share one coefficient: the leg formulas below at
         # leg length h.  Only the cut-leg cells store their own.
@@ -633,12 +634,10 @@ def _start(grid: DomainGrid, m, tol: float) -> np.ndarray:
     The 2h problem is solved to START_TOL_FACTOR * tol from its own start
     (converged or not), interpolated with the boundary value off its
     unknowns, and lifted onto the obstacle.  At the default tol 1e-10 that
-    is a scaled residual of 3e-7.  A tighter start buys the fine solve
-    nothing, for the interpolated start differs from the fine solution by
-    the two grids' discretization difference anyway.  Of the factors 100,
-    300, 1000, 3000 and 10000, 3000 swept the fewest cells on the disk
-    solves of h = 1/256 and 1/128, 7% fewer than 100, and at 10000 those
-    fine solves took more cycles.
+    is a scaled residual of 3e-7.  Of the factors 100, 300, 1000, 3000 and
+    10000, 3000 swept the fewest cells on the disk solves at h = 1/256 and
+    1/128, 7% fewer than 100 with no more fine-level cycles; at
+    10000 those fine solves took more cycles.
     """
     coarse = grid._coarse
     if coarse is None:
