@@ -592,9 +592,8 @@ def test_block_legs_are_in_range_int64_runs(shape):
             assert np.ndim(full) == 0 and cut.shape == (4, k) and k <= size
             assert np.all(grid._bc_unit[sel][:size - k] == 0.0)
             assert np.all(grid._bc_unit[sel][size - k:] > 0.0)
-            assert diag.base is grid.diag
-            assert np.shares_memory(diag, grid.diag[sel]) \
-                and diag.shape == (size,)
+            assert diag.base is grid.diag and diag.shape == (size,)
+            assert np.shares_memory(diag, grid.diag[sel])
         assert stop == grid.n
         if grid._coarse is not None:
             grids.append(grid._coarse)
