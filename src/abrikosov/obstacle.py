@@ -319,7 +319,7 @@ class DomainGrid:
             nbi = np.where(nb, ids.take(at), 0)
             for start, _, stop in spans:
                 gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
-        del ids, mask, flat
+        del ids, mask, flat, whole
 
         # Full-leg cells share one coefficient: the leg formulas below at
         # leg length h.  Only the cut-leg cells store their own.
@@ -333,7 +333,7 @@ class DomainGrid:
             if start == stop:
                 continue
             sel = slice(split, stop)
-            legs, nbin = self._leg_lengths(sel, [nb[sel] for nb in whole])
+            legs, nbin = self._leg_lengths(sel)
             cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
             cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
             cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
@@ -359,20 +359,17 @@ class DomainGrid:
         """Coordinates of the unknowns, shape (n, 2)."""
         return np.column_stack([self.xs[self.ii], self.ys[self.jj]])
 
-    def _leg_lengths(self, sel=slice(None), whole=None):
+    def _leg_lengths(self, sel=slice(None)):
         """Leg lengths of unknowns ``sel`` and whether each leg is whole.
 
         A leg is h where it reaches another unknown, and h times the exit
-        fraction where it is cut by the boundary.  ``whole`` gives the
-        E, W, N and S neighbor tests of those unknowns if the caller has
-        them; else they are read from ``mask``.  Returns two dicts keyed
+        fraction where it is cut by the boundary.  Returns two dicts keyed
         E, W, N, S.
         """
         ii, jj = self.ii[sel], self.jj[sel]
         legs, nbin = {}, {}
-        for k, (name, di, dj) in enumerate(_LEG_STEPS):
-            nb = self.mask[ii + di, jj + dj] == 1 if whole is None \
-                else whole[k]
+        for name, di, dj in _LEG_STEPS:
+            nb = self.mask[ii + di, jj + dj] == 1
             leg = np.full(len(ii), self.h)
             cut = ~nb
             if np.any(cut):
