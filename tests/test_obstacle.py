@@ -601,40 +601,25 @@ def test_block_legs_are_in_range_int64_runs(shape):
 
 @pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
 def test_smooth_writes_each_block_in_place(shape, monkeypatch):
-    grid = DomainGrid(shape, 1.0 / 37.0)
-    rhs = grid._bc_unit.copy()
+    whole = DomainGrid(shape, 1.0 / 37.0)
 
     # each sweep's second argument is a view of its block of the values,
-    # sized by the cells it sweeps (the benchmark tracer counts len(out))
+    # sized by the cells it sweeps (the benchmark tracer counts len(out));
+    # one call per color per sweep, each over every cell of its color
     swept = []
     sweep = backend.psor_sweep
 
     def record(values, out, *rest):
         assert out.base is values
-        swept.append(len(out))
-        return sweep(values, out, *rest)
-    monkeypatch.setattr(backend, "psor_sweep", record)
-    grid._smooth(np.ones(grid.n), rhs, -np.inf, 2)
-    assert sum(swept) == 2 * grid.n
-    assert len(swept) == 2 * len(grid._blocks)
-
-
-@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
-def test_smooth_sweeps_each_color_in_one_call(shape, monkeypatch):
-    # one sweep call per color per sweep, each over every cell of its color
-    whole = DomainGrid(shape, 1.0 / 37.0)
-    swept = []
-    sweep = backend.psor_sweep
-
-    def record(values, out, *rest):
         start = (out.ctypes.data - values.ctypes.data) // values.itemsize
         swept.append(np.arange(start, start + len(out)))
         return sweep(values, out, *rest)
     monkeypatch.setattr(backend, "psor_sweep", record)
     for grid in (whole, whole._fold):
         swept.clear()
-        grid._smooth(np.ones(grid.n), grid._bc_unit, -np.inf, 3)
-        assert len(swept) == 2 * 3
+        grid._smooth(np.ones(grid.n), grid._bc_unit.copy(), -np.inf, 2)
+        assert len(swept) == 2 * 2
+        assert sum(len(cells) for cells in swept) == 2 * grid.n
         for red, black in zip(swept[0::2], swept[1::2]):
             assert len(red) + len(black) == grid.n
             parity = [np.unique((grid.ii + grid.jj)[cells] % 2)
