@@ -26,16 +26,21 @@ constrained solves take 6-7 V-cycles instead of 9-13.  The unconstrained
 field H_0 is the same solve at m = -inf, an obstacle that never binds; it
 and every other empty-contact solve run plain cycles, which contract 50-100
 times each there.  On a shape with mirror axes (every ellipse, the disk
-among them) the cycles run on one quadrant, x >= 0 and y >= 0, whose
-stencil legs and transfer stencils that cross an axis read the mirror cell
-at x = h (y = h) through a ghost line (``DomainGrid``); the 2h grids are
-kept while the whole 2h grid has MIN_COARSE_CELLS unknowns, so the
-quadrant's hierarchy has the whole grid's levels.  A polygon declares no
-axes and solves on its whole grid.  Every field is unfolded onto the whole
-grid and certified there: its residual and a value-error bound come from
-one whole-grid operator evaluation, and a field whose residual is not
-below tol, for instance from a shape that declares an axis it lacks,
-raises NoConvergence.  The verification helpers measure the coincidence set
+among them) the cycles run on one quadrant, x >= 0 and y >= 0, and on the
+disk and every ellipse with rx == ry, which are symmetric under x <-> y as
+well, on one octant, 0 <= y <= x.  Every other cell of the fold's
+rectangle (the ghost lines at x = -h and y = -h, the cells above the
+diagonal) carries the unknown of its representative, (|x|, |y|) sorted to
+(max, min) on the octant, so the stencil legs and the transfers that
+leave the fold read the mirror value (``DomainGrid``); the transfers
+gather through tables over the unknowns.  The 2h grids are kept while
+the whole 2h grid has MIN_COARSE_CELLS unknowns, so the fold's hierarchy
+has the whole grid's levels.  A polygon declares no symmetry and solves
+on its whole grid.  Every field is unfolded onto the whole grid and
+certified there: its residual and a value-error bound come from one
+whole-grid operator evaluation, and a field whose residual is not below
+tol, for instance from a shape that declares a symmetry it lacks, raises
+NoConvergence.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
 the obstacle-activation level, and ellipse roundness of the small
@@ -103,6 +108,9 @@ class Ellipse:
 
     ``mirror_axes`` lists the coordinates whose sign flip maps a shape onto
     itself (0: x -> -x, 1: y -> -y); an ellipse has both.
+    ``mirror_diagonal`` says whether the swap x <-> y maps it onto itself;
+    an ellipse has it exactly when rx == ry.  A grid folds the swap only
+    together with both mirror axes.
     """
 
     mirror_axes = (0, 1)
@@ -110,6 +118,10 @@ class Ellipse:
     def __init__(self, rx: float, ry: float):
         self.rx = positive("ellipse semi-axis rx", rx)
         self.ry = positive("ellipse semi-axis ry", ry)
+
+    @property
+    def mirror_diagonal(self) -> bool:
+        return self.rx == self.ry
 
     def bounds(self):
         return (-self.rx, self.rx, -self.ry, self.ry)
@@ -148,10 +160,11 @@ class UnitDisk(Ellipse):
 class ConvexPolygon:
     """Open convex polygon from counterclockwise vertices, shape (k, 2).
 
-    It declares no mirror axes, whatever its vertices.
+    It declares no mirror axes and no diagonal, whatever its vertices.
     """
 
     mirror_axes = ()
+    mirror_diagonal = False
 
     def __init__(self, vertices):
         verts = np.asarray(vertices, dtype=float)
@@ -180,7 +193,7 @@ class ConvexPolygon:
                 float(v[:, 1].min()), float(v[:, 1].max()))
 
     def contains(self, x, y):
-        inside = np.ones(np.shape(x), dtype=bool)
+        inside = np.ones(np.broadcast(x, y).shape, dtype=bool)
         for (ax, ay), (ex, ey) in zip(self.vertices, self._edges):
             inside &= ex * (y - ay) - ey * (x - ax) > 0.0
         return inside
@@ -229,21 +242,30 @@ class DomainGrid:
 
     A ``DomainGrid`` is always the whole grid: ``n``, ``ii``, ``jj``,
     ``mask``, ``diag`` and the operator cover every unknown.  Solves run
-    on its fold (``_fold``), a ``_Quadrant`` of the same shape and spacing,
-    or the grid itself when the shape declares no mirror axes.  The
-    quadrant's unknowns are the cells with x >= 0 on mirror axis 0 and
-    y >= 0 on axis 1, numbered blockwise as above; its rectangle starts
-    one ghost line below each mirror axis, at x = -h (y = -h), and reaches
-    the farther side of the shape.  A ghost cell is interior where its
-    mirror cell at x = h (y = h) is and carries that cell's unknown, so
-    every stencil leg, and every restriction or defect-bound stencil, that
-    crosses an axis reads the mirror value.  Colors are those of the whole
-    grid's rectangle, so the quadrant sweeps each cell in the color the
-    whole grid does.  ``_unfold`` gives each unknown of the whole grid its
-    representative in the fold, the unknown at (|x|, |y|).
+    on its fold (``_fold``), a ``_Fold`` of the same shape and spacing, or
+    the grid itself when the shape declares no mirror axes.  A fold keeps
+    one unknown per orbit of the shape's symmetries: the cell at |x| on
+    each mirror axis and, when the shape also declares the diagonal with
+    both axes, the one of the octant 0 <= y <= x, (|x|, |y|) sorted to
+    (max, min) (``_representative``).  Its rectangle starts one ghost line
+    below each mirror axis, at x = -h (y = -h), reaches the farther side
+    of the shape, and is square on the octant.  Every other cell of the
+    rectangle, the ghost lines and the cells above the diagonal, is
+    interior where its representative is and carries its unknown, so every
+    stencil leg and every transfer that leaves the fold's unknowns reads
+    the mirror value.  Colors are those of the whole grid's rectangle (the
+    swap keeps the parity of i + j), so the fold sweeps each cell in the
+    color the whole grid does.  ``_unfold`` gives each unknown of the
+    whole grid its representative in the fold.
+
+    The multigrid transfers gather through tables over the unknowns that a
+    grid with a 2h grid caches: ``_restriction``, each 2h unknown's 3x3
+    stencil of fine ids, and ``_prolongation``, each fine unknown's four
+    2h ids.
     """
 
     _mirrors = ()       # axes folded onto their x >= 0 (y >= 0) half
+    _swap = False       # x <-> y folded onto 0 <= y <= x as well
 
     def __init__(self, shape, h: float):
         self.shape = shape
@@ -256,36 +278,46 @@ class DomainGrid:
         lo, hi = [imin, jmin], [imax, jmax]
         for axis in self._mirrors:
             lo[axis], hi[axis] = -1, max(hi[axis], -lo[axis])
+        if self._swap:
+            hi = [max(hi)] * 2
         self.origin = (lo[0], lo[1])
-        self.xs = np.arange(lo[0], hi[0] + 1, dtype=np.int64) * self.h
-        self.ys = np.arange(lo[1], hi[1] + 1, dtype=np.int64) * self.h
-        gx, gy = np.meshgrid(self.xs, self.ys, indexing="ij")
-        interior = np.asarray(shape.contains(gx, gy), dtype=bool)
-        del gx, gy
+        cells = [np.arange(lo[0], hi[0] + 1, dtype=np.int64),
+                 np.arange(lo[1], hi[1] + 1, dtype=np.int64)]
+        self.xs, self.ys = cells[0] * self.h, cells[1] * self.h
+        interior = np.asarray(shape.contains(self.xs[:, None],
+                                             self.ys[None, :]), dtype=bool)
         # unknowns: the interior cells off the rectangle's first and last
-        # lines, in row-major order; a quadrant's first line on a mirror
-        # axis is then its ghost line, the copy of line 2
+        # lines, in row-major order; on a fold every cell is interior where
+        # its representative is, and only the representatives are unknowns
         for axis in (0, 1):
             lines = np.swapaxes(interior, 0, axis)
             lines[0] = lines[-1] = False
-        flat = np.flatnonzero(interior)
-        for axis in self._mirrors:
-            lines = np.swapaxes(interior, 0, axis)
-            lines[0] = lines[2]
+        nx, ny = interior.shape
+        inside = interior.reshape(-1)
+        del interior
+        if self._mirrors:
+            ri, rj = self._representative(cells[0][:, None], cells[1][None, :])
+            rep = ((ri - lo[0]) * ny + (rj - lo[1])).reshape(-1)
+            del ri, rj
+            inside = inside.take(rep)
+            flat = np.flatnonzero(inside & (rep == np.arange(nx * ny)))
+        else:
+            flat = np.flatnonzero(inside)
         self.n = len(flat)
         if self.n == 0:
             raise InputError("grid spacing too coarse: no interior cells")
-        ny = interior.shape[1]
         ii, jj = np.divmod(flat, ny)
-        # unknowns of the whole grid: a cell off a mirror axis (rectangle
-        # line 1) stands for its mirror image too
+        # unknowns of the whole grid: an unknown stands for its cell's orbit,
+        # one cell more for each folded symmetry that moves it
         weight = np.ones(self.n, dtype=np.int64)
+        cell = (ii + lo[0], jj + lo[1])
         for axis in self._mirrors:
-            weight[(ii, jj)[axis] != 1] *= 2
+            weight[cell[axis] != 0] *= 2
+        if self._swap:
+            weight[cell[0] != cell[1]] *= 2
         self._whole_n = int(weight.sum())
         # each leg's neighbor test, once, at flat offset di * ny + dj
         steps = [di * ny + dj for _, di, dj in _LEG_STEPS]
-        inside = interior.reshape(-1)
         whole = [inside.take(flat + step) for step in steps]
         # blocks: red cells with four whole legs, other red cells, then the
         # black cells likewise; red is an even i + j on the whole grid's
@@ -295,24 +327,24 @@ class DomainGrid:
         block = 2 * color + cut
         order = np.concatenate([np.flatnonzero(block == k) for k in range(4)])
         ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
-        del weight, cut, color, block
+        del weight, cell, cut, color, block
         flat = flat.take(order)
         whole = [nb.take(order) for nb in whole]
         self.ii, self.jj = ii.take(order), jj.take(order)
         del ii, jj, order
-        ids = np.full(interior.shape, -1, dtype=np.int64)
-        ids.reshape(-1)[flat] = np.arange(self.n, dtype=np.int64)
-        for axis in self._mirrors:
-            lines = np.swapaxes(ids, 0, axis)
-            lines[0] = lines[2]
-        self.mask = interior.astype(np.int8)
-        del interior
+        ids = np.full(nx * ny, -1, dtype=np.int64)
+        ids[flat] = np.arange(self.n, dtype=np.int64)
+        if self._mirrors:
+            ids = ids.take(rep)
+            del rep
+        self.mask = inside.reshape(nx, ny).astype(np.int8)
+        del inside
         # neighbor indices: block by block, one block per color, its E, W,
         # N and S legs one run after another; a cut leg points at unknown 0
         # with coefficient 0
         spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
         gidx = np.empty(4 * self.n, dtype=np.int64)
-        ids, mask = ids.reshape(-1), self.mask.reshape(-1)
+        mask = self.mask.reshape(-1)
         for k, (nb, step) in enumerate(zip(whole, steps)):
             at = flat + step
             mask[at[~nb]] = 2
@@ -380,18 +412,24 @@ class DomainGrid:
             nbin[name] = nb
         return legs, nbin
 
+    @functools.cached_property
     def _work(self) -> np.ndarray:
-        """A buffer for the four legs of the largest block."""
+        """Scratch for the four legs of the largest block, shared by every
+        sweep on the grid.
+
+        ``_apply`` takes a buffer per block instead: on a folded shape's
+        whole grid it runs once per solve, for the certificate, and a kept
+        buffer for half of that grid's legs would only raise peak memory.
+        """
         return np.empty(max(legs.size for _, (legs, _, _) in self._blocks))
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """(-Delta_h + 1) applied to interior values with zero boundary data."""
         out = np.empty(self.n)
-        work = self._work()
         for sel, (legs, coef, diag) in self._blocks:
-            gather = backend._leg_sum(values, legs, coef, work)
             np.multiply(diag, values[sel], out=out[sel])
-            out[sel] -= gather
+            out[sel] -= backend._leg_sum(values, legs, coef,
+                                         np.empty(legs.size))
         return out
 
     def operator_values(self, values: np.ndarray) -> np.ndarray:
@@ -420,7 +458,7 @@ class DomainGrid:
 
         ``lower`` is a number (-inf for no bound) or one bound per unknown.
         """
-        work = self._work()
+        work = self._work
         blocks = [(values[sel], legs, coef, diag, rhs[sel],
                    lower[sel] if isinstance(lower, np.ndarray) else lower)
                   for sel, (legs, coef, diag) in self._blocks]
@@ -431,32 +469,47 @@ class DomainGrid:
 
     @functools.cached_property
     def _fold(self):
-        """The grid solves run on: its quadrant, or itself without mirror
+        """The grid solves run on: its ``_Fold``, or itself without mirror
         axes."""
-        return _Quadrant(self.shape, self.h) if self.shape.mirror_axes \
-            else self
+        return _Fold(self.shape, self.h) if self.shape.mirror_axes else self
+
+    def _representative(self, i, j):
+        """The cell of this grid's unknowns that absolute cell (i, j) stands
+        for: |i| (|j|) on each folded mirror axis, then (max, min) of the
+        two on the octant; (i, j) itself on a whole grid."""
+        cell = [i, j]
+        for axis in self._mirrors:
+            cell[axis] = np.abs(cell[axis])
+        if self._swap:
+            cell = [np.maximum(*cell), np.minimum(*cell)]
+        return cell
+
+    def _ids_at(self, i, j, missing: int = -1) -> np.ndarray:
+        """Unknown id of each absolute cell (i, j)'s representative, or
+        ``missing`` where that is no unknown or off the rectangle."""
+        i, j = self._representative(i, j)
+        i, j = i - self.origin[0], j - self.origin[1]
+        nx, ny = self.mask.shape
+        ids = np.full(nx * ny + 1, missing, dtype=np.int64)
+        ids[self._flat] = np.arange(self.n, dtype=np.int64)
+        on = (i >= 0) & (i < nx) & (j >= 0) & (j < ny)
+        return ids.take(np.where(on, i * ny + j, nx * ny))
 
     @functools.cached_property
     def _unfold(self) -> np.ndarray:
         """Each unknown's representative among the fold's unknowns.
 
-        A shape that declares a mirror axis it lacks can leave a cell with
-        no representative; it reads index -1, the fold's last unknown, and
-        the solve's whole-grid certificate rejects the field.
+        A shape that declares a symmetry it lacks can leave a cell with no
+        representative; it reads index -1, the fold's last unknown, and the
+        solve's whole-grid certificate rejects the field.
         """
-        fold = self._fold
-        ids = np.full(fold.mask.shape, -1, dtype=np.int64)
-        ids[fold.ii, fold.jj] = np.arange(fold.n, dtype=np.int64)
-        cell = [self.ii + self.origin[0], self.jj + self.origin[1]]
-        for axis in fold._mirrors:
-            cell[axis] = np.abs(cell[axis])
-        return ids[cell[0] - fold.origin[0], cell[1] - fold.origin[1]]
+        return self._fold._ids_at(self.ii + self.origin[0],
+                                  self.jj + self.origin[1])
 
     @functools.cached_property
     def _coarse(self):
         """The same shape at spacing 2h, or None while the whole 2h grid
-        has fewer than MIN_COARSE_CELLS unknowns; a quadrant's is a
-        quadrant."""
+        has fewer than MIN_COARSE_CELLS unknowns; a fold's is a fold."""
         try:
             coarse = type(self)(self.shape, 2.0 * self.h)
         except InputError:
@@ -469,71 +522,76 @@ class DomainGrid:
         return self.ii * self.mask.shape[1] + self.jj
 
     @functools.cached_property
-    def _frame_flat(self) -> np.ndarray:
-        """Flat position of each unknown in the frame of fine points around
-        the 2h grid's rectangle.
+    def _restriction(self) -> np.ndarray:
+        """(9, n_2h) fine ids of each 2h unknown's 3x3 stencil, n off the
+        fine unknowns.
+
+        2h cell (I, J) is fine point (2I, 2J).  Rows: the centre, then W, E,
+        S, N and SW, NE, SE, NW, the pairs that ``_restrict`` sums.
+        """
+        coarse = self._coarse
+        di = np.array([0, -1, 1, 0, 0, -1, 1, 1, -1])[:, None]
+        dj = np.array([0, 0, 0, -1, 1, -1, 1, -1, 1])[:, None]
+        return self._ids_at(2 * (coarse.ii + coarse.origin[0]) + di,
+                            2 * (coarse.jj + coarse.origin[1]) + dj, self.n)
+
+    @functools.cached_property
+    def _prolongation(self) -> np.ndarray:
+        """(4, n) 2h ids around each fine unknown, n_2h off the 2h unknowns.
+
+        Rows SW, SE, NW, NE, the 2h points at the floor and ceiling of half
+        the fine cell on each axis: a fine point on a 2h point reads it four
+        times, one between two 2h points each twice.
+        """
+        coarse = self._coarse
+        i, j = self.ii + self.origin[0], self.jj + self.origin[1]
+        ilo, ihi, jlo, jhi = i // 2, (i + 1) // 2, j // 2, (j + 1) // 2
+        return coarse._ids_at(np.stack([ilo, ihi, ilo, ihi]),
+                              np.stack([jlo, jlo, jhi, jhi]), coarse.n)
+
+    def _frame(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Fine values on the frame of fine points around the 2h grid's
+        rectangle, as the transfer tables read them: ``fill`` off the
+        unknowns, a fold's ghosts their representative's.
 
         Frame point (p, q) is the fine point ``2 * coarse.origin - 1 + (p, q)``,
         so coarse cell (I, J) sits at (2I + 1, 2J + 1) and its 3x3 fine
         neighborhood is ``frame[2I:2I + 3, 2J:2J + 3]``.
         """
-        a = self.origin[0] - 2 * self._coarse.origin[0] + 1
-        b = self.origin[1] - 2 * self._coarse.origin[1] + 1
-        width = 2 * self._coarse.mask.shape[1] + 1
-        return (self.ii + a) * width + (self.jj + b)
-
-    def _frame(self, values: np.ndarray, fill: float) -> np.ndarray:
-        """Unknowns placed in the frame, ``fill`` elsewhere."""
         nx, ny = self._coarse.mask.shape
-        frame = np.full((2 * nx + 1, 2 * ny + 1), fill)
-        frame.reshape(-1)[self._frame_flat] = values
-        for axis in self._mirrors:
-            # a quadrant's ghost line x = -h is frame line 2, x = h line 4
-            lines = np.swapaxes(frame, 0, axis)
-            lines[2] = lines[4]
-        return frame
+        p = np.arange(2 * nx + 1) + (2 * self._coarse.origin[0] - 1)
+        q = np.arange(2 * ny + 1) + (2 * self._coarse.origin[1] - 1)
+        return np.append(values, fill).take(
+            self._ids_at(p[:, None], q[None, :], self.n))
 
     def _restrict(self, values: np.ndarray) -> np.ndarray:
         """Full weighting of fine values onto the 2h grid's unknowns."""
-        f = self._frame(values, 0.0)
-        lo, mid, hi = slice(0, -2, 2), slice(1, -1, 2), slice(2, None, 2)
-        edges = (f[lo, mid] + f[hi, mid]) + (f[mid, lo] + f[mid, hi])
-        corners = (f[lo, lo] + f[hi, hi]) + (f[hi, lo] + f[lo, hi])
-        full = (4.0 * f[mid, mid] + 2.0 * edges + corners) / 16.0
-        return full.take(self._coarse._flat)
+        c, w, e, s, n, sw, ne, se, nw = np.append(values, 0.0).take(
+            self._restriction)
+        return (4.0 * c + 2.0 * ((w + e) + (s + n))
+                + ((sw + ne) + (se + nw))) / 16.0
 
     def _defect_bound(self, defect: np.ndarray) -> np.ndarray:
         """Max of a fine defect over each 2h unknown's 3x3 neighborhood."""
-        f = self._frame(defect, -np.inf)
-        coarse = self._coarse
-        nx, ny = coarse.mask.shape
-        full = np.full((nx, ny), -np.inf)
-        for p in range(3):
-            for q in range(3):
-                np.maximum(full, f[p:p + 2 * nx:2, q:q + 2 * ny:2], out=full)
-        return full.take(coarse._flat)
+        return np.append(defect, -np.inf).take(self._restriction).max(axis=0)
 
     def _prolong(self, values: np.ndarray, fill: float = 0.0) -> np.ndarray:
         """Bilinear interpolation of 2h values (``fill`` off its unknowns)."""
-        coarse = self._coarse
-        full = np.full(coarse.mask.shape, fill)
-        full.reshape(-1)[coarse._flat] = values
-        nx, ny = full.shape
-        f = np.zeros((2 * nx + 1, 2 * ny + 1))
-        f[1::2, 1::2] = full
-        f[2:-1:2, 1::2] = 0.5 * (full[:-1] + full[1:])
-        f[1::2, 2:-1:2] = 0.5 * (full[:, :-1] + full[:, 1:])
-        f[2:-1:2, 2:-1:2] = 0.25 * ((full[:-1, :-1] + full[1:, 1:])
-                                    + (full[1:, :-1] + full[:-1, 1:]))
-        return f.take(self._frame_flat)
+        sw, se, nw, ne = np.append(values, fill).take(self._prolongation)
+        return 0.25 * ((sw + ne) + (se + nw))
 
 
-class _Quadrant(DomainGrid):
-    """The fold of a ``DomainGrid`` over its shape's mirror axes."""
+class _Fold(DomainGrid):
+    """The fold of a ``DomainGrid`` over its shape's mirror axes, and over
+    x <-> y where the shape declares the diagonal with both axes."""
 
     @property
     def _mirrors(self):
         return self.shape.mirror_axes
+
+    @property
+    def _swap(self):
+        return self.shape.mirror_diagonal and set(self._mirrors) == {0, 1}
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,22 @@ def test_polygon_contains():
     assert not tri.contains(0.0, 0.0)   # boundary is excluded (open domain)
 
 
+@pytest.mark.parametrize("shape", [
+    Ellipse(1.3, 0.7),
+    ConvexPolygon([[-1.0, -0.8], [1.1, -0.6], [0.9, 0.7], [-0.4, 1.0]])],
+    ids=repr)
+def test_contains_takes_broadcast_arguments(shape):
+    # the grid build evaluates a column of x against a row of y; that gives
+    # the meshgrid evaluation's values, shape and bits
+    xs = np.arange(-45, 46) / 37.0
+    ys = np.arange(-30, 41) / 37.0
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    want = shape.contains(gx, gy)
+    got = shape.contains(xs[:, None], ys[None, :])
+    assert got.shape == want.shape == (91, 71)
+    assert np.array_equal(got, want) and want.any() and not want.all()
+
+
 # ---------------------------------------------------------------------------
 # Grid construction
 # ---------------------------------------------------------------------------
@@ -376,9 +392,9 @@ def test_cycle_count_independent_of_h(name):
 
 
 def test_disk_fields_are_symmetric():
-    # a solve on the disk's quadrant unfolds into a field with x -> -x and
-    # y -> -y by construction; x <-> y it must find itself.  The whole-grid
-    # solve, of a disk that declares no mirror axes, must find all three.
+    # a solve on the disk's octant unfolds into a field with x -> -x,
+    # y -> -y and x <-> y by construction.  The whole-grid solve, of a disk
+    # that declares no mirror axes, must find all three.
     mirrors = (lambda a: a[::-1, :], lambda a: a[:, ::-1], np.transpose)
     for shape in (UnitDisk(), WholeEllipse(1.0, 1.0)):
         grid = DomainGrid(shape, 1.0 / 64.0)
@@ -389,7 +405,7 @@ def test_disk_fields_are_symmetric():
             full = np.zeros(grid.mask.shape)
             full[grid.ii, grid.jj] = values
             for k, f in enumerate(mirrors):
-                if shape.mirror_axes and k < 2:
+                if shape.mirror_axes:
                     assert np.array_equal(full, f(full))
                 else:
                     assert np.max(np.abs(full - f(full))) < 1e-13
@@ -628,12 +644,31 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
             assert parity[0] != parity[1]
 
 
+def test_smooth_calls_share_the_grid_scratch(monkeypatch):
+    # the sweep's work buffer is the grid's own, allocated once: two smoothing
+    # calls, and every sweep within them, hand psor_sweep the same array
+    grid = DomainGrid(UnitDisk(), 1.0 / 37.0)._fold
+    works = []
+    sweep = backend.psor_sweep
+
+    def record(*args):
+        works.append(args[-1])
+        return sweep(*args)
+    monkeypatch.setattr(backend, "psor_sweep", record)
+    values = np.ones(grid.n)
+    for _ in range(2):
+        grid._smooth(values, grid._bc_unit, -np.inf, 1)
+    assert len(works) == 4
+    assert all(work is works[0] for work in works)
+
+
 # ---------------------------------------------------------------------------
 # Quadrant folds against the whole grid
 # ---------------------------------------------------------------------------
 
 
-FOLD_SHAPES = [UnitDisk(), Ellipse(1.3, 0.7), Ellipse(1.2, 0.8)]
+FOLD_SHAPES = [UnitDisk(), Ellipse(1.3, 0.7), Ellipse(1.2, 0.8),
+               Ellipse(0.8, 0.8)]
 
 
 class HalfEllipse(Ellipse):
@@ -691,11 +726,13 @@ def test_folded_solves_equal_whole_grid_solves(shape, k):
     assert not folded[1].active.any() and folded[2].active.any()
 
 
-def _two_d_build(shape, h, mirrors):
+def _two_d_build(shape, h, mirrors, swap):
     """A grid's unknowns, mask and stencil built with two-dimensional
     indexing: ``np.nonzero`` for the unknowns, [i, j] fancy indexing for
     every neighbor and a stable ``argsort`` for the order of the four
     blocks (red full-leg, red cut-leg, black full-leg, black cut-leg).
+    With ``swap`` the rectangle is square and every cell above its
+    diagonal takes its transposed cell's interior and unknown.
 
     Returns a dict with ``origin``, ``n``, ``whole_n``, ``ii``, ``jj``,
     ``mask``, ``diag``, ``bc_unit``, the blocks' ``spans`` and each block's
@@ -710,22 +747,33 @@ def _two_d_build(shape, h, mirrors):
     lo, hi = [imin, jmin], [imax, jmax]
     for axis in mirrors:
         lo[axis], hi[axis] = -1, max(hi[axis], -lo[axis])
+    if swap:
+        hi = [max(hi)] * 2
     xs = np.arange(lo[0], hi[0] + 1, dtype=np.int64) * h
     ys = np.arange(lo[1], hi[1] + 1, dtype=np.int64) * h
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     interior = np.asarray(shape.contains(gx, gy), dtype=bool)
+    # the square's rows and columns start at the same cell, -h, so the
+    # transpose of the array is the swap x <-> y
+    upper = np.triu(np.ones(interior.shape, dtype=bool), 1) if swap \
+        else np.zeros(interior.shape, dtype=bool)
+    for axis in (0, 1):
+        np.swapaxes(interior, 0, axis)[-1] = False
+    if swap:
+        interior[upper] = interior.T[upper]
     for axis in (0, 1):
         lines = np.swapaxes(interior, 0, axis)
-        lines[-1] = False
         lines[0] = lines[2] if axis in mirrors else False
     ghosts = [int(axis in mirrors) for axis in (0, 1)]
-    ii, jj = np.nonzero(interior[ghosts[0]:, ghosts[1]:])
+    ii, jj = np.nonzero((interior & ~upper)[ghosts[0]:, ghosts[1]:])
     ii += ghosts[0]
     jj += ghosts[1]
     n = len(ii)
     weight = np.ones(n, dtype=np.int64)
     for axis in mirrors:
         weight[(ii, jj)[axis] != 1] *= 2
+    if swap:
+        weight[ii != jj] *= 2
     whole = [interior[ii + di, jj + dj] for _, di, dj in obstacle._LEG_STEPS]
     cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
     color = (ii + jj + lo[0] - imin + lo[1] - jmin) % 2
@@ -736,6 +784,8 @@ def _two_d_build(shape, h, mirrors):
     ii, jj = ii[order], jj[order]
     ids = np.full(interior.shape, -1, dtype=np.int64)
     ids[ii, jj] = np.arange(n, dtype=np.int64)
+    if swap:
+        ids[upper] = ids.T[upper]
     for axis in mirrors:
         lines = np.swapaxes(ids, 0, axis)
         lines[0] = lines[2]
@@ -786,7 +836,7 @@ def test_grid_build_equals_two_d_indexing(shape, k):
     grids = [whole, whole._fold]
     while grids:
         grid = grids.pop()
-        ref = _two_d_build(shape, grid.h, grid._mirrors)
+        ref = _two_d_build(shape, grid.h, grid._mirrors, grid._swap)
         assert grid.origin == ref["origin"]
         assert (grid.n, grid._whole_n) == (ref["n"], ref["whole_n"])
         for got, want in ((grid.ii, ref["ii"]), (grid.jj, ref["jj"]),
@@ -813,17 +863,21 @@ def test_grid_build_equals_two_d_indexing(shape, k):
 def _representatives(whole, fold):
     """Index maps between a whole grid and the fold at the same spacing,
     found by coordinates: each whole unknown's representative in the fold
-    (the cell at |x|, |y| on the fold's mirror axes), and the whole
+    (the cell at |x|, |y| on the fold's mirror axes, sorted to (max, min)
+    when the shape declares the diagonal with both axes), and the whole
     unknown at each fold unknown's own cell."""
     axes = fold.shape.mirror_axes
+    swap = fold.shape.mirror_diagonal and sorted(axes) == [0, 1]
     at_fold = {(i, j): k for k, (i, j) in enumerate(zip(
         (fold.ii + fold.origin[0]).tolist(),
         (fold.jj + fold.origin[1]).tolist()))}
     cells = list(zip((whole.ii + whole.origin[0]).tolist(),
                      (whole.jj + whole.origin[1]).tolist()))
     at_whole = {c: k for k, c in enumerate(cells)}
-    unfold = [at_fold[(abs(i) if 0 in axes else i, abs(j) if 1 in axes else j)]
-              for i, j in cells]
+    def rep(i, j):
+        i, j = abs(i) if 0 in axes else i, abs(j) if 1 in axes else j
+        return (max(i, j), min(i, j)) if swap else (i, j)
+    unfold = [at_fold[rep(i, j)] for i, j in cells]
     own = [at_whole[c] for c in sorted(at_fold, key=at_fold.get)]
     return np.array(unfold), np.array(own)
 
@@ -836,7 +890,8 @@ def test_quadrant_kernels_equal_the_whole_grid(shape, k):
     # spacing, on a field unfolded from the fold.  The transfers read the
     # same numbers in the same pairings on both, so they agree bit for bit.
     # The operator and the sweep do too at the fold's own cells, but a cell
-    # below the x-axis sums its N and S legs in the other order.  For the
+    # below the x-axis sums its N and S legs in the other order, and on the
+    # octant a cell above the diagonal its E, W and N, S pairs.  For the
     # operator d v - sum_k c_k v_k that changes the leg sum by at most
     # 2 gamma_3 sum |c_k v_k| and each side's final subtraction rounds by at
     # most u |result|: with sum_k c_k <= d - 1, at most 8 u (d |v| +
@@ -885,11 +940,16 @@ def test_quadrant_kernels_equal_the_whole_grid(shape, k):
         unfold, own = coarse_unfold, coarse_own
 
 
-@pytest.mark.parametrize("centre", [(0.15, 0.0), (0.0, 0.1), (0.15, 0.1)])
-def test_a_wrongly_declared_mirror_axis_fails_loudly(centre):
-    # the quadrant solves another problem, and the whole-grid certificate
-    # turns its field into NoConvergence (exit code 3 on the command line)
-    shape = OffCentreEllipse(1.2, 0.8, *centre)
+class DiagonalEllipse(Ellipse):
+    """Ellipse(rx, ry) that declares the diagonal x <-> y whatever its
+    semi-axes."""
+
+    mirror_diagonal = True
+
+
+def _fails_loudly(shape):
+    # the fold solves another problem, and the whole-grid certificate turns
+    # its field into NoConvergence (exit code 3 on the command line)
     grid = DomainGrid(shape, 1.0 / 32.0)
     with pytest.raises(NoConvergence):
         solve_h0(grid)
@@ -899,6 +959,20 @@ def test_a_wrongly_declared_mirror_axis_fails_loudly(centre):
     shape.mirror_axes = ()
     field = solve_obstacle(DomainGrid(shape, 1.0 / 32.0), 0.9)
     assert field.residual < field.tol
+
+
+@pytest.mark.parametrize("centre", [(0.15, 0.0), (0.0, 0.1), (0.15, 0.1)])
+def test_a_wrongly_declared_mirror_axis_fails_loudly(centre):
+    _fails_loudly(OffCentreEllipse(1.2, 0.8, *centre))
+
+
+def test_a_wrongly_declared_diagonal_fails_loudly():
+    # Ellipse(1.2, 0.8) folded onto its octant: the fold's rectangle is
+    # square and mirrors the octant's cells above the diagonal
+    shape = DiagonalEllipse(1.2, 0.8)
+    fold = DomainGrid(shape, 1.0 / 32.0)._fold
+    assert fold._swap and fold.mask.shape[0] == fold.mask.shape[1]
+    _fails_loudly(shape)
 
 
 # ---------------------------------------------------------------------------
