@@ -40,7 +40,11 @@ on its whole grid.  Every field is unfolded onto the whole grid and
 certified there: its residual and a value-error bound come from one
 whole-grid operator evaluation, and a field whose residual is not below
 tol, for instance from a shape that declares a symmetry it lacks, raises
-NoConvergence.  The verification helpers measure the coincidence set
+NoConvergence.  That evaluation reads the field on the whole grid's
+rectangle, four shifted slices for the full-leg cells and a gather at the
+cut-leg cells, with the bits of the sweep's stencil; so the whole grid of
+a folded shape, which is never swept, holds its geometry and builds no
+sweep stencil.  The verification helpers measure the coincidence set
 {H = m} and test the qualitative facts the solution is known to satisfy:
 monotonicity in m, the gradient bound in sqrt(1-m), the area scale law near
 the obstacle-activation level, and ellipse roundness of the small
@@ -233,23 +237,33 @@ class DomainGrid:
 
     Unknowns are numbered one red-black color after the other, each color
     with its cells of four full legs first and its cells with a cut leg
-    last.  Each color is one block, swept in one call, and stores its
-    stencil once, as ``backend.psor_sweep`` takes it: its E, W, N and S
-    neighbor indices joined into one int64 run, its coefficients as a pair
-    (full, cut), and its view of ``diag``.  The full-leg cells share the
-    one number ``full``; only the k cut-leg cells at the block's end store
-    theirs, in the (4, k) array ``cut``.
+    last.  ``_flat`` holds each unknown's position in the flattened
+    rectangle; ``ii`` and ``jj`` are derived from it.  The grid stores the
+    geometry of its stencil: one coefficient and one diagonal shared by
+    the full-leg cells, and for the k cut-leg cells their ids, their four
+    neighbors' rectangle positions, their (4, k) leg coefficients (0 on a
+    cut leg), diagonal and boundary coefficient.
 
-    A ``DomainGrid`` is always the whole grid: ``n``, ``ii``, ``jj``,
-    ``mask``, ``diag`` and the operator cover every unknown.  Solves run
-    on its fold (``_fold``), a ``_Fold`` of the same shape and spacing, or
-    the grid itself when the shape declares no mirror axes.  A fold keeps
-    one unknown per orbit of the shape's symmetries: the cell at |x| on
-    each mirror axis and, when the shape also declares the diagonal with
-    both axes, the one of the octant 0 <= y <= x, (|x|, |y|) sorted to
-    (max, min) (``_representative``).  Its rectangle starts one ghost line
-    below each mirror axis, at x = -h (y = -h), reaches the farther side
-    of the shape, and is square on the octant.  Every other cell of the
+    A grid that is swept builds, on its first sweep, the stencil
+    ``backend.psor_sweep`` takes (``_blocks``): each color one block,
+    swept in one call, with its E, W, N and S neighbor indices joined into
+    one int64 run, its coefficients as a pair (full, cut) and its view of
+    the dense ``diag``; ``_bc_unit`` and the sweep's scratch ``_work`` come
+    with it.  ``operator_values`` and ``leg_gradients`` read the unknowns
+    from the rectangle instead, and build none of these.
+
+    A ``DomainGrid`` is always the whole grid: ``n``, ``ii``, ``jj`` and
+    ``mask`` cover every unknown, and each solve's field is certified on
+    it with ``operator_values``.  Solves run on its fold (``_fold``), a
+    ``_Fold`` of the same shape and spacing, or the grid itself when the
+    shape declares no mirror axes; so only a polygon's whole grid builds
+    the sweep's stencil.  A fold keeps one unknown per orbit of the
+    shape's symmetries: the cell at |x| on each mirror axis and, when the
+    shape also declares the diagonal with both axes, the one of the
+    octant 0 <= y <= x, (|x|, |y|) sorted to (max, min)
+    (``_representative``).  Its rectangle starts one ghost line below
+    each mirror axis, at x = -h (y = -h), reaches the farther side of the
+    shape, and is square on the octant.  Every other cell of the
     rectangle, the ghost lines and the cells above the diagonal, is
     interior where its representative is and carries its unknown, so every
     stencil leg and every transfer that leaves the fold's unknowns reads
@@ -301,6 +315,7 @@ class DomainGrid:
             del ri, rj
             inside = inside.take(rep)
             flat = np.flatnonzero(inside & (rep == np.arange(nx * ny)))
+            del rep
         else:
             flat = np.flatnonzero(inside)
         self.n = len(flat)
@@ -325,61 +340,36 @@ class DomainGrid:
         cut = ~(whole[0] & whole[1] & whole[2] & whole[3])
         color = (ii + jj + lo[0] - imin + lo[1] - jmin) % 2
         block = 2 * color + cut
+        del weight, cell, whole, cut, color, ii, jj
         order = np.concatenate([np.flatnonzero(block == k) for k in range(4)])
         ends = np.cumsum(np.bincount(block, minlength=4)).tolist()
-        del weight, cell, cut, color, block
-        flat = flat.take(order)
-        whole = [nb.take(order) for nb in whole]
-        self.ii, self.jj = ii.take(order), jj.take(order)
-        del ii, jj, order
-        ids = np.full(nx * ny, -1, dtype=np.int64)
-        ids[flat] = np.arange(self.n, dtype=np.int64)
-        if self._mirrors:
-            ids = ids.take(rep)
-            del rep
+        self._flat = flat.take(order)
+        del flat, block, order
         self.mask = inside.reshape(nx, ny).astype(np.int8)
         del inside
-        # neighbor indices: block by block, one block per color, its E, W,
-        # N and S legs one run after another; a cut leg points at unknown 0
-        # with coefficient 0
-        spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
-        gidx = np.empty(4 * self.n, dtype=np.int64)
-        mask = self.mask.reshape(-1)
-        for k, (nb, step) in enumerate(zip(whole, steps)):
-            at = flat + step
-            mask[at[~nb]] = 2
-            nbi = np.where(nb, ids.take(at), 0)
-            for start, _, stop in spans:
-                gidx[4 * start:4 * stop].reshape(4, -1)[k] = nbi[start:stop]
-        del ids, mask, flat, whole
+        self._spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
 
-        # Full-leg cells share one coefficient: the leg formulas below at
-        # leg length h.  Only the cut-leg cells store their own.
-        hh = self.h
-        full_coef = 2.0 / (hh * (hh + hh))
-        full_diag = 2.0 / (hh * hh) + 2.0 / (hh * hh) + 1.0
-        self.diag = np.full(self.n, full_diag)
-        self._bc_unit = np.zeros(self.n)
-        self._blocks = []     # (slice, (legs, coef, diag)) for psor_sweep
-        for start, split, stop in spans:
-            if start == stop:
-                continue
-            sel = slice(split, stop)
-            legs, nbin = self._leg_lengths(sel)
-            cE = 2.0 / (legs["E"] * (legs["E"] + legs["W"]))
-            cW = 2.0 / (legs["W"] * (legs["E"] + legs["W"]))
-            cN = 2.0 / (legs["N"] * (legs["N"] + legs["S"]))
-            cS = 2.0 / (legs["S"] * (legs["N"] + legs["S"]))
-            self.diag[sel] = 2.0 / (legs["E"] * legs["W"]) \
-                + 2.0 / (legs["N"] * legs["S"]) + 1.0
-            leg_coef = {"E": cE, "W": cW, "N": cN, "S": cS}
-            self._bc_unit[sel] = sum(np.where(~nbin[d], leg_coef[d], 0.0)
-                                     for d in leg_coef)
-            cut = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
-                            for d in "EWNS"])
-            self._blocks.append((slice(start, stop), (
-                gidx[4 * start:4 * stop], (full_coef, cut),
-                self.diag[start:stop])))
+        # the cut-leg cells, the last of each color: their four neighbors'
+        # rectangle positions, a boundary-data cell (mask 2) where the leg
+        # is cut, and their stencil.  Full-leg cells share one coefficient
+        # and one diagonal: the leg formulas below at leg length h.
+        self._cut_ids = np.r_[ends[0]:ends[1], ends[2]:ends[3]]
+        self._cut_pos = self._flat.take(self._cut_ids) \
+            + np.array(steps)[:, None]
+        legs, nbin = self._leg_lengths(self._cut_ids)
+        mask = self.mask.reshape(-1)
+        for name, pos in zip("EWNS", self._cut_pos):
+            mask[pos[~nbin[name]]] = 2
+        self._full_coef = 2.0 / (h * (h + h))
+        self._full_diag = 2.0 / (h * h) + 2.0 / (h * h) + 1.0
+        e, w, nn, ss = (legs[d] for d in "EWNS")
+        leg_coef = {"E": 2.0 / (e * (e + w)), "W": 2.0 / (w * (e + w)),
+                    "N": 2.0 / (nn * (nn + ss)), "S": 2.0 / (ss * (nn + ss))}
+        self._cut_diag = 2.0 / (e * w) + 2.0 / (nn * ss) + 1.0
+        self._cut_bc = sum(np.where(~nbin[d], leg_coef[d], 0.0)
+                           for d in leg_coef)
+        self._cut_coef = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
+                                   for d in "EWNS"])
 
     @property
     def area(self) -> float:
@@ -387,9 +377,31 @@ class DomainGrid:
         return self.n * self.h * self.h
 
     @property
+    def ii(self) -> np.ndarray:
+        """Rectangle row of each unknown, derived from ``_flat``."""
+        return self._flat // self.mask.shape[1]
+
+    @property
+    def jj(self) -> np.ndarray:
+        """Rectangle column of each unknown, derived from ``_flat``."""
+        return self._flat % self.mask.shape[1]
+
+    def _cells(self):
+        """Absolute cell (i, j) of every unknown, both derived at once."""
+        i, j = np.divmod(self._flat, self.mask.shape[1])
+        i += self.origin[0]
+        j += self.origin[1]
+        return i, j
+
+    @property
     def xy(self) -> np.ndarray:
         """Coordinates of the unknowns, shape (n, 2)."""
-        return np.column_stack([self.xs[self.ii], self.ys[self.jj]])
+        return self._xy_of(slice(None))
+
+    def _xy_of(self, sel) -> np.ndarray:
+        """Coordinates of unknowns ``sel`` (an index array, slice or mask)."""
+        i, j = np.divmod(self._flat[sel], self.mask.shape[1])
+        return np.column_stack([self.xs[i], self.ys[j]])
 
     def _leg_lengths(self, sel=slice(None)):
         """Leg lengths of unknowns ``sel`` and whether each leg is whole.
@@ -398,11 +410,14 @@ class DomainGrid:
         fraction where it is cut by the boundary.  Returns two dicts keyed
         E, W, N, S.
         """
-        ii, jj = self.ii[sel], self.jj[sel]
+        ny = self.mask.shape[1]
+        flat = self._flat[sel]
+        ii, jj = np.divmod(flat, ny)
+        mask = self.mask.reshape(-1)
         legs, nbin = {}, {}
         for name, di, dj in _LEG_STEPS:
-            nb = self.mask[ii + di, jj + dj] == 1
-            leg = np.full(len(ii), self.h)
+            nb = mask.take(flat + (di * ny + dj)) == 1
+            leg = np.full(len(flat), self.h)
             cut = ~nb
             if np.any(cut):
                 theta = self.shape.exit_fraction(
@@ -412,19 +427,51 @@ class DomainGrid:
             nbin[name] = nb
         return legs, nbin
 
+    # -- the sweep's stencil, built by the first sweep --------------------
+
+    @functools.cached_property
+    def diag(self) -> np.ndarray:
+        """Diagonal of every unknown."""
+        diag = np.full(self.n, self._full_diag)
+        diag[self._cut_ids] = self._cut_diag
+        return diag
+
+    @functools.cached_property
+    def _bc_unit(self) -> np.ndarray:
+        """Each unknown's coefficient of the boundary datum, 0 on full-leg
+        cells."""
+        bc = np.zeros(self.n)
+        bc[self._cut_ids] = self._cut_bc
+        return bc
+
+    @functools.cached_property
+    def _blocks(self):
+        """(slice, (legs, coef, diag)) of each color, as ``psor_sweep`` takes
+        them; a cut leg points at unknown 0 with coefficient 0."""
+        i, j = self._cells()
+        nbr = self._ids_at(np.stack([i + di for _, di, _ in _LEG_STEPS]),
+                           np.stack([j + dj for _, _, dj in _LEG_STEPS]), 0)
+        del i, j
+        blocks, k = [], 0
+        for start, split, stop in self._spans:
+            if start == stop:
+                continue
+            cut = self._cut_coef[:, k:k + stop - split]
+            k += stop - split
+            blocks.append((slice(start, stop), (
+                np.ascontiguousarray(nbr[:, start:stop]).reshape(-1),
+                (self._full_coef, cut), self.diag[start:stop])))
+        return blocks
+
     @functools.cached_property
     def _work(self) -> np.ndarray:
         """Scratch for the four legs of the largest block, shared by every
-        sweep on the grid.
-
-        ``_apply`` takes a buffer per block instead: on a folded shape's
-        whole grid it runs once per solve, for the certificate, and a kept
-        buffer for half of that grid's legs would only raise peak memory.
-        """
+        sweep on the grid."""
         return np.empty(max(legs.size for _, (legs, _, _) in self._blocks))
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
-        """(-Delta_h + 1) applied to interior values with zero boundary data."""
+        """(-Delta_h + 1) applied to interior values with zero boundary data,
+        with the sweep's stencil."""
         out = np.empty(self.n)
         for sel, (legs, coef, diag) in self._blocks:
             np.multiply(diag, values[sel], out=out[sel])
@@ -432,23 +479,63 @@ class DomainGrid:
                                          np.empty(legs.size))
         return out
 
-    def operator_values(self, values: np.ndarray) -> np.ndarray:
-        """(-Delta_h + 1) applied to interior values with Dirichlet data."""
-        return self._apply(values) - BOUNDARY_VALUE * self._bc_unit
-
     def scaled_residual(self, values: np.ndarray) -> np.ndarray:
-        """Operator values divided by the diagonal (Jacobi scaling)."""
-        return self.operator_values(values) / self.diag
+        """Operator values divided by the diagonal (Jacobi scaling), with the
+        sweep's stencil: the per-cycle test of the grid a solve runs on."""
+        return (self._apply(values) - BOUNDARY_VALUE * self._bc_unit) \
+            / self.diag
+
+    # -- evaluations on the rectangle ---------------------------------------
+
+    def _rectangle(self, values: np.ndarray, fill: float) -> np.ndarray:
+        """Values on the flattened ``mask`` rectangle, ``fill`` off the
+        unknowns.  A fold's ghosts and cells above the diagonal stay
+        ``fill``, so the evaluations on the rectangle serve whole grids."""
+        rect = np.full(self.mask.size, fill)
+        rect[self._flat] = values
+        return rect
+
+    def operator_values(self, values: np.ndarray) -> np.ndarray:
+        """(-Delta_h + 1) applied to interior values with Dirichlet data.
+
+        Evaluated on the rectangle, with the bits of the sweep's stencil:
+        the full-leg sum adds the four shifted rectangles, each scaled by
+        the one full-leg coefficient, E + W + N + S; the cut-leg cells
+        then gather their legs and take their own coefficients, diagonal
+        and boundary datum.
+        """
+        rect = self._rectangle(values, 0.0)
+        legs = rect.take(self._cut_pos) * self._cut_coef
+        rect *= self._full_coef
+        ny = self.mask.shape[1]
+        total = np.empty_like(rect)     # rows 1 to nx - 2 hold the sums
+        acc = total[ny:-ny]
+        np.add(rect[2 * ny:], rect[:-2 * ny], out=acc)
+        acc += rect[ny + 1:1 - ny]
+        acc += rect[ny - 1:-ny - 1]
+        out = self._full_diag * values - total.take(self._flat)
+        cut = self._cut_ids
+        out[cut] = self._cut_diag * values[cut] \
+            - (legs[0] + legs[1] + legs[2] + legs[3]) \
+            - BOUNDARY_VALUE * self._cut_bc
+        return out
 
     def leg_gradients(self, values: np.ndarray):
-        """One-sided difference quotient along every stencil leg, (4, n)."""
-        legs, nbin = self._leg_lengths()
+        """One-sided difference quotient along every stencil leg, (4, n),
+        read from the rectangle: a cut leg reaches a boundary-data cell,
+        which holds the boundary value."""
+        rect = self._rectangle(values, BOUNDARY_VALUE)
+        ny = self.mask.shape[1]
         out = np.empty((4, self.n))
-        for sel, (idx, _, _) in self._blocks:
-            out[:, sel] = values.take(idx).reshape(4, -1)
+        for k, (_, di, dj) in enumerate(_LEG_STEPS):
+            np.subtract(rect.take(self._flat + (di * ny + dj)), values,
+                        out=out[k])
+            out[k] /= self.h
+        cut = self._cut_ids
+        legs, _ = self._leg_lengths(cut)
         for k, name in enumerate("EWNS"):
-            nbv = np.where(nbin[name], out[k], BOUNDARY_VALUE)
-            out[k] = (nbv - values) / legs[name]
+            out[k, cut] = (rect.take(self._cut_pos[k]) - values[cut]) \
+                / legs[name]
         return out
 
     # -- multigrid pieces -------------------------------------------------
@@ -503,8 +590,7 @@ class DomainGrid:
         representative; it reads index -1, the fold's last unknown, and the
         solve's whole-grid certificate rejects the field.
         """
-        return self._fold._ids_at(self.ii + self.origin[0],
-                                  self.jj + self.origin[1])
+        return self._fold._ids_at(*self._cells())
 
     @functools.cached_property
     def _coarse(self):
@@ -517,11 +603,6 @@ class DomainGrid:
         return coarse if coarse._whole_n >= MIN_COARSE_CELLS else None
 
     @functools.cached_property
-    def _flat(self) -> np.ndarray:
-        """Flat position of each unknown in the ``mask`` rectangle."""
-        return self.ii * self.mask.shape[1] + self.jj
-
-    @functools.cached_property
     def _restriction(self) -> np.ndarray:
         """(9, n_2h) fine ids of each 2h unknown's 3x3 stencil, n off the
         fine unknowns.
@@ -530,10 +611,10 @@ class DomainGrid:
         S, N and SW, NE, SE, NW, the pairs that ``_restrict`` sums.
         """
         coarse = self._coarse
+        i, j = coarse._cells()
         di = np.array([0, -1, 1, 0, 0, -1, 1, 1, -1])[:, None]
         dj = np.array([0, 0, 0, -1, 1, -1, 1, -1, 1])[:, None]
-        return self._ids_at(2 * (coarse.ii + coarse.origin[0]) + di,
-                            2 * (coarse.jj + coarse.origin[1]) + dj, self.n)
+        return self._ids_at(2 * i + di, 2 * j + dj, self.n)
 
     @functools.cached_property
     def _prolongation(self) -> np.ndarray:
@@ -544,25 +625,10 @@ class DomainGrid:
         times, one between two 2h points each twice.
         """
         coarse = self._coarse
-        i, j = self.ii + self.origin[0], self.jj + self.origin[1]
+        i, j = self._cells()
         ilo, ihi, jlo, jhi = i // 2, (i + 1) // 2, j // 2, (j + 1) // 2
         return coarse._ids_at(np.stack([ilo, ihi, ilo, ihi]),
                               np.stack([jlo, jlo, jhi, jhi]), coarse.n)
-
-    def _frame(self, values: np.ndarray, fill: float) -> np.ndarray:
-        """Fine values on the frame of fine points around the 2h grid's
-        rectangle, as the transfer tables read them: ``fill`` off the
-        unknowns, a fold's ghosts their representative's.
-
-        Frame point (p, q) is the fine point ``2 * coarse.origin - 1 + (p, q)``,
-        so coarse cell (I, J) sits at (2I + 1, 2J + 1) and its 3x3 fine
-        neighborhood is ``frame[2I:2I + 3, 2J:2J + 3]``.
-        """
-        nx, ny = self._coarse.mask.shape
-        p = np.arange(2 * nx + 1) + (2 * self._coarse.origin[0] - 1)
-        q = np.arange(2 * ny + 1) + (2 * self._coarse.origin[1] - 1)
-        return np.append(values, fill).take(
-            self._ids_at(p[:, None], q[None, :], self.n))
 
     def _restrict(self, values: np.ndarray) -> np.ndarray:
         """Full weighting of fine values onto the 2h grid's unknowns."""
@@ -723,7 +789,10 @@ def _solve(grid: DomainGrid, m, tol: float):
     if fold is not grid:
         v = v.take(grid._unfold)
     op = grid.operator_values(v)
-    res = float(np.max(np.abs(np.minimum(v - m, op / grid.diag))))
+    scaled = op / grid._full_diag
+    cut = grid._cut_ids
+    scaled[cut] = op[cut] / grid._cut_diag
+    res = float(np.max(np.abs(np.minimum(v - m, scaled))))
     if not (res < tol):
         raise NoConvergence(
             f"multigrid: residual {res:.3e} after {iters} V-cycles "
@@ -771,9 +840,9 @@ def solve_h0(grid: DomainGrid, tol: float = 1e-10) -> H0Field:
     k = int(np.argmin(v))
     mn = float(v[k])
     thr = math.inf if mn >= 1.0 - 1e-15 else 1.0 / (2.0 * (1.0 - mn))
+    x, y = grid._xy_of([k])[0]
     return H0Field(grid=grid, values=v, min_value=mn,
-                   argmin_xy=(float(grid.xs[grid.ii[k]]),
-                              float(grid.ys[grid.jj[k]])),
+                   argmin_xy=(float(x), float(y)),
                    critical_field=thr, iters=iters, residual=res, tol=tol,
                    value_error=err)
 
@@ -799,9 +868,9 @@ class ObstacleField:
         """CSV rows x,y,H,active over interior and boundary-data cells."""
         grid = self.grid
         full_vals = np.where(grid.mask == 2, BOUNDARY_VALUE, 0.0)
-        full_vals[grid.ii, grid.jj] = self.values
+        np.put(full_vals, grid._flat, self.values)
         full_act = np.zeros(grid.mask.shape, dtype=np.int8)
-        full_act[grid.ii, grid.jj] = self.active
+        np.put(full_act, grid._flat, self.active)
         sel_i, sel_j = np.nonzero(grid.mask > 0)
         write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
                   [(grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
@@ -879,7 +948,7 @@ def coincidence_metrics(field: ObstacleField) -> CoincidenceMetrics:
         return CoincidenceMetrics(area=0.0, centroid=(0.0, 0.0),
                                   axes=(0.0, 0.0), axis_ratio=1.0,
                                   count=0, empty=True)
-    pts = field.grid.xy[act]
+    pts = field.grid._xy_of(act)
     centroid = pts.mean(axis=0)
     d = pts - centroid
     cov = (d.T @ d) / count + (h * h / 12.0) * np.eye(2)

@@ -503,8 +503,6 @@ def test_transfers_equal_two_d_indexing(shape, k):
     while grid._coarse is not None:
         coarse = grid._coarse
         fine = rng.uniform(-1.0, 1.0, grid.n)
-        assert np.array_equal(grid._frame(fine, 0.5),
-                              _frame_ref(grid, fine, 0.5))
         assert np.array_equal(grid._restrict(fine), _restrict_ref(grid, fine))
         defect = -rng.uniform(0.0, 1.0, grid.n)
         assert np.array_equal(grid._defect_bound(defect),
@@ -858,6 +856,61 @@ def test_grid_build_equals_two_d_indexing(shape, k):
         assert not blocks
         if grid._coarse is not None:
             grids.append(grid._coarse)
+
+
+@pytest.mark.parametrize("k", [37, 64])
+@pytest.mark.parametrize("shape", TRANSFER_SHAPES, ids=repr)
+def test_rectangle_evaluations_keep_the_bits_of_the_stencil(shape, k):
+    # operator_values and leg_gradients read the unknowns from the rectangle
+    # (odd and even sides at h = 1/37 and 1/64), and give bit for bit the
+    # block evaluation and the stencil built cell by cell from the leg
+    # lengths
+    grid = DomainGrid(shape, 1.0 / k)
+    rng = np.random.default_rng(k)
+    values = rng.uniform(-1.0, 1.0, grid.n)
+    got = grid.operator_values(values)
+    bc = obstacle.BOUNDARY_VALUE * _two_d_build(shape, grid.h, (), False)[
+        "bc_unit"]
+    assert np.array_equal(got, grid._apply(values)
+                          - obstacle.BOUNDARY_VALUE * grid._bc_unit)
+    assert np.array_equal(got, _apply_ref(grid, values) - bc)
+    legs, nbin = grid._leg_lengths()
+    idx, _, _ = _stencil_ref(grid)
+    want = np.stack([
+        (np.where(nbin[name], values[idx[row]], obstacle.BOUNDARY_VALUE)
+         - values) / legs[name] for row, name in enumerate("EWNS")])
+    assert np.array_equal(grid.leg_gradients(values), want)
+
+
+SWEEP_STENCIL = {"_blocks", "diag", "_bc_unit", "_work"}
+
+
+@pytest.mark.parametrize("shape", [UnitDisk(), Ellipse(1.3, 0.7)], ids=repr)
+def test_a_folded_shapes_whole_grid_builds_no_sweep_stencil(shape, tmp_path):
+    # the solves sweep the fold; the certificate, the metrics, the gradient
+    # quotients and the CSV read the whole grid's geometry only
+    grid = DomainGrid(shape, 1.0 / 64.0)
+
+    def unswept():
+        return not SWEEP_STENCIL & set(vars(grid))
+    assert unswept()
+    h0 = solve_h0(grid)
+    assert unswept()
+    fields = [solve_obstacle(grid, m)
+              for m in (0.5 * (1.0 + h0.min_value), 0.97)]
+    assert unswept()
+    for step in (lambda: verify_scale_law(fields, h0.min_value),
+                 lambda: verify_gradient_bound(fields),
+                 lambda: fields[0].to_json_dict(),
+                 lambda: fields[0].to_csv(tmp_path / "field.csv")):
+        step()
+        assert unswept()
+    assert SWEEP_STENCIL <= set(vars(grid._fold))
+    # a polygon solves on its whole grid, which builds the stencil to sweep
+    polygon = DomainGrid(TRANSFER_SHAPES[2], 1.0 / 64.0)
+    assert not SWEEP_STENCIL & set(vars(polygon))
+    solve_obstacle(polygon, 0.9)
+    assert SWEEP_STENCIL <= set(vars(polygon))
 
 
 def _representatives(whole, fold):
