@@ -10,52 +10,21 @@ digits, sorted keys, an embedded run configuration, and a version stamp; CSV
 side files with 9 significant digits.  Identical invocations produce
 byte-identical output (no timestamps, fixed seeds, deterministic solvers).
 Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
+
+The module imports only the standard library and ``errors``; each
+subcommand imports the library modules it calls when it runs, so
+``--version``, ``--help`` and usage errors answer without loading numpy.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
+import os
 import sys
 
-import numpy as np
-
 from ._version import __version__
-from .csvfile import write_csv
 from .errors import InputError, NumericalError, positive
-from .lattice import (
-    ModuliGrid,
-    TRIANGULAR_TAU,
-    lattice_to_tau,
-    moduli_scan,
-    w_eta,
-    w_fourier,
-    w_zeta_diff,
-)
-from .modular import LatticeBasis, SeriesControl
-from .obstacle import (
-    ConvexPolygon,
-    DomainGrid,
-    Ellipse,
-    UnitDisk,
-    check_level,
-    coincidence_metrics,
-    solve_h0,
-    solve_obstacle,
-    verify_ellipse_limit,
-    verify_gradient_bound,
-    verify_scale_law,
-)
-from .torus import (
-    MinimizeControl,
-    TorusConfig,
-    TorusSpec,
-    _input_start,
-    conjecture1_probe,
-    elkies_experiment,
-    minimize_config,
-)
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -65,24 +34,31 @@ from .torus import (
 def _json_ready(obj):
     """Recursively normalize a payload: 12 significant digits, plain types;
     a dataclass goes in as its fields."""
-    if dataclasses.is_dataclass(obj):
-        return _json_ready(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        return float(f"{x:.12g}") if math.isfinite(x) else x
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if obj is None or isinstance(obj, str):
-        return obj
-    return str(obj)
+    import dataclasses
+
+    import numpy as np
+
+    def ready(obj):
+        if dataclasses.is_dataclass(obj):
+            return ready(dataclasses.asdict(obj))
+        if isinstance(obj, dict):
+            return {str(k): ready(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [ready(v) for v in obj]
+        if isinstance(obj, (bool, np.bool_)):
+            return bool(obj)
+        if isinstance(obj, (int, np.integer)):
+            return int(obj)
+        if isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            return float(f"{x:.12g}") if math.isfinite(x) else x
+        if isinstance(obj, np.ndarray):
+            return ready(obj.tolist())
+        if obj is None or isinstance(obj, str):
+            return obj
+        return str(obj)
+
+    return ready(obj)
 
 
 def _emit_json(payload: dict, path) -> None:
@@ -104,23 +80,36 @@ def _payload(args, table: dict) -> dict:
     defaults included, or to None where the run does not read it.  An input
     given on the command line whose entry is None is an input error: the
     run would ignore it.  Output files follow the same rule but stay out of
-    ``run_config``.
+    ``run_config``, and one whose directory does not exist is an input
+    error too, raised before the run computes anything.
     """
     for key, value in table.items():
         if value is None and getattr(args, key, None) is not None:
-            flag = "--" + key.replace("_", "-")
-            raise InputError(f"this run does not use {flag}")
+            raise InputError(f"this run does not use {_flag(key)}")
+    for key in (*_OUTPUT_FILES, "output"):
+        path = getattr(args, key, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise InputError(f"cannot write {_flag(key)} {path}: no such "
+                             "directory")
     config = {k: v for k, v in table.items() if k not in _OUTPUT_FILES}
     return {"version": __version__,
             "run_config": {"command": args.command, **config}}
 
 
-def _series_control(args) -> SeriesControl:
-    return SeriesControl(abs_tol=args.abs_tol)
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _fill(args, **defaults) -> None:
+    """Set each flag still at its parser default, None, to the library's
+    default; the parser is built without importing the library."""
+    for key, value in defaults.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _add_series_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--abs-tol", type=float, default=SeriesControl.abs_tol,
+    p.add_argument("--abs-tol", type=float, default=None,
                    help="absolute tolerance that sizes every q-series and "
                         "lattice sum")
 
@@ -131,9 +120,14 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_lattice(args) -> int:
+    from .lattice import (TRIANGULAR_TAU, lattice_to_tau, w_eta, w_fourier,
+                          w_zeta_diff)
+    from .modular import LatticeBasis, SeriesControl
+
     if (args.tau is None) == (args.basis is None):
         raise InputError("provide exactly one of --tau A B or --basis U1 U2 V1 V2")
-    ctl = _series_control(args)
+    _fill(args, abs_tol=SeriesControl.abs_tol)
+    ctl = SeriesControl(abs_tol=args.abs_tol)
     if args.tau is not None:
         tau = complex(args.tau[0], args.tau[1])
         m = args.m if args.m is not None else 1.0
@@ -173,6 +167,12 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_moduli_scan(args) -> int:
+    from .lattice import ModuliGrid, moduli_scan
+    from .modular import SeriesControl
+
+    (a_min, a_max), (b_min, b_max) = ModuliGrid.a_range, ModuliGrid.b_range
+    _fill(args, a_min=a_min, a_max=a_max, b_min=b_min, b_max=b_max,
+          resolution=ModuliGrid.resolution, abs_tol=SeriesControl.abs_tol)
     payload = _payload(args, {
         "a_min": args.a_min, "a_max": args.a_max,
         "b_min": args.b_min, "b_max": args.b_max,
@@ -182,7 +182,7 @@ def cmd_moduli_scan(args) -> int:
     grid = ModuliGrid(a_range=(args.a_min, args.a_max),
                       b_range=(args.b_min, args.b_max),
                       resolution=args.resolution)
-    report = moduli_scan(grid, args.m, _series_control(args))
+    report = moduli_scan(grid, args.m, SeriesControl(abs_tol=args.abs_tol))
     payload["scan"] = report.to_json_dict()
     if args.csv:
         report.to_csv(args.csv)
@@ -196,7 +196,9 @@ def cmd_moduli_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _make_torus(name: str, aspect) -> TorusSpec:
+def _make_torus(name: str, aspect):
+    from .torus import TorusSpec
+
     if name == "square":
         return TorusSpec.square()
     if name == "hex":
@@ -205,6 +207,14 @@ def _make_torus(name: str, aspect) -> TorusSpec:
 
 
 def cmd_fekete(args) -> int:
+    from .csvfile import write_csv
+    from .modular import SeriesControl
+    from .torus import (MinimizeControl, TorusConfig, _input_start,
+                        conjecture1_probe, elkies_experiment, minimize_config)
+
+    _fill(args, restarts=MinimizeControl.restarts,
+          seed=MinimizeControl.rng_seed, max_iters=MinimizeControl.max_iters,
+          grad_tol=MinimizeControl.grad_tol, abs_tol=SeriesControl.abs_tol)
     if args.elkies and args.conjecture1:
         raise InputError("--elkies and --conjecture1 are separate runs; "
                          "give one")
@@ -228,7 +238,7 @@ def cmd_fekete(args) -> int:
         "trace_csv": args.trace_csv if search else None,
     }
     payload = _payload(args, table)
-    series = _series_control(args)
+    series = SeriesControl(abs_tol=args.abs_tol)
     mctl = MinimizeControl(max_iters=args.max_iters, grad_tol=args.grad_tol,
                            restarts=args.restarts, rng_seed=args.seed)
     if args.elkies:
@@ -266,6 +276,8 @@ def cmd_fekete(args) -> int:
 
 
 def _make_shape(args):
+    from .obstacle import ConvexPolygon, Ellipse, UnitDisk
+
     chosen = [bool(args.disk), args.ellipse is not None,
               args.polygon is not None]
     if sum(chosen) != 1:
@@ -284,11 +296,13 @@ def _make_shape(args):
     return ConvexPolygon(verts), {"shape": "polygon", "vertices": verts}
 
 
-def _basic_suite(grid: DomainGrid, tol: float) -> dict:
+def _basic_suite(grid, tol: float) -> dict:
     """Activation threshold, endpoint, monotonicity, and mass checks.
 
     Two solves are compared up to the sum of their value-error bounds.
     """
+    from .obstacle import coincidence_metrics, solve_h0, solve_obstacle
+
     h0 = solve_h0(grid, tol)
     low = solve_obstacle(grid, 0.5, tol)
     top = solve_obstacle(grid, 1.0, tol)
@@ -311,11 +325,11 @@ def _basic_suite(grid: DomainGrid, tol: float) -> dict:
              and abs(mass[-1] - grid.area) <= 1e-12 * max(grid.area, 1.0))
     verdict = {
         "h0": h0.to_json_dict(),
-        "empty_below_threshold": bool(not np.any(low.active)),
+        "empty_below_threshold": bool(not low.active.any()),
         "inactive_matches_unconstrained": bool(
-            float(np.max(np.abs(low.values - h0.values)))
+            float(abs(low.values - h0.values).max())
             <= low.value_error + h0.value_error),
-        "full_at_top": bool(np.all(top.active)),
+        "full_at_top": bool(top.active.all()),
         "top_area": coincidence_metrics(top).area,
         "domain_area": grid.area,
         "monotone_in_m": monotone,
@@ -338,6 +352,10 @@ def _basic_suite(grid: DomainGrid, tol: float) -> dict:
 
 
 def cmd_obstacle(args) -> int:
+    from .obstacle import (DomainGrid, check_level, solve_h0, solve_obstacle,
+                           verify_ellipse_limit, verify_gradient_bound,
+                           verify_scale_law)
+
     shape, shape_params = _make_shape(args)
     suite = args.suite
     if suite is None and (args.m is None) == (args.m_grid is None):
@@ -424,11 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moduli-scan",
                        help="energy scan over fundamental-domain shapes")
-    p.add_argument("--a-min", type=float, default=ModuliGrid.a_range[0])
-    p.add_argument("--a-max", type=float, default=ModuliGrid.a_range[1])
-    p.add_argument("--b-min", type=float, default=ModuliGrid.b_range[0])
-    p.add_argument("--b-max", type=float, default=ModuliGrid.b_range[1])
-    p.add_argument("--resolution", type=int, default=ModuliGrid.resolution)
+    p.add_argument("--a-min", type=float, default=None)
+    p.add_argument("--a-max", type=float, default=None)
+    p.add_argument("--b-min", type=float, default=None)
+    p.add_argument("--b-max", type=float, default=None)
+    p.add_argument("--resolution", type=int, default=None)
     p.add_argument("--m", type=float, default=1.0)
     _add_series_flags(p)
     p.add_argument("--csv", help="write the (a, b, W) grid CSV here")
@@ -443,10 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="torus of a --n search or --elkies (default square)")
     p.add_argument("--aspect", type=float, default=None,
                    help="side ratio of the rect torus (default sqrt(3))")
-    p.add_argument("--restarts", type=int, default=MinimizeControl.restarts)
-    p.add_argument("--seed", type=int, default=MinimizeControl.rng_seed)
-    p.add_argument("--max-iters", type=int, default=MinimizeControl.max_iters)
-    p.add_argument("--grad-tol", type=float, default=MinimizeControl.grad_tol)
+    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-iters", type=int, default=None)
+    p.add_argument("--grad-tol", type=float, default=None)
     p.add_argument("--elkies", action="store_true",
                    help="run the excess-band experiment for n = 2..n-max")
     p.add_argument("--n-max", type=int, default=None,
@@ -489,7 +507,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
+        # an output file that cannot be written is bad input, like a
+        # missing directory caught before the run
         print(f"input error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

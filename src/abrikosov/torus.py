@@ -237,8 +237,10 @@ class GreenEvaluator:
 
     Construction reduces the torus shape to a fundamental-domain modulus,
     stores the integer change of fractional coordinates and sizes the
-    q-series by ``modular._green_nterms``, as ``kronecker_f`` does.  It
-    keeps ``ctl``, at which ``config_energy`` adds the lattice self-term.
+    q-series by ``modular._green_nterms``: the term count whose tail
+    bound, with the wrapped argument's worst factor exp(pi Im tau), meets
+    ``ctl.abs_tol`` at the reduced modulus.  It keeps ``ctl``, at which
+    ``config_energy`` adds the lattice self-term.
     """
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
@@ -255,6 +257,11 @@ class GreenEvaluator:
         b0 = torus.basis.matrix
         self._inv_basis = np.linalg.inv(b0)
         self._grad_map = self._inv_basis.T @ self.coord_map.T
+        (a, b), (c, d) = self._grad_map.tolist()
+        # rows of J^T H J for a symmetric H, as coefficients of (hss, hst, htt)
+        self._hess_map = ((a * a, 2.0 * a * b, b * b),
+                          (a * c, a * d + b * c, b * d),
+                          (c * c, 2.0 * c * d, d * d))
         self.nterms = _green_nterms(tau_r.imag, ctl)
 
     # -- internals ---------------------------------------------------------
@@ -280,15 +287,19 @@ class GreenEvaluator:
         With J the map from Cartesian displacements to the reduced frame's
         (s, t), ``_grad_map`` is J^T: the gradient is J^T g, the Hessian
         J^T H J.  Each configuration of a stack gets its own (2, 2) x (2, m)
-        product, never one product over the whole stack: numpy takes a
-        matrix-vector path for m = 1 that rounds differently, and a
-        configuration's gradients must not depend on the others.
+        gradient product, never one product over the whole stack: numpy
+        takes a matrix-vector path for m = 1 that rounds differently, and a
+        configuration's gradients must not depend on the others.  The
+        Hessian entries are elementwise sums of three terms in hss, hst and
+        htt (``_hess_map``), so each pair's block depends on that pair
+        alone and is exactly symmetric.
         """
         (gs, gt), (hss, hst, htt) = backend.green_grads(*self._reduced(ds, dt))
         g = self._grad_map @ np.stack([gs.reshape(ds.shape),
                                        gt.reshape(ds.shape)], axis=-2)
-        h = np.stack([hss, hst, hst, htt], axis=-1).reshape(-1, 2, 2)
-        h = self._grad_map @ h @ self._grad_map.T
+        hxx, hxy, hyy = (a * hss + b * hst + c * htt
+                         for a, b, c in self._hess_map)
+        h = np.stack([hxx, hxy, hxy, hyy], axis=-1)
         return g, h.reshape(ds.shape + (2, 2))
 
     def _check_singular(self, frac: np.ndarray):

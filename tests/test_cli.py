@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from abrikosov import cli, obstacle
+from abrikosov import lattice, obstacle, torus
 from abrikosov.cli import build_parser, main
 
 
@@ -139,6 +139,32 @@ def test_an_output_file_the_run_cannot_write_is_an_input_error(
 
 
 @pytest.mark.parametrize("args", [
+    ("lattice", "--tau", "0", "1", "--output"),
+    ("moduli-scan", "--resolution", "4", "--csv"),
+    ("fekete", "--n", "2", "--trace-csv"),
+    ("obstacle", "--disk", "--m", "0.9", "--field-csv"),
+], ids=lambda a: a[-1])
+def test_an_output_path_in_a_missing_directory_is_an_input_error(
+        args, tmp_path):
+    # refused before the run computes anything, and nothing is created
+    target = tmp_path / "missing" / "out"
+    proc = run_cli(*args, str(target))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error [InputError]: cannot write")
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+    assert not target.parent.exists()
+
+
+def test_an_output_file_that_fails_to_open_is_an_input_error(tmp_path,
+                                                              capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert main(["lattice", "--tau", "0", "1", "--output",
+                 str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("input error [IsADirectoryError]") and out == ""
+
+
+@pytest.mark.parametrize("args", [
     ("fekete", "--elkies", "--conjecture1"),
     ("fekete", "--elkies", "--n", "3"),
     ("fekete", "--conjecture1", "--n", "3"),
@@ -164,10 +190,13 @@ def test_an_input_the_run_would_ignore_is_an_input_error(
     def no_work(*_, **__):
         raise AssertionError("solver ran before the input was checked")
 
-    for name in ("solve_h0", "solve_obstacle", "elkies_experiment",
-                 "conjecture1_probe", "minimize_config", "w_eta", "w_fourier",
-                 "w_zeta_diff"):
-        monkeypatch.setattr(cli, name, no_work)
+    # each subcommand imports the library's functions when it runs
+    for module, names in ((obstacle, ("solve_h0", "solve_obstacle")),
+                          (torus, ("elkies_experiment", "conjecture1_probe",
+                                   "minimize_config")),
+                          (lattice, ("w_eta", "w_fourier", "w_zeta_diff"))):
+        for name in names:
+            monkeypatch.setattr(module, name, no_work)
     assert main(list(args)) == 2
     assert "input error" in capsys.readouterr().err
 
@@ -241,16 +270,17 @@ def _readme_cli_flags():
     return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
 
 
-def _subcommand_flags():
-    sub = next(a for a in build_parser()._actions
+def _cli_flags():
+    root = build_parser()
+    sub = next(a for a in root._actions
                if isinstance(a, argparse._SubParsersAction))
-    return {flag for parser in sub.choices.values()
+    return {flag for parser in (root, *sub.choices.values())
             for action in parser._actions for flag in action.option_strings
-            if flag.startswith("--")} - {"--help"}
+            if flag.startswith("--")}
 
 
 def test_readme_names_exactly_the_cli_flags():
-    documented, accepted = _readme_cli_flags(), _subcommand_flags()
+    documented, accepted = _readme_cli_flags(), _cli_flags()
     assert documented - accepted == set(), "README names unknown flags"
     assert accepted - documented == set(), "flags missing from README"
 
@@ -373,7 +403,7 @@ def test_obstacle_bad_level_is_rejected_before_the_grid(
     def no_grid(*_, **__):
         raise AssertionError("the grid was built before the level was checked")
 
-    monkeypatch.setattr(cli, "DomainGrid", no_grid)
+    monkeypatch.setattr(obstacle, "DomainGrid", no_grid)
     flag, _, values = level.partition("=")
     assert main(["obstacle", "--disk", "--h", "0.002", flag,
                  *values.split()]) == 2

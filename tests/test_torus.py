@@ -490,6 +490,32 @@ def test_hessian_symmetric_and_translation_free(n, a, b, seed):
     assert abs(np.trace(hess) - n * (n - 1)) <= 1e-12 * n * scale
 
 
+@pytest.mark.parametrize("spec", [TorusSpec.hexagonal(), _sheared_square(),
+                                  _shape_torus(0.31, 1.7)],
+                         ids=["hex", "sheared", "general"])
+def test_pair_hessian_blocks_match_the_matrix_product(spec):
+    # the elementwise blocks equal J^T H J of the reduced-frame Hessian to
+    # rounding (the matrix product's BLAS kernel fuses multiply-adds, so
+    # the bits differ), are exactly symmetric, and a configuration's blocks
+    # do not depend on the stack it is evaluated in
+    ev = GreenEvaluator(spec)
+    rng = np.random.default_rng(13)
+    stack = rng.random((3, 6, 2))
+    d = torus._pair_diffs(stack)
+    _, blocks = ev._derivs_frac(d[..., 0], d[..., 1])
+    _, (hss, hst, htt) = backend.green_grads(*ev._reduced(d[..., 0],
+                                                          d[..., 1]))
+    h = np.stack([hss, hst, hst, htt], axis=-1).reshape(d.shape[:-1] + (2, 2))
+    jt = ev._grad_map
+    ref = jt @ h @ jt.T
+    size = np.abs(jt) @ np.abs(h) @ np.abs(jt.T)
+    assert np.all(np.abs(blocks - ref) <= 8 * np.finfo(float).eps * size)
+    assert np.array_equal(blocks[..., 0, 1], blocks[..., 1, 0])
+    for c in range(3):
+        _, alone = ev._derivs_frac(d[c:c + 1, :, 0], d[c:c + 1, :, 1])
+        assert np.array_equal(alone[0], blocks[c])
+
+
 # ---------------------------------------------------------------------------
 # Minimization
 # ---------------------------------------------------------------------------
