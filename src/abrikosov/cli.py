@@ -24,7 +24,7 @@ import os
 import sys
 
 from ._version import __version__
-from .errors import InputError, NumericalError, positive
+from .errors import InfeasibleObstacle, InputError, NumericalError, positive
 
 # ---------------------------------------------------------------------------
 # Serialization helpers
@@ -398,6 +398,11 @@ def cmd_obstacle(args) -> int:
         payload["suite"] = _basic_suite(grid, args.tol)
     else:
         base = solve_h0(grid, args.tol)
+        if any(base.min_value + off > 1.0 for off in offsets):
+            raise InfeasibleObstacle(
+                f"--offsets {' '.join(map(str, offsets))} put a level above "
+                f"the boundary value 1: the h0 minimum is {base.min_value}, "
+                f"so an offset can be at most {1.0 - base.min_value}")
         fields = [solve_obstacle(grid, base.min_value + off, args.tol)
                   for off in offsets]
         payload["h0"] = base.to_json_dict()

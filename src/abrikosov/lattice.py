@@ -492,8 +492,8 @@ class ThetaProbeReport:
 
 
 def theta_minimality_probe(alphas, samples: int, seed: int = 0,
-                           ctl: SeriesControl = _DEFAULT_CTL,
-                           extra_taus=()) -> ThetaProbeReport:
+                           ctl: SeriesControl = _DEFAULT_CTL
+                           ) -> ThetaProbeReport:
     """Check hexagonal minimality of theta among equal-covolume shapes.
 
     For each alpha, theta of the hexagonal (triangular-lattice) shape is
@@ -512,7 +512,6 @@ def theta_minimality_probe(alphas, samples: int, seed: int = 0,
         av = rng.uniform(-0.5, 0.5)
         bv = _arc_b(av) * (1.0 + 1.5 * rng.random() ** 2)
         taus.append(complex(av, bv))
-    taus.extend(complex(t) for t in extra_taus)
     tri = shape_basis(TRIANGULAR_TAU, covolume=1.0)
     for alpha in alphas:
         theta_tri = theta_lattice(tri, alpha, ctl)

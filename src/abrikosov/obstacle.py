@@ -14,7 +14,7 @@ Math. 69, 1994): V(4,4) cycles of projected red-black Gauss-Seidel over
 grids of spacing h, 2h, 4h, ..., whose coarse corrections are bounded below
 so that every iterate stays above the obstacle, started from the solution
 on the 2h grid, which is solved only to START_TOL_FACTOR = 3000 times the
-tolerance (``_start``); deterministic for fixed inputs.  Near the contact
+tolerance (``_descend``); deterministic for fixed inputs.  Near the contact
 set those bounds block the downward corrections the iterate needs, so the
 fine-level smoother does most of the work: a V(2,2) cycle contracts the
 residual of a constrained solve by only about 0.63-0.67, a V(4,4) cycle by
@@ -241,8 +241,8 @@ class DomainGrid:
     rectangle; ``ii`` and ``jj`` are derived from it.  The grid stores the
     geometry of its stencil: one coefficient and one diagonal shared by
     the full-leg cells, and for the k cut-leg cells their ids, their four
-    neighbors' rectangle positions, their (4, k) leg coefficients (0 on a
-    cut leg), diagonal and boundary coefficient.
+    neighbors' rectangle positions, their (4, k) leg lengths and leg
+    coefficients (0 on a cut leg), diagonal and boundary coefficient.
 
     A grid that is swept builds, on its first sweep, the stencil
     ``backend.psor_sweep`` takes (``_blocks``): each color one block,
@@ -362,7 +362,8 @@ class DomainGrid:
             mask[pos[~nbin[name]]] = 2
         self._full_coef = 2.0 / (h * (h + h))
         self._full_diag = 2.0 / (h * h) + 2.0 / (h * h) + 1.0
-        e, w, nn, ss = (legs[d] for d in "EWNS")
+        self._cut_legs = np.stack([legs[d] for d in "EWNS"])
+        e, w, nn, ss = self._cut_legs
         leg_coef = {"E": 2.0 / (e * (e + w)), "W": 2.0 / (w * (e + w)),
                     "N": 2.0 / (nn * (nn + ss)), "S": 2.0 / (ss * (nn + ss))}
         self._cut_diag = 2.0 / (e * w) + 2.0 / (nn * ss) + 1.0
@@ -466,7 +467,7 @@ class DomainGrid:
     @functools.cached_property
     def _work(self) -> np.ndarray:
         """Scratch for the four legs of the largest block, shared by every
-        sweep on the grid."""
+        sweep and operator application on the grid."""
         return np.empty(max(legs.size for _, (legs, _, _) in self._blocks))
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
@@ -475,8 +476,7 @@ class DomainGrid:
         out = np.empty(self.n)
         for sel, (legs, coef, diag) in self._blocks:
             np.multiply(diag, values[sel], out=out[sel])
-            out[sel] -= backend._leg_sum(values, legs, coef,
-                                         np.empty(legs.size))
+            out[sel] -= backend._leg_sum(values, legs, coef, self._work)
         return out
 
     def scaled_residual(self, values: np.ndarray) -> np.ndarray:
@@ -532,10 +532,7 @@ class DomainGrid:
                         out=out[k])
             out[k] /= self.h
         cut = self._cut_ids
-        legs, _ = self._leg_lengths(cut)
-        for k, name in enumerate("EWNS"):
-            out[k, cut] = (rect.take(self._cut_pos[k]) - values[cut]) \
-                / legs[name]
+        out[:, cut] = (rect.take(self._cut_pos) - values[cut]) / self._cut_legs
         return out
 
     # -- multigrid pieces -------------------------------------------------
@@ -715,60 +712,54 @@ def _cycles(grid: DomainGrid, values, m, tol: float):
     take 6-7 instead of 12-13.  The history is dropped when a cycle's
     residual rises or the contact set is empty, so empty-contact solves,
     where a plain cycle already contracts 50-100 times, run the plain cycles
-    unchanged; the unconstrained solve, at m = -inf, is one of them.  At
-    most three history arrays (x_k, f_(k-1), G(x_(k-1))) are alive.
+    unchanged; the unconstrained solve, at m = -inf, is one of them.
+    Between cycles only f and G(x) of the previous cycle are kept; each
+    cycle adds its own temporaries.
     """
     rhs = BOUNDARY_VALUE * grid._bc_unit
-    x = f_old = g_old = None
+    f_old = g_old = None
     last = math.inf
     for it in range(1, MAX_CYCLES + 1):
-        if x is None:
-            x = np.empty_like(values)
-        np.copyto(x, values)
+        x = values.copy()
         _vcycle(grid, values, rhs, m)
         scaled = np.minimum(values - m, grid.scaled_residual(values))
         res = float(np.max(np.abs(scaled)))
         if res < tol:
             break
-        f = np.subtract(values, x, out=x)
         if res > last or values.min() > m:
             f_old = g_old = None
-        elif f_old is None:
-            f_old, g_old, x = f, values.copy(), None
         else:
-            df = np.subtract(f, f_old, out=f_old)
-            dg = np.subtract(values, g_old, out=g_old)
-            dd = float(np.dot(df, df))
-            gamma = float(np.dot(df, f)) / dd if dd > 0.0 else 0.0
-            np.copyto(df, values)           # G(x_k), the next g_old
-            dg *= gamma
-            values -= dg
-            np.maximum(values, m, out=values)
-            f_old, g_old, x = f, df, dg     # dg's buffer holds the next x
+            f, g = values - x, values.copy()
+            if f_old is not None:
+                df = f - f_old
+                dd = float(np.dot(df, df))
+                gamma = float(np.dot(df, f)) / dd if dd > 0.0 else 0.0
+                values[:] = np.maximum(values - gamma * (g - g_old), m)
+            f_old, g_old = f, g
         last = res
     return it, res
 
 
-def _start(grid: DomainGrid, m, tol: float) -> np.ndarray:
-    """H = 1 on the coarsest grid; elsewhere the 2h solution as a start.
+def _descend(grid: DomainGrid, m, tol: float):
+    """Nested iteration: the field on ``grid`` and its number of V-cycles.
 
-    The 2h problem is solved to START_TOL_FACTOR * tol from its own start
-    (converged or not), interpolated with the boundary value off its
-    unknowns, and lifted onto the obstacle.  At the default tol 1e-10 that
-    is a scaled residual of 3e-7.  Of the factors 100, 300, 1000, 3000 and
-    10000, 3000 swept the fewest cells on the disk solves at h = 1/256 and
-    1/128, 7% fewer than 100 with no more fine-level cycles; at
-    10000 those fine solves took more cycles.
+    The coarsest grid starts from H = 1.  Every other grid starts from its
+    2h field, solved to START_TOL_FACTOR * tol (converged or not),
+    interpolated with the boundary value off the 2h unknowns and lifted
+    onto the obstacle; then ``_cycles`` runs to tol.  At the default tol
+    1e-10 a 2h start is solved to a scaled residual of 3e-7.  Of the
+    factors 100, 300, 1000, 3000 and 10000, 3000 swept the fewest cells on
+    the disk solves at h = 1/256 and 1/128, 7% fewer than 100 with no more
+    fine-level cycles; at 10000 those fine solves took more cycles.
     """
     coarse = grid._coarse
     if coarse is None:
-        return np.ones(grid.n)
-    coarse_tol = START_TOL_FACTOR * tol
-    v = _start(coarse, m, coarse_tol)
-    _cycles(coarse, v, m, coarse_tol)
-    v = grid._prolong(v, fill=BOUNDARY_VALUE)
-    np.maximum(v, m, out=v)
-    return v
+        values = np.ones(grid.n)
+    else:
+        values, _ = _descend(coarse, m, START_TOL_FACTOR * tol)
+        values = np.maximum(grid._prolong(values, fill=BOUNDARY_VALUE), m)
+    iters, _ = _cycles(grid, values, m, tol)
+    return values, iters
 
 
 def _solve(grid: DomainGrid, m, tol: float):
@@ -784,8 +775,7 @@ def _solve(grid: DomainGrid, m, tol: float):
     """
     tol = positive("tol", tol)
     fold = grid._fold
-    v = _start(fold, m, tol)
-    iters, _ = _cycles(fold, v, m, tol)
+    v, iters = _descend(fold, m, tol)
     if fold is not grid:
         v = v.take(grid._unfold)
     op = grid.operator_values(v)

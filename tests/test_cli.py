@@ -417,6 +417,26 @@ def test_obstacle_non_finite_level_is_an_input_error(level, capsys):
     assert "m must be finite" in err and "InfeasibleObstacle" not in err
 
 
+@pytest.mark.parametrize("suite", ["ellipse", "scale-law"])
+def test_an_offset_above_the_boundary_value_names_the_offsets(
+        suite, capsys, monkeypatch):
+    # the triangle's h0 minimum is about 0.971: the default ellipse offset
+    # 0.03 passes 1 with no --m given, and the error names the flag, the
+    # minimum and the largest offset that fits before any constrained solve
+    def no_solve(*_, **__):
+        raise AssertionError("a constrained solve ran")
+
+    monkeypatch.setattr(obstacle, "solve_obstacle", no_solve)
+    assert main(["obstacle", "--polygon", "0", "0", "1", "0", "0", "1",
+                 "--suite", suite, "--h", "0.05", "--offsets", "0.03"]) == 2
+    err = capsys.readouterr().err
+    base = obstacle.solve_h0(obstacle.DomainGrid(
+        obstacle.ConvexPolygon([[0, 0], [1, 0], [0, 1]]), 0.05)).min_value
+    assert "InfeasibleObstacle" in err and "--offsets 0.03" in err
+    assert f"h0 minimum is {base}" in err
+    assert f"at most {1.0 - base}" in err
+
+
 @pytest.mark.parametrize("argv", [
     "lattice --tau nan 1",
     "lattice --tau inf 1",

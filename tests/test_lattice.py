@@ -617,12 +617,22 @@ def test_theta_probe_deterministic():
     assert r3.min_margin != r1.min_margin
 
 
-def test_theta_probe_flags_the_hexagonal_point_itself():
-    # feeding the minimizer back in gives a zero margin, counted as
-    # inconclusive (below the noise floor) rather than a violation
-    rep = theta_minimality_probe([1.0], samples=2, seed=0, extra_taus=[TRI_TAU])
+def test_theta_probe_flags_the_hexagonal_point_itself(monkeypatch):
+    # a draw that lands on the minimizer, a = 1/2 on the unit arc, gives a
+    # zero margin, counted as inconclusive (below the noise floor) rather
+    # than a violation
+    class OnTheArc:
+        def uniform(self, lo, hi):
+            return 0.5
+
+        def random(self):
+            return 0.0
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: OnTheArc())
+    assert complex(0.5, lattice._arc_b(0.5)) == TRI_TAU
+    rep = theta_minimality_probe([1.0], samples=2, seed=0)
     assert len(rep.violations) == 0
-    assert rep.inconclusive >= 1
+    assert rep.inconclusive == rep.comparisons == 2
 
 
 @pytest.mark.parametrize("samples", [2.5, -1, "3"])

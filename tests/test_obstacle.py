@@ -420,6 +420,32 @@ def test_constrained_solves_take_few_cycles():
         assert 0 < field.active.sum() < grid.n
 
 
+@pytest.mark.parametrize("shape", [
+    UnitDisk(), ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])],
+    ids=repr)
+def test_each_level_starts_from_the_one_below_at_a_looser_tol(shape):
+    # nested iteration: the coarsest level is cycled first, each finer one
+    # at a tol START_TOL_FACTOR times smaller, and the fold last at tol
+    grid = DomainGrid(shape, 1.0 / 64.0)
+    calls = []
+    cycles = obstacle._cycles
+
+    def record(level, values, m, tol):
+        calls.append((level, tol))
+        return cycles(level, values, m, tol)
+    with mock.patch.object(obstacle, "_cycles", record):
+        solve_obstacle(grid, 0.9, tol=1e-9)
+    chain = [grid._fold]
+    while chain[-1]._coarse is not None:
+        chain.append(chain[-1]._coarse)
+    assert len(chain) >= 3
+    tols = [1e-9]
+    for _ in chain[1:]:
+        tols.append(obstacle.START_TOL_FACTOR * tols[-1])
+    assert [level for level, _ in calls] == chain[::-1]
+    assert [tol for _, tol in calls] == tols[::-1]
+
+
 def test_accelerated_constrained_solves_take_at_most_eight_cycles():
     # plain V(4,4) cycles need 12-13 here; Anderson mixing needs 6-7
     grid = DomainGrid(UnitDisk(), 1.0 / 128.0)
@@ -658,6 +684,17 @@ def test_smooth_calls_share_the_grid_scratch(monkeypatch):
         grid._smooth(values, grid._bc_unit, -np.inf, 1)
     assert len(works) == 4
     assert all(work is works[0] for work in works)
+    # so does the operator between them, through backend._leg_sum
+    summed = []
+    leg_sum = backend._leg_sum
+
+    def record_sum(*args):
+        summed.append(args[-1])
+        return leg_sum(*args)
+    monkeypatch.setattr(backend, "_leg_sum", record_sum)
+    grid._apply(values)
+    assert len(summed) == 2
+    assert all(work is grid._work for work in summed + works)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +916,23 @@ def test_rectangle_evaluations_keep_the_bits_of_the_stencil(shape, k):
     want = np.stack([
         (np.where(nbin[name], values[idx[row]], obstacle.BOUNDARY_VALUE)
          - values) / legs[name] for row, name in enumerate("EWNS")])
+    assert np.array_equal(grid.leg_gradients(values), want)
+
+
+@pytest.mark.parametrize("shape", [
+    UnitDisk(), Ellipse(1.3, 0.7),
+    ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.2, 0.8], [0.1, 1.0]])],
+    ids=repr)
+def test_leg_gradients_read_the_cut_legs_of_the_build(shape, monkeypatch):
+    # the build keeps the (4, k) cut-leg lengths it computes, so the gradient
+    # quotients evaluate no exit fraction
+    grid = DomainGrid(shape, 1.0 / 37.0)
+    values = np.random.default_rng(5).uniform(0.0, 1.0, grid.n)
+    want = grid.leg_gradients(values)
+
+    def refuse(*_):
+        raise AssertionError("exit_fraction evaluated after the build")
+    monkeypatch.setattr(type(shape), "exit_fraction", refuse)
     assert np.array_equal(grid.leg_gradients(values), want)
 
 
