@@ -136,9 +136,12 @@ class Ellipse:
         return xs * xs + ys * ys < 1.0
 
     def exit_fraction(self, px, py, dx, dy):
-        """Fraction theta in (0, 1] with p + theta*(dx, dy) on the boundary.
+        """Fraction theta > 0 with p + theta*(dx, dy) on the boundary, for
+        p strictly interior: in (0, 1] where p + (dx, dy) is not interior,
+        above 1 where it is.
 
-        Callers guarantee p is strictly interior and p + (dx, dy) is not.
+        (dx, dy) may be arrays that broadcast with p; every operation is
+        elementwise, so each fraction has the bits of its own call.
         """
         qx, qy = px / self.rx, py / self.ry
         ex, ey = dx / self.rx, dy / self.ry
@@ -203,6 +206,13 @@ class ConvexPolygon:
         return inside
 
     def exit_fraction(self, px, py, dx, dy):
+        """Fraction theta with p + theta*(dx, dy) on the boundary, capped
+        at 1, for p strictly interior: in (0, 1] where p + (dx, dy) is not
+        interior, 1 where it is.
+
+        (dx, dy) may be arrays that broadcast with p; every operation is
+        elementwise, so each fraction has the bits of its own call.
+        """
         px = np.asarray(px, float)
         theta = np.full(px.shape, np.inf)
         for (ax, ay), (ex, ey) in zip(self.vertices, self._edges):
@@ -243,6 +253,8 @@ class DomainGrid:
     the full-leg cells, and for the k cut-leg cells their ids, their four
     neighbors' rectangle positions, their (4, k) leg lengths and leg
     coefficients (0 on a cut leg), diagonal and boundary coefficient.
+    The build measures the cut legs in one pass over those (4, k) arrays,
+    with one ``exit_fraction`` call.
 
     A grid that is swept builds, on its first sweep, the stencil
     ``backend.psor_sweep`` takes (``_blocks``): each color one block,
@@ -349,28 +361,31 @@ class DomainGrid:
         del inside
         self._spans = [(0, ends[0], ends[1]), (ends[1], ends[2], ends[3])]
 
-        # the cut-leg cells, the last of each color: their four neighbors'
-        # rectangle positions, a boundary-data cell (mask 2) where the leg
-        # is cut, and their stencil.  Full-leg cells share one coefficient
-        # and one diagonal: the leg formulas below at leg length h.
+        # the cut-leg cells, the last of each color, as (4, k) arrays over
+        # their legs E, W, N, S: the neighbors' rectangle positions, a
+        # boundary-data cell (mask 2) where the leg is cut, the leg lengths
+        # (h, or h times the exit fraction where cut) and the stencil.
+        # Full-leg cells share one coefficient and one diagonal: the leg
+        # formulas below at leg length h.
         self._cut_ids = np.r_[ends[0]:ends[1], ends[2]:ends[3]]
-        self._cut_pos = self._flat.take(self._cut_ids) \
-            + np.array(steps)[:, None]
-        legs, nbin = self._leg_lengths(self._cut_ids)
+        cut_flat = self._flat.take(self._cut_ids)
+        self._cut_pos = cut_flat + np.array(steps)[:, None]
         mask = self.mask.reshape(-1)
-        for name, pos in zip("EWNS", self._cut_pos):
-            mask[pos[~nbin[name]]] = 2
+        whole = mask.take(self._cut_pos) == 1
+        mask[self._cut_pos[~whole]] = 2
+        i, j = np.divmod(cut_flat, ny)
+        d = np.array([(di, dj) for _, di, dj in _LEG_STEPS], dtype=float) * h
+        theta = shape.exit_fraction(self.xs[i], self.ys[j], d[:, :1], d[:, 1:])
+        self._cut_legs = legs = np.where(
+            whole, h, np.clip(theta, MIN_CUT_FRACTION, 1.0) * h)
+        e, w, nn, ss = legs
+        coef = 2.0 / (legs * np.stack([e + w, e + w, nn + ss, nn + ss]))
         self._full_coef = 2.0 / (h * (h + h))
         self._full_diag = 2.0 / (h * h) + 2.0 / (h * h) + 1.0
-        self._cut_legs = np.stack([legs[d] for d in "EWNS"])
-        e, w, nn, ss = self._cut_legs
-        leg_coef = {"E": 2.0 / (e * (e + w)), "W": 2.0 / (w * (e + w)),
-                    "N": 2.0 / (nn * (nn + ss)), "S": 2.0 / (ss * (nn + ss))}
         self._cut_diag = 2.0 / (e * w) + 2.0 / (nn * ss) + 1.0
-        self._cut_bc = sum(np.where(~nbin[d], leg_coef[d], 0.0)
-                           for d in leg_coef)
-        self._cut_coef = np.stack([np.where(nbin[d], leg_coef[d], 0.0)
-                                   for d in "EWNS"])
+        self._cut_coef = np.where(whole, coef, 0.0)
+        bc = np.where(whole, 0.0, coef)
+        self._cut_bc = bc[0] + bc[1] + bc[2] + bc[3]
 
     @property
     def area(self) -> float:
@@ -403,30 +418,6 @@ class DomainGrid:
         """Coordinates of unknowns ``sel`` (an index array, slice or mask)."""
         i, j = np.divmod(self._flat[sel], self.mask.shape[1])
         return np.column_stack([self.xs[i], self.ys[j]])
-
-    def _leg_lengths(self, sel=slice(None)):
-        """Leg lengths of unknowns ``sel`` and whether each leg is whole.
-
-        A leg is h where it reaches another unknown, and h times the exit
-        fraction where it is cut by the boundary.  Returns two dicts keyed
-        E, W, N, S.
-        """
-        ny = self.mask.shape[1]
-        flat = self._flat[sel]
-        ii, jj = np.divmod(flat, ny)
-        mask = self.mask.reshape(-1)
-        legs, nbin = {}, {}
-        for name, di, dj in _LEG_STEPS:
-            nb = mask.take(flat + (di * ny + dj)) == 1
-            leg = np.full(len(flat), self.h)
-            cut = ~nb
-            if np.any(cut):
-                theta = self.shape.exit_fraction(
-                    self.xs[ii[cut]], self.ys[jj[cut]], di * self.h, dj * self.h)
-                leg[cut] = np.clip(theta, MIN_CUT_FRACTION, 1.0) * self.h
-            legs[name] = leg
-            nbin[name] = nb
-        return legs, nbin
 
     # -- the sweep's stencil, built by the first sweep --------------------
 
@@ -857,14 +848,12 @@ class ObstacleField:
     def to_csv(self, path) -> None:
         """CSV rows x,y,H,active over interior and boundary-data cells."""
         grid = self.grid
-        full_vals = np.where(grid.mask == 2, BOUNDARY_VALUE, 0.0)
-        np.put(full_vals, grid._flat, self.values)
-        full_act = np.zeros(grid.mask.shape, dtype=np.int8)
-        np.put(full_act, grid._flat, self.active)
-        sel_i, sel_j = np.nonzero(grid.mask > 0)
+        sel = np.flatnonzero(grid.mask > 0)
+        i, j = np.divmod(sel, grid.mask.shape[1])
         write_csv(path, "x,y,H,active", "%.9g,%.9g,%.9g,%d",
-                  [(grid.xs[sel_i], grid.ys[sel_j], full_vals[sel_i, sel_j],
-                    full_act[sel_i, sel_j])])
+                  [(grid.xs[i], grid.ys[j],
+                    grid._rectangle(self.values, BOUNDARY_VALUE)[sel],
+                    grid._rectangle(self.active, False)[sel])])
 
     def to_json_dict(self) -> dict:
         met = coincidence_metrics(self)

@@ -709,10 +709,13 @@ def elkies_experiment(n_list, torus: TorusSpec = None,
 
 
 def triangular_embedding(n: int):
-    """(torus, points) carrying an exact triangular n-point configuration.
+    """(family, torus, points) carrying an exact triangular n-point
+    configuration.
 
-    Supported families: n = 2 k^2 on the aspect-sqrt(3) rectangular torus,
-    and n = k^2 on the hexagonal torus.  Returns None for other n.
+    Supported families: ``triangular-rect``, n = 2 k^2 on the aspect-sqrt(3)
+    rectangular torus, and ``triangular-hex``, n = k^2 on the hexagonal
+    torus; no n is in both, and an even square such as 4 is hexagonal.
+    Returns None for other n.
     """
     n = count("n", n, 1)
     k2 = n // 2
@@ -721,12 +724,12 @@ def triangular_embedding(n: int):
         torus = TorusSpec.rectangular(math.sqrt(3.0))
         pts = [(((i + 0.5 * j) / k) % 1.0, j / (2.0 * k))
                for i in range(k) for j in range(2 * k)]
-        return torus, np.array(pts)
+        return "triangular-rect", torus, np.array(pts)
     k = int(round(math.sqrt(n)))
     if k * k == n:
         torus = TorusSpec.hexagonal()
         pts = [(i / k, j / k) for i in range(k) for j in range(k)]
-        return torus, np.array(pts)
+        return "triangular-hex", torus, np.array(pts)
     return None
 
 
@@ -754,8 +757,7 @@ def conjecture1_probe(n_list, ctl: MinimizeControl = MinimizeControl(),
         variants = [("square", TorusSpec.square(), None)]
         emb = triangular_embedding(n)
         if emb is not None:
-            kind = "triangular-rect" if n % 2 == 0 else "triangular-hex"
-            variants.append((kind, emb[0], emb[1]))
+            variants.append(emb)
         for kind, torus, start in variants:
             if start is None:
                 start = _input_start(n, ctl.rng_seed)

@@ -113,7 +113,7 @@ def test_counts_take_numpy_integers():
     ctl = MinimizeControl(max_iters=three, restarts=three, rng_seed=three)
     assert (ctl.max_iters, ctl.restarts, ctl.rng_seed) == (3, 3, 3)
     assert ModuliGrid(resolution=three).size == ModuliGrid(resolution=3).size
-    assert triangular_embedding(np.int64(4))[1].shape == (4, 2)
+    assert triangular_embedding(np.int64(4))[2].shape == (4, 2)
     rep = elkies_experiment(np.array([1, 2]),
                             ctl=MinimizeControl(restarts=0, max_iters=50))
     assert [n for n, _, _ in rep.rows] == [1, 2]

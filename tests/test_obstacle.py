@@ -542,24 +542,28 @@ def test_transfers_equal_two_d_indexing(shape, k):
 
 def _stencil_ref(grid):
     """Neighbor indices, coefficients (both (4, n), legs E, W, N, S) and
-    diagonal of every unknown, built from the leg lengths and the mask.
+    diagonal of every unknown, built from the leg lengths and whole-leg
+    flags of ``_two_d_build``, which measures the cut legs with exit
+    fraction calls of its own.
 
     A cut leg points at unknown 0 with coefficient 0, its datum being part
     of the right-hand side.
     """
-    legs, nbin = grid._leg_lengths()
+    ref = _two_d_build(grid.shape, grid.h, grid._mirrors, grid._swap)
+    assert np.array_equal(ref["ii"], grid.ii)
+    assert np.array_equal(ref["jj"], grid.jj)
+    legs, nbin = ref["leg_lengths"], ref["whole"]
     ids = np.full(grid.mask.shape, -1, dtype=np.int64)
     ids[grid.ii, grid.jj] = np.arange(grid.n)
     idx = np.empty((4, grid.n), dtype=np.int64)
     coef = np.empty((4, grid.n))
-    e, w, n, s = (legs[d] for d in "EWNS")
-    across = {"E": e + w, "W": e + w, "N": n + s, "S": n + s}
-    for k, (name, di, dj) in enumerate(obstacle._LEG_STEPS):
-        assert np.array_equal(nbin[name],
+    e, w, n, s = legs
+    across = [e + w, e + w, n + s, n + s]
+    for k, (_, di, dj) in enumerate(obstacle._LEG_STEPS):
+        assert np.array_equal(nbin[k],
                               grid.mask[grid.ii + di, grid.jj + dj] == 1)
-        idx[k] = np.where(nbin[name], ids[grid.ii + di, grid.jj + dj], 0)
-        coef[k] = np.where(nbin[name],
-                           2.0 / (legs[name] * across[name]), 0.0)
+        idx[k] = np.where(nbin[k], ids[grid.ii + di, grid.jj + dj], 0)
+        coef[k] = np.where(nbin[k], 2.0 / (legs[k] * across[k]), 0.0)
     assert idx.min() >= 0
     diag = 2.0 / (e * w) + 2.0 / (n * s) + 1.0
     return idx, coef, diag
@@ -770,9 +774,10 @@ def _two_d_build(shape, h, mirrors, swap):
     diagonal takes its transposed cell's interior and unknown.
 
     Returns a dict with ``origin``, ``n``, ``whole_n``, ``ii``, ``jj``,
-    ``mask``, ``diag``, ``bc_unit``, the blocks' ``spans`` and each block's
-    ``legs`` (4, size) and ``coef``: one number for a full-leg block, a
-    (4, size) array for a cut-leg block.
+    ``mask``, ``diag``, ``bc_unit``, every unknown's (4, n) leg lengths
+    ``leg_lengths`` and whole-leg flags ``whole``, the blocks' ``spans``
+    and each block's ``legs`` (4, size) and ``coef``: one number for a
+    full-leg block, a (4, size) array for a cut-leg block.
     """
     xmin, xmax, ymin, ymax = shape.bounds()
     imin = int(math.floor(xmin / h)) - 1
@@ -833,6 +838,8 @@ def _two_d_build(shape, h, mirrors, swap):
     full_coef = 2.0 / (h * (h + h))
     diag = np.full(n, 2.0 / (h * h) + 2.0 / (h * h) + 1.0)
     bc_unit = np.zeros(n)
+    leg_lengths = np.full((4, n), h)
+    leg_whole = np.ones((4, n), dtype=bool)
     coefs = []
     for k, (start, stop) in enumerate(spans):
         if k % 2 == 0:
@@ -848,6 +855,8 @@ def _two_d_build(shape, h, mirrors, swap):
                                             di * h, dj * h)
                 leg[~nb] = np.clip(theta, obstacle.MIN_CUT_FRACTION, 1.0) * h
             legs[name], nbin[name] = leg, nb
+        leg_lengths[:, sel] = [legs[d] for d in "EWNS"]
+        leg_whole[:, sel] = [nbin[d] for d in "EWNS"]
         e, w, nn, ss = (legs[d] for d in "EWNS")
         c = {"E": 2.0 / (e * (e + w)), "W": 2.0 / (w * (e + w)),
              "N": 2.0 / (nn * (nn + ss)), "S": 2.0 / (ss * (nn + ss))}
@@ -856,7 +865,8 @@ def _two_d_build(shape, h, mirrors, swap):
         coefs.append(np.stack([np.where(nbin[d], c[d], 0.0) for d in "EWNS"]))
     return {"origin": (lo[0], lo[1]), "n": n, "whole_n": int(weight.sum()),
             "ii": ii, "jj": jj, "mask": mask, "diag": diag,
-            "bc_unit": bc_unit, "spans": spans,
+            "bc_unit": bc_unit, "leg_lengths": leg_lengths, "whole": leg_whole,
+            "spans": spans,
             "legs": [idx[:, a:b] for a, b in spans], "coef": coefs}
 
 
@@ -876,7 +886,9 @@ def test_grid_build_equals_two_d_indexing(shape, k):
         assert (grid.n, grid._whole_n) == (ref["n"], ref["whole_n"])
         for got, want in ((grid.ii, ref["ii"]), (grid.jj, ref["jj"]),
                           (grid.mask, ref["mask"]), (grid.diag, ref["diag"]),
-                          (grid._bc_unit, ref["bc_unit"])):
+                          (grid._bc_unit, ref["bc_unit"]),
+                          (grid._cut_legs,
+                           ref["leg_lengths"][:, grid._cut_ids])):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         blocks = list(grid._blocks)
         for color in (0, 1):
@@ -901,21 +913,19 @@ def test_rectangle_evaluations_keep_the_bits_of_the_stencil(shape, k):
     # operator_values and leg_gradients read the unknowns from the rectangle
     # (odd and even sides at h = 1/37 and 1/64), and give bit for bit the
     # block evaluation and the stencil built cell by cell from the leg
-    # lengths
+    # lengths of the two-dimensional build
     grid = DomainGrid(shape, 1.0 / k)
     rng = np.random.default_rng(k)
     values = rng.uniform(-1.0, 1.0, grid.n)
     got = grid.operator_values(values)
-    bc = obstacle.BOUNDARY_VALUE * _two_d_build(shape, grid.h, (), False)[
-        "bc_unit"]
+    ref = _two_d_build(shape, grid.h, (), False)
+    bc = obstacle.BOUNDARY_VALUE * ref["bc_unit"]
     assert np.array_equal(got, grid._apply(values)
                           - obstacle.BOUNDARY_VALUE * grid._bc_unit)
     assert np.array_equal(got, _apply_ref(grid, values) - bc)
-    legs, nbin = grid._leg_lengths()
     idx, _, _ = _stencil_ref(grid)
-    want = np.stack([
-        (np.where(nbin[name], values[idx[row]], obstacle.BOUNDARY_VALUE)
-         - values) / legs[name] for row, name in enumerate("EWNS")])
+    want = (np.where(ref["whole"], values[idx], obstacle.BOUNDARY_VALUE)
+            - values) / ref["leg_lengths"]
     assert np.array_equal(grid.leg_gradients(values), want)
 
 
@@ -924,9 +934,17 @@ def test_rectangle_evaluations_keep_the_bits_of_the_stencil(shape, k):
     ConvexPolygon([[0.0, 0.0], [1.0, 0.0], [1.2, 0.8], [0.1, 1.0]])],
     ids=repr)
 def test_leg_gradients_read_the_cut_legs_of_the_build(shape, monkeypatch):
-    # the build keeps the (4, k) cut-leg lengths it computes, so the gradient
-    # quotients evaluate no exit fraction
+    # the build measures its (4, k) cut legs with one exit fraction call and
+    # keeps them, so the gradient quotients evaluate no exit fraction
+    calls = []
+    exit_fraction = type(shape).exit_fraction
+
+    def count(*args):
+        calls.append(args)
+        return exit_fraction(*args)
+    monkeypatch.setattr(type(shape), "exit_fraction", count)
     grid = DomainGrid(shape, 1.0 / 37.0)
+    assert len(calls) == 1
     values = np.random.default_rng(5).uniform(0.0, 1.0, grid.n)
     want = grid.leg_gradients(values)
 

@@ -342,9 +342,8 @@ def test_two_point_centered_square_matches_closed_form():
 
 
 def test_hexagonal_embedding_matches_closed_form():
-    emb = triangular_embedding(4)
-    assert emb is not None
-    torus, pts = emb
+    kind, torus, pts = triangular_embedding(4)
+    assert kind == "triangular-hex"
     assert abs(torus.basis.covolume - TWO_PI) < 1e-12
     cfg = TorusConfig(torus, pts)
     expected = w_eta(TRI_TAU, m=4.0).value
@@ -353,14 +352,12 @@ def test_hexagonal_embedding_matches_closed_form():
 
 
 def test_rectangular_embedding_matches_closed_form():
-    emb = triangular_embedding(2)
-    assert emb is not None
-    torus, pts = emb
+    kind, torus, pts = triangular_embedding(2)
+    assert kind == "triangular-rect"
     cfg = TorusConfig(torus, pts)
     expected = w_eta(TRI_TAU, m=2.0).value
     assert abs(config_energy(cfg) - expected) < 1e-11
-    emb8 = triangular_embedding(8)
-    torus8, pts8 = emb8
+    _, torus8, pts8 = triangular_embedding(8)
     cfg8 = TorusConfig(torus8, pts8)
     expected8 = w_eta(TRI_TAU, m=8.0).value
     assert abs(config_energy(cfg8) - expected8) < 1e-10
@@ -370,12 +367,12 @@ def test_triangular_embedding_families():
     assert triangular_embedding(3) is None
     assert triangular_embedding(5) is None
     assert triangular_embedding(6) is None
-    for n in (1, 4, 9):
-        torus, pts = triangular_embedding(n)
-        assert pts.shape == (n, 2)
-    for n in (2, 8, 18):
-        torus, pts = triangular_embedding(n)
-        assert pts.shape == (n, 2)
+    for n in (1, 4, 9, 16, 36):
+        kind, torus, pts = triangular_embedding(n)
+        assert kind == "triangular-hex" and pts.shape == (n, 2)
+    for n in (2, 8, 18, 32):
+        kind, torus, pts = triangular_embedding(n)
+        assert kind == "triangular-rect" and pts.shape == (n, 2)
     with pytest.raises(NonPositiveParameter):
         triangular_embedding(0)
 
@@ -855,6 +852,17 @@ def test_conjecture1_probe_rows():
     # the exact embedding start lands on the closed-form triangular value
     tri_row = rep.rows[1]
     assert abs(tri_row["best"] - w_eta(TRI_TAU, 2.0).value) < 1e-8
+
+
+def test_conjecture1_rows_name_the_torus_of_the_embedding():
+    # an even square such as 4 embeds on the hexagonal torus, 2 k^2 such as
+    # 8 on the sqrt(3) rectangle: the row is labelled by its torus, not by
+    # the parity of n
+    ctl = MinimizeControl(max_iters=1, restarts=0, rng_seed=0)
+    rep = conjecture1_probe([4, 8], ctl=ctl)
+    assert [(r["n"], r["kind"]) for r in rep.rows] == [
+        (4, "square"), (4, "triangular-hex"),
+        (8, "square"), (8, "triangular-rect")]
 
 
 def test_conjecture1_reference_takes_the_series_control():
