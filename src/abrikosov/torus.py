@@ -12,10 +12,11 @@ their gradients and Hessians come together from one pass over the
 derivatives of the same closed form (``_pair_derivs``).
 
 ``minimize_config`` runs a seeded multi-start search over point positions (a
-weighted-Fekete search).  Each start descends by modified Newton steps
-(Nocedal & Wright, *Numerical Optimization*, ch. 3): the pair-energy
-Hessian's eigenvalues are replaced by their absolute values, floored, so
-that every step points downhill, at saddles too, and each step is
+weighted-Fekete search).  Each start descends by line-search Newton-CG
+steps (Nocedal & Wright, *Numerical Optimization*, Alg. 7.1): conjugate
+gradients on the pair-energy Hessian, stopped by a forcing rule or at the
+first direction of negative curvature, so that every step points
+downhill, at saddles too, with no eigendecomposition.  Each step is
 re-centred so that it moves no point on average, which removes the two
 uniform translations along which the energy is constant.  A backtracking
 line search accepts a step only if the energy rises by no more than its
@@ -27,7 +28,8 @@ blocks become the full Hessian only when a step uses them.
 All starts of one search descend in lockstep as one (k, n, 2) stack: a
 round evaluates one trial of every live start with one value kernel call,
 the derivatives of the trials that pass the energy test with one gradient
-kernel call, and the next Newton steps with one stacked eigendecomposition.
+kernel call, and the next Newton steps with one stacked Hessian-vector
+product per CG iteration.
 The pair helpers (``_pair_diffs``, ``_pair_energy``, ``_pair_derivs``,
 ``_pair_hessian``) take such stacks.  Every start does the arithmetic it
 would do alone, so its outcome does not depend on the other starts.
@@ -82,7 +84,7 @@ __all__ = [
 VOLUME_RTOL = 1e-12
 SEPARATION_EPS = 1e-8      # fractional coordinates
 ENERGY_SLACK = 1e-12       # energy changes the line search treats as rounding
-EIG_FLOOR = 1e-6           # smallest Hessian eigenvalue magnitude a step divides by
+FORCING_CAP = 0.5          # largest relative residual at which a Newton-CG solve stops
 MAX_STEP = 0.25            # largest per-point displacement of one Newton step
 ELKIES_BAND = 5.0          # the Elkies excesses must span less than this
 # Largest reduced Im tau the Green kernels take.  The wrapped t reaches
@@ -441,7 +443,12 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MinimizeControl:
-    """Knobs of the multi-start Newton descent."""
+    """Knobs of the multi-start Newton-CG descent.
+
+    The step itself has none: its CG solve stops by the forcing rule
+    (``FORCING_CAP``) or at negative curvature, after at most 2n
+    iterations (see ``_newton_step``).
+    """
 
     max_iters: int = 2000
     grad_tol: float = 1e-9
@@ -475,25 +482,61 @@ class MinimizeOutcome:
     exit_reason: str
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products of the rows of two (k, 2n) stacks, shape (k,)."""
+    return (a * b).sum(axis=-1)
+
+
 def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Modified Newton steps in Cartesian coordinates, shape (k, n, 2).
+    """Newton-CG steps in Cartesian coordinates, shape (k, n, 2).
 
     ``blocks`` (k, m, 2, 2) (the pair Hessian blocks of ``_pair_derivs``) and
     ``grad`` (k, n, 2) are the pair-energy derivatives at the current points
-    of k configurations.  Each Hessian's eigenvalues are replaced by
-    max(|lambda|, EIG_FLOOR), which makes the solve positive definite; one
-    stacked ``eigh`` serves all k.  The Hessian annihilates the two uniform
-    translations (they leave the energy unchanged) and maps the zero-mean
-    displacements to themselves, so the step differs from the one taken
-    within the zero-mean displacements only along the translations, and
-    re-centring it removes that part.  A step whose largest per-point
-    length exceeds ``MAX_STEP`` is scaled down to it.
+    of k configurations.  Each step is the line-search Newton-CG step of
+    Nocedal & Wright, *Numerical Optimization*, Alg. 7.1: at most 2n
+    conjugate-gradient iterations on H s = -g from s = 0, with g the
+    gradient less its mean, each one stacked Hessian-vector product.  H
+    annihilates the two uniform translations (they leave the energy
+    unchanged) and maps the zero-mean displacements to themselves, so the
+    iterates stay zero-mean up to rounding; the step is re-centred at the
+    end.
+
+    - Forcing: CG stops once |r| <= min(FORCING_CAP, |g|) |g|.
+    - Negative curvature: a direction d with d^T H d <= 1e-12 |d|^2 ends
+      CG; the step is the current iterate plus d, turned downhill and
+      scaled to length |g| (at the first iteration, -g).
+
+    A stopped start is frozen by a mask, not dropped from the stack, so
+    each start does the arithmetic it would do alone.  A step whose
+    largest per-point length exceeds ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
-    lam, vec = np.linalg.eigh(_pair_hessian(blocks, n))
-    rhs = vec.swapaxes(-1, -2) @ grad.reshape(k, 2 * n, 1)
-    coef = rhs / np.maximum(np.abs(lam), EIG_FLOOR)[..., None]
-    step = -(vec @ coef).reshape(k, n, 2)
+    hess = _pair_hessian(blocks, n)
+    g = (grad - grad.mean(axis=1, keepdims=True)).reshape(k, 2 * n)
+    gg = _dot(g, g)
+    tol = np.minimum(FORCING_CAP ** 2, gg) * gg   # squared forcing bound
+    s, r, d, rr = np.zeros_like(g), g.copy(), -g, gg
+    live = rr > tol                               # only g = 0 starts done
+    for _ in range(2 * n):
+        if not live.any():
+            break
+        hd = (hess @ d[..., None])[..., 0]
+        dd, dhd = _dot(d, d), _dot(d, hd)
+        bent = live & (dhd <= 1e-12 * dd)
+        if bent.any():
+            turn = np.where(_dot(d, g) > 0.0, -1.0, 1.0)
+            scale = turn * np.sqrt(gg / np.where(bent, dd, 1.0))
+            s = np.where(bent[:, None], s + scale[:, None] * d, s)
+            live &= ~bent
+        # a stopped start takes alpha = beta = 0: s and r stay, d stays finite
+        alpha = rr / np.where(live, dhd, np.inf)
+        s += alpha[:, None] * d
+        r += alpha[:, None] * hd
+        rr_new = _dot(r, r)
+        live &= rr_new > tol
+        d = (rr_new / np.where(live, rr, np.inf))[:, None] * d - r
+        rr = rr_new
+    step = s.reshape(k, n, 2)
     step -= step.mean(axis=1, keepdims=True)
     longest = _sup_norm(step)
     cut = longest > MAX_STEP
@@ -502,7 +545,7 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
-    """Modified Newton descent with a backtracking line search, run on a
+    """Newton-CG descent with a backtracking line search, run on a
     stack of starts (k, n, 2) in lockstep.
 
     Each iteration of a start takes the step of ``_newton_step`` (capped at
@@ -523,8 +566,9 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     The starts advance in rounds, each live start by one trial a round.  A
     round builds one set of pair differences and makes one energy kernel
     call for all the trials, one derivative kernel call for the trials that
-    pass the energy test, and one stacked ``eigh`` for the next Newton steps
-    of the starts that accepted.  Every start does the same arithmetic as it
+    pass the energy test, and one Hessian scatter, then one stacked
+    Hessian-vector product per CG iteration, for the next Newton steps of
+    the starts that accepted.  Every start does the same arithmetic as it
     would alone, so its result does not depend on the other starts.
 
     Returns one (points, energy, trace, exit_reason, iters) per start.

@@ -650,14 +650,65 @@ def test_one_derivative_pass_per_energy_evaluation(monkeypatch):
             return kernel(*args)
         return wrapper
 
-    for name in ("green_values", "green_grads", "green_hessians"):
-        if hasattr(backend, name):
-            monkeypatch.setattr(backend, name, counted(name))
+    for name in ("green_values", "green_grads"):
+        monkeypatch.setattr(backend, name, counted(name))
     start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
     minimize_config(start, MinimizeControl(restarts=2))
-    derivs = calls.get("green_grads", 0) + calls.get("green_hessians", 0)
-    assert calls["green_values"] > 0 and derivs > 0
-    assert derivs <= calls["green_values"]
+    assert calls["green_values"] > 0 and calls["green_grads"] > 0
+    assert calls["green_grads"] <= calls["green_values"]
+
+
+def test_descent_takes_no_eigendecomposition(monkeypatch):
+    # the Newton steps come from Hessian-vector products alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("the descent called an eigen-routine")
+
+    for name in ("eigh", "eigvalsh", "eig"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
+    out = minimize_config(start, MinimizeControl(restarts=2))
+    assert len(out.restart_table) == 3 and out.converged
+
+
+def _reduced_eigenvalues(hess):
+    """Eigenvalues of a (2n, 2n) pair Hessian on the zero-mean
+    displacements, from an orthonormal basis of them."""
+    n = hess.shape[0] // 2
+    shift = np.zeros((2 * n, 2))
+    shift[0::2, 0] = shift[1::2, 1] = 1.0
+    q, _ = np.linalg.qr(np.hstack([shift, np.eye(2 * n)]))
+    q = q[:, 2:]
+    return np.linalg.eigvalsh(q.T @ hess @ q)
+
+
+def test_newton_step_on_a_mixed_stack():
+    # one stack holds a start near a minimum (positive-definite reduced
+    # Hessian) and a random start whose reduced Hessian is indefinite;
+    # each step is zero-mean, downhill and capped, and the positive-
+    # definite one solves H s = -g to the forcing bound
+    n = 6
+    spec = TorusSpec.square()
+    ev = GreenEvaluator(spec)
+    rng = np.random.default_rng(5)
+    out = minimize_config(TorusConfig(spec, torus._input_start(n, 0)),
+                          MinimizeControl(restarts=0))
+    near = out.config.points + 1e-3 * rng.standard_normal((n, 2))
+    stack = np.stack([near, rng.random((n, 2))])
+    grad, blocks = torus._pair_derivs(ev, stack)
+    hess = torus._pair_hessian(blocks, n)
+    lam = [_reduced_eigenvalues(h) for h in hess]
+    assert lam[0][0] > 0.0 and lam[1][0] < 0.0 < lam[1][-1]
+    step = torus._newton_step(blocks, grad)
+    g = (grad - grad.mean(axis=1, keepdims=True)).reshape(2, 2 * n)
+    s = step.reshape(2, 2 * n)
+    for c in range(2):
+        assert np.max(np.abs(step[c].mean(axis=0))) <= 1e-15 * np.max(np.abs(s[c]))
+        assert g[c] @ s[c] < 0.0, c
+        assert torus._sup_norm(step[c]) <= torus.MAX_STEP * (1 + 1e-15)
+    gnorm = np.linalg.norm(g[0])
+    assert torus._sup_norm(step[0]) < torus.MAX_STEP
+    residual = np.linalg.norm(hess[0] @ s[0] + g[0])
+    assert residual <= min(torus.FORCING_CAP, gnorm) * gnorm
 
 
 def _stack_size(arr, ndim):
