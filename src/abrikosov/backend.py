@@ -5,10 +5,13 @@ arrays of point differences (``green_values``), its first and second
 derivatives from the same terms (``green_grads``), and one projected
 Gauss-Seidel sweep (``psor_sweep``), the smoother of the obstacle
 multigrid.  Each Green kernel evaluates all series terms of a block of
-``PAIR_BLOCK`` points in one broadcast pass and sums them in series order,
-so a call costs a fixed number of numpy operations per block whatever the
-term count, and its (terms x points) temporaries stay the same size however
-many points a call brings.  They are single-threaded and deterministic.
+``PAIR_BLOCK`` points in one broadcast pass and combines them in series
+order: ``green_values`` multiplies the paired factors one row after
+another, ``green_grads`` sums its rows with one reduction.  So a call costs
+a fixed number of numpy operations per block, and per term one more for
+the product, and its (terms x points) temporaries stay the same size
+however many points a call brings.  They are single-threaded and
+deterministic.
 """
 from __future__ import annotations
 
@@ -16,9 +19,13 @@ import numpy as np
 
 BACKEND = "numpy"
 
-# Points per broadcast pass of a Green kernel.  A (terms x points) pass over
-# a few thousand points no longer fits in cache, and its freed temporaries
-# go back to the system and fault in again on the next call.
+# Points per broadcast pass of a Green kernel.  A pass holds a few
+# (N x points) complex temporaries, one row per series term (N = 8 on the
+# square torus: 64 KB at 512 points).  Passes over a few thousand points no
+# longer fit in cache, and their freed temporaries go back to the system
+# and fault in again on the next call.  On a 2-core Xeon VM, 512 points
+# ran the benchmark's conjecture1 rounds about 3% faster than 1,024, and
+# 1,024 an n = 128 probe (24,384 pairs a call) about 7% faster.
 PAIR_BLOCK = 512
 
 # ---------------------------------------------------------------------------
@@ -29,46 +36,53 @@ PAIR_BLOCK = 512
 # q = exp(2 i pi tau), w = exp(i pi z), p = w^2, the torus Green function of
 # the cell (volume-2pi normalization) is
 #
-#   G(s, t) = pi b/6 - log|w - 1/w| - sum_{n>=1} log|1-q^n p| + log|1-q^n/p|
-#             + pi b t^2
+#   G(s, t) = pi b/6 + pi b t^2 - log|(w - 1/w) prod_{n>=1} F_n|,
+#   F_n = (1 - q^n p)(1 - q^n/p) = 1 + q^2n - q^n c,   c = p + 1/p,
 #
-# and its (s, t)-gradient follows from the log-derivative
+# Jacobi's triple product with its factors paired (DLMF 20.5.1).  Its
+# (s, t)-gradient follows from the log-derivative, with d = p - 1/p,
 #
-#   L(z) = pi i (p+1)/(p-1)
-#          + 2 pi i sum_{n>=1} [ (q^n/p)/(1-q^n/p) - q^n p/(1-q^n p) ],
-#   dG/ds = -Re L,   dG/dt = -Re(tau L) + 2 pi b t.
+#   L(z) = pi i (p+1)/(p-1) - 2 pi i d sum_{n>=1} q^n/F_n,
+#   dG/ds = -Re L,   dG/dt = -Re(tau L) + 2 pi b t,
 #
-# Its z-derivative, with u = q^n/p and v = q^n p,
+# and its z-derivative
 #
-#   L'(z) = 4 pi^2 p/(p-1)^2 + 4 pi^2 sum_{n>=1} [ u/(1-u)^2 + v/(1-v)^2 ],
+#   L'(z) = 4 pi^2 p/(p-1)^2
+#           + 4 pi^2 sum_{n>=1} [q^n (1 + q^2n) c - 4 q^2n] / F_n^2
 #
 # gives the second derivatives
 #
 #   d2G/ds2 = -Re L',  d2G/dsdt = -Re(tau L'),  d2G/dt2 = -Re(tau^2 L') + 2 pi b.
 #
-# Every kernel wraps (s, t) into [-1/2, 1/2) first, which keeps the
-# series terms bounded by |q|^(n-1/2).
+# Every kernel wraps (s, t) into [-1/2, 1/2] first, which bounds |q^n c| by
+# 2|q|^(n-1/2), so no F_n cancels.  The n = 0 parts keep p - 1 (and
+# w - 1/w), whose cancellation near z = 0 is the pole's own; w - 1/w
+# rewritten in c - 2 would square it.
 #
-# A column of q^1 .. q^N against a block of points gives every term at
-# once, one row per term and part.  The rows are then summed one after
-# another in series order, never pairwise, so that a point's value has the
-# same bits whether it is evaluated alone or among many, in any block
-# (tests/test_backend.py holds the per-term loops these must equal).  The
-# kernels take 1-D arrays of fractional differences.
+# Per-term constants (q^n, 1 + q^2n, ...) form columns that give the rows
+# F_1 .. F_N of a block of points at once.  The product is taken one row
+# after another, out of place, and the series rows are summed in series
+# order, never pairwise, so that a point's value has the same bits whether
+# it is evaluated alone or among many, in any block (tests/test_backend.py
+# holds the per-term loops these must equal).  The kernels take 1-D arrays
+# of fractional differences.
 # ---------------------------------------------------------------------------
 
 
-def _powers(q, nterms):
-    """q^1 .. q^nterms as a column that broadcasts over a block of points.
+def _columns(q, nterms):
+    """q^n, 1 + q^2n, q^n (1 + q^2n) and 4 q^2n for n = 1 .. nterms, as
+    (nterms, 1) columns that broadcast over a block of points.
 
-    Each power is the previous one times q, the order the series defines.
+    Each q^n is the previous one times q, the order the series defines, and
+    q^2n is q^n q^n.
     """
-    col = np.empty((nterms, 1), complex)
+    rows = []
     qn = complex(1.0, 0.0)
-    for k in range(nterms):
+    for _ in range(nterms):
         qn = qn * q
-        col[k] = qn
-    return col
+        q2n = qn * qn
+        rows.append((qn, 1.0 + q2n, qn * (1.0 + q2n), 4.0 * q2n))
+    return np.array(rows).T.reshape(4, nterms, 1)
 
 
 def _blocks(size):
@@ -77,79 +91,73 @@ def _blocks(size):
 
 
 def _setup(ds, dt, a, b):
-    """tau, q, the wrapped t, w = exp(i pi z) and p = w^2 of every point."""
+    """tau, q, the wrapped t, w = exp(i pi z), p = w^2 and 1/p of every
+    point."""
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
     t = dt - np.rint(dt)
     z = s + t * tau
     w = np.exp(1j * np.pi * z)
-    return tau, q, t, w, w * w
+    p = w * w
+    return tau, q, t, w, p, 1.0 / p
 
 
 def green_values(ds, dt, a, b, nterms):
-    tau, q, t, w, p = _setup(ds, dt, a, b)
-    qn = _powers(q, nterms)
-    out = (np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w))
-           + np.pi * b * t * t)
+    tau, q, t, w, p, ip = _setup(ds, dt, a, b)
+    qn, one_q2n, _, _ = _columns(q, nterms)
+    c = p + ip
+    prod = w - 1.0 / w
     for blk in _blocks(len(p)):
-        pb = p[blk]
-        # rows: the n = 0 part, then log|1 - q^n p| and log|1 - q^n/p| per
-        # term, subtracted in turn; subtract has no pairwise reduction, so
-        # this holds for one column too
-        terms = np.empty((2 * nterms + 1, len(pb)))
-        terms[0] = out[blk]
-        x = qn * pb
-        np.subtract(1.0, x, out=x)
-        np.abs(x, out=terms[1::2])
-        np.divide(qn, pb, out=x)
-        np.subtract(1.0, x, out=x)
-        np.abs(x, out=terms[2::2])
-        np.log(terms[1:], out=terms[1:])
-        np.subtract.reduce(terms, axis=0, out=out[blk])
-    return out
+        # rows F_n = (1 + q^2n) - q^n c, multiplied in turn; multiply.reduce
+        # would not keep one point's bits, nor would an in-place product
+        f = qn * c[blk]
+        np.subtract(one_q2n, f, out=f)
+        acc = prod[blk]
+        for row in f:
+            acc = acc * row
+        prod[blk] = acc
+    return np.pi * b / 6.0 - np.log(np.abs(prod)) + np.pi * b * t * t
 
 
 def green_grads(ds, dt, a, b, nterms):
     """First and second (s, t)-derivatives of G, from L(z) and L'(z).
 
-    Returns ((G_s, G_t), (H_ss, H_st, H_tt)); both series come from the same
-    u = q^n/p and v = q^n p, evaluated for every term of a block at once.
+    Returns ((G_s, G_t), (H_ss, H_st, H_tt)); both series come from the
+    same reciprocals 1/F_n, evaluated for every term of a block at once.
     """
-    tau, q, t, _, p = _setup(ds, dt, a, b)
-    qn = _powers(q, nterms)
-    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
+    tau, q, t, _, p, ip = _setup(ds, dt, a, b)
+    qn, one_q2n, lead, four_q2n = _columns(q, nterms)
+    c = p + ip
+    ser = np.empty_like(p)
     dl = p / (p - 1.0) ** 2
     for blk in _blocks(len(p)):
-        pb = p[blk]
-        # L's rows: minus its n = 0 part, then 2 pi i (u/(1-u) - v/(1-v)) per
-        # term; L''s rows: minus its n = 0 part, then u/(1-u)^2 and v/(1-v)^2
-        # per term.  As in green_values, the rows are subtracted in turn:
-        # (-a) - b - ... is -(a + b + ...) summed in series order, to the
-        # bit but for the sign of an exactly cancelling zero
-        lterms = np.empty((nterms + 1, len(pb)), complex)
-        dterms = np.empty((2 * nterms + 1, len(pb)), complex)
-        np.negative(lsum[blk], out=lterms[0])
+        cb = c[blk]
+        # L's rows: a zero, then q^n/F_n per term; L''s rows: minus its
+        # n = 0 part, then (q^n (1 + q^2n) c - 4 q^2n)/F_n^2 per term.  The
+        # rows are subtracted in turn: subtract has no pairwise reduction,
+        # and (-a) - b - ... is -(a + b + ...) summed in series order, to
+        # the bit but for the sign of an exactly cancelling zero
+        lterms = np.empty((nterms + 1, len(cb)), complex)
+        dterms = np.empty((nterms + 1, len(cb)), complex)
+        lterms[0] = 0.0
         np.negative(dl[blk], out=dterms[0])
-        # x holds u, then v; om holds 1 - x.  Squares are taken out of place:
-        # numpy rounds an in-place square of a lone complex element
-        # differently
-        x = qn / pb
-        om = 1.0 - x
-        np.divide(x, om, out=lterms[1:])
-        np.divide(x, om ** 2, out=dterms[1::2])
-        np.multiply(qn, pb, out=x)
-        np.subtract(1.0, x, out=om)
-        # v/(1-v) waits in the rows that v/(1-v)^2 fills next
-        np.divide(x, om, out=dterms[2::2])
-        np.subtract(lterms[1:], dterms[2::2], out=lterms[1:])
-        np.multiply(2j * np.pi, lterms[1:], out=lterms[1:])
-        np.divide(x, om ** 2, out=dterms[2::2])
-        np.subtract.reduce(lterms, axis=0, out=lsum[blk])
+        f = qn * cb
+        np.subtract(one_q2n, f, out=f)
+        r = np.reciprocal(f)
+        np.multiply(qn, r, out=lterms[1:])
+        # the square is taken out of place: numpy rounds an in-place square
+        # of a lone complex element differently
+        r = r * r
+        np.multiply(lead, cb, out=f)
+        np.subtract(f, four_q2n, out=f)
+        np.multiply(f, r, out=dterms[1:])
+        np.subtract.reduce(lterms, axis=0, out=ser[blk])
         np.subtract.reduce(dterms, axis=0, out=dl[blk])
-    # lsum now holds -L and dl -L' / (4 pi^2)
+    # ser now holds -sum q^n/F_n, and dl -L' / (4 pi^2)
+    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0) + 2j * np.pi * (p - ip) * ser
     dl *= 4.0 * np.pi * np.pi
-    grad = (lsum.real, (tau * lsum).real + 2.0 * np.pi * b * t)
+    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
     hess = (dl.real, (tau * dl).real, (tau * tau * dl).real + 2.0 * np.pi * b)
     return grad, hess
 

@@ -6,10 +6,13 @@ The Green function here is the mean-zero solution of
 
 on a flat torus of area 2 pi.  Its values come from a geometrically
 convergent q-series closed form (never from the slowly decaying Fourier
-sum), after mapping the torus shape to a reduced modulus.  Configuration
-energies are pairwise Green sums plus a per-point lattice self-energy term;
-their gradients and Hessians come together from one pass over the
-derivatives of the same closed form (``_pair_derivs``).
+sum), after mapping the torus shape to a reduced modulus: Jacobi's triple
+product with its factors taken in pairs, so that a value costs one
+logarithm and each series term of the derivatives one reciprocal
+(``backend``).  Configuration energies are pairwise Green sums plus a
+per-point lattice self-energy term; their gradients and Hessians come
+together from one pass over the derivatives of the same closed form
+(``_pair_derivs``).
 
 ``minimize_config`` runs a seeded multi-start search over point positions (a
 weighted-Fekete search).  Each start descends by line-search Newton-CG
@@ -30,9 +33,11 @@ round evaluates one trial of every live start with one value kernel call,
 the derivatives of the trials that pass the energy test with one gradient
 kernel call, and the next Newton steps with one stacked Hessian-vector
 product per CG iteration.
-The pair helpers (``_pair_diffs``, ``_pair_energy``, ``_pair_derivs``,
-``_pair_hessian``) take such stacks.  Every start does the arithmetic it
-would do alone, so its outcome does not depend on the other starts.
+The pair helpers (``_pair_seps``, ``_pair_energy``, ``_pair_derivs``,
+``_pair_hessian``) take such stacks.  ``_pair_seps`` builds the wrapped s
+and t differences of every pair as two arrays, which serve the separation
+tests and the kernel call alike.  Every start does the arithmetic it would
+do alone, so its outcome does not depend on the other starts.
 """
 from __future__ import annotations
 
@@ -88,8 +93,11 @@ FORCING_CAP = 0.5          # largest relative residual at which a Newton-CG solv
 MAX_STEP = 0.25            # largest per-point displacement of one Newton step
 ELKIES_BAND = 5.0          # the Elkies excesses must span less than this
 # Largest reduced Im tau the Green kernels take.  The wrapped t reaches
-# 1/2, so |p| = |exp(2 i pi z)| reaches exp(pi b), and green_grads squares
-# p - 1: exp(2 pi b) stays finite while 2 pi b < log(DBL_MAX).
+# +-1/2, so |p| = |exp(2 i pi z)| and |1/p| reach exp(pi b), and so do
+# |c| = |p + 1/p| and |d| = |p - 1/p|; q^n c, the paired factors F_n and
+# their reciprocals stay near 1.  The first term to overflow is
+# green_grads's (p - 1)^2: exp(2 pi b) stays finite while
+# 2 pi b < log(DBL_MAX).
 MAX_GREEN_B = math.log(sys.float_info.max) / (2.0 * math.pi)   # ~112.97
 _DEFAULT_CTL = SeriesControl()
 
@@ -210,28 +218,28 @@ def _pair_layout(n: int) -> _PairLayout:
     return layout
 
 
-def _pair_diffs(points: np.ndarray) -> np.ndarray:
-    """Coordinate differences x_i - x_j of the upper-triangle pairs i < j.
+def _pair_seps(points: np.ndarray) -> np.ndarray:
+    """Wrapped coordinate differences x_i - x_j of the upper-triangle pairs
+    i < j, as one array (2, ..., m) whose rows are the s and t differences.
 
-    ``points`` is one configuration (n, 2) or a stack (k, n, 2); the
-    differences are (m, 2) or (k, m, 2) for the m = n(n-1)/2 pairs.
+    ``points`` is one configuration (n, 2) or a stack (k, n, 2), with m =
+    n(n-1)/2 pairs.  Each difference is wrapped into [-1/2, 1/2] once; for
+    coordinates in [0, 1), as every configuration keeps them, the wrap is
+    exact.
     """
     layout = _pair_layout(points.shape[-2])
-    return points[..., layout.iu, :] - points[..., layout.ju, :]
-
-
-def _closest(sep: np.ndarray) -> np.ndarray:
-    """Smallest length among the wrapped pair differences of each
-    configuration (needs at least one pair)."""
-    return np.sqrt(np.min(np.sum(sep * sep, axis=-1), axis=-1))
+    xy = np.moveaxis(points, -1, 0)
+    d = xy.take(layout.iu, axis=-1) - xy.take(layout.ju, axis=-1)
+    d -= np.rint(d)
+    return d
 
 
 def _min_separation(points: np.ndarray) -> float:
     """Smallest wrapped pair distance of one configuration (inf for none)."""
     if points.shape[0] < 2:
         return math.inf
-    d = _pair_diffs(points)
-    return float(_closest(d - np.rint(d)))
+    s, t = _pair_seps(points)
+    return math.sqrt(np.min(s * s + t * t))
 
 
 class GreenEvaluator:
@@ -355,17 +363,17 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
     """
     if points.shape[1] < 2:
         return np.zeros(points.shape[0])
-    d = _pair_diffs(points)
-    sep = d - np.rint(d)
-    far = _closest(sep) >= min_sep
+    s, t = _pair_seps(points)
+    far = np.sqrt(np.min(s * s + t * t, axis=-1)) >= min_sep
     energy = np.full(points.shape[0], np.nan)
     if not far.any():
         return energy
-    sep, d = sep[far], d[far]
-    cart = sep @ ev.torus.basis.matrix.T
-    if np.any(np.sum(cart * cart, axis=-1) < SINGULAR_TUBE ** 2):
+    s, t = s[far], t[far]
+    (b00, b01), (b10, b11) = ev.torus.basis.matrix.tolist()
+    x, y = b00 * s + b01 * t, b10 * s + b11 * t
+    if np.any(x * x + y * y < SINGULAR_TUBE ** 2):
         raise CoincidentPoints("points collide within the singular tube")
-    energy[far] = np.sum(ev._values_frac(d[..., 0], d[..., 1]), axis=-1)
+    energy[far] = np.sum(ev._values_frac(s, t), axis=-1)
     return energy
 
 
@@ -384,8 +392,7 @@ def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
     n = points.shape[-2]
     if n < 2:
         return np.zeros(points.shape), np.zeros(points.shape[:-2] + (0, 2, 2))
-    d = _pair_diffs(points)
-    g, h = ev._derivs_frac(d[..., 0], d[..., 1])
+    g, h = ev._derivs_frac(*_pair_seps(points))
     count = math.prod(points.shape[:-2])
     weights = np.concatenate([g, -g], axis=-1)
     index = _pair_layout(n).grad_index + 2 * n * np.arange(count)[:, None, None]

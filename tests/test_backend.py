@@ -43,15 +43,76 @@ def test_warmup_calls_every_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _loop_values(ds, dt, a, b, nterms):
-    """G summed one series term after another."""
+def _setup(ds, dt, a, b):
+    """tau, q, the wrapped t, w = exp(i pi z) and p = w^2."""
     tau = complex(a, b)
     q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
     t = dt - np.rint(dt)
     z = s + t * tau
     w = np.exp(1j * np.pi * z)
-    p = w * w
+    return tau, q, t, w, w * w
+
+
+def _paired_values(ds, dt, a, b, nterms):
+    """G from the paired factors F_n, multiplied one term after another."""
+    tau, q, t, w, p = _setup(ds, dt, a, b)
+    c = p + 1.0 / p
+    acc = w - 1.0 / w
+    qn = complex(1.0, 0.0)
+    for _ in range(nterms):
+        qn = qn * q
+        q2n = qn * qn
+        acc = acc * ((1.0 + q2n) - qn * c)
+    return np.pi * b / 6.0 - np.log(np.abs(acc)) + np.pi * b * t * t
+
+
+def _paired_grads(ds, dt, a, b, nterms):
+    """The derivatives of G from L and L' in the paired form, summed one
+    term after another."""
+    tau, q, t, _, p = _setup(ds, dt, a, b)
+    ip = 1.0 / p
+    c = p + ip
+    ser = np.zeros_like(p)
+    dl = -(p / (p - 1.0) ** 2)
+    qn = complex(1.0, 0.0)
+    for _ in range(nterms):
+        qn = qn * q
+        q2n = qn * qn
+        r = np.reciprocal((1.0 + q2n) - qn * c)
+        ser = ser - qn * r
+        dl = dl - ((qn * (1.0 + q2n)) * c - 4.0 * q2n) * (r * r)
+    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0) + 2j * np.pi * (p - ip) * ser
+    dl = dl * (4.0 * np.pi * np.pi)
+    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
+    hess = (dl.real, (tau * dl).real, (tau * tau * dl).real + 2.0 * np.pi * b)
+    return grad, hess
+
+
+@pytest.mark.parametrize("nterms", [4, 9, 200])
+@pytest.mark.parametrize("pairs", [1, 2, 23, 496, 1025, 1500, 3000])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, np.sqrt(3.0) / 2.0),
+                                  (0.3, 1.2)], ids=["square", "hex", "skew"])
+def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
+    # the same operations summed in the same order give the same bits; a
+    # pairwise sum or product, or a product taken in place, does not.
+    # 1,025, 1,500 and 3,000 points cross the kernels' block edges; 1,025
+    # ends in a block of a single point
+    assert backend.PAIR_BLOCK == 512
+    rng = np.random.default_rng(1000 * pairs + nterms)
+    ds, dt = rng.uniform(-1.5, 1.5, (2, pairs))
+    assert np.array_equal(backend.green_values(ds, dt, a, b, nterms),
+                          _paired_values(ds, dt, a, b, nterms))
+    (gs, gt), hess = backend.green_grads(ds, dt, a, b, nterms)
+    (ls, lt), lhess = _paired_grads(ds, dt, a, b, nterms)
+    assert np.array_equal(gs, ls) and np.array_equal(gt, lt)
+    for got, want in zip(hess, lhess):
+        assert np.array_equal(got, want)
+
+
+def _loop_values(ds, dt, a, b, nterms):
+    """G from the unpaired triple product, one log per factor."""
+    tau, q, t, w, p = _setup(ds, dt, a, b)
     acc = np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w)) + np.pi * b * t * t
     qn = complex(1.0, 0.0)
     for _ in range(nterms):
@@ -61,14 +122,8 @@ def _loop_values(ds, dt, a, b, nterms):
 
 
 def _loop_grads(ds, dt, a, b, nterms):
-    """The derivatives of G from L and L' summed one term after another."""
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    s = ds - np.rint(ds)
-    t = dt - np.rint(dt)
-    z = s + t * tau
-    w = np.exp(1j * np.pi * z)
-    p = w * w
+    """The derivatives of G from the unpaired terms of L and L'."""
+    tau, q, t, w, p = _setup(ds, dt, a, b)
     lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
     dl = p / (p - 1.0) ** 2
     qn = complex(1.0, 0.0)
@@ -81,28 +136,57 @@ def _loop_grads(ds, dt, a, b, nterms):
     dl = 4.0 * np.pi * np.pi * dl
     grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
     hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
-    return grad, hess
+    return grad, hess, lsum, dl
 
 
 @pytest.mark.parametrize("nterms", [4, 9, 200])
-@pytest.mark.parametrize("pairs", [1, 2, 23, 496, 1025, 1500, 3000])
 @pytest.mark.parametrize("a, b", [(0.0, 1.0), (0.5, np.sqrt(3.0) / 2.0),
-                                  (0.3, 1.2)], ids=["square", "hex", "skew"])
-def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
-    # the same operations summed in the same order give the same bits; a
-    # pairwise sum or u- and v-terms added together first do not.  1,025,
-    # 1,500 and 3,000 points cross the kernels' block edges; 1,025 ends in a
-    # block of a single point
-    assert backend.PAIR_BLOCK == 512
-    rng = np.random.default_rng(1000 * pairs + nterms)
-    ds, dt = rng.uniform(-1.5, 1.5, (2, pairs))
-    assert np.array_equal(backend.green_values(ds, dt, a, b, nterms),
-                          _loop_values(ds, dt, a, b, nterms))
+                                  (0.3, 1.2), (0.1, 10.0), (0.0, 100.0)],
+                         ids=["square", "hex", "skew", "long", "b100"])
+def test_kernels_equal_the_unpaired_product(a, b, nterms):
+    # The paired factors F_n = (1 - q^n p)(1 - q^n/p) against the unpaired
+    # product, to a bound built from per-term rounding.  With u = 2^-53,
+    # each complex product, quotient or reciprocal rounds to within 8u of
+    # itself, a sum to within u.  A term of either form takes at most six
+    # such steps on numbers no larger than mu_n = |q|^n (|p| + 1/|p|) (or
+    # on 1), and at |t| <= 1/2 every factor has modulus at least 1/2, so
+    # the two forms' n-th terms differ by at most 200 u mu_n, and 4 x that
+    # for the squared denominators of L'.  Each of the N steps of a running
+    # sum rounds to u of the running total: of its terms' sizes, and of the
+    # shared lead part (the n = 0 term, and for G its two real terms) when
+    # the sum carries it, as the unpaired G and L and both forms of L' do.
+    # The final sums and products add a few u more.  Half the points sit at
+    # |t| = 1/2, where |q^n c| is largest.
+    rng = np.random.default_rng(nterms)
+    ds = rng.uniform(-1.5, 1.5, 400)
+    dt = np.concatenate([rng.uniform(-1.5, 1.5, 200),
+                         np.repeat([0.5, -0.5], 100)])
+    u = 2.0 ** -53
+    tau, q, t, w, p = _setup(ds, dt, a, b)
+    n = np.arange(1, nterms + 1)[:, None]
+    mu = (abs(q) ** n * (np.abs(p) + 1.0 / np.abs(p))).sum(axis=0)
+    mu2 = 4.0 * (mu + 4.0 * (abs(q) ** (2 * n)).sum(axis=0))
+    per_term = (2 * nterms + 200) * u
+
+    lead = (np.pi * b / 6.0 + np.abs(np.log(np.abs(w - 1.0 / w)))
+            + np.pi * b * t * t + 2.0 * mu)
+    tol = per_term * mu + (2 * nterms + 6) * u * lead
+    err = np.abs(backend.green_values(ds, dt, a, b, nterms)
+                 - _loop_values(ds, dt, a, b, nterms))
+    assert np.all(err <= tol)
+
     (gs, gt), hess = backend.green_grads(ds, dt, a, b, nterms)
-    (ls, lt), lhess = _loop_grads(ds, dt, a, b, nterms)
-    assert np.array_equal(gs, ls) and np.array_equal(gt, lt)
-    for got, want in zip(hess, lhess):
-        assert np.array_equal(got, want)
+    (ls, lt), lhess, lsum, dl = _loop_grads(ds, dt, a, b, nterms)
+    at, drift = abs(tau), 2.0 * np.pi * b
+    d_l = 2.0 * np.pi * per_term * mu + (nterms + 4) * u * np.abs(lsum)
+    d_dl = 4.0 * np.pi ** 2 * per_term * mu2 + (2 * nterms + 4) * u * np.abs(dl)
+    assert np.all(np.abs(gs - ls) <= d_l)
+    assert np.all(np.abs(gt - lt) <= at * d_l + 18.0 * u * at * np.abs(lsum)
+                  + 2.0 * u * drift * np.abs(t))
+    tols = (d_dl, at * d_dl + 18.0 * u * at * np.abs(dl),
+            at * at * d_dl + 30.0 * u * at * at * np.abs(dl) + 2.0 * u * drift)
+    for got, want, bound in zip(hess, lhess, tols):
+        assert np.all(np.abs(got - want) <= bound)
 
 
 # ---------------------------------------------------------------------------

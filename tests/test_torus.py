@@ -400,8 +400,7 @@ def test_gradient_scatter_equals_pair_loop():
     rng = np.random.default_rng(7)
     for n in (2, 4, 7):
         stack = rng.random((3, n, 2))
-        d = torus._pair_diffs(stack)
-        g, _ = ev._derivs_frac(d[..., 0], d[..., 1])
+        g, _ = ev._derivs_frac(*torus._pair_seps(stack))
         iu, ju = np.triu_indices(n, k=1)
         grad = torus._pair_derivs(ev, stack)[0]
         for c in range(3):
@@ -498,18 +497,17 @@ def test_pair_hessian_blocks_match_the_matrix_product(spec):
     ev = GreenEvaluator(spec)
     rng = np.random.default_rng(13)
     stack = rng.random((3, 6, 2))
-    d = torus._pair_diffs(stack)
-    _, blocks = ev._derivs_frac(d[..., 0], d[..., 1])
-    _, (hss, hst, htt) = backend.green_grads(*ev._reduced(d[..., 0],
-                                                          d[..., 1]))
-    h = np.stack([hss, hst, hst, htt], axis=-1).reshape(d.shape[:-1] + (2, 2))
+    ds, dt = torus._pair_seps(stack)
+    _, blocks = ev._derivs_frac(ds, dt)
+    _, (hss, hst, htt) = backend.green_grads(*ev._reduced(ds, dt))
+    h = np.stack([hss, hst, hst, htt], axis=-1).reshape(ds.shape + (2, 2))
     jt = ev._grad_map
     ref = jt @ h @ jt.T
     size = np.abs(jt) @ np.abs(h) @ np.abs(jt.T)
     assert np.all(np.abs(blocks - ref) <= 8 * np.finfo(float).eps * size)
     assert np.array_equal(blocks[..., 0, 1], blocks[..., 1, 0])
     for c in range(3):
-        _, alone = ev._derivs_frac(d[c:c + 1, :, 0], d[c:c + 1, :, 1])
+        _, alone = ev._derivs_frac(ds[c:c + 1], dt[c:c + 1])
         assert np.array_equal(alone[0], blocks[c])
 
 
@@ -734,7 +732,7 @@ def test_descent_builds_only_what_it_uses(monkeypatch):
         finally:
             inside.pop()
 
-    def diffs(points, _diffs=torus._pair_diffs):
+    def diffs(points, _diffs=torus._pair_seps):
         if inside:
             events.append(("diffs", _stack_size(points, 2)))
         return _diffs(points)
@@ -753,7 +751,7 @@ def test_descent_builds_only_what_it_uses(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(torus, "_descent", descent)
-    monkeypatch.setattr(torus, "_pair_diffs", diffs)
+    monkeypatch.setattr(torus, "_pair_seps", diffs)
     monkeypatch.setattr(torus, "_pair_hessian", hessian)
     for name in ("green_values", "green_grads"):
         monkeypatch.setattr(backend, name, kernel(getattr(backend, name)))
