@@ -17,7 +17,6 @@ point ``tau = 1/2 + i sqrt(3)/2`` on a fundamental-domain grid.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -37,7 +36,9 @@ from .modular import (
     _eta_product,
     _ewald_sums,
     _nterms_for,
+    _reduce_with_matrix,
     _require_upper,
+    _shape_modulus,
     eta_truncation,
     theta_lattice,
     zeta_difference_limit,
@@ -91,38 +92,6 @@ class EnergyReport:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_with_matrix(tau: complex):
-    """Reduce tau into {|Re| <= 1/2, |tau| >= 1} tracking the group word.
-
-    Returns (tau', M) with M = ((alpha, beta), (gamma, delta)) in Python
-    ints, det M = 1, and tau' = (alpha tau + beta) / (gamma tau + delta).
-    A |tau|^2 that underflows to 0 is inverted as -1/tau.
-    """
-    tau = _require_upper(tau)
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(10_000):
-        k = math.floor(tau.real + 0.5)
-        if k != 0:
-            tau = tau - k
-            a, b = a - k * c, b - k * d
-        norm = tau.real * tau.real + tau.imag * tau.imag
-        if norm < 1.0 - 1e-15:
-            tau = (complex(-tau.real / norm, tau.imag / norm) if norm
-                   else -1.0 / tau)
-            a, b, c, d = -c, -d, a, b
-            continue
-        break
-    # canonical representative on the boundary identifications
-    if abs(tau.real + 0.5) < 1e-14:
-        tau = complex(0.5, tau.imag)
-        a, b = a + c, b + d
-    norm = tau.real * tau.real + tau.imag * tau.imag
-    if abs(norm - 1.0) < 1e-14 and tau.real < -1e-14:
-        tau = complex(-tau.real / norm, tau.imag / norm)
-        a, b, c, d = -c, -d, a, b
-    return tau, ((a, b), (c, d))
-
-
 def reduce_fundamental(tau: complex) -> complex:
     """Canonical representative of tau in {|Re| <= 1/2, |tau| >= 1}.
 
@@ -140,21 +109,6 @@ def _reduced(tau: complex, what: str = "") -> complex:
         raise InputError(f"{what or f'tau = {tau}'} reduces to Im tau above "
                          f"{MAX_B:g}")
     return tau_r
-
-
-def _shape_modulus(basis: LatticeBasis) -> complex:
-    """Shape modulus v/u of a basis (not reduced).
-
-    An oriented basis has Im v/u > 0; a quotient that overflows, or whose
-    imaginary part underflows below the normal floats (it would reduce to
-    an infinite modulus), is an InputError naming the basis.
-    """
-    tau = complex(basis.v[0], basis.v[1]) / complex(basis.u[0], basis.u[1])
-    if not (math.isfinite(tau.real) and sys.float_info.min <= tau.imag
-            < math.inf):
-        raise InputError(f"the shape modulus v/u of {basis} lies outside "
-                         "the float range")
-    return tau
 
 
 def lattice_to_tau(basis: LatticeBasis):

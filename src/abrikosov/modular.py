@@ -12,10 +12,15 @@ Conventions used throughout:
   zeta blows up at ``x = 0``, but for two lattices of equal covolume the
   difference has a limit there, which ``zeta_difference_limit`` computes
   from theta integrals done term by term.
+* A lattice sum runs over its basis reduced by the tau word, the SL2(Z)
+  word of ``_reduce_with_matrix`` that takes the shape modulus v/u into
+  the fundamental domain, and keeps the points within a radius in closed
+  form from its proven tail bound.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +134,53 @@ def _require_upper(tau: complex) -> complex:
     return tau
 
 
+def _reduce_with_matrix(tau: complex):
+    """Reduce tau into {|Re| <= 1/2, |tau| >= 1} tracking the group word.
+
+    Returns (tau', M) with M = ((alpha, beta), (gamma, delta)) in Python
+    ints, det M = 1, and tau' = (alpha tau + beta) / (gamma tau + delta).
+    A |tau|^2 that underflows to 0 is inverted as -1/tau.
+    """
+    tau = _require_upper(tau)
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(10_000):
+        k = math.floor(tau.real + 0.5)
+        if k != 0:
+            tau = tau - k
+            a, b = a - k * c, b - k * d
+        norm = tau.real * tau.real + tau.imag * tau.imag
+        if norm < 1.0 - 1e-15:
+            tau = (complex(-tau.real / norm, tau.imag / norm) if norm
+                   else -1.0 / tau)
+            a, b, c, d = -c, -d, a, b
+            continue
+        break
+    # canonical representative on the boundary identifications
+    if abs(tau.real + 0.5) < 1e-14:
+        tau = complex(0.5, tau.imag)
+        a, b = a + c, b + d
+    norm = tau.real * tau.real + tau.imag * tau.imag
+    if abs(norm - 1.0) < 1e-14 and tau.real < -1e-14:
+        tau = complex(-tau.real / norm, tau.imag / norm)
+        a, b, c, d = -c, -d, a, b
+    return tau, ((a, b), (c, d))
+
+
+def _shape_modulus(basis: LatticeBasis) -> complex:
+    """Shape modulus v/u of a basis (not reduced).
+
+    An oriented basis has Im v/u > 0; a quotient that overflows, or whose
+    imaginary part underflows below the normal floats (it would reduce to
+    an infinite modulus), is an InputError naming the basis.
+    """
+    tau = complex(basis.v[0], basis.v[1]) / complex(basis.u[0], basis.u[1])
+    if not (math.isfinite(tau.real) and sys.float_info.min <= tau.imag
+            < math.inf):
+        raise InputError(f"the shape modulus v/u of {basis} lies outside "
+                         "the float range")
+    return tau
+
+
 def _nterms_for(b: float, ctl: SeriesControl, extra: float = 0.0) -> int:
     """Smallest n with exp(-2 pi b n + extra) below ctl.abs_tol / 10, plus 2
     (at least 4); PrecisionUnreachable above MAX_SERIES_TERMS."""
@@ -235,21 +287,19 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
 
 
 def _reduced_basis(basis: LatticeBasis):
-    """(u, v), a Lagrange-Gauss reduced basis of the lattice of ``basis``.
+    """(u, v), the basis of the lattice of ``basis`` reduced by the tau word.
 
-    A step needs a clear gain (1e-9 relative), so a basis already reduced up
-    to rounding comes back as given, in its own order.
+    With ((alpha, beta), (gamma, delta)) the word of ``_reduce_with_matrix``
+    that takes tau = v/u into the fundamental domain, u' = delta u + gamma v
+    and v' = beta u + alpha v span the same lattice with v'/u' reduced, so
+    |u'.v'| <= |u'|^2 / 2 and |u'| <= |v'|.  The identity word returns the
+    given (u, v), so a reduced basis keeps its bits.  A shape modulus
+    outside the float range is an InputError naming ``basis``.
     """
-    u, v = basis.u, basis.v
-    stepped = False
-    while True:
-        if v @ v < (1.0 - 1e-9) * (u @ u):
-            u, v = v, u
-        mu = (u @ v) / (u @ u)
-        if abs(mu) <= 0.5 + 1e-9:
-            return (u, v) if stepped else (basis.u, basis.v)
-        v = v - round(mu) * u
-        stepped = True
+    (a, b), (c, d) = _reduce_with_matrix(_shape_modulus(basis))[1]
+    if (a, b, c, d) == (1, 0, 0, 1):
+        return basis.u, basis.v
+    return d * basis.u + c * basis.v, b * basis.u + a * basis.v
 
 
 def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
@@ -281,7 +331,7 @@ def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
 
 
 def _covering_radius_bound(basis: LatticeBasis) -> float:
-    """Half the longer diagonal of the lattice's Lagrange-Gauss reduced basis.
+    """Half the longer diagonal of the lattice's basis reduced by the tau word.
 
     Each point of a basis's cell lies within half the cell's longer
     diagonal of a corner, so every basis bounds the covering radius, a
@@ -291,33 +341,6 @@ def _covering_radius_bound(basis: LatticeBasis) -> float:
     """
     u, v = _reduced_basis(basis)
     return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
-
-
-def _theta_radius(basis: LatticeBasis, alpha: float, tol: float) -> float:
-    """Radius R with a proven Gaussian-tail bound of at most tol.
-
-    Every point with |p| >= R satisfies exp(-pi a |p|^2) <=
-    exp(-pi a (|y| - rho)^2) for y in its Voronoi cell (rho = covering
-    radius), so the tail is bounded by a radial integral in closed form.
-    That bound decreases in R from infinity at 2 rho, so once a growing
-    radius meets tol, bisection between it and the last one that missed
-    (or 2 rho) brings it within 0.1% of the smallest radius that meets tol.
-    """
-    lo = 2.0 * _covering_radius_bound(basis)
-    hi = max(lo, math.sqrt(2.0 / (math.pi * alpha)))
-    for _ in range(200):
-        if theta_tail_bound(basis, alpha, hi) <= tol:
-            break
-        lo, hi = hi, 1.25 * hi
-    else:
-        raise PrecisionUnreachable("theta tail bound did not close")
-    while hi - lo > 1e-3 * hi:
-        mid = 0.5 * (lo + hi)
-        if theta_tail_bound(basis, alpha, mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
@@ -341,11 +364,19 @@ def _gaussian_sum_support(basis: LatticeBasis, alpha: float,
     Gaussian weight exp(-pi alpha |p|^2) keeps, and the dropped Gaussian
     tail divided by the squared radius.
 
-    The radius is the smallest (to 0.1%) whose proven Gaussian tail is below
-    ctl.abs_tol.  The returned tail bounds the dropped terms of a sum whose
-    terms are at most exp(-pi alpha |p|^2) / |p|^2.
+    The radius is in closed form: R = 2 rho + max(rho, t) with rho the
+    covering-radius bound, t = sqrt(log(2 / eps) / (pi alpha)) and
+    eps = ctl.abs_tol V alpha.  For R - 2 rho >= rho the factor
+    1 + rho / (R - 2 rho) of ``theta_tail_bound`` is at most 2, so the tail
+    is at most 2 exp(-pi alpha t^2) / (V alpha) = ctl.abs_tol.  The returned
+    tail bounds the dropped terms of a sum whose terms are at most
+    exp(-pi alpha |p|^2) / |p|^2.
     """
-    radius = _theta_radius(basis, alpha, ctl.abs_tol)
+    rho = _covering_radius_bound(basis)
+    log_2_over_eps = (math.log(2.0 / ctl.abs_tol) - math.log(basis.covolume)
+                      - math.log(alpha))
+    radius = 2.0 * rho + max(rho, math.sqrt(max(log_2_over_eps, 0.0)
+                                            / (math.pi * alpha)))
     tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
     return _enumerate_norms_sq(basis, radius), tail
 
@@ -399,7 +430,11 @@ def _ewald_sums(basis: LatticeBasis, eps: float, ctl: SeriesControl):
     Each sum keeps the points of ``_gaussian_sum_support``; as E1(z) <=
     exp(-z)/z, the lattice tail is 4 eps times its Gaussian tail.
     """
-    dual = LatticeBasis(*(2.0 * math.pi * basis.dual().matrix.T))
+    u, v = _reduced_basis(basis)
+    # K is L turned by 90 degrees and scaled by 2 pi / V, so the turned
+    # reduced basis of L is a reduced basis of K
+    s = 2.0 * math.pi / basis.covolume
+    dual = LatticeBasis((-s * u[1], s * u[0]), (-s * v[1], s * v[0]))
     k_nsq, k_tail = _gaussian_sum_support(dual, eps / math.pi, ctl)
     p_nsq, p_tail = _gaussian_sum_support(basis, 0.25 / (math.pi * eps), ctl)
     return (float(np.sum(np.exp(-eps * k_nsq) / k_nsq)), k_tail,

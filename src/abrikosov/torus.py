@@ -63,12 +63,17 @@ from .lattice import (
     EnergyReport,
     TRIANGULAR_TAU,
     TWO_PI,
-    _reduce_with_matrix,
-    _shape_modulus,
     shape_basis,
     w_eta,
 )
-from .modular import SINGULAR_TUBE, LatticeBasis, SeriesControl, _green_nterms
+from .modular import (
+    SINGULAR_TUBE,
+    LatticeBasis,
+    SeriesControl,
+    _green_nterms,
+    _reduce_with_matrix,
+    _shape_modulus,
+)
 
 __all__ = [
     "TorusSpec",

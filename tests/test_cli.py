@@ -92,13 +92,18 @@ def test_exit_code_2_on_usage_error():
 
 
 def test_exit_code_3_on_a_modulus_past_the_ewald_window():
-    # at b = 1e306 the lattice-point window holds about 1.4e307 points: the
-    # message gives that count in three digits and names the route that
-    # takes such a modulus
-    proc = run_cli("lattice", "--tau", "0", "1e306", "--route", "fourier")
+    # at b = 1e306 the dual sum's covering-radius bound rho, half the long
+    # dual vector's length c b with c = sqrt(2 pi / b), dwarfs its Gaussian
+    # width, so its radius is 3 rho = 1.5 c b: the window spans
+    # ceil(1.5 b) + 1 steps of the short dual vector and 3 of the long one
+    # each way.  The message gives that count in three digits and names the
+    # route that takes such a modulus
+    b = 1e306
+    points = (2 * (math.ceil(1.5 * b) + 1) + 1) * (2 * 3 + 1)
+    proc = run_cli("lattice", "--tau", "0", repr(b), "--route", "fourier")
     assert proc.returncode == 3
     assert "PrecisionUnreachable" in proc.stderr
-    assert "1.4e+307" in proc.stderr and "--route eta" in proc.stderr
+    assert f"{points:.3g}" in proc.stderr and "--route eta" in proc.stderr
     assert len(proc.stderr) < 200
     assert run_cli("lattice", "--tau", "0", "1e306").returncode == 0
 

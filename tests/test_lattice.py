@@ -92,7 +92,7 @@ _MODULI = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(tau=_MODULI)
 def test_reduce_with_matrix_property(tau):
-    red, mat = lattice._reduce_with_matrix(tau)
+    red, mat = modular._reduce_with_matrix(tau)
     norm = red.real * red.real + red.imag * red.imag
     assert -0.5 < red.real <= 0.5 and norm >= (1.0 - 1e-14) ** 2
     if abs(norm - 1.0) < 1e-14:                    # on the unit arc
@@ -100,7 +100,7 @@ def test_reduce_with_matrix_property(tau):
     (alpha, beta), (gamma, delta) = mat
     assert alpha * delta - beta * gamma == 1
     assert abs((alpha * tau + beta) / (gamma * tau + delta) - red) < 1e-12
-    assert abs(lattice._reduce_with_matrix(red)[0] - red) < 1e-15
+    assert abs(modular._reduce_with_matrix(red)[0] - red) < 1e-15
 
 
 def test_reduce_rejects_lower_half_plane():
@@ -113,9 +113,9 @@ def test_reduce_rejects_lower_half_plane():
 def test_reduce_takes_extreme_moduli():
     # the group word stays in Python ints past int64; a |tau|^2 that
     # underflows to 0 is inverted as -1/tau
-    red, mat = lattice._reduce_with_matrix(complex(1e300, 1.0))
+    red, mat = modular._reduce_with_matrix(complex(1e300, 1.0))
     assert red == 1j and mat == ((1, -int(1e300)), (0, 1))
-    red, mat = lattice._reduce_with_matrix(complex(0.0, 1e-300))
+    red, mat = modular._reduce_with_matrix(complex(0.0, 1e-300))
     assert red.real == 0.0 and math.isclose(red.imag, 1e300, rel_tol=1e-15)
     assert mat == ((0, -1), (1, 0))
 

@@ -7,15 +7,18 @@ library's, with the previously computed value frozen as a literal.
 
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from abrikosov import modular
 from abrikosov.errors import (
     CovolumeMismatch,
+    InputError,
     LatticePointSingularity,
     NonPositiveImaginaryPart,
     NonPositiveParameter,
@@ -32,7 +35,7 @@ from abrikosov.modular import (
     zeta_difference_limit,
 )
 from abrikosov.lattice import shape_basis, w_eta
-from abrikosov.modular import _gaussian_sum_support, _theta_radius
+from abrikosov.modular import _gaussian_sum_support, _reduced_basis
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -234,12 +237,40 @@ def test_theta_tail_bound_shrinks_with_radius():
 @pytest.mark.parametrize("alpha", [1.0 / (2.0 * math.pi), 0.5, 4.0])
 @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
 def test_theta_radius_is_tight(tau, alpha, tol):
-    # the returned radius meets tol, and 1% less would not: the tail bound
-    # is not overshot by orders of magnitude
+    # the radius R meets tol, and R - 2 rho overshoots the smallest gap t*
+    # that meets it by no more than its proof gives up: at t* the bound
+    # reads exp(-pi alpha t*^2) (1 + rho / t*) = tol V alpha, so
+    # log(2 / (tol V alpha)) <= pi alpha t*^2 + log 2
     basis = _shape_basis_cov(tau, 2.0 * math.pi)
-    radius = _theta_radius(basis, alpha, tol)
+    with mock.patch.object(modular, "_enumerate_norms_sq",
+                           wraps=modular._enumerate_norms_sq) as enumerate_:
+        _gaussian_sum_support(basis, alpha, SeriesControl(abs_tol=tol))
+    radius = enumerate_.call_args.args[1]
     assert theta_tail_bound(basis, alpha, radius) <= tol
-    assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
+    rho = modular._covering_radius_bound(basis)
+    lo, hi = 0.0, radius - 2.0 * rho
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        if theta_tail_bound(basis, alpha, 2.0 * rho + mid) <= tol:
+            hi = mid
+        else:
+            lo = mid
+    assert radius <= 2.0 * rho + max(
+        rho, math.sqrt(hi * hi + math.log(2.0) / (math.pi * alpha)))
+
+
+def test_basis_whose_shape_modulus_overflows_is_an_input_error():
+    # covolume 1, but v/u = 1e400 i lies past the float range: each lattice
+    # sum names the basis it was given
+    bad = LatticeBasis((1e-200, 0.0), (0.0, 1e200))
+    square = LatticeBasis((1.0, 0.0), (0.0, 1.0))
+    calls = (lambda: theta_lattice(bad, 1.0),
+             lambda: theta_tail_bound(bad, 1.0, 5.0),
+             lambda: zeta_difference_limit(square, bad),
+             lambda: zeta_difference_limit(bad, square))
+    for call in calls:
+        with pytest.raises(InputError, match=re.escape(repr(bad))):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +316,50 @@ def test_zeta_difference_limit_vanishes_on_unreduced_bases(tau, k):
     base = shape_basis(tau)
     for image in (tau + k, -1.0 / tau):
         assert abs(zeta_difference_limit(base, shape_basis(image))) < 1e-13
+
+
+@st.composite
+def _sl2z_words(draw):
+    """(a, b, c, d), integers of at most 50 in size with a d - b c = 1."""
+    c, d = draw(st.integers(-50, 50)), draw(st.integers(-50, 50))
+    assume(math.gcd(c, d) == 1)
+    if c == 0:
+        return d, draw(st.integers(-50, 50)), c, d
+    a = pow(d, -1, abs(c))              # a d = 1 mod c, 0 <= a < |c|
+    return a, (a * d - 1) // c, c, d
+
+
+# The image's basis vectors carry the rounding of sums with coefficients up
+# to 50, which the reducing word, with entries up to 50 again, multiplies:
+# a relative error of a few 50^2 ulp in each reduced vector.
+_WORD_ROUNDING = 16 * 50 * 50 * 2.0 ** -52
+
+
+@settings(max_examples=50, deadline=None)
+@given(tau=_fundamental_tau, word=_sl2z_words())
+def test_lattice_sums_are_invariant_under_a_change_of_basis(tau, word):
+    a, b, c, d = word
+    base = shape_basis(tau)
+    image = LatticeBasis(d * base.u + c * base.v, b * base.u + a * base.v)
+    u, v = _reduced_basis(image)
+    # Lagrange-reduced, and an integer basis of the image's lattice
+    assert abs(u @ v) <= (0.5 + _WORD_ROUNDING) * (u @ u)
+    assert u @ u <= (1.0 + _WORD_ROUNDING) * (v @ v)
+    coeffs = np.linalg.solve(image.matrix, np.column_stack([u, v]))
+    whole = np.rint(coeffs)
+    assert np.abs(coeffs - whole).max() < 1e-8
+    assert round(np.linalg.det(whole)) == 1
+    assert math.isclose(u[0] * v[1] - u[1] * v[0], base.covolume,
+                        rel_tol=_WORD_ROUNDING)
+    # each truncated sum is within tol of the lattice's own value
+    tol = SeriesControl().abs_tol
+    for alpha in (0.5 / math.pi, 1.0):
+        want = theta_lattice(base, alpha)
+        assert abs(theta_lattice(image, alpha) - want) \
+            <= 2.0 * tol + _WORD_ROUNDING * want
+    tri = shape_basis(TRI_TAU)
+    assert abs(zeta_difference_limit(image, tri)
+               - zeta_difference_limit(base, tri)) <= 2.0 * tol + _WORD_ROUNDING
 
 
 def test_skewed_basis_keeps_the_reduced_support():
