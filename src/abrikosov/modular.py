@@ -292,13 +292,10 @@ def _reduced_basis(basis: LatticeBasis):
     With ((alpha, beta), (gamma, delta)) the word of ``_reduce_with_matrix``
     that takes tau = v/u into the fundamental domain, u' = delta u + gamma v
     and v' = beta u + alpha v span the same lattice with v'/u' reduced, so
-    |u'.v'| <= |u'|^2 / 2 and |u'| <= |v'|.  The identity word returns the
-    given (u, v), so a reduced basis keeps its bits.  A shape modulus
-    outside the float range is an InputError naming ``basis``.
+    |u'.v'| <= |u'|^2 / 2 and |u'| <= |v'|.  A shape modulus outside the
+    float range is an InputError naming ``basis``.
     """
     (a, b), (c, d) = _reduce_with_matrix(_shape_modulus(basis))[1]
-    if (a, b, c, d) == (1, 0, 0, 1):
-        return basis.u, basis.v
     return d * basis.u + c * basis.v, b * basis.u + a * basis.v
 
 
@@ -364,19 +361,24 @@ def _gaussian_sum_support(basis: LatticeBasis, alpha: float,
     Gaussian weight exp(-pi alpha |p|^2) keeps, and the dropped Gaussian
     tail divided by the squared radius.
 
-    The radius is in closed form: R = 2 rho + max(rho, t) with rho the
-    covering-radius bound, t = sqrt(log(2 / eps) / (pi alpha)) and
-    eps = ctl.abs_tol V alpha.  For R - 2 rho >= rho the factor
-    1 + rho / (R - 2 rho) of ``theta_tail_bound`` is at most 2, so the tail
-    is at most 2 exp(-pi alpha t^2) / (V alpha) = ctl.abs_tol.  The returned
-    tail bounds the dropped terms of a sum whose terms are at most
+    The radius is in closed form: R = 2 rho + t0 with rho the
+    covering-radius bound, eps = ctl.abs_tol V alpha,
+    pi alpha t^2 = max(log(1 / eps), log 2) and
+    pi alpha t0^2 = pi alpha t^2 + log(1 + rho / t).  As t0 >= t, the factor
+    1 + rho / t0 of ``theta_tail_bound`` is at most 1 + rho / t, and
+    exp(-pi alpha t0^2) = exp(-pi alpha t^2) / (1 + rho / t) is at most
+    eps / (1 + rho / t), so the tail is at most eps / (V alpha) =
+    ctl.abs_tol.  log(1 / eps) is a sum of logs, so a tol as small as the
+    least subnormal float keeps R finite.  The returned tail bounds the
+    dropped terms of a sum whose terms are at most
     exp(-pi alpha |p|^2) / |p|^2.
     """
     rho = _covering_radius_bound(basis)
-    log_2_over_eps = (math.log(2.0 / ctl.abs_tol) - math.log(basis.covolume)
+    log_1_over_eps = (-math.log(ctl.abs_tol) - math.log(basis.covolume)
                       - math.log(alpha))
-    radius = 2.0 * rho + max(rho, math.sqrt(max(log_2_over_eps, 0.0)
-                                            / (math.pi * alpha)))
+    t_sq = max(log_1_over_eps, math.log(2.0)) / (math.pi * alpha)
+    radius = 2.0 * rho + math.sqrt(
+        t_sq + math.log1p(rho / math.sqrt(t_sq)) / (math.pi * alpha))
     tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
     return _enumerate_norms_sq(basis, radius), tail
 

@@ -92,14 +92,14 @@ def test_exit_code_2_on_usage_error():
 
 
 def test_exit_code_3_on_a_modulus_past_the_ewald_window():
-    # at b = 1e306 the dual sum's covering-radius bound rho, half the long
-    # dual vector's length c b with c = sqrt(2 pi / b), dwarfs its Gaussian
-    # width, so its radius is 3 rho = 1.5 c b: the window spans
-    # ceil(1.5 b) + 1 steps of the short dual vector and 3 of the long one
-    # each way.  The message gives that count in three digits and names the
-    # route that takes such a modulus
+    # at b = 1e306 the dual sum's covering-radius bound rho is half the long
+    # dual vector's length c b, c = sqrt(2 pi / b), and its radius
+    # 2 rho + t0 adds a gap t0 of order 1 that is lost in rounding: the
+    # radius is c b, and the window spans ceil(b) + 1 steps of the short
+    # dual vector and 2 of the long one each way.  The message gives that
+    # count in three digits and names the route that takes such a modulus
     b = 1e306
-    points = (2 * (math.ceil(1.5 * b) + 1) + 1) * (2 * 3 + 1)
+    points = (2 * (math.ceil(b) + 1) + 1) * (2 * 2 + 1)
     proc = run_cli("lattice", "--tau", "0", repr(b), "--route", "fourier")
     assert proc.returncode == 3
     assert "PrecisionUnreachable" in proc.stderr
@@ -260,7 +260,7 @@ def test_zetadiff_reaches_a_tol_below_rounding():
     # the route's lattice sums meet any tol with a few more points: a tol
     # below rounding gives the same value as a reachable one, promptly
     args = ("lattice", "--tau", "0", "1", "--route", "zetadiff-vs")
-    for tol in ("1e-16", "1e-14"):
+    for tol in ("5e-324", "1e-16", "1e-14"):
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "abrikosov",
              *args, "--abs-tol", tol],

@@ -237,26 +237,33 @@ def test_theta_tail_bound_shrinks_with_radius():
 @pytest.mark.parametrize("alpha", [1.0 / (2.0 * math.pi), 0.5, 4.0])
 @pytest.mark.parametrize("tol", [1e-6, 1e-12, 1e-15])
 def test_theta_radius_is_tight(tau, alpha, tol):
-    # the radius R meets tol, and R - 2 rho overshoots the smallest gap t*
-    # that meets it by no more than its proof gives up: at t* the bound
-    # reads exp(-pi alpha t*^2) (1 + rho / t*) = tol V alpha, so
-    # log(2 / (tol V alpha)) <= pi alpha t*^2 + log 2
+    # the radius R meets tol, and 1% less would not, nor would 1% less of
+    # its gap R - 2 rho past twice the covering-radius bound: the closed
+    # form gives up only log((1 + rho / t) / (1 + rho / t*)) in
+    # pi alpha t0^2 against the smallest gap t* (a radius of 3 rho, where
+    # rho exceeds the Gaussian width, fails both)
     basis = _shape_basis_cov(tau, 2.0 * math.pi)
     with mock.patch.object(modular, "_enumerate_norms_sq",
                            wraps=modular._enumerate_norms_sq) as enumerate_:
         _gaussian_sum_support(basis, alpha, SeriesControl(abs_tol=tol))
     radius = enumerate_.call_args.args[1]
-    assert theta_tail_bound(basis, alpha, radius) <= tol
     rho = modular._covering_radius_bound(basis)
-    lo, hi = 0.0, radius - 2.0 * rho
-    while hi - lo > 1e-9 * hi:
-        mid = 0.5 * (lo + hi)
-        if theta_tail_bound(basis, alpha, 2.0 * rho + mid) <= tol:
-            hi = mid
-        else:
-            lo = mid
-    assert radius <= 2.0 * rho + max(
-        rho, math.sqrt(hi * hi + math.log(2.0) / (math.pi * alpha)))
+    assert theta_tail_bound(basis, alpha, radius) <= tol
+    assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
+    gap = radius - 2.0 * rho
+    assert theta_tail_bound(basis, alpha, 2.0 * rho + 0.99 * gap) > tol
+
+
+def test_lattice_sums_take_the_least_subnormal_tol():
+    # log(1 / (tol V alpha)) is a sum of logs, so tol = 5e-324 gives a
+    # finite radius and the values of a reachable tol
+    tiny = SeriesControl(abs_tol=5e-324)
+    square, tri = shape_basis(1j), shape_basis(TRI_TAU)
+    for alpha in (0.5 / math.pi, 1.0, 4.0):
+        assert theta_lattice(square, alpha, tiny) == pytest.approx(
+            theta_lattice(square, alpha), rel=1e-14, abs=1e-14)
+    assert zeta_difference_limit(square, tri, tiny) == pytest.approx(
+        zeta_difference_limit(square, tri), rel=1e-13, abs=1e-15)
 
 
 def test_basis_whose_shape_modulus_overflows_is_an_input_error():
