@@ -240,8 +240,8 @@ def test_theta_radius_is_tight(tau, alpha, tol):
     # the radius R meets tol, and 1% less would not, nor would 1% less of
     # its gap R - 2 rho past twice the covering-radius bound: the closed
     # form gives up only log((1 + rho / t) / (1 + rho / t*)) in
-    # pi alpha t0^2 against the smallest gap t* (a radius of 3 rho, where
-    # rho exceeds the Gaussian width, fails both)
+    # pi alpha t0^2 against the smallest gap t* (a radius of 3 rho, taken
+    # where rho exceeds the Gaussian width, fails them)
     basis = _shape_basis_cov(tau, 2.0 * math.pi)
     with mock.patch.object(modular, "_enumerate_norms_sq",
                            wraps=modular._enumerate_norms_sq) as enumerate_:
@@ -252,18 +252,6 @@ def test_theta_radius_is_tight(tau, alpha, tol):
     assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
     gap = radius - 2.0 * rho
     assert theta_tail_bound(basis, alpha, 2.0 * rho + 0.99 * gap) > tol
-
-
-def test_lattice_sums_take_the_least_subnormal_tol():
-    # log(1 / (tol V alpha)) is a sum of logs, so tol = 5e-324 gives a
-    # finite radius and the values of a reachable tol
-    tiny = SeriesControl(abs_tol=5e-324)
-    square, tri = shape_basis(1j), shape_basis(TRI_TAU)
-    for alpha in (0.5 / math.pi, 1.0, 4.0):
-        assert theta_lattice(square, alpha, tiny) == pytest.approx(
-            theta_lattice(square, alpha), rel=1e-14, abs=1e-14)
-    assert zeta_difference_limit(square, tri, tiny) == pytest.approx(
-        zeta_difference_limit(square, tri), rel=1e-13, abs=1e-15)
 
 
 def test_basis_whose_shape_modulus_overflows_is_an_input_error():
