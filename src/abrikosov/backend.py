@@ -15,6 +15,8 @@ deterministic.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -69,20 +71,27 @@ PAIR_BLOCK = 512
 # ---------------------------------------------------------------------------
 
 
-def _columns(q, nterms):
+@functools.lru_cache(maxsize=64)
+def _columns(a, b, nterms):
     """q^n, 1 + q^2n, q^n (1 + q^2n) and 4 q^2n for n = 1 .. nterms, as
-    (nterms, 1) columns that broadcast over a block of points.
+    (nterms, 1) columns that broadcast over a block of points, with
+    q = exp(2 i pi tau) and tau = a + i b.
 
     Each q^n is the previous one times q, the order the series defines, and
-    q^2n is q^n q^n.
+    q^2n is q^n q^n.  A descent calls the kernels hundreds of times at one
+    modulus, so the columns are built once per (a, b, nterms); they are
+    read-only, as every caller shares them.
     """
+    q = np.exp(2j * np.pi * complex(a, b))
     rows = []
     qn = complex(1.0, 0.0)
     for _ in range(nterms):
         qn = qn * q
         q2n = qn * qn
         rows.append((qn, 1.0 + q2n, qn * (1.0 + q2n), 4.0 * q2n))
-    return np.array(rows).T.reshape(4, nterms, 1)
+    cols = np.array(rows).T.reshape(4, nterms, 1)
+    cols.flags.writeable = False
+    return cols
 
 
 def _blocks(size):
@@ -91,21 +100,20 @@ def _blocks(size):
 
 
 def _setup(ds, dt, a, b):
-    """tau, q, the wrapped t, w = exp(i pi z), p = w^2 and 1/p of every
+    """tau, the wrapped t, w = exp(i pi z), p = w^2 and 1/p of every
     point."""
     tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
     s = ds - np.rint(ds)
     t = dt - np.rint(dt)
     z = s + t * tau
     w = np.exp(1j * np.pi * z)
     p = w * w
-    return tau, q, t, w, p, 1.0 / p
+    return tau, t, w, p, 1.0 / p
 
 
 def green_values(ds, dt, a, b, nterms):
-    tau, q, t, w, p, ip = _setup(ds, dt, a, b)
-    qn, one_q2n, _, _ = _columns(q, nterms)
+    tau, t, w, p, ip = _setup(ds, dt, a, b)
+    qn, one_q2n, _, _ = _columns(a, b, nterms)
     c = p + ip
     prod = w - 1.0 / w
     for blk in _blocks(len(p)):
@@ -126,8 +134,8 @@ def green_grads(ds, dt, a, b, nterms):
     Returns ((G_s, G_t), (H_ss, H_st, H_tt)); both series come from the
     same reciprocals 1/F_n, evaluated for every term of a block at once.
     """
-    tau, q, t, _, p, ip = _setup(ds, dt, a, b)
-    qn, one_q2n, lead, four_q2n = _columns(q, nterms)
+    tau, t, _, p, ip = _setup(ds, dt, a, b)
+    qn, one_q2n, lead, four_q2n = _columns(a, b, nterms)
     c = p + ip
     ser = np.empty_like(p)
     dl = p / (p - 1.0) ** 2

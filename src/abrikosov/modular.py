@@ -299,15 +299,14 @@ def _reduced_basis(basis: LatticeBasis):
     return d * basis.u + c * basis.v, b * basis.u + a * basis.v
 
 
-def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
+def _enumerate_norms_sq(u: np.ndarray, v: np.ndarray, vol: float,
+                        radius: float) -> np.ndarray:
     """Squared norms of all nonzero lattice points with |p| <= radius.
 
-    The index window is that of the reduced basis, whose coefficients stay
-    small for every basis of the lattice; a skewed basis's own would grow
-    with the skew.
+    (u, v) is a basis reduced by ``_reduced_basis``, of covolume ``vol``:
+    its index window's coefficients stay small for every basis of the
+    lattice, where a skewed basis's own would grow with the skew.
     """
-    u, v = _reduced_basis(basis)
-    vol = basis.covolume
     ki = int(math.ceil(radius * np.linalg.norm(v) / vol)) + 1
     kj = int(math.ceil(radius * np.linalg.norm(u) / vol)) + 1
     points = (2.0 * ki + 1.0) * (2.0 * kj + 1.0)
@@ -327,8 +326,9 @@ def _enumerate_norms_sq(basis: LatticeBasis, radius: float) -> np.ndarray:
     return nsq[nsq <= radius * radius + 1e-12]
 
 
-def _covering_radius_bound(basis: LatticeBasis) -> float:
-    """Half the longer diagonal of the lattice's basis reduced by the tau word.
+def _covering_radius_bound(u: np.ndarray, v: np.ndarray) -> float:
+    """Half the longer diagonal of a basis (u, v) reduced by
+    ``_reduced_basis``.
 
     Each point of a basis's cell lies within half the cell's longer
     diagonal of a corner, so every basis bounds the covering radius, a
@@ -336,8 +336,18 @@ def _covering_radius_bound(basis: LatticeBasis) -> float:
     of a lattice, where a skewed basis's own diagonal can be many times
     longer.
     """
-    u, v = _reduced_basis(basis)
     return 0.5 * max(np.linalg.norm(u + v), np.linalg.norm(u - v))
+
+
+def _tail_bound(rho: float, vol: float, alpha: float, radius: float) -> float:
+    """``theta_tail_bound`` of a lattice of covolume ``vol`` whose
+    covering radius is at most ``rho``."""
+    t0 = radius - 2.0 * rho
+    if t0 <= 0.0:
+        return math.inf
+    return (2.0 * math.pi / vol) \
+        * math.exp(-math.pi * alpha * t0 * t0) \
+        * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
 
 
 def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
@@ -346,20 +356,16 @@ def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
     Voronoi-cell comparison with the radial Gaussian integral; valid when
     radius exceeds twice the covering-radius bound (returns inf otherwise).
     """
-    rho = _covering_radius_bound(basis)
-    t0 = radius - 2.0 * rho
-    if t0 <= 0.0:
-        return math.inf
-    return (2.0 * math.pi / basis.covolume) \
-        * math.exp(-math.pi * alpha * t0 * t0) \
-        * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
+    rho = _covering_radius_bound(*_reduced_basis(basis))
+    return _tail_bound(rho, basis.covolume, alpha, radius)
 
 
-def _gaussian_sum_support(basis: LatticeBasis, alpha: float,
-                          ctl: SeriesControl):
-    """Squared norms of the nonzero points that a sum over ``basis`` with
-    Gaussian weight exp(-pi alpha |p|^2) keeps, and the dropped Gaussian
-    tail divided by the squared radius.
+def _gaussian_sum_support(u: np.ndarray, v: np.ndarray, vol: float,
+                          alpha: float, ctl: SeriesControl):
+    """Squared norms of the nonzero points that a sum with Gaussian weight
+    exp(-pi alpha |p|^2) keeps, over the lattice of the reduced basis
+    (u, v) (from ``_reduced_basis``) of covolume ``vol``, and the dropped
+    Gaussian tail divided by the squared radius.
 
     The radius is in closed form: R = 2 rho + t0 with rho the
     covering-radius bound, eps = ctl.abs_tol V alpha,
@@ -373,14 +379,14 @@ def _gaussian_sum_support(basis: LatticeBasis, alpha: float,
     dropped terms of a sum whose terms are at most
     exp(-pi alpha |p|^2) / |p|^2.
     """
-    rho = _covering_radius_bound(basis)
-    log_1_over_eps = (-math.log(ctl.abs_tol) - math.log(basis.covolume)
+    rho = _covering_radius_bound(u, v)
+    log_1_over_eps = (-math.log(ctl.abs_tol) - math.log(vol)
                       - math.log(alpha))
     t_sq = max(log_1_over_eps, math.log(2.0)) / (math.pi * alpha)
     radius = 2.0 * rho + math.sqrt(
         t_sq + math.log1p(rho / math.sqrt(t_sq)) / (math.pi * alpha))
-    tail = float(theta_tail_bound(basis, alpha, radius)) / (radius * radius)
-    return _enumerate_norms_sq(basis, radius), tail
+    tail = _tail_bound(rho, vol, alpha, radius) / (radius * radius)
+    return _enumerate_norms_sq(u, v, vol, radius), tail
 
 
 def _exp1(z) -> np.ndarray:
@@ -412,7 +418,8 @@ def theta_lattice(basis: LatticeBasis, alpha: float,
                   ctl: SeriesControl = _DEFAULT_CTL) -> float:
     """theta(alpha) = sum over all lattice points of exp(-pi alpha |p|^2)."""
     alpha = positive("alpha", alpha)
-    nsq, _ = _gaussian_sum_support(basis, alpha, ctl)
+    nsq, _ = _gaussian_sum_support(*_reduced_basis(basis), basis.covolume,
+                                   alpha, ctl)
     return 1.0 + float(np.sum(np.exp(-np.pi * alpha * nsq)))
 
 
@@ -437,8 +444,10 @@ def _ewald_sums(basis: LatticeBasis, eps: float, ctl: SeriesControl):
     # reduced basis of L is a reduced basis of K
     s = 2.0 * math.pi / basis.covolume
     dual = LatticeBasis((-s * u[1], s * u[0]), (-s * v[1], s * v[0]))
-    k_nsq, k_tail = _gaussian_sum_support(dual, eps / math.pi, ctl)
-    p_nsq, p_tail = _gaussian_sum_support(basis, 0.25 / (math.pi * eps), ctl)
+    k_nsq, k_tail = _gaussian_sum_support(dual.u, dual.v, dual.covolume,
+                                          eps / math.pi, ctl)
+    p_nsq, p_tail = _gaussian_sum_support(u, v, basis.covolume,
+                                          0.25 / (math.pi * eps), ctl)
     return (float(np.sum(np.exp(-eps * k_nsq) / k_nsq)), k_tail,
             float(np.sum(_exp1(p_nsq / (4.0 * eps)))), 4.0 * eps * p_tail)
 

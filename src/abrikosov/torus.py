@@ -19,7 +19,11 @@ weighted-Fekete search).  Each start descends by line-search Newton-CG
 steps (Nocedal & Wright, *Numerical Optimization*, Alg. 7.1): conjugate
 gradients on the pair-energy Hessian, stopped by a forcing rule or at the
 first direction of negative curvature, so that every step points
-downhill, at saddles too, with no eigendecomposition.  Each step is
+downhill, at saddles too, with no eigendecomposition.  Near a minimum,
+where the forcing rule asks CG for a residual of |g|^2 and CG runs
+longest, a Cholesky factorization first tests whether the Hessian is
+positive definite (Alg. 3.3's test); if it is, the start takes the exact
+Newton step from one dense solve instead.  Each step is
 re-centred so that it moves no point on average, which removes the two
 uniform translations along which the energy is constant.  A backtracking
 line search accepts a step only if the energy rises by no more than its
@@ -31,8 +35,8 @@ blocks become the full Hessian only when a step uses them.
 All starts of one search descend in lockstep as one (k, n, 2) stack: a
 round evaluates one trial of every live start with one value kernel call,
 the derivatives of the trials that pass the energy test with one gradient
-kernel call, and the next Newton steps with one stacked Hessian-vector
-product per CG iteration.
+kernel call, and the next Newton steps with one stacked Cholesky test and
+solve and one stacked Hessian-vector product per CG iteration.
 The pair helpers (``_pair_seps``, ``_pair_energy``, ``_pair_derivs``,
 ``_pair_hessian``) take such stacks.  ``_pair_seps`` builds the wrapped s
 and t differences of every pair as two arrays, which serve the separation
@@ -457,8 +461,10 @@ def config_grad(cfg: TorusConfig, ev: GreenEvaluator = None) -> np.ndarray:
 class MinimizeControl:
     """Knobs of the multi-start Newton-CG descent.
 
-    The step itself has none: its CG solve stops by the forcing rule
-    (``FORCING_CAP``) or at negative curvature, after at most 2n
+    The step itself has none.  A start whose gradient is below
+    ``FORCING_CAP`` and whose Hessian passes a Cholesky test takes the
+    exact Newton step; every other start's CG solve stops by the forcing
+    rule (``FORCING_CAP``) or at negative curvature, after at most 2n
     iterations (see ``_newton_step``).
     """
 
@@ -499,6 +505,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1)
 
 
+def _has_cholesky(mats: np.ndarray) -> bool:
+    """Whether a symmetric matrix, or every one of a stack, has a Cholesky
+    factor, that is, is positive definite up to rounding."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton-CG steps in Cartesian coordinates, shape (k, n, 2).
 
@@ -517,10 +533,21 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
     - Negative curvature: a direction d with d^T H d <= 1e-12 |d|^2 ends
       CG; the step is the current iterate plus d, turned downhill and
       scaled to length |g| (at the first iteration, -g).
+    - Exact step: where 0 < |g| < FORCING_CAP the forcing bound is |g|^2,
+      and CG runs longest, on the positive-definite systems near a
+      minimum.  There a Cholesky factorization of H + P, with P the
+      projector onto the translations, first tests whether H is positive
+      definite on the zero-mean displacements (Nocedal & Wright, Alg.
+      3.3); if it is, one dense solve of (H + P) s = -g gives the exact
+      Newton step, zero-mean as g is, and the start skips CG.  A start
+      whose factorization fails runs CG as above.
 
     A stopped start is frozen by a mask, not dropped from the stack, so
-    each start does the arithmetic it would do alone.  A step whose
-    largest per-point length exceeds ``MAX_STEP`` is scaled down to it.
+    each start does the arithmetic it would do alone; the factorizations
+    and the solve are stacked, and a failed stacked factorization is
+    repeated start by start, so a start's test does not depend on its
+    stack either.  A step whose largest per-point length exceeds
+    ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
     hess = _pair_hessian(blocks, n)
@@ -529,6 +556,22 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
     tol = np.minimum(FORCING_CAP ** 2, gg) * gg   # squared forcing bound
     s, r, d, rr = np.zeros_like(g), g.copy(), -g, gg
     live = rr > tol                               # only g = 0 starts done
+    near = np.flatnonzero(live & (gg < FORCING_CAP ** 2))
+    if near.size:
+        # H + P, with P the projector onto the two translations: 1/n in
+        # every (x, x) and every (y, y) entry
+        a = hess[near]
+        a[:, 0::2, 0::2] += 1.0 / n
+        a[:, 1::2, 1::2] += 1.0 / n
+        exact = near
+        if not _has_cholesky(a):
+            # decide start by start, so that no start's test depends on
+            # the others in its stack
+            pd = [_has_cholesky(m) for m in a]
+            exact, a = near[pd], a[pd]
+        if exact.size:
+            s[exact] = np.linalg.solve(a, -g[exact, :, None])[..., 0]
+            live[exact] = False
     for _ in range(2 * n):
         if not live.any():
             break
@@ -578,10 +621,11 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     The starts advance in rounds, each live start by one trial a round.  A
     round builds one set of pair differences and makes one energy kernel
     call for all the trials, one derivative kernel call for the trials that
-    pass the energy test, and one Hessian scatter, then one stacked
-    Hessian-vector product per CG iteration, for the next Newton steps of
-    the starts that accepted.  Every start does the same arithmetic as it
-    would alone, so its result does not depend on the other starts.
+    pass the energy test, and one Hessian scatter, then the stacked
+    Cholesky test and solve and one stacked Hessian-vector product per CG
+    iteration, for the next Newton steps of the starts that accepted.
+    Every start does the same arithmetic as it would alone, so its result
+    does not depend on the other starts.
 
     Returns one (points, energy, trace, exit_reason, iters) per start.
     Energies exclude the constant lattice self-term (added back by the

@@ -232,6 +232,13 @@ def test_theta_tail_bound_shrinks_with_radius():
     assert 0.0 < b2 < b1
 
 
+def _support(basis, alpha, ctl):
+    """The points a Gaussian sum over ``basis`` keeps, through the basis
+    reduction every lattice sum makes."""
+    return _gaussian_sum_support(*_reduced_basis(basis), basis.covolume,
+                                 alpha, ctl)
+
+
 @pytest.mark.parametrize("tau", [1j, TRI_TAU, complex(0.1, 6.0),
                                  complex(-0.3, 1.4)])
 @pytest.mark.parametrize("alpha", [1.0 / (2.0 * math.pi), 0.5, 4.0])
@@ -245,9 +252,9 @@ def test_theta_radius_is_tight(tau, alpha, tol):
     basis = _shape_basis_cov(tau, 2.0 * math.pi)
     with mock.patch.object(modular, "_enumerate_norms_sq",
                            wraps=modular._enumerate_norms_sq) as enumerate_:
-        _gaussian_sum_support(basis, alpha, SeriesControl(abs_tol=tol))
-    radius = enumerate_.call_args.args[1]
-    rho = modular._covering_radius_bound(basis)
+        _support(basis, alpha, SeriesControl(abs_tol=tol))
+    radius = enumerate_.call_args.args[3]
+    rho = modular._covering_radius_bound(*_reduced_basis(basis))
     assert theta_tail_bound(basis, alpha, radius) <= tol
     assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
     gap = radius - 2.0 * rho
@@ -362,7 +369,7 @@ def test_skewed_basis_keeps_the_reduced_support():
     # the points of tau = i (it kept 480 against 20 with its own diagonal)
     square, skewed = shape_basis(1j), shape_basis(1j + 10)
     for alpha in (1.0, 0.5 / math.pi):
-        kept = [_gaussian_sum_support(lat, alpha, SeriesControl())[0].size
+        kept = [_support(lat, alpha, SeriesControl())[0].size
                 for lat in (square, skewed)]
         assert kept[0] == kept[1]
         assert abs(theta_lattice(square, alpha)
@@ -379,8 +386,7 @@ def test_skewed_basis_enumerates_the_reduced_window(skew):
     norms, windows = [], []
     for lat in (shape_basis(1j), shape_basis(1j + skew)):
         with mock.patch.object(np, "meshgrid", wraps=np.meshgrid) as grid:
-            norms.append(np.sort(_gaussian_sum_support(lat, 1.0,
-                                                       SeriesControl())[0]))
+            norms.append(np.sort(_support(lat, 1.0, SeriesControl())[0]))
         windows.append(grid.call_args.args[0].size
                        * grid.call_args.args[1].size)
     assert norms[0].size == 20

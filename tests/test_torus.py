@@ -486,6 +486,32 @@ def test_hessian_symmetric_and_translation_free(n, a, b, seed):
     assert abs(np.trace(hess) - n * (n - 1)) <= 1e-12 * n * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_quarter_turn_sum_is_the_laplacian(n, a, b, seed):
+    # Delta G = 1 off the lattice, so every pair block B has trace 1, and
+    # the quarter turn R gives R B R^T + B = tr(B) I.  A point's diagonal
+    # block sums its n - 1 pair blocks and each off-diagonal block is minus
+    # one, so with J = I_n (x) R and P the translation projector,
+    # J H J^T + H = n (I - P): the spectrum on the zero-mean moves pairs
+    # lambda with n - lambda.  Independent of the gradient and of finite
+    # differences, it checks the background 2 pi b of H_tt and the frame
+    # map of the xx and yy entries (R B R^T + B has no xy part).
+    spec = _shape_torus(a, b)
+    pts = torus._random_start(n, np.random.default_rng(seed))
+    blocks = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    hess = torus._pair_hessian(blocks, n)
+    j = np.kron(np.eye(n), [[0.0, -1.0], [1.0, 0.0]])
+    proj = np.kron(np.full((n, n), 1.0 / n), np.eye(2))
+    gap = j @ hess @ j.T + hess - n * (np.eye(2 * n) - proj)
+    # each block entry takes about 8 roundings of the largest one: the
+    # kernel's, the frame map's three products and two sums, and the two
+    # terms of the identity; a diagonal block sums n - 1 pair blocks
+    tol = 8 * n * np.finfo(float).eps * max(1.0, np.max(np.abs(hess)))
+    assert np.max(np.abs(gap)) <= tol
+
+
 @pytest.mark.parametrize("spec", [TorusSpec.hexagonal(), _sheared_square(),
                                   _shape_torus(0.31, 1.7)],
                          ids=["hex", "sheared", "general"])
@@ -707,6 +733,86 @@ def test_newton_step_on_a_mixed_stack():
     assert torus._sup_norm(step[0]) < torus.MAX_STEP
     residual = np.linalg.norm(hess[0] @ s[0] + g[0])
     assert residual <= min(torus.FORCING_CAP, gnorm) * gnorm
+
+
+def _refuse_cholesky(*args, **kwargs):
+    raise np.linalg.LinAlgError("factorization refused")
+
+
+def test_newton_step_is_exact_where_the_hessian_is_positive_definite(
+        monkeypatch):
+    # a near-minimum start (positive-definite reduced Hessian) takes the
+    # exact Newton step; a gated start near a saddle and an ungated random
+    # start take their conjugate-gradient steps, bit for bit the steps they
+    # take with the factorization refused, which is the CG path alone
+    n = 6
+    spec = TorusSpec.square()
+    ev = GreenEvaluator(spec)
+    rng = np.random.default_rng(5)
+    out = minimize_config(TorusConfig(spec, torus._input_start(n, 0)),
+                          MinimizeControl(restarts=0))
+    saddle = np.array([(i / 3, j / 2) for i in range(3) for j in range(2)])
+    stack = np.stack([out.config.points, saddle, rng.random((n, 2))])
+    stack = (stack + 1e-3 * rng.standard_normal(stack.shape)) % 1.0
+    grad, blocks = torus._pair_derivs(ev, stack)
+    hess = torus._pair_hessian(blocks, n)
+    g = (grad - grad.mean(axis=1, keepdims=True)).reshape(3, 2 * n)
+    gnorm = np.linalg.norm(g, axis=1)
+    lam = [_reduced_eigenvalues(h) for h in hess]
+    assert lam[0][0] > 0.0 and lam[1][0] < 0.0 < lam[1][-1]
+    assert gnorm[0] < torus.FORCING_CAP and gnorm[1] < torus.FORCING_CAP
+    assert gnorm[2] > torus.FORCING_CAP
+    step = torus._newton_step(blocks, grad)
+    s = step.reshape(3, 2 * n)
+    assert np.max(np.abs(step[0].mean(axis=0))) <= 1e-15 * np.max(np.abs(s[0]))
+    assert torus._sup_norm(step[0]) < torus.MAX_STEP
+    # LU's backward error: a few rounding errors per entry of a 2n solve
+    rounding = 8 * 2 * n * np.finfo(float).eps * (
+        np.linalg.norm(hess[0]) * np.linalg.norm(s[0]) + gnorm[0])
+    assert np.linalg.norm(hess[0] @ s[0] + g[0]) <= rounding
+    for c in range(3):
+        alone = torus._newton_step(blocks[c:c + 1], grad[c:c + 1])
+        assert np.array_equal(alone[0], step[c]), c
+    monkeypatch.setattr(np.linalg, "cholesky", _refuse_cholesky)
+    cg = torus._newton_step(blocks, grad)
+    assert np.array_equal(cg[1:], step[1:])
+    assert not np.array_equal(cg[0], step[0])
+
+
+def test_factorization_is_tried_only_below_the_forcing_cap(monkeypatch):
+    # a start tries the Cholesky test only where the forcing asks for a
+    # residual of |g|^2, 0 < |g| < FORCING_CAP: one stacked factorization
+    # of those starts, and one per start only if that fails
+    calls, seen = [], []
+    cholesky, newton_step = np.linalg.cholesky, torus._newton_step
+
+    def counted(a):
+        calls.append(len(a) if a.ndim == 3 else 1)
+        return cholesky(a)
+
+    def step(blocks, grad):
+        g = grad - grad.mean(axis=1, keepdims=True)
+        norm = np.sqrt(np.sum(g * g, axis=(1, 2)))
+        gated = int(np.count_nonzero((norm > 0.0)
+                                     & (norm < torus.FORCING_CAP)))
+        del calls[:]
+        out = newton_step(blocks, grad)
+        if gated:
+            assert calls[0] == gated
+            assert calls[1:] in ([], [1] * gated)
+        else:
+            assert calls == []
+        seen.append((gated, len(grad)))
+        return out
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(torus, "_newton_step", step)
+    start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
+    out = minimize_config(start, MinimizeControl(restarts=4))
+    assert out.converged
+    # both sides of the gate were taken
+    assert any(gated for gated, _ in seen)
+    assert any(gated < k for gated, k in seen)
 
 
 def _stack_size(arr, ndim):
