@@ -116,11 +116,6 @@ class LatticeBasis:
         """Basis matrix with u, v as columns."""
         return np.column_stack([self.u, self.v])
 
-    def dual(self) -> "LatticeBasis":
-        """Basis of the dual lattice (inverse-transpose columns)."""
-        d = np.linalg.inv(self.matrix).T
-        return LatticeBasis(d[:, 0], d[:, 1])
-
     def __repr__(self):
         return f"LatticeBasis(u={self.u.tolist()}, v={self.v.tolist()})"
 

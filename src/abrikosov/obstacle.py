@@ -258,11 +258,13 @@ class DomainGrid:
 
     A grid that is swept builds, on its first sweep, the stencil
     ``backend.psor_sweep`` takes (``_blocks``): each color one block,
-    swept in one call, with its E, W, N and S neighbor indices joined into
-    one int64 run, its coefficients as a pair (full, cut) and its view of
-    the dense ``diag``; ``_bc_unit`` and the sweep's scratch ``_work`` come
-    with it.  ``operator_values`` and ``leg_gradients`` read the unknowns
-    from the rectangle instead, and build none of these.
+    swept in one call, with its E, W, N and S neighbor indices as one int64
+    (4, m) array, its leg coefficients as one read-only float64 (4, m)
+    table in the same layout (32 bytes per unknown), its view of the dense
+    ``diag`` and its (4, m) view of the sweep's scratch ``_work``, which
+    every block shares; ``_bc_unit`` comes with it.  ``operator_values``
+    and ``leg_gradients`` read the unknowns from the rectangle instead,
+    and build none of these.
 
     A ``DomainGrid`` is always the whole grid: ``n``, ``ii``, ``jj`` and
     ``mask`` cover every unknown, and each solve's field is certified on
@@ -438,8 +440,10 @@ class DomainGrid:
 
     @functools.cached_property
     def _blocks(self):
-        """(slice, (legs, coef, diag)) of each color, as ``psor_sweep`` takes
-        them; a cut leg points at unknown 0 with coefficient 0."""
+        """(slice, (legs, coef, diag, work)) of each color, as
+        ``psor_sweep`` takes them: the full-leg coefficient in the table's
+        first columns, the cut-leg cells' own in its last; a cut leg points
+        at unknown 0 with coefficient 0."""
         i, j = self._cells()
         nbr = self._ids_at(np.stack([i + di for _, di, _ in _LEG_STEPS]),
                            np.stack([j + dj for _, _, dj in _LEG_STEPS]), 0)
@@ -448,26 +452,30 @@ class DomainGrid:
         for start, split, stop in self._spans:
             if start == stop:
                 continue
-            cut = self._cut_coef[:, k:k + stop - split]
+            m = stop - start
+            coef = np.hstack([np.full((4, split - start), self._full_coef),
+                              self._cut_coef[:, k:k + stop - split]])
+            coef.flags.writeable = False
             k += stop - split
             blocks.append((slice(start, stop), (
-                np.ascontiguousarray(nbr[:, start:stop]).reshape(-1),
-                (self._full_coef, cut), self.diag[start:stop])))
+                np.ascontiguousarray(nbr[:, start:stop]), coef,
+                self.diag[start:stop], self._work[:4 * m].reshape(4, m))))
         return blocks
 
     @functools.cached_property
     def _work(self) -> np.ndarray:
         """Scratch for the four legs of the largest block, shared by every
         sweep and operator application on the grid."""
-        return np.empty(max(legs.size for _, (legs, _, _) in self._blocks))
+        return np.empty(4 * max(stop - start
+                                for start, _, stop in self._spans))
 
     def _apply(self, values: np.ndarray) -> np.ndarray:
         """(-Delta_h + 1) applied to interior values with zero boundary data,
         with the sweep's stencil."""
         out = np.empty(self.n)
-        for sel, (legs, coef, diag) in self._blocks:
+        for sel, (legs, coef, diag, work) in self._blocks:
             np.multiply(diag, values[sel], out=out[sel])
-            out[sel] -= backend._leg_sum(values, legs, coef, self._work)
+            out[sel] -= backend._leg_sum(values, legs, coef, work)
         return out
 
     def scaled_residual(self, values: np.ndarray) -> np.ndarray:
@@ -533,14 +541,13 @@ class DomainGrid:
 
         ``lower`` is a number (-inf for no bound) or one bound per unknown.
         """
-        work = self._work
         blocks = [(values[sel], legs, coef, diag, rhs[sel],
-                   lower[sel] if isinstance(lower, np.ndarray) else lower)
-                  for sel, (legs, coef, diag) in self._blocks]
+                   lower[sel] if isinstance(lower, np.ndarray) else lower,
+                   work)
+                  for sel, (legs, coef, diag, work) in self._blocks]
         for _ in range(sweeps):
-            for out, legs, coef, diag, bc, bound in blocks:
-                backend.psor_sweep(values, out, legs, coef, diag, bc, bound,
-                                   work)
+            for block in blocks:
+                backend.psor_sweep(values, *block)
 
     @functools.cached_property
     def _fold(self):

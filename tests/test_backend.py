@@ -4,6 +4,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abrikosov import backend
 
@@ -208,7 +210,7 @@ def test_psor_sweep_writes_only_its_block(obstacle):
     iE, iW, iN, iS = (np.array(ix) for ix in
                       ([0, 1, 2, 3], [9, 10, 11, 12], [13, 14, 15, 0],
                        [4, 0, 13, 9]))
-    legs = np.concatenate([iE, iW, iN, iS])
+    legs = np.stack([iE, iW, iN, iS])
     cut = rng.uniform(1.0, 2.0, (4, 4))
     cut[3, 1] = 0.0
     diag, bc = rng.uniform(6.0, 8.0, 4), rng.uniform(0.0, 1.0, 4)
@@ -217,11 +219,50 @@ def test_psor_sweep_writes_only_its_block(obstacle):
     keep = np.r_[0:5, 9:16]
     for k in (0, 3, 4):
         values[5:9] = before[5:9]
-        work = np.full(20, np.nan)
-        backend.psor_sweep(values, out, legs, (1.5, cut[:, 4 - k:].copy()),
-                           diag, bc, obstacle, work)
-        cE, cW, cN, cS = np.hstack([np.full((4, 4 - k), 1.5), cut[:, 4 - k:]])
+        work = np.full((4, 4), np.nan)
+        coef = np.hstack([np.full((4, 4 - k), 1.5), cut[:, 4 - k:]])
+        backend.psor_sweep(values, out, legs, coef, diag, bc, obstacle, work)
+        cE, cW, cN, cS = coef
         gs = (cE * before[iE] + cW * before[iW] + cN * before[iN]
               + cS * before[iS] + bc) / diag
         assert np.array_equal(values[5:9], np.maximum(gs, obstacle))
         assert np.array_equal(values[keep], before[keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 40), cut_share=st.floats(0.0, 1.0),
+       pad=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       obstacle=st.one_of(st.just(-np.inf), st.floats(-1.0, 2.0),
+                          st.just("array")))
+def test_psor_sweep_is_the_cellwise_update(m, cut_share, pad, seed, obstacle):
+    # a random block of m cells at offset pad, its last k cells with cut
+    # legs whose coefficients are sometimes 0, legs anywhere in the values:
+    # each cell gets max((cE vE + cW vW + cN vN + cS vS + bc) / diag,
+    # obstacle), summed in that order from the values before the sweep,
+    # and no value outside the block changes
+    rng = np.random.default_rng(seed)
+    size = m + pad + 5
+    values = rng.uniform(-1.0, 1.0, size)
+    before = values.copy()
+    legs = rng.integers(0, size, (4, m), dtype=np.int64)
+    k = round(cut_share * m)
+    coef = np.full((4, m), rng.uniform(0.5, 2.0))
+    cut = rng.uniform(0.5, 2.0, (4, k))
+    cut[rng.random((4, k)) < 0.3] = 0.0
+    coef[:, m - k:] = cut
+    diag, bc = rng.uniform(6.0, 8.0, m), rng.uniform(-1.0, 1.0, m)
+    if obstacle == "array":
+        obstacle = rng.uniform(-1.0, 1.0, m)
+    bound = np.broadcast_to(obstacle, (m,))
+    backend.psor_sweep(values, values[pad:pad + m], legs, coef, diag, bc,
+                       obstacle, np.full((4, m), np.nan))
+    for cell in range(m):
+        (iE, iW, iN, iS), (cE, cW, cN, cS) = legs[:, cell], coef[:, cell]
+        acc = cE * before[iE]
+        acc += cW * before[iW]
+        acc += cN * before[iN]
+        acc += cS * before[iS]
+        want = max((acc + bc[cell]) / diag[cell], bound[cell])
+        assert values[pad + cell] == want
+    outside = np.r_[0:pad, pad + m:size]
+    assert np.array_equal(values[outside], before[outside])

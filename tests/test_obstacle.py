@@ -623,17 +623,22 @@ def test_block_legs_are_in_range_int64_runs(shape):
         grid = grids.pop()
         stop = 0
         assert len(grid._blocks) == 2       # one block per color
-        for sel, (legs, (full, cut), diag) in grid._blocks:
+        for (_, split, _), (sel, (legs, coef, diag, work)) in zip(
+                grid._spans, grid._blocks):
             assert sel.start == stop < sel.stop
             stop = sel.stop
             size = sel.stop - sel.start
             assert legs.dtype == np.int64 and legs.flags.c_contiguous
-            assert legs.shape == (4 * size,)
+            assert legs.shape == (4, size)
             assert 0 <= legs.min() and legs.max() < grid.n
-            # full-leg cells first, with one number for every leg; the last
-            # k cells are the ones with a boundary datum
-            k = cut.shape[1]
-            assert np.ndim(full) == 0 and cut.shape == (4, k) and k <= size
+            assert coef.dtype == np.float64 and coef.flags.c_contiguous
+            assert coef.shape == (4, size) and not coef.flags.writeable
+            assert work.shape == (4, size) and work.flags.c_contiguous
+            assert work.base is grid._work
+            # full-leg cells first, with the one full-leg coefficient on
+            # every leg; the last k cells are the ones with a boundary datum
+            k = sel.stop - split
+            assert np.all(coef[:, :size - k] == grid._full_coef)
             assert np.all(grid._bc_unit[sel][:size - k] == 0.0)
             assert np.all(grid._bc_unit[sel][size - k:] > 0.0)
             assert diag.base is grid.diag and diag.shape == (size,)
@@ -674,7 +679,8 @@ def test_smooth_writes_each_block_in_place(shape, monkeypatch):
 
 def test_smooth_calls_share_the_grid_scratch(monkeypatch):
     # the sweep's work buffer is the grid's own, allocated once: two smoothing
-    # calls, and every sweep within them, hand psor_sweep the same array
+    # calls, and every sweep within them, hand psor_sweep each color's one
+    # (4, m) view of it
     grid = DomainGrid(UnitDisk(), 1.0 / 37.0)._fold
     works = []
     sweep = backend.psor_sweep
@@ -687,7 +693,7 @@ def test_smooth_calls_share_the_grid_scratch(monkeypatch):
     for _ in range(2):
         grid._smooth(values, grid._bc_unit, -np.inf, 1)
     assert len(works) == 4
-    assert all(work is works[0] for work in works)
+    assert works[0] is works[2] and works[1] is works[3]
     # so does the operator between them, through backend._leg_sum
     summed = []
     leg_sum = backend._leg_sum
@@ -698,7 +704,8 @@ def test_smooth_calls_share_the_grid_scratch(monkeypatch):
     monkeypatch.setattr(backend, "_leg_sum", record_sum)
     grid._apply(values)
     assert len(summed) == 2
-    assert all(work is grid._work for work in summed + works)
+    assert summed[0] is works[0] and summed[1] is works[1]
+    assert all(work.base is grid._work for work in summed)
 
 
 # ---------------------------------------------------------------------------
@@ -892,15 +899,16 @@ def test_grid_build_equals_two_d_indexing(shape, k):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         blocks = list(grid._blocks)
         for color in (0, 1):
-            (start, _), (_, stop) = ref["spans"][2 * color:2 * color + 2]
+            (start, split), (_, stop) = ref["spans"][2 * color:2 * color + 2]
             if start == stop:
                 continue
-            sel, (legs, (full, cut), diag) = blocks.pop(0)
+            sel, (legs, coef, diag, _) = blocks.pop(0)
             assert sel == slice(start, stop)
-            assert np.array_equal(legs.reshape(4, -1), np.hstack(
+            assert np.array_equal(legs, np.hstack(
                 ref["legs"][2 * color:2 * color + 2]))
-            assert full == ref["coef"][2 * color]
-            assert np.array_equal(cut, ref["coef"][2 * color + 1])
+            full, cut = ref["coef"][2 * color:2 * color + 2]
+            assert np.array_equal(coef, np.hstack(
+                [np.full((4, split - start), full), cut]))
             assert np.array_equal(diag, ref["diag"][sel])
         assert not blocks
         if grid._coarse is not None:
