@@ -2,7 +2,7 @@
 
 These are the hot loops of the package: the Green function's q-series over
 arrays of point differences (``green_values``), its first and second
-derivatives from the same terms (``green_grads``), and one projected
+complex z-derivatives from the same terms (``green_grads``), and one projected
 Gauss-Seidel sweep (``psor_sweep``), the smoother of the obstacle
 multigrid.  Each Green kernel evaluates all series terms of a block of
 ``PAIR_BLOCK`` points in one broadcast pass and combines them in series
@@ -42,19 +42,14 @@ PAIR_BLOCK = 512
 #   F_n = (1 - q^n p)(1 - q^n/p) = 1 + q^2n - q^n c,   c = p + 1/p,
 #
 # Jacobi's triple product with its factors paired (DLMF 20.5.1).  Its
-# (s, t)-gradient follows from the log-derivative, with d = p - 1/p,
+# log-derivative L, with d = p - 1/p, and the z-derivative L' of that,
 #
 #   L(z) = pi i (p+1)/(p-1) - 2 pi i d sum_{n>=1} q^n/F_n,
-#   dG/ds = -Re L,   dG/dt = -Re(tau L) + 2 pi b t,
-#
-# and its z-derivative
-#
 #   L'(z) = 4 pi^2 p/(p-1)^2
-#           + 4 pi^2 sum_{n>=1} [q^n (1 + q^2n) c - 4 q^2n] / F_n^2
+#           + 4 pi^2 sum_{n>=1} [q^n (1 + q^2n) c - 4 q^2n] / F_n^2,
 #
-# gives the second derivatives
-#
-#   d2G/ds2 = -Re L',  d2G/dsdt = -Re(tau L'),  d2G/dt2 = -Re(tau^2 L') + 2 pi b.
+# give the Wirtinger derivatives green_grads returns (pi b t^2 is
+# pi (Im z)^2 / b): 2 dG/dz = -(L + 2 pi i t), 4 d2G/dz2 = -2 (L' + pi/b).
 #
 # Every kernel wraps (s, t) into [-1/2, 1/2] first, which bounds |q^n c| by
 # 2|q|^(n-1/2), so no F_n cancels.  The n = 0 parts keep p - 1 (and
@@ -100,19 +95,17 @@ def _blocks(size):
 
 
 def _setup(ds, dt, a, b):
-    """tau, the wrapped t, w = exp(i pi z), p = w^2 and 1/p of every
-    point."""
-    tau = complex(a, b)
+    """The wrapped t, w = exp(i pi z), p = w^2 and 1/p of every point."""
     s = ds - np.rint(ds)
     t = dt - np.rint(dt)
-    z = s + t * tau
+    z = s + t * complex(a, b)
     w = np.exp(1j * np.pi * z)
     p = w * w
-    return tau, t, w, p, 1.0 / p
+    return t, w, p, 1.0 / p
 
 
 def green_values(ds, dt, a, b, nterms):
-    tau, t, w, p, ip = _setup(ds, dt, a, b)
+    t, w, p, ip = _setup(ds, dt, a, b)
     qn, one_q2n, _, _ = _columns(a, b, nterms)
     c = p + ip
     prod = w - 1.0 / w
@@ -129,12 +122,13 @@ def green_values(ds, dt, a, b, nterms):
 
 
 def green_grads(ds, dt, a, b, nterms):
-    """First and second (s, t)-derivatives of G, from L(z) and L'(z).
+    """The Wirtinger derivatives 2 dG/dz and 4 d2G/dz2 of G, from L(z) and
+    L'(z), as two complex arrays.
 
-    Returns ((G_s, G_t), (H_ss, H_st, H_tt)); both series come from the
-    same reciprocals 1/F_n, evaluated for every term of a block at once.
+    Both series come from the same reciprocals 1/F_n, evaluated for every
+    term of a block at once.
     """
-    tau, t, _, p, ip = _setup(ds, dt, a, b)
+    t, _, p, ip = _setup(ds, dt, a, b)
     qn, one_q2n, lead, four_q2n = _columns(a, b, nterms)
     c = p + ip
     ser = np.empty_like(p)
@@ -165,9 +159,7 @@ def green_grads(ds, dt, a, b, nterms):
     # ser now holds -sum q^n/F_n, and dl -L' / (4 pi^2)
     lsum = np.pi * 1j * (p + 1.0) / (p - 1.0) + 2j * np.pi * (p - ip) * ser
     dl *= 4.0 * np.pi * np.pi
-    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
-    hess = (dl.real, (tau * dl).real, (tau * tau * dl).real + 2.0 * np.pi * b)
-    return grad, hess
+    return -(lsum + 2j * np.pi * t), 2.0 * (dl - np.pi / b)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ logarithm and each series term of the derivatives one reciprocal
 (``backend``).  Configuration energies are pairwise Green sums plus a
 per-point lattice self-energy term; their gradients and Hessians come
 together from one pass over the derivatives of the same closed form
-(``_pair_derivs``).
+(``_pair_derivs``): as Delta G = 1 off the lattice, a pair's gradient is
+G_x - i G_y and its Hessian I/2 + T(kappa)/2, with kappa = G_xx - G_yy +
+2 i G_xy and T(c) = [[Re c, Im c], [Im c, -Re c]].
 
 ``minimize_config`` runs a seeded multi-start search over point positions (a
 weighted-Fekete search).  Each start descends by line-search Newton-CG
@@ -28,9 +30,9 @@ re-centred so that it moves no point on average, which removes the two
 uniform translations along which the energy is constant.  A backtracking
 line search accepts a step only if the energy rises by no more than its
 rounding error, and every start reports whether it reached the gradient
-tolerance.  The trial a line search accepts brings its per-pair Hessian
-blocks along, so the next Newton step needs no further kernel call; the
-blocks become the full Hessian only when a step uses them.
+tolerance.  The trial a line search accepts brings its per-pair kappa
+along, so the next Newton step needs no further kernel call; the kappa
+become the full Hessian only when a step uses them.
 
 All starts of one search descend in lockstep as one (k, n, 2) stack: a
 round evaluates one trial of every live start with one value kernel call,
@@ -196,32 +198,27 @@ class _PairLayout(NamedTuple):
 
     iu: np.ndarray          # pair (i, j), i < j: first point
     ju: np.ndarray          # second point
-    grad_index: np.ndarray  # (2, 2m) flat 2n positions of the pair gradients
-    hess_index: np.ndarray  # flat (2n)^2 positions of the pair Hessian blocks
+    grad_index: np.ndarray  # (2m, 2) flat 2n positions of the pair gradients
+    pair_map: np.ndarray    # (n^2,) pair of each (i, j), m on the diagonal
+    base: np.ndarray        # (n, n) matrix (n/2) I - 1/2
 
 
 @functools.lru_cache(maxsize=None)
 def _pair_layout(n: int) -> _PairLayout:
-    """Pair indices and the scatter positions of the pair derivatives.
+    """Pair indices, the gradient scatter positions and the data of
+    ``_pair_hessian``, read-only: every caller shares them.
 
-    Gradients and Hessian rows and columns run over (x_0, y_0, x_1, y_1,
-    ...).  Row c of the gradient positions is coordinate c of every pair's
-    first point, then of every pair's second point.  The Hessian positions
-    list, per pair and in this order, the (i, i), (j, j), (i, j) and (j, i)
-    2x2 blocks.  The arrays are read-only: every caller shares them.
+    Gradients run over (x_0, y_0, x_1, y_1, ...).  Row p of the gradient
+    positions is the two coordinates of pair p's first point for p < m, and
+    of pair p - m's second point after.
     """
     iu, ju = np.triu_indices(n, k=1)
-    k = np.arange(2)
-    grad_index = 2 * np.concatenate([iu, ju]) + k[:, None]
-
-    def blocks(a, b):
-        rows = 2 * a[:, None, None] + k[None, :, None]
-        cols = 2 * b[:, None, None] + k[None, None, :]
-        return rows * (2 * n) + cols
-
-    hess_index = np.concatenate([blocks(iu, iu), blocks(ju, ju),
-                                 blocks(iu, ju), blocks(ju, iu)]).ravel()
-    layout = _PairLayout(iu, ju, grad_index, hess_index)
+    grad_index = 2 * np.concatenate([iu, ju])[:, None] + np.arange(2)
+    pair_map = np.full((n, n), len(iu))
+    pair_map[iu, ju] = pair_map[ju, iu] = np.arange(len(iu))
+    base = np.full((n, n), -0.5)
+    base.flat[::n + 1] += 0.5 * n
+    layout = _PairLayout(iu, ju, grad_index, pair_map.ravel(), base)
     for arr in layout:
         arr.flags.writeable = False
     return layout
@@ -275,12 +272,12 @@ class GreenEvaluator:
         self.coord_map = np.array([[alpha, -beta], [-gamma, delta]], float)
         b0 = torus.basis.matrix
         self._inv_basis = np.linalg.inv(b0)
-        self._grad_map = self._inv_basis.T @ self.coord_map.T
-        (a, b), (c, d) = self._grad_map.tolist()
-        # rows of J^T H J for a symmetric H, as coefficients of (hss, hst, htt)
-        self._hess_map = ((a * a, 2.0 * a * b, b * b),
-                          (a * c, a * d + b * c, b * d),
-                          (c * c, 2.0 * c * d, d * d))
+        # U, the reduced basis's first vector delta u + gamma v as a complex
+        # number: a Cartesian displacement x + i y is U z in the reduced frame
+        (u0, v0), (u1, v1) = b0.tolist()
+        self._inv_u = 1.0 / complex(delta * u0 + gamma * v0,
+                                    delta * u1 + gamma * v1)
+        self._kappa_map = (self._inv_u * self._inv_u).conjugate()
         self.nterms = _green_nterms(tau_r.imag, ctl)
 
     # -- internals ---------------------------------------------------------
@@ -299,27 +296,16 @@ class GreenEvaluator:
         return backend.green_values(*self._reduced(ds, dt)).reshape(ds.shape)
 
     def _derivs_frac(self, ds: np.ndarray, dt: np.ndarray):
-        """Cartesian gradients (..., 2, m) and Hessians (..., m, 2, 2) of G
-        at fractional-coordinate differences of shape (..., m), from one
-        kernel call.
-
-        With J the map from Cartesian displacements to the reduced frame's
-        (s, t), ``_grad_map`` is J^T: the gradient is J^T g, the Hessian
-        J^T H J.  Each configuration of a stack gets its own (2, 2) x (2, m)
-        gradient product, never one product over the whole stack: numpy
-        takes a matrix-vector path for m = 1 that rounds differently, and a
-        configuration's gradients must not depend on the others.  The
-        Hessian entries are elementwise sums of three terms in hss, hst and
-        htt (``_hess_map``), so each pair's block depends on that pair
-        alone and is exactly symmetric.
+        """G_x - i G_y and kappa = G_xx - G_yy + 2 i G_xy at fractional-
+        coordinate differences (..., m), two complex arrays of that shape,
+        from one kernel call: with x + i y = U z, they are the kernel's
+        2 dG/dz / U and conj(4 d2G/dz2 / U^2), each pair's from its own.
         """
-        (gs, gt), (hss, hst, htt) = backend.green_grads(*self._reduced(ds, dt))
-        g = self._grad_map @ np.stack([gs.reshape(ds.shape),
-                                       gt.reshape(ds.shape)], axis=-2)
-        hxx, hxy, hyy = (a * hss + b * hst + c * htt
-                         for a, b, c in self._hess_map)
-        h = np.stack([hxx, hxy, hxy, hyy], axis=-1)
-        return g, h.reshape(ds.shape + (2, 2))
+        dz, dzz = backend.green_grads(*self._reduced(ds, dt))
+        dz *= self._inv_u
+        np.conjugate(dzz, out=dzz)
+        dzz *= self._kappa_map
+        return dz.reshape(ds.shape), dzz.reshape(ds.shape)
 
     def _check_singular(self, frac: np.ndarray):
         d = frac - np.rint(frac)
@@ -346,7 +332,7 @@ class GreenEvaluator:
         frac = self._inv_basis @ x
         self._check_singular(frac)
         g, _ = self._derivs_frac(np.array([frac[0]]), np.array([frac[1]]))
-        return g[:, 0]
+        return np.array([g[0].real, -g[0].imag])
 
 
 # ---------------------------------------------------------------------------
@@ -387,43 +373,52 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
 
 
 def _pair_derivs(ev: GreenEvaluator, points: np.ndarray):
-    """Cartesian gradient (..., n, 2) and pair Hessian blocks (..., m, 2, 2)
+    """Cartesian gradient (..., n, 2) and pair Hessian parts kappa (..., m)
     of the pairwise Green sum of one configuration (n, 2) or a stack.
 
     One set of pair differences feeds one kernel call.  The gradient G_ij of
     G at x_i - x_j adds to point i and subtracts from point j, and one
     ``bincount`` over ``_PairLayout.grad_index`` scatters every pair of
     every configuration: each coordinate sums its pairs in order, first
-    those where its point is i, then those where it is j.  The blocks H_ij
-    stay per pair until ``_pair_hessian`` scatters them, so a point that
-    takes no Newton step never pays for the scatter.
+    those where its point is i, then those where it is j.  The complex
+    kappa_ij stay per pair until ``_pair_hessian`` builds H from them, so a
+    point that takes no Newton step never pays for the build.
     """
     n = points.shape[-2]
     if n < 2:
-        return np.zeros(points.shape), np.zeros(points.shape[:-2] + (0, 2, 2))
-    g, h = ev._derivs_frac(*_pair_seps(points))
+        return (np.zeros(points.shape),
+                np.zeros(points.shape[:-2] + (0,), complex))
+    g, kappa = ev._derivs_frac(*_pair_seps(points))
     count = math.prod(points.shape[:-2])
-    weights = np.concatenate([g, -g], axis=-1)
+    # conj(G_x - i G_y) read as two floats is the pair (G_x, G_y)
+    weights = np.concatenate([g, -g], axis=-1).conj().view(float)
     index = _pair_layout(n).grad_index + 2 * n * np.arange(count)[:, None, None]
     grad = np.bincount(index.ravel(), weights.ravel(), minlength=count * 2 * n)
-    return grad.reshape(points.shape), h
+    return grad.reshape(points.shape), kappa
 
 
-def _pair_hessian(blocks: np.ndarray, n: int) -> np.ndarray:
+def _pair_hessian(kappa: np.ndarray, n: int) -> np.ndarray:
     """The (..., 2n, 2n) Hessians of the pairwise Green sum from the pair
-    blocks (..., m, 2, 2) of one configuration or a stack.
+    kappa (..., m) of one configuration or a stack.
 
-    Rows and columns run over (x_0, y_0, x_1, y_1, ...); H_ij adds to the
-    (i, i) and (j, j) blocks and subtracts from the (i, j) and (j, i)
-    blocks, and one ``bincount`` scatters every pair of every configuration.
+    Rows and columns run over (x_0, y_0, x_1, y_1, ...).  Pair (i, j) adds
+    I/2 + T(kappa_ij)/2 to the (i, i) and (j, j) blocks and subtracts it
+    from the (i, j) and (j, i) blocks: with C_ij = kappa_ij and C_ii =
+    -sum_j kappa_ij, H = (n/2) I - (1 1^T (x) I_2)/2 - T(C)/2.  H's xx and
+    yy quarters are ``base`` -+ Re C/2, its xy and yx quarters -Im C/2.
     """
-    lead = blocks.shape[:-3]
-    count = math.prod(lead)
-    size = 4 * n * n
-    weights = np.concatenate([blocks, blocks, -blocks, -blocks], axis=-3)
-    index = _pair_layout(n).hess_index + size * np.arange(count)[:, None]
-    return np.bincount(index.ravel(), weights.ravel(),
-                       minlength=count * size).reshape(lead + (2 * n, 2 * n))
+    layout = _pair_layout(n)
+    lead = kappa.shape[:-1]
+    pairs = np.zeros(lead + (kappa.shape[-1] + 1,), complex)
+    np.multiply(kappa, -0.5, out=pairs[..., :-1])
+    flat = pairs.take(layout.pair_map, axis=-1)
+    half = flat.reshape(lead + (n, n))                # -C/2
+    np.negative(half.sum(axis=-1), out=flat[..., ::n + 1])
+    hess = np.empty(lead + (n, 2, n, 2))
+    np.add(layout.base, half.real, out=hess[..., 0, :, 0])
+    np.subtract(layout.base, half.real, out=hess[..., 1, :, 1])
+    hess[..., 0, :, 1] = hess[..., 1, :, 0] = half.imag
+    return hess.reshape(lead + (2 * n, 2 * n))
 
 
 def _sup_norm(grad: np.ndarray) -> np.ndarray:
@@ -507,18 +502,24 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _has_cholesky(mats: np.ndarray) -> bool:
     """Whether a symmetric matrix, or every one of a stack, has a Cholesky
-    factor, that is, is positive definite up to rounding."""
+    factor with no pivot below size * eps times its largest diagonal entry:
+    positive definite and not singular to rounding.  On a long torus the
+    curvature across it is lost beside the 1/2 of I/2 + T(kappa)/2, and a
+    pivot of rounding error would give a step of any length."""
     try:
-        np.linalg.cholesky(mats)
+        factor = np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         return False
-    return True
+    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+    floor = mats.shape[-1] * np.finfo(float).eps * diag.max(axis=-1)
+    pivots = np.diagonal(factor, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    return bool(np.all(pivots > floor))
 
 
-def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Newton-CG steps in Cartesian coordinates, shape (k, n, 2).
 
-    ``blocks`` (k, m, 2, 2) (the pair Hessian blocks of ``_pair_derivs``) and
+    ``kappa`` (k, m) (the pair Hessian parts of ``_pair_derivs``) and
     ``grad`` (k, n, 2) are the pair-energy derivatives at the current points
     of k configurations.  Each step is the line-search Newton-CG step of
     Nocedal & Wright, *Numerical Optimization*, Alg. 7.1: at most 2n
@@ -550,7 +551,7 @@ def _newton_step(blocks: np.ndarray, grad: np.ndarray) -> np.ndarray:
     ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
-    hess = _pair_hessian(blocks, n)
+    hess = _pair_hessian(kappa, n)
     g = (grad - grad.mean(axis=1, keepdims=True)).reshape(k, 2 * n)
     gg = _dot(g, g)
     tol = np.minimum(FORCING_CAP ** 2, gg) * gg   # squared forcing bound
@@ -621,7 +622,7 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     The starts advance in rounds, each live start by one trial a round.  A
     round builds one set of pair differences and makes one energy kernel
     call for all the trials, one derivative kernel call for the trials that
-    pass the energy test, and one Hessian scatter, then the stacked
+    pass the energy test, and one Hessian build, then the stacked
     Cholesky test and solve and one stacked Hessian-vector product per CG
     iteration, for the next Newton steps of the starts that accepted.
     Every start does the same arithmetic as it would alone, so its result
@@ -635,7 +636,7 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     k = starts.shape[0]
     pts = _wrap01(starts.copy())
     energy = _pair_energy(ev, pts)
-    grad, blocks = _pair_derivs(ev, pts)
+    grad, kappa = _pair_derivs(ev, pts)
     gnorm = _sup_norm(grad)
     traces = [[] for _ in range(k)]
     iters = [0] * k
@@ -656,7 +657,7 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
                 iters[i] += 1
                 stepping.append(i)
         if stepping:
-            direction[stepping] = _newton_step(blocks[stepping],
+            direction[stepping] = _newton_step(kappa[stepping],
                                                grad[stepping]) @ inv_t
             frac[stepping] = 1.0
             left[stepping] = 40
@@ -677,13 +678,13 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
         fresh = live[ok]
         if fresh.size:
             cand, e_new = cand[ok], e_new[ok]
-            g_new, b_new = _pair_derivs(ev, cand)
+            g_new, k_new = _pair_derivs(ev, cand)
             g_new_norm = _sup_norm(g_new)
             move = ((e_new < energy[fresh] - ENERGY_SLACK)
                     | (g_new_norm < gnorm[fresh]))
             fresh = fresh[move]
             pts[fresh], energy[fresh] = cand[move], e_new[move]
-            grad[fresh], blocks[fresh] = g_new[move], b_new[move]
+            grad[fresh], kappa[fresh] = g_new[move], k_new[move]
             gnorm[fresh] = g_new_norm[move]
         # a start that moved resets its fraction with its next step
         frac[live] *= 0.5

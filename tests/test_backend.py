@@ -70,7 +70,7 @@ def _paired_values(ds, dt, a, b, nterms):
 
 
 def _paired_grads(ds, dt, a, b, nterms):
-    """The derivatives of G from L and L' in the paired form, summed one
+    """2 dG/dz and 4 d2G/dz2 from L and L' in the paired form, summed one
     term after another."""
     tau, q, t, _, p = _setup(ds, dt, a, b)
     ip = 1.0 / p
@@ -86,9 +86,7 @@ def _paired_grads(ds, dt, a, b, nterms):
         dl = dl - ((qn * (1.0 + q2n)) * c - 4.0 * q2n) * (r * r)
     lsum = np.pi * 1j * (p + 1.0) / (p - 1.0) + 2j * np.pi * (p - ip) * ser
     dl = dl * (4.0 * np.pi * np.pi)
-    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
-    hess = (dl.real, (tau * dl).real, (tau * tau * dl).real + 2.0 * np.pi * b)
-    return grad, hess
+    return -(lsum + 2j * np.pi * t), 2.0 * (dl - np.pi / b)
 
 
 @pytest.mark.parametrize("nterms", [4, 9, 200])
@@ -105,11 +103,10 @@ def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
     ds, dt = rng.uniform(-1.5, 1.5, (2, pairs))
     assert np.array_equal(backend.green_values(ds, dt, a, b, nterms),
                           _paired_values(ds, dt, a, b, nterms))
-    (gs, gt), hess = backend.green_grads(ds, dt, a, b, nterms)
-    (ls, lt), lhess = _paired_grads(ds, dt, a, b, nterms)
-    assert np.array_equal(gs, ls) and np.array_equal(gt, lt)
-    for got, want in zip(hess, lhess):
-        assert np.array_equal(got, want)
+    dz, dzz = backend.green_grads(ds, dt, a, b, nterms)
+    ldz, ldzz = _paired_grads(ds, dt, a, b, nterms)
+    assert dz.dtype == dzz.dtype == complex
+    assert np.array_equal(dz, ldz) and np.array_equal(dzz, ldzz)
 
 
 def _loop_values(ds, dt, a, b, nterms):
@@ -124,7 +121,8 @@ def _loop_values(ds, dt, a, b, nterms):
 
 
 def _loop_grads(ds, dt, a, b, nterms):
-    """The derivatives of G from the unpaired terms of L and L'."""
+    """2 dG/dz and 4 d2G/dz2 from the unpaired terms of L and L', then L
+    and L' themselves."""
     tau, q, t, w, p = _setup(ds, dt, a, b)
     lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
     dl = p / (p - 1.0) ** 2
@@ -136,9 +134,22 @@ def _loop_grads(ds, dt, a, b, nterms):
         lsum = lsum + 2j * np.pi * (u / (1.0 - u) - v / (1.0 - v))
         dl = dl + u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
     dl = 4.0 * np.pi * np.pi * dl
-    grad = (-lsum.real, -(tau * lsum).real + 2.0 * np.pi * b * t)
-    hess = (-dl.real, -(tau * dl).real, -(tau * tau * dl).real + 2.0 * np.pi * b)
-    return grad, hess, lsum, dl
+    return -(lsum + 2j * np.pi * t), -2.0 * (dl + np.pi / b), lsum, dl
+
+
+def _unpaired_gaps(ds, dt, a, b, nterms, lsum, dl):
+    """Bounds on |L - L_loop| and |L' - L'_loop|, the paired kernels'
+    series against the unpaired loop's ``lsum`` and ``dl``, from per-term
+    rounding (derived in ``test_kernels_equal_the_unpaired_product``)."""
+    u = 2.0 ** -53
+    _, q, _, _, p = _setup(ds, dt, a, b)
+    n = np.arange(1, nterms + 1)[:, None]
+    mu = (abs(q) ** n * (np.abs(p) + 1.0 / np.abs(p))).sum(axis=0)
+    mu2 = 4.0 * (mu + 4.0 * (abs(q) ** (2 * n)).sum(axis=0))
+    per_term = (2 * nterms + 200) * u
+    d_l = 2.0 * np.pi * per_term * mu + (nterms + 4) * u * np.abs(lsum)
+    d_dl = 4.0 * np.pi ** 2 * per_term * mu2 + (2 * nterms + 4) * u * np.abs(dl)
+    return d_l, d_dl
 
 
 @pytest.mark.parametrize("nterms", [4, 9, 200])
@@ -159,15 +170,24 @@ def test_kernels_equal_the_unpaired_product(a, b, nterms):
     # the sum carries it, as the unpaired G and L and both forms of L' do.
     # The final sums and products add a few u more.  Half the points sit at
     # |t| = 1/2, where |q^n c| is largest.
+    #
+    # The kernels return -(L + 2 pi i t) and -2 (L' + pi/b).  Both forms add
+    # the same rounded constant c (2 pi i t, or pi/b) to their own L, and
+    # a sum rounds to within u of itself, so with x the loop's L + c,
+    # |x| <= |dz_loop| / (1 - u), and d the bound on the gap of the L:
+    #   |fl(L + c) - fl(L_loop + c)| <= d + u (|x| + d) + u |x|
+    #                               = (1 + u) d + 2 u |x|.
+    # Negation and the factor -2 are exact, so the dz gap is at most
+    # (1 + u) d_l + 2 u |dz_loop| / (1 - u), and the dzz gap twice
+    # (1 + u) d_dl + 2 u |dzz_loop / 2| / (1 - u).
     rng = np.random.default_rng(nterms)
     ds = rng.uniform(-1.5, 1.5, 400)
     dt = np.concatenate([rng.uniform(-1.5, 1.5, 200),
                          np.repeat([0.5, -0.5], 100)])
     u = 2.0 ** -53
-    tau, q, t, w, p = _setup(ds, dt, a, b)
+    _, q, t, w, p = _setup(ds, dt, a, b)
     n = np.arange(1, nterms + 1)[:, None]
     mu = (abs(q) ** n * (np.abs(p) + 1.0 / np.abs(p))).sum(axis=0)
-    mu2 = 4.0 * (mu + 4.0 * (abs(q) ** (2 * n)).sum(axis=0))
     per_term = (2 * nterms + 200) * u
 
     lead = (np.pi * b / 6.0 + np.abs(np.log(np.abs(w - 1.0 / w)))
@@ -177,18 +197,13 @@ def test_kernels_equal_the_unpaired_product(a, b, nterms):
                  - _loop_values(ds, dt, a, b, nterms))
     assert np.all(err <= tol)
 
-    (gs, gt), hess = backend.green_grads(ds, dt, a, b, nterms)
-    (ls, lt), lhess, lsum, dl = _loop_grads(ds, dt, a, b, nterms)
-    at, drift = abs(tau), 2.0 * np.pi * b
-    d_l = 2.0 * np.pi * per_term * mu + (nterms + 4) * u * np.abs(lsum)
-    d_dl = 4.0 * np.pi ** 2 * per_term * mu2 + (2 * nterms + 4) * u * np.abs(dl)
-    assert np.all(np.abs(gs - ls) <= d_l)
-    assert np.all(np.abs(gt - lt) <= at * d_l + 18.0 * u * at * np.abs(lsum)
-                  + 2.0 * u * drift * np.abs(t))
-    tols = (d_dl, at * d_dl + 18.0 * u * at * np.abs(dl),
-            at * at * d_dl + 30.0 * u * at * at * np.abs(dl) + 2.0 * u * drift)
-    for got, want, bound in zip(hess, lhess, tols):
-        assert np.all(np.abs(got - want) <= bound)
+    dz, dzz = backend.green_grads(ds, dt, a, b, nterms)
+    ldz, ldzz, lsum, dl = _loop_grads(ds, dt, a, b, nterms)
+    d_l, d_dl = _unpaired_gaps(ds, dt, a, b, nterms, lsum, dl)
+    assert np.all(np.abs(dz - ldz)
+                  <= (1 + u) * d_l + 2 * u * np.abs(ldz) / (1 - u))
+    assert np.all(np.abs(dzz - ldzz)
+                  <= 2 * (1 + u) * d_dl + 2 * u * np.abs(ldzz) / (1 - u))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ points and always sum to zero by translation invariance.
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from abrikosov.torus import (
     minimize_config,
     triangular_embedding,
 )
+from test_backend import _loop_grads, _unpaired_gaps
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -401,14 +403,15 @@ def test_gradient_scatter_equals_pair_loop():
     for n in (2, 4, 7):
         stack = rng.random((3, n, 2))
         g, _ = ev._derivs_frac(*torus._pair_seps(stack))
+        g = np.stack([g.real, -g.imag], axis=-1)     # (G_x, G_y) per pair
         iu, ju = np.triu_indices(n, k=1)
         grad = torus._pair_derivs(ev, stack)[0]
         for c in range(3):
             ref = np.zeros((n, 2))
             for p, i in enumerate(iu):
-                ref[i] += g[c, :, p]
+                ref[i] += g[c, p]
             for p, j in enumerate(ju):
-                ref[j] -= g[c, :, p]
+                ref[j] -= g[c, p]
             assert np.array_equal(grad[c], ref)
 
 
@@ -474,8 +477,8 @@ def test_hessian_matches_gradient_differences(spec, reduced):
 def test_hessian_symmetric_and_translation_free(n, a, b, seed):
     spec = _shape_torus(a, b)
     pts = np.random.default_rng(seed).random((n, 2))
-    blocks = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
-    hess = torus._pair_hessian(blocks, n)
+    kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    hess = torus._pair_hessian(kappa, n)
     scale = np.max(np.abs(hess))
     assert np.max(np.abs(hess - hess.T)) <= 1e-12 * scale
     shift = np.zeros((2 * n, 2))
@@ -490,51 +493,155 @@ def test_hessian_symmetric_and_translation_free(n, a, b, seed):
 @given(n=st.integers(2, 12), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_hessian_quarter_turn_sum_is_the_laplacian(n, a, b, seed):
-    # Delta G = 1 off the lattice, so every pair block B has trace 1, and
-    # the quarter turn R gives R B R^T + B = tr(B) I.  A point's diagonal
-    # block sums its n - 1 pair blocks and each off-diagonal block is minus
-    # one, so with J = I_n (x) R and P the translation projector,
-    # J H J^T + H = n (I - P): the spectrum on the zero-mean moves pairs
-    # lambda with n - lambda.  Independent of the gradient and of finite
-    # differences, it checks the background 2 pi b of H_tt and the frame
-    # map of the xx and yy entries (R B R^T + B has no xy part).
+    # Every pair block is I/2 + T(kappa)/2, trace 1 by construction, so H =
+    # (n/2) I - (1 1^T (x) I_2)/2 - T(C)/2 with C symmetric, kappa_ij off
+    # the diagonal and zero row sums.  The test reads C back from H's
+    # quarters (Re C = H_yy - H_xx, Im C = -(H_xy + H_yx)).  The quarter
+    # turn R gives R T(c) R^T = -T(c), so with J = I_n (x) R and P the
+    # translation projector, J H J^T + H = n (I - P): the spectrum on the
+    # zero-mean moves pairs lambda with n - lambda.  That checks the
+    # layout: which quarter holds which part, and with which sign.
     spec = _shape_torus(a, b)
     pts = torus._random_start(n, np.random.default_rng(seed))
-    blocks = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
-    hess = torus._pair_hessian(blocks, n)
+    kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    hess = torus._pair_hessian(kappa, n)
+    c = (hess[1::2, 1::2] - hess[0::2, 0::2]) - 1j * (hess[0::2, 1::2]
+                                                      + hess[1::2, 0::2])
+    # each H entry rounds once from C/2 and its base, a diagonal entry
+    # after a sum of n - 1 kappa; reading C back rounds twice more
+    scale = max(1.0, np.max(np.abs(hess)))
+    eps = np.finfo(float).eps
+    assert np.array_equal(c, c.T)
+    assert np.max(np.abs(c.sum(axis=1))) <= 4 * n * eps * scale
+    iu, ju = np.triu_indices(n, k=1)
+    assert np.max(np.abs(c[iu, ju] - kappa)) <= 4 * eps * scale
     j = np.kron(np.eye(n), [[0.0, -1.0], [1.0, 0.0]])
     proj = np.kron(np.full((n, n), 1.0 / n), np.eye(2))
     gap = j @ hess @ j.T + hess - n * (np.eye(2 * n) - proj)
-    # each block entry takes about 8 roundings of the largest one: the
-    # kernel's, the frame map's three products and two sums, and the two
-    # terms of the identity; a diagonal block sums n - 1 pair blocks
-    tol = 8 * n * np.finfo(float).eps * max(1.0, np.max(np.abs(hess)))
-    assert np.max(np.abs(gap)) <= tol
+    # the two terms of the identity and the sum round each entry a few
+    # times; a diagonal block sums n - 1 pair blocks
+    assert np.max(np.abs(gap)) <= 8 * n * eps * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(7, 32), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_hessian_spectrum_is_half_n_plus_minus_the_singular_values(n, a, b,
+                                                                    seed):
+    # With A = -C (A_ij = -kappa_ij, A_ii = sum_j kappa_ij), H acts on the
+    # zero-mean moves zeta = x + i y as zeta -> (n zeta + A conj(zeta)) / 2.
+    # For a complex symmetric A = V S V^T (Takagi), zeta -> A conj(zeta)
+    # has the eigenvalues +-sigma_k, so H has (n +- sigma_k(A)) / 2.  The
+    # translations take A's zero singular value (A 1 = 0), which leaves
+    # n - 1 of them for the 2n - 2 zero-mean moves.  A is built here from
+    # kappa alone, so the match pins H's scale 1/2, its constant part, its
+    # diagonal sums and equal xy and yx quarters.  It cannot see A turned
+    # into e^(i theta) A or conj(A), a rotated or reflected frame with the
+    # same singular values; the finite-difference and quarter-turn tests
+    # pin those signs.
+    spec = _shape_torus(a, b)
+    pts = torus._random_start(n, np.random.default_rng(seed))
+    kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
+    iu, ju = np.triu_indices(n, k=1)
+    big_a = np.zeros((n, n), complex)
+    big_a[iu, ju] = big_a[ju, iu] = -kappa
+    big_a[np.diag_indices(n)] = -big_a.sum(axis=1)
+    sigma = np.linalg.svd(big_a, compute_uv=False)[::-1][1:]
+    want = np.sort(np.concatenate([n - sigma, n + sigma]) / 2.0)
+    got = _reduced_eigenvalues(torus._pair_hessian(kappa, n))
+    # both spectra are backward stable: a few n u of the matrices' norms
+    tol = 16 * n * np.finfo(float).eps * (n + sigma[-1])
+    assert np.max(np.abs(got - want)) <= tol
+
+
+def _reduced_frame(ev):
+    """J, the map from Cartesian displacements to the reduced frame's
+    (s, t): the inverse of the reduced basis B C^-1, with B the torus basis
+    and C the evaluator's integer coord_map.  It is C B^-1, computed
+    exactly and rounded once."""
+    b = [[Fraction(x) for x in row] for row in ev.torus.basis.matrix.tolist()]
+    det = b[0][0] * b[1][1] - b[0][1] * b[1][0]
+    inv_b = [[b[1][1] / det, -b[0][1] / det], [-b[1][0] / det, b[0][0] / det]]
+    c = [[Fraction(int(x)) for x in row] for row in ev.coord_map.tolist()]
+    return np.array([[float(sum(c[i][k] * inv_b[k][j] for k in range(2)))
+                      for j in range(2)] for i in range(2)])
+
+
+def _frame_map(j, g, h):
+    """J^T g (2, M) and J^T H J (2, 2, M) of a stack of (s, t)-frame
+    gradients (2, M) and Hessians (2, 2, M)."""
+    return (np.einsum("ai,aM->iM", j, g),
+            np.einsum("ai,abM,bj->ijM", j, h, j))
 
 
 @pytest.mark.parametrize("spec", [TorusSpec.hexagonal(), _sheared_square(),
-                                  _shape_torus(0.31, 1.7)],
-                         ids=["hex", "sheared", "general"])
+                                  _shape_torus(0.31, 1.7),
+                                  _shape_torus(2.3, 0.4),
+                                  _shape_torus(-0.7, 0.2)],
+                         ids=["hex", "sheared", "general", "tau=2.3+0.4i",
+                              "tau=-0.7+0.2i"])
 def test_pair_hessian_blocks_match_the_matrix_product(spec):
-    # the elementwise blocks equal J^T H J of the reduced-frame Hessian to
-    # rounding (the matrix product's BLAS kernel fuses multiply-adds, so
-    # the bits differ), are exactly symmetric, and a configuration's blocks
-    # do not depend on the stack it is evaluated in
+    # The frame map, test-side.  The unpaired per-term loop gives L and L'
+    # at the reduced-frame differences, hence the (s, t)-gradient g and
+    # Hessian H of the backend formula block, with the background 2 pi b
+    # of H_tt:
+    #   g = (-Re L, -Re(tau L) + 2 pi b t),
+    #   H = [[-Re L', -Re(tau L')], [-Re(tau L'), -Re(tau^2 L') + 2 pi b]].
+    # Mapped to Cartesian, J^T g must be the evaluator's G_x - i G_y read
+    # as (Re, -Im), and J^T H J its I/2 + T(kappa)/2.
+    #
+    # The bound, with u = 2^-53.  The kernels' paired L and L' differ from
+    # the loop's by at most d_l and d_dl (tests/test_backend.py), which the
+    # frame map carries as |J|^T (d_l, |tau| d_l) and
+    # |J|^T [[1, |tau|], [|tau|, |tau|^2]] |J| d_dl.  Rounding is measured
+    # against the sizes: the same maps of the terms' absolute values
+    # (|L|, |tau| |L| + 2 pi b |t|) and [[|L'|, |tau| |L'|], [.,
+    # |tau|^2 |L'| + 2 pi b]], which bound every intermediate of either
+    # side.  The test side rounds tau L', tau^2 L' and the background
+    # (9u), J once (u/2) and J^T H J's products and sums (5u): at most 16u.
+    # The evaluator rounds L + 2 pi i t or L' + pi/b (u), 1/U and 1/U^2
+    # (6u), the product (4u) and I/2 + T(kappa)/2 (u): at most 16u, plus the
+    # rounding of U = delta u + gamma v itself, (r + 1) u with r =
+    # (|delta| |u| + |gamma| |v|) / |U|, doubled in 1/U^2.
     ev = GreenEvaluator(spec)
     rng = np.random.default_rng(13)
     stack = rng.random((3, 6, 2))
     ds, dt = torus._pair_seps(stack)
-    _, blocks = ev._derivs_frac(ds, dt)
-    _, (hss, hst, htt) = backend.green_grads(*ev._reduced(ds, dt))
-    h = np.stack([hss, hst, hst, htt], axis=-1).reshape(ds.shape + (2, 2))
-    jt = ev._grad_map
-    ref = jt @ h @ jt.T
-    size = np.abs(jt) @ np.abs(h) @ np.abs(jt.T)
-    assert np.all(np.abs(blocks - ref) <= 8 * np.finfo(float).eps * size)
-    assert np.array_equal(blocks[..., 0, 1], blocks[..., 1, 0])
+    g, kappa = ev._derivs_frac(ds, dt)
+    s2, t2, a, b, nterms = ev._reduced(ds, dt)
+    _, _, lsum, dl = _loop_grads(s2, t2, a, b, nterms)
+    d_l, d_dl = _unpaired_gaps(s2, t2, a, b, nterms, lsum, dl)
+    t, tau, drift = t2 - np.rint(t2), complex(a, b), 2.0 * np.pi * b
+    j = _reduced_frame(ev)
+    ref_g, ref_h = _frame_map(j, np.stack([-lsum.real, -(tau * lsum).real
+                                           + drift * t]),
+                              np.array([[-dl.real, -(tau * dl).real],
+                                        [-(tau * dl).real,
+                                         -(tau * tau * dl).real + drift]]))
+    at, al, adl = abs(tau), np.abs(lsum), np.abs(dl)
+    size_g, size_h = _frame_map(np.abs(j),
+                                np.stack([al, at * al + drift * np.abs(t)]),
+                                np.array([[adl, at * adl],
+                                          [at * adl, at * at * adl + drift]]))
+    gap_g, gap_h = _frame_map(np.abs(j), np.stack([d_l, at * d_l]),
+                              np.array([[d_dl, at * d_dl],
+                                        [at * d_dl, at * at * d_dl]]))
+    (u0, v0), (u1, v1) = spec.basis.matrix.tolist()
+    gamma, delta = -ev.coord_map[1, 0], ev.coord_map[1, 1]
+    r = ((abs(delta) * math.hypot(u0, u1) + abs(gamma) * math.hypot(v0, v1))
+         / abs(complex(delta * u0 + gamma * v0, delta * u1 + gamma * v1)))
+    factor, u = 32.0 + 2.0 * (r + 1.0), 2.0 ** -53
+    got_g = np.stack([g.real, -g.imag]).reshape(2, -1)
+    kr, ki = kappa.real.ravel(), kappa.imag.ravel()
+    got_h = 0.5 * np.array([[1.0 + kr, ki], [ki, 1.0 - kr]])
+    assert np.all(np.abs(got_g - ref_g) <= gap_g + factor * u * size_g)
+    assert np.all(np.abs(got_h - ref_h) <= gap_h + factor * u * size_h)
+    # a configuration's derivatives do not depend on the stack it is
+    # evaluated in
     for c in range(3):
-        _, alone = ev._derivs_frac(ds[c:c + 1], dt[c:c + 1])
-        assert np.array_equal(alone[0], blocks[c])
+        alone = ev._derivs_frac(ds[c:c + 1], dt[c:c + 1])
+        assert np.array_equal(alone[0][0], g[c])
+        assert np.array_equal(alone[1][0], kappa[c])
 
 
 # ---------------------------------------------------------------------------
@@ -843,10 +950,10 @@ def test_descent_builds_only_what_it_uses(monkeypatch):
             events.append(("diffs", _stack_size(points, 2)))
         return _diffs(points)
 
-    def hessian(blocks, m, _hessian=torus._pair_hessian):
+    def hessian(kappa, m, _hessian=torus._pair_hessian):
         if inside:
-            scatters.append(_stack_size(blocks, 3))
-        return _hessian(blocks, m)
+            scatters.append(_stack_size(kappa, 1))
+        return _hessian(kappa, m)
 
     def kernel(fn):
         def wrapper(*args):
