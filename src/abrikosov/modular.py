@@ -43,7 +43,6 @@ __all__ = [
     "eta_truncation",
     "kronecker_f",
     "theta_lattice",
-    "theta_tail_bound",
     "zeta_difference_limit",
 ]
 
@@ -196,7 +195,8 @@ def _green_nterms(b: float, ctl: SeriesControl) -> int:
 
 
 def eta_truncation(tau: complex, ctl: SeriesControl = _DEFAULT_CTL):
-    """(term count, a-posteriori bound) for dedekind_eta at this tau.
+    """(term count, a-posteriori bound) of the eta product at this tau, as
+    ``dedekind_eta`` and ``lattice.w_eta`` take it.
 
     The bound is on |log eta_truncated - log eta|: the dropped factors are
     prod_{k>n}(1 - q^k), so |delta log| <= sum_{k>n} |q|^k / (1 - |q|)
@@ -209,21 +209,10 @@ def eta_truncation(tau: complex, ctl: SeriesControl = _DEFAULT_CTL):
     return n, bound
 
 
-def dedekind_eta(tau, ctl: SeriesControl = _DEFAULT_CTL):
-    """q^(1/24) * prod_{n>=1} (1 - q^n) with q = exp(2 i pi tau).
-
-    ``tau`` is one modulus or an array of them.  An array takes the term
-    count of its smallest Im tau and updates its running products in place.
-    """
-    if np.ndim(tau):
-        tau = np.asarray(tau, dtype=complex)
-        b = float(np.min(tau.imag))
-        if not (b > 0.0):
-            raise NonPositiveImaginaryPart("every tau must satisfy Im tau > 0")
-    else:
-        tau = _require_upper(tau)
-        b = tau.imag
-    n = _nterms_for(b, ctl)
+def dedekind_eta(tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> complex:
+    """q^(1/24) * prod_{n>=1} (1 - q^n) with q = exp(2 i pi tau)."""
+    tau = _require_upper(tau)
+    n = _nterms_for(tau.imag, ctl)
     return np.exp(2j * np.pi * tau / 24.0) * _eta_product(tau, n)
 
 
@@ -238,14 +227,20 @@ def _eta_product(tau, n: int):
     return prod
 
 
-def _frac_wrap(x: float) -> float:
-    """Wrap to [-1/2, 1/2] (round-half-even at the boundary)."""
-    return float(x - np.rint(x))
+def _tube_sq(basis: LatticeBasis, ds, dt):
+    """Squared Cartesian lengths, on ``basis``, of the fractional differences
+    (ds, dt), each wrapped to [-1/2, 1/2] first.
 
-
-def _lattice_distance(s: float, t: float, tau: complex) -> float:
-    """Distance from z = s + t tau to the lattice Z + tau Z in the z-plane."""
-    return abs(_frac_wrap(s) + _frac_wrap(t) * tau)
+    This is the one test of where the Green function G is defined: a
+    difference whose squared length is below SINGULAR_TUBE ** 2 lies in the
+    singular tube around the lattice, where G and every quantity built on
+    it raise.
+    """
+    ds = ds - np.rint(ds)
+    dt = dt - np.rint(dt)
+    (u0, u1), (v0, v1) = basis.u.tolist(), basis.v.tolist()
+    x, y = u0 * ds + v0 * dt, u1 * ds + v1 * dt
+    return x * x + y * y
 
 
 def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> float:
@@ -257,17 +252,19 @@ def kronecker_f(z: complex, tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> 
     quasi-periodicity of f is the pi b t^2 term).  G comes from one
     ``backend.green_values`` call with ``_green_nterms`` series terms at the
     fractional coordinates (s, t) of z = s + t tau.  It is exactly 0 on the
-    lattice and raises LatticePointSingularity elsewhere within
-    SINGULAR_TUBE of it.
+    lattice and raises LatticePointSingularity elsewhere in the singular
+    tube of ``_tube_sq``, in the Cartesian units of that torus: the z-plane
+    distance times sqrt(2 pi / b).
     """
     tau = _require_upper(tau)
     z = complex(z)
     t = z.imag / tau.imag
     s = z.real - t * tau.real
-    dist = _lattice_distance(s, t, tau)
-    if dist == 0.0:
+    if s.is_integer() and t.is_integer():
         return 0.0
-    if dist < SINGULAR_TUBE:
+    c = math.sqrt(2.0 * math.pi / tau.imag)
+    torus = LatticeBasis((c, 0.0), (c * tau.real, c * tau.imag))
+    if _tube_sq(torus, s, t) < SINGULAR_TUBE ** 2:
         raise LatticePointSingularity(
             f"z = {s} + {t} tau is within {SINGULAR_TUBE} of the lattice")
     n = _green_nterms(tau.imag, ctl)
@@ -335,24 +332,19 @@ def _covering_radius_bound(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _tail_bound(rho: float, vol: float, alpha: float, radius: float) -> float:
-    """``theta_tail_bound`` of a lattice of covolume ``vol`` whose
-    covering radius is at most ``rho``."""
+    """Closed-form bound on the theta terms exp(-pi alpha |p|^2) dropped
+    outside |p| <= radius, for a lattice of covolume ``vol`` whose covering
+    radius is at most ``rho``.
+
+    Voronoi-cell comparison with the radial Gaussian integral; valid when
+    radius exceeds 2 rho (returns inf otherwise).
+    """
     t0 = radius - 2.0 * rho
     if t0 <= 0.0:
         return math.inf
     return (2.0 * math.pi / vol) \
         * math.exp(-math.pi * alpha * t0 * t0) \
         * (1.0 + rho / t0) / (2.0 * math.pi * alpha)
-
-
-def theta_tail_bound(basis: LatticeBasis, alpha: float, radius: float) -> float:
-    """Closed-form bound on the theta terms dropped outside |p| <= radius.
-
-    Voronoi-cell comparison with the radial Gaussian integral; valid when
-    radius exceeds twice the covering-radius bound (returns inf otherwise).
-    """
-    rho = _covering_radius_bound(*_reduced_basis(basis))
-    return _tail_bound(rho, basis.covolume, alpha, radius)
 
 
 def _gaussian_sum_support(u: np.ndarray, v: np.ndarray, vol: float,
@@ -366,7 +358,7 @@ def _gaussian_sum_support(u: np.ndarray, v: np.ndarray, vol: float,
     covering-radius bound, eps = ctl.abs_tol V alpha,
     pi alpha t^2 = max(log(1 / eps), log 2) and
     pi alpha t0^2 = pi alpha t^2 + log(1 + rho / t).  As t0 >= t, the factor
-    1 + rho / t0 of ``theta_tail_bound`` is at most 1 + rho / t, and
+    1 + rho / t0 of ``_tail_bound`` is at most 1 + rho / t, and
     exp(-pi alpha t0^2) = exp(-pi alpha t^2) / (1 + rho / t) is at most
     eps / (1 + rho / t), so the tail is at most eps / (V alpha) =
     ctl.abs_tol.  log(1 / eps) is a sum of logs, so a tol as small as the

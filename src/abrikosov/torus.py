@@ -79,6 +79,7 @@ from .modular import (
     _green_nterms,
     _reduce_with_matrix,
     _shape_modulus,
+    _tube_sq,
 )
 
 __all__ = [
@@ -130,17 +131,16 @@ class TorusSpec:
         return abs(self.volume - TWO_PI) <= VOLUME_RTOL * TWO_PI
 
     @staticmethod
-    def square(volume: float = TWO_PI) -> "TorusSpec":
-        return TorusSpec(shape_basis(1j, volume))
+    def square() -> "TorusSpec":
+        return TorusSpec(shape_basis(1j))
 
     @staticmethod
-    def hexagonal(volume: float = TWO_PI) -> "TorusSpec":
-        return TorusSpec(shape_basis(TRIANGULAR_TAU, volume))
+    def hexagonal() -> "TorusSpec":
+        return TorusSpec(shape_basis(TRIANGULAR_TAU))
 
     @staticmethod
-    def rectangular(aspect: float, volume: float = TWO_PI) -> "TorusSpec":
-        return TorusSpec(shape_basis(complex(0.0, positive("aspect", aspect)),
-                                     volume))
+    def rectangular(aspect: float) -> "TorusSpec":
+        return TorusSpec(shape_basis(complex(0.0, positive("aspect", aspect))))
 
     def __repr__(self):
         return f"TorusSpec(basis={self.basis!r})"
@@ -163,7 +163,12 @@ def _wrap01(points: np.ndarray) -> np.ndarray:
 
 
 class TorusConfig:
-    """n marked points on a torus, in fractional coordinates in [0, 1)^2."""
+    """n marked points on a torus, in fractional coordinates in [0, 1)^2.
+
+    No two points lie within ``SEPARATION_EPS`` of each other in fractional
+    coordinates, nor in the singular tube of ``modular._tube_sq`` on the
+    torus's basis, so every configuration has an energy.
+    """
 
     __slots__ = ("torus", "points")
 
@@ -173,10 +178,15 @@ class TorusConfig:
             raise NonPositiveParameter("points must be an (n, 2) array with n >= 1")
         self.torus = torus
         self.points = _wrap01(pts.copy())
-        if self.n > 1 and _min_separation(self.points) < SEPARATION_EPS:
+        if self.n < 2:
+            return
+        s, t = _pair_seps(self.points)
+        if math.sqrt(np.min(s * s + t * t)) < SEPARATION_EPS:
             raise CoincidentPoints(
                 f"minimum pair separation below {SEPARATION_EPS}"
             )
+        if np.any(_tube_sq(torus.basis, s, t) < SINGULAR_TUBE ** 2):
+            raise CoincidentPoints("points collide within the singular tube")
 
     @property
     def n(self) -> int:
@@ -257,6 +267,10 @@ class GreenEvaluator:
     bound, with the wrapped argument's worst factor exp(pi Im tau), meets
     ``ctl.abs_tol`` at the reduced modulus.  It keeps ``ctl``, at which
     ``config_energy`` adds the lattice self-term.
+
+    ``value`` gives G at one point; the derivatives serve the pair helpers,
+    and ``config_grad`` of a two-point configuration gives +-grad G.  G is
+    undefined in the singular tube of ``modular._tube_sq``.
     """
 
     def __init__(self, torus: TorusSpec, ctl: SeriesControl = _DEFAULT_CTL):
@@ -307,32 +321,17 @@ class GreenEvaluator:
         dzz *= self._kappa_map
         return dz.reshape(ds.shape), dzz.reshape(ds.shape)
 
-    def _check_singular(self, frac: np.ndarray):
-        d = frac - np.rint(frac)
-        cart = d @ self.torus.basis.matrix.T
-        dist = np.sqrt(np.sum(cart * cart, axis=-1))
-        if np.any(dist < SINGULAR_TUBE):
-            raise LatticePointSingularity(
-                "argument within the singular tube of the periodicity lattice"
-            )
-
     # -- public API --------------------------------------------------------
 
     def value(self, x) -> float:
         """G(x) for a Cartesian 2-vector x."""
         x = _finite(x, "x").reshape(2)
-        frac = self._inv_basis @ x
-        self._check_singular(frac)
-        return float(self._values_frac(np.array([frac[0]]),
-                                       np.array([frac[1]]))[0])
-
-    def grad(self, x) -> np.ndarray:
-        """Cartesian gradient of G at a Cartesian 2-vector x."""
-        x = _finite(x, "x").reshape(2)
-        frac = self._inv_basis @ x
-        self._check_singular(frac)
-        g, _ = self._derivs_frac(np.array([frac[0]]), np.array([frac[1]]))
-        return np.array([g[0].real, -g[0].imag])
+        s, t = self._inv_basis @ x
+        if _tube_sq(self.torus.basis, s, t) < SINGULAR_TUBE ** 2:
+            raise LatticePointSingularity(
+                "argument within the singular tube of the periodicity lattice"
+            )
+        return float(self._values_frac(np.array([s]), np.array([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +363,7 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
     if not far.any():
         return energy
     s, t = s[far], t[far]
-    (b00, b01), (b10, b11) = ev.torus.basis.matrix.tolist()
-    x, y = b00 * s + b01 * t, b10 * s + b11 * t
-    if np.any(x * x + y * y < SINGULAR_TUBE ** 2):
+    if np.any(_tube_sq(ev.torus.basis, s, t) < SINGULAR_TUBE ** 2):
         raise CoincidentPoints("points collide within the singular tube")
     energy[far] = np.sum(ev._values_frac(s, t), axis=-1)
     return energy

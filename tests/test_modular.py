@@ -20,7 +20,6 @@ from abrikosov.errors import (
     CovolumeMismatch,
     InputError,
     LatticePointSingularity,
-    NonPositiveImaginaryPart,
     NonPositiveParameter,
     PrecisionUnreachable,
 )
@@ -31,11 +30,16 @@ from abrikosov.modular import (
     eta_truncation,
     kronecker_f,
     theta_lattice,
-    theta_tail_bound,
     zeta_difference_limit,
 )
 from abrikosov.lattice import shape_basis, w_eta
-from abrikosov.modular import _gaussian_sum_support, _reduced_basis
+from abrikosov.modular import (
+    _covering_radius_bound,
+    _gaussian_sum_support,
+    _reduced_basis,
+    _tail_bound,
+)
+from abrikosov.torus import GreenEvaluator, TorusSpec
 
 SQRT3 = math.sqrt(3.0)
 TRI_TAU = complex(0.5, 0.5 * SQRT3)
@@ -84,29 +88,27 @@ def test_eta_matches_pentagonal_series(tau):
     assert abs(lib - ref) < 1e-13
 
 
-def _eta_product(tau: complex, n: int) -> complex:
-    """q^(1/24) prod_{k=1..n} (1 - q^k), one modulus at a time."""
+def _eta_loop(tau: complex, n: int) -> complex:
+    """prod_{k=1..n} (1 - q^k), one modulus at a time."""
     q = cmath.exp(2j * math.pi * tau)
     qk, prod = q, 1.0 - q
     for _ in range(n - 1):
         qk *= q
         prod *= 1.0 - qk
-    return cmath.exp(2j * math.pi * tau / 24.0) * prod
+    return prod
 
 
 def test_eta_on_an_array_matches_the_scalar_loop():
+    # the array route that runs: lattice._w_unit takes the eta product over
+    # a grid of moduli at the term count its smallest Im tau needs
     taus = [1j, TRI_TAU, complex(0.3, 0.9), complex(-0.44, 2.0),
             complex(0.05, 0.31)]
-    ctl = SeriesControl(abs_tol=1e-13)
-    # one term count for the array: the one its smallest Im tau needs
-    n, _ = eta_truncation(complex(0.05, 0.31), ctl)
-    lib = dedekind_eta(np.array(taus), ctl)
-    ref = np.array([_eta_product(t, n) for t in taus])
+    n, _ = eta_truncation(complex(0.05, 0.31), SeriesControl(abs_tol=1e-13))
+    lib = modular._eta_product(np.array(taus), n)
+    ref = np.array([_eta_loop(t, n) for t in taus])
     assert lib.shape == (5,)
     # same recurrence; array and scalar complex arithmetic may round apart
     assert np.all(np.abs(lib - ref) <= 64 * np.finfo(float).eps * np.abs(ref))
-    with pytest.raises(NonPositiveImaginaryPart):
-        dedekind_eta(np.array([1j, complex(0.2, 0.0)]))
 
 
 def test_eta_special_value_at_i():
@@ -167,6 +169,23 @@ def test_kronecker_f_lattice_point_handling():
     assert kronecker_f(complex(2.0, 1.0), complex(0.0, 1.0)) == 0.0  # z = 2 + tau
     with pytest.raises(LatticePointSingularity):
         kronecker_f(complex(1e-12, 0.0), 1j)
+
+
+def test_kronecker_f_and_the_evaluator_share_one_singular_tube():
+    # on the square torus z maps to the Cartesian x = sqrt(2 pi) z, so
+    # z = 5e-10 lies 1.25e-9 from the lattice, outside the 1e-9 tube: both
+    # routes give G there, and both raise at 1e-12
+    ev = GreenEvaluator(TorusSpec.square())
+    side = math.sqrt(2.0 * math.pi)
+    g = ev.value([5e-10 * side, 0.0])
+    assert abs(g - 20.10588) < 1e-5
+    assert kronecker_f(5e-10, 1j) == pytest.approx(math.exp(-g), rel=1e-14)
+    assert kronecker_f(2e-9, 1j) == math.exp(-ev.value([2e-9 * side, 0.0]))
+    assert abs(kronecker_f(2e-9, 1j) - 7.4162987092054806e-09) < 1e-21
+    with pytest.raises(LatticePointSingularity):
+        kronecker_f(1e-12, 1j)
+    with pytest.raises(LatticePointSingularity):
+        ev.value([1e-12 * side, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +250,26 @@ def test_theta_rejects_nonpositive_alpha():
         theta_lattice(basis, -1.0)
 
 
-def test_theta_tail_bound_shrinks_with_radius():
-    basis = LatticeBasis([1.0, 0.0], [0.0, 1.0])
-    b1 = theta_tail_bound(basis, 1.0, 3.0)
-    b2 = theta_tail_bound(basis, 1.0, 5.0)
-    assert 0.0 < b2 < b1
-
-
 def _support(basis, alpha, ctl):
     """The points a Gaussian sum over ``basis`` keeps, through the basis
     reduction every lattice sum makes."""
     return _gaussian_sum_support(*_reduced_basis(basis), basis.covolume,
                                  alpha, ctl)
+
+
+def _theta_tail_bound(basis, alpha, radius):
+    """The tail bound of the theta terms of ``basis`` outside ``radius``,
+    at the covering-radius bound of its reduced basis, as every lattice sum
+    takes it."""
+    rho = _covering_radius_bound(*_reduced_basis(basis))
+    return _tail_bound(rho, basis.covolume, alpha, radius)
+
+
+def test_theta_tail_bound_shrinks_with_radius():
+    basis = LatticeBasis([1.0, 0.0], [0.0, 1.0])
+    b1 = _theta_tail_bound(basis, 1.0, 3.0)
+    b2 = _theta_tail_bound(basis, 1.0, 5.0)
+    assert 0.0 < b2 < b1
 
 
 @pytest.mark.parametrize("tau", [1j, TRI_TAU, complex(0.1, 6.0),
@@ -260,11 +287,11 @@ def test_theta_radius_is_tight(tau, alpha, tol):
                            wraps=modular._enumerate_norms_sq) as enumerate_:
         _support(basis, alpha, SeriesControl(abs_tol=tol))
     radius = enumerate_.call_args.args[3]
-    rho = modular._covering_radius_bound(*_reduced_basis(basis))
-    assert theta_tail_bound(basis, alpha, radius) <= tol
-    assert theta_tail_bound(basis, alpha, 0.99 * radius) > tol
+    rho = _covering_radius_bound(*_reduced_basis(basis))
+    assert _theta_tail_bound(basis, alpha, radius) <= tol
+    assert _theta_tail_bound(basis, alpha, 0.99 * radius) > tol
     gap = radius - 2.0 * rho
-    assert theta_tail_bound(basis, alpha, 2.0 * rho + 0.99 * gap) > tol
+    assert _theta_tail_bound(basis, alpha, 2.0 * rho + 0.99 * gap) > tol
 
 
 def test_basis_whose_shape_modulus_overflows_is_an_input_error():
@@ -273,7 +300,7 @@ def test_basis_whose_shape_modulus_overflows_is_an_input_error():
     bad = LatticeBasis((1e-200, 0.0), (0.0, 1e200))
     square = LatticeBasis((1.0, 0.0), (0.0, 1.0))
     calls = (lambda: theta_lattice(bad, 1.0),
-             lambda: theta_tail_bound(bad, 1.0, 5.0),
+             lambda: _theta_tail_bound(bad, 1.0, 5.0),
              lambda: zeta_difference_limit(square, bad),
              lambda: zeta_difference_limit(bad, square))
     for call in calls:
