@@ -34,16 +34,10 @@ tolerance.  The trial a line search accepts brings its per-pair kappa
 along, so the next Newton step needs no further kernel call; the kappa
 become the full Hessian only when a step uses them.
 
-All starts of one search descend in lockstep as one (k, n, 2) stack: a
-round evaluates one trial of every live start with one value kernel call,
-the derivatives of the trials that pass the energy test with one gradient
-kernel call, and the next Newton steps with one stacked Cholesky test and
-solve and one stacked Hessian-vector product per CG iteration.
-The pair helpers (``_pair_seps``, ``_pair_energy``, ``_pair_derivs``,
-``_pair_hessian``) take such stacks.  ``_pair_seps`` builds the wrapped s
-and t differences of every pair as two arrays, which serve the separation
-tests and the kernel call alike.  Every start does the arithmetic it would
-do alone, so its outcome does not depend on the other starts.
+All starts of one search descend in lockstep as one (k, n, 2) stack
+(``_descent``), which the pair helpers (``_pair_seps``, ``_pair_energy``,
+``_pair_derivs``, ``_pair_hessian``) take whole.  Every start does the
+arithmetic it would do alone, so its outcome does not depend on the others.
 """
 from __future__ import annotations
 
@@ -54,6 +48,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import backend
 from .errors import (
@@ -244,7 +239,7 @@ def _pair_seps(points: np.ndarray) -> np.ndarray:
     exact.
     """
     layout = _pair_layout(points.shape[-2])
-    xy = np.moveaxis(points, -1, 0)
+    xy = points.transpose(-1, *range(points.ndim - 1))
     d = xy.take(layout.iu, axis=-1) - xy.take(layout.ju, axis=-1)
     d -= np.rint(d)
     return d
@@ -302,7 +297,7 @@ class GreenEvaluator:
         c = self.coord_map
         s2 = c[0, 0] * ds + c[0, 1] * dt
         t2 = c[1, 0] * ds + c[1, 1] * dt
-        return (np.ravel(s2), np.ravel(t2),
+        return (s2.ravel(), t2.ravel(),
                 self.tau.real, self.tau.imag, self.nterms)
 
     def _values_frac(self, ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -358,14 +353,14 @@ def _pair_energy(ev: GreenEvaluator, points: np.ndarray,
     if points.shape[1] < 2:
         return np.zeros(points.shape[0])
     s, t = _pair_seps(points)
-    far = np.sqrt(np.min(s * s + t * t, axis=-1)) >= min_sep
+    far = np.sqrt(np.minimum.reduce(s * s + t * t, axis=-1)) >= min_sep
     energy = np.full(points.shape[0], np.nan)
     if not far.any():
         return energy
     s, t = s[far], t[far]
-    if np.any(_tube_sq(ev.torus.basis, s, t) < SINGULAR_TUBE ** 2):
+    if (_tube_sq(ev.torus.basis, s, t) < SINGULAR_TUBE ** 2).any():
         raise CoincidentPoints("points collide within the singular tube")
-    energy[far] = np.sum(ev._values_frac(s, t), axis=-1)
+    energy[far] = np.add.reduce(ev._values_frac(s, t), axis=-1)
     return energy
 
 
@@ -420,7 +415,7 @@ def _pair_hessian(kappa: np.ndarray, n: int) -> np.ndarray:
 
 def _sup_norm(grad: np.ndarray) -> np.ndarray:
     """Largest per-point Euclidean gradient norm of each configuration."""
-    return np.max(np.sqrt(np.sum(grad * grad, axis=-1)), axis=-1)
+    return np.maximum.reduce(np.sqrt(_dot(grad, grad)), axis=-1)
 
 
 def config_energy(cfg: TorusConfig, ev: GreenEvaluator = None) -> float:
@@ -493,24 +488,27 @@ class MinimizeOutcome:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Inner products of the rows of two (k, 2n) stacks, shape (k,)."""
-    return (a * b).sum(axis=-1)
+    """Inner products along the last axis of two equal-shape arrays."""
+    return np.add.reduce(a * b, axis=-1)
 
 
-def _has_cholesky(mats: np.ndarray) -> bool:
-    """Whether a symmetric matrix, or every one of a stack, has a Cholesky
-    factor with no pivot below size * eps times its largest diagonal entry:
-    positive definite and not singular to rounding.  On a long torus the
-    curvature across it is lost beside the 1/2 of I/2 + T(kappa)/2, and a
-    pivot of rounding error would give a step of any length."""
-    try:
-        factor = np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    diag = np.diagonal(mats, axis1=-2, axis2=-1)
+def _has_cholesky(mats: np.ndarray) -> np.ndarray:
+    """Whether each symmetric matrix of a stack (k, m, m) has a Cholesky
+    factor with no pivot below m * eps times its largest diagonal entry,
+    shape (k,): positive definite and not singular to rounding.  On a long
+    torus the curvature across it is lost beside the 1/2 of I/2 +
+    T(kappa)/2, and a pivot of rounding error would give a step of any
+    length.  The LAPACK gufunc behind ``np.linalg.cholesky`` factors each
+    matrix on its own, in one call; its public wrapper raises for the whole
+    stack if one has no factor, where the gufunc fills that one with NaN,
+    which fails the pivot test.
+    """
+    with np.errstate(invalid="ignore"):
+        factor = _umath_linalg.cholesky_lo(mats)
+    diag = mats.diagonal(0, -2, -1)
     floor = mats.shape[-1] * np.finfo(float).eps * diag.max(axis=-1)
-    pivots = np.diagonal(factor, axis1=-2, axis2=-1).min(axis=-1) ** 2
-    return bool(np.all(pivots > floor))
+    pivots = factor.diagonal(0, -2, -1).min(axis=-1) ** 2
+    return pivots > floor
 
 
 def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -542,14 +540,14 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
     A stopped start is frozen by a mask, not dropped from the stack, so
     each start does the arithmetic it would do alone; the factorizations
-    and the solve are stacked, and a failed stacked factorization is
-    repeated start by start, so a start's test does not depend on its
+    and the solve are stacked, one call each, and ``_has_cholesky`` decides
+    every matrix on its own, so a start's test does not depend on its
     stack either.  A step whose largest per-point length exceeds
     ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
     hess = _pair_hessian(kappa, n)
-    g = (grad - grad.mean(axis=1, keepdims=True)).reshape(k, 2 * n)
+    g = (grad - np.add.reduce(grad, 1, keepdims=True) / n).reshape(k, 2 * n)
     gg = _dot(g, g)
     tol = np.minimum(FORCING_CAP ** 2, gg) * gg   # squared forcing bound
     s, r, d, rr = np.zeros_like(g), g.copy(), -g, gg
@@ -561,14 +559,10 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
         a = hess[near]
         a[:, 0::2, 0::2] += 1.0 / n
         a[:, 1::2, 1::2] += 1.0 / n
-        exact = near
-        if not _has_cholesky(a):
-            # decide start by start, so that no start's test depends on
-            # the others in its stack
-            pd = [_has_cholesky(m) for m in a]
-            exact, a = near[pd], a[pd]
+        pd = _has_cholesky(a)
+        exact = near[pd]
         if exact.size:
-            s[exact] = np.linalg.solve(a, -g[exact, :, None])[..., 0]
+            s[exact] = np.linalg.solve(a[pd], -g[exact, :, None])[..., 0]
             live[exact] = False
     for _ in range(2 * n):
         if not live.any():
@@ -590,7 +584,7 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
         d = (rr_new / np.where(live, rr, np.inf))[:, None] * d - r
         rr = rr_new
     step = s.reshape(k, n, 2)
-    step -= step.mean(axis=1, keepdims=True)
+    step -= np.add.reduce(step, axis=1, keepdims=True) / n
     longest = _sup_norm(step)
     cut = longest > MAX_STEP
     step[cut] *= (MAX_STEP / longest[cut])[:, None, None]
@@ -641,30 +635,36 @@ def _descent(ev: GreenEvaluator, starts: np.ndarray, ctl: MinimizeControl):
     direction = np.empty_like(pts)
     frac = np.ones(k)            # step fraction of each start's next trial
     left = np.zeros(k, int)      # trials left in each start's line search
+    running = np.ones(k, bool)   # starts with no exit reason yet
     fresh = range(k)             # starts at a new point: record, test, step
     while True:
         stepping = []
+        e_now, g_now = energy.tolist(), gnorm.tolist()
         for i in fresh:
-            traces[i].append((iters[i], float(energy[i]), float(gnorm[i])))
-            if gnorm[i] < ctl.grad_tol:
+            traces[i].append((iters[i], e_now[i], g_now[i]))
+            if g_now[i] < ctl.grad_tol:
                 reasons[i] = "converged"
             elif iters[i] == ctl.max_iters:
                 reasons[i] = "max_iters"
             else:
                 iters[i] += 1
                 stepping.append(i)
+                continue
+            running[i] = False
         if stepping:
             direction[stepping] = _newton_step(kappa[stepping],
                                                grad[stepping]) @ inv_t
             frac[stepping] = 1.0
             left[stepping] = 40
-        live = np.array([i for i in range(k) if reasons[i] is None], int)
-        cand = _wrap01(pts[live] + frac[live, None, None] * direction[live])
+        live = np.flatnonzero(running)
+        here = pts[live]
+        cand = _wrap01(here + frac[live, None, None] * direction[live])
         # a spent line search or a null step (every shorter trial is one
         # too) ends the start without a move
-        over = (left[live] == 0) | np.all(cand == pts[live], axis=(1, 2))
+        over = (left[live] == 0) | (cand == here).all(axis=(1, 2))
         for i in live[over]:
             reasons[i] = "stalled"
+            running[i] = False
         live, cand = live[~over], cand[~over]
         if not live.size:
             break

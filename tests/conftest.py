@@ -5,6 +5,8 @@ import pathlib
 import pytest
 
 REPORT_PATH = pathlib.Path(__file__).resolve().parent.parent / "acceptance_report.txt"
+# this session's verdicts with their run times, which the report leaves out
+RUN_LINES = []
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +19,10 @@ def warm_backend():
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if REPORT_PATH.exists():
+    lines = RUN_LINES
+    if not lines and REPORT_PATH.exists():
+        lines = REPORT_PATH.read_text().splitlines()
+    if lines:
         terminalreporter.section("acceptance criteria")
-        for line in REPORT_PATH.read_text().splitlines():
+        for line in lines:
             terminalreporter.write_line(line)

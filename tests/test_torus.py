@@ -863,10 +863,6 @@ def test_newton_step_on_a_mixed_stack():
     assert residual <= min(torus.FORCING_CAP, gnorm) * gnorm
 
 
-def _refuse_cholesky(*args, **kwargs):
-    raise np.linalg.LinAlgError("factorization refused")
-
-
 def test_newton_step_is_exact_where_the_hessian_is_positive_definite(
         monkeypatch):
     # a near-minimum start (positive-definite reduced Hessian) takes the
@@ -901,7 +897,8 @@ def test_newton_step_is_exact_where_the_hessian_is_positive_definite(
     for c in range(3):
         alone = torus._newton_step(blocks[c:c + 1], grad[c:c + 1])
         assert np.array_equal(alone[0], step[c]), c
-    monkeypatch.setattr(np.linalg, "cholesky", _refuse_cholesky)
+    monkeypatch.setattr(torus, "_has_cholesky",
+                        lambda mats: np.zeros(len(mats), bool))
     cg = torus._newton_step(blocks, grad)
     assert np.array_equal(cg[1:], step[1:])
     assert not np.array_equal(cg[0], step[0])
@@ -909,14 +906,14 @@ def test_newton_step_is_exact_where_the_hessian_is_positive_definite(
 
 def test_factorization_is_tried_only_below_the_forcing_cap(monkeypatch):
     # a start tries the Cholesky test only where the forcing asks for a
-    # residual of |g|^2, 0 < |g| < FORCING_CAP: one stacked factorization
-    # of those starts, and one per start only if that fails
+    # residual of |g|^2, 0 < |g| < FORCING_CAP: one stacked test of exactly
+    # those starts per Newton step, and none in a step without them
     calls, seen = [], []
-    cholesky, newton_step = np.linalg.cholesky, torus._newton_step
+    has_cholesky, newton_step = torus._has_cholesky, torus._newton_step
 
-    def counted(a):
-        calls.append(len(a) if a.ndim == 3 else 1)
-        return cholesky(a)
+    def counted(mats):
+        calls.append(len(mats))
+        return has_cholesky(mats)
 
     def step(blocks, grad):
         g = grad - grad.mean(axis=1, keepdims=True)
@@ -925,15 +922,11 @@ def test_factorization_is_tried_only_below_the_forcing_cap(monkeypatch):
                                      & (norm < torus.FORCING_CAP)))
         del calls[:]
         out = newton_step(blocks, grad)
-        if gated:
-            assert calls[0] == gated
-            assert calls[1:] in ([], [1] * gated)
-        else:
-            assert calls == []
+        assert calls == ([gated] if gated else [])
         seen.append((gated, len(grad)))
         return out
 
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(torus, "_has_cholesky", counted)
     monkeypatch.setattr(torus, "_newton_step", step)
     start = TorusConfig(TorusSpec.square(), torus._input_start(6, 0))
     out = minimize_config(start, MinimizeControl(restarts=4))
@@ -941,6 +934,81 @@ def test_factorization_is_tried_only_below_the_forcing_cap(monkeypatch):
     # both sides of the gate were taken
     assert any(gated for gated, _ in seen)
     assert any(gated < k for gated, k in seen)
+
+
+def _long_torus_shifted_hessian():
+    """H + P of the two points (0, 0) and (1/2, 1/2) on the aspect-112
+    torus, P the projector onto the translations: positive definite, with a
+    smallest Cholesky pivot of rounding size, as the curvature across the
+    torus is lost beside the 1/2 of I/2 + T(kappa)/2."""
+    ev = GreenEvaluator(TorusSpec.rectangular(112.0))
+    _, kappa = torus._pair_derivs(ev, np.array([[[0.0, 0.0], [0.5, 0.5]]]))
+    hess = torus._pair_hessian(kappa, 2)[0]
+    hess[0::2, 0::2] += 0.5
+    hess[1::2, 1::2] += 0.5
+    return hess
+
+
+def _gate_matrix(kind, m, rng):
+    """One symmetric m x m matrix (m >= 4) of the given kind."""
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = rng.uniform(0.1, 2.0, m)
+    j = rng.integers(m)
+    if kind == "indefinite":
+        lam[j] = -lam[j]
+    elif kind == "tiny":
+        # positive definite, its pivot j at most 1e-17 and below the floor
+        lam[j] = rng.uniform(0.0, 1e-17)
+        return np.diag(lam)
+    elif kind == "long":
+        mat = np.eye(m)
+        mat[:4, :4] = _long_torus_shifted_hessian()
+        return mat
+    mat = (q * lam) @ q.T
+    mat = 0.5 * (mat + mat.T)
+    if kind == "singular":
+        mat[j] = mat[:, j] = 0.0
+    return mat
+
+
+def _gate_reference(mat):
+    """The gate through numpy's public route, one matrix at a time."""
+    try:
+        factor = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return False
+    floor = len(mat) * np.finfo(float).eps * np.max(np.diag(mat))
+    return bool(np.min(np.diag(factor)) ** 2 > floor)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(4, 8),
+       kinds=st.lists(st.sampled_from(["definite", "indefinite", "singular",
+                                       "tiny", "long"]),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(m=4, kinds=["indefinite", "long", "definite", "tiny", "singular"],
+         seed=0)
+def test_cholesky_gate_answers_for_each_matrix_of_a_stack(m, kinds, seed):
+    # one stacked call must give every matrix the verdict that numpy's
+    # public factorization gives it alone, whatever else the stack holds
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_gate_matrix(kind, m, rng) for kind in kinds])
+    got = torus._has_cholesky(stack)
+    assert got.dtype == bool and got.shape == (len(kinds),)
+    assert got.tolist() == [_gate_reference(mat) for mat in stack]
+
+
+def test_cholesky_gate_refuses_rounding_level_pivots():
+    # the long-torus H + P and diag(1, 1e-17) have a factor, but a pivot
+    # below the floor; the definite and indefinite cases bracket them
+    long = _long_torus_shifted_hessian()
+    np.linalg.cholesky(long)
+    assert torus._has_cholesky(long[None]).tolist() == [False]
+    pairs = np.array([np.diag([1.0, 1e-17]), np.eye(2), np.diag([1.0, -1.0])])
+    np.linalg.cholesky(pairs[0])
+    assert torus._has_cholesky(pairs).tolist() == [False, True, False]
 
 
 def _stack_size(arr, ndim):
