@@ -538,12 +538,10 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
       Newton step, zero-mean as g is, and the start skips CG.  A start
       whose factorization fails runs CG as above.
 
-    A stopped start is frozen by a mask, not dropped from the stack, so
-    each start does the arithmetic it would do alone; the factorizations
-    and the solve are stacked, one call each, and ``_has_cholesky`` decides
-    every matrix on its own, so a start's test does not depend on its
-    stack either.  A step whose largest per-point length exceeds
-    ``MAX_STEP`` is scaled down to it.
+    A stopped start is frozen by a mask, not dropped from the stack, and
+    the stacked factorization and solve treat each matrix on its own, so
+    each start does the arithmetic it would do alone.  A step whose largest
+    per-point length exceeds ``MAX_STEP`` is scaled down to it.
     """
     k, n = grad.shape[:2]
     hess = _pair_hessian(kappa, n)
@@ -551,6 +549,7 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
     gg = _dot(g, g)
     tol = np.minimum(FORCING_CAP ** 2, gg) * gg   # squared forcing bound
     s, r, d, rr = np.zeros_like(g), g.copy(), -g, gg
+    d_col = d[..., None]                          # d changes in place
     live = rr > tol                               # only g = 0 starts done
     near = np.flatnonzero(live & (gg < FORCING_CAP ** 2))
     if near.size:
@@ -567,7 +566,7 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
     for _ in range(2 * n):
         if not live.any():
             break
-        hd = (hess @ d[..., None])[..., 0]
+        hd = (hess @ d_col)[..., 0]
         dd, dhd = _dot(d, d), _dot(d, hd)
         bent = live & (dhd <= 1e-12 * dd)
         if bent.any():
@@ -576,12 +575,13 @@ def _newton_step(kappa: np.ndarray, grad: np.ndarray) -> np.ndarray:
             s = np.where(bent[:, None], s + scale[:, None] * d, s)
             live &= ~bent
         # a stopped start takes alpha = beta = 0: s and r stay, d stays finite
-        alpha = rr / np.where(live, dhd, np.inf)
-        s += alpha[:, None] * d
-        r += alpha[:, None] * hd
+        alpha = (rr / np.where(live, dhd, np.inf))[:, None]
+        s += alpha * d
+        r += alpha * hd
         rr_new = _dot(r, r)
         live &= rr_new > tol
-        d = (rr_new / np.where(live, rr, np.inf))[:, None] * d - r
+        d *= (rr_new / np.where(live, rr, np.inf))[:, None]
+        d -= r
         rr = rr_new
     step = s.reshape(k, n, 2)
     step -= np.add.reduce(step, axis=1, keepdims=True) / n
