@@ -313,8 +313,9 @@ class ModuliGrid:
 class ScanReport:
     """Result of a moduli scan: W over the grid plus the polished minimizer.
 
-    Only ``w`` is stored per point.  ``a`` and ``b``, the points in the
-    order of ``w``, are rebuilt from ``grid`` on each access.
+    Only ``w`` is stored per point.  ``a``, the points' real parts in the
+    order of ``w``, is rebuilt from ``grid`` on each access;
+    ``grid.points()`` gives both coordinates.
     """
 
     m: float
@@ -329,10 +330,6 @@ class ScanReport:
     @property
     def a(self) -> np.ndarray:
         return self.grid.points()[0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.grid.points()[1]
 
     def to_json_dict(self) -> dict:
         return {

@@ -22,14 +22,9 @@ import time
 import numpy as np
 import pytest
 
-from bessel_series import bessel_i0
 from conftest import REPORT_PATH, RUN_LINES
-
-SQRT3 = math.sqrt(3.0)
-TRI_TAU = complex(0.5, 0.5 * SQRT3)
-
-
-H0_BAR = 1.0 / bessel_i0(1.0)
+from references import (H0_BAR, SQRT3, TRI_TAU, central_differences,
+                        ewald_green)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -148,26 +143,10 @@ def test_criterion_06_green_eta_consistency():
                          f"< 1e-5", f"{dt:.2f} s")
 
 
-def _central_differences(energy, pts, inv, eps=1e-6):
-    """Cartesian central differences of energy(fractional points), (n, 2)."""
-    fd = np.empty_like(pts)
-    for i in range(len(pts)):
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = eps
-            dfrac = inv @ dx
-            up, dn = pts.copy(), pts.copy()
-            up[i] += dfrac
-            dn[i] -= dfrac
-            fd[i, k] = (energy(up) - energy(dn)) / (2 * eps)
-    return fd
-
-
 def test_criterion_07_gradient_correctness():
     # Central differences of two energies: the program's q-series energy and
     # the test-side Ewald pair sum, which shares no formula with config_grad
     from abrikosov.torus import TorusConfig, TorusSpec, config_energy, config_grad
-    from test_torus import _ewald_green
 
     t0 = time.perf_counter()
     spec = TorusSpec.square()
@@ -189,7 +168,7 @@ def test_criterion_07_gradient_correctness():
             done += 1
             g = config_grad(cfg)
             worst_sum = max(worst_sum, float(np.max(np.abs(g.sum(axis=0)))))
-            fd = _central_differences(
+            fd = central_differences(
                 lambda p: config_energy(TorusConfig(spec, p)), pts, inv)
             rel = float(np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12))
             worst_rel = max(worst_rel, rel)
@@ -200,11 +179,11 @@ def test_criterion_07_gradient_correctness():
         i, j = np.triu_indices(len(p), 1)
         sep = p[i] - p[j]
         sep -= np.rint(sep)
-        return sum(_ewald_green(spec.basis, spec.basis.matrix @ s) for s in sep)
+        return sum(ewald_green(spec.basis, spec.basis.matrix @ s) for s in sep)
 
     worst_ewald = 0.0
     for pts, g in checked:
-        fd = _central_differences(ewald_energy, pts, inv)
+        fd = central_differences(ewald_energy, pts, inv)
         rel = float(np.max(np.abs(fd - g)) / max(np.max(np.abs(g)), 1e-12))
         worst_ewald = max(worst_ewald, rel)
     ok = (max(worst_rel, worst_ewald) < 1e-5 and worst_sum < 1e-12

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from abrikosov import backend
 
+from references import green_setup, loop_grads, unpaired_gaps
+
 
 def _kernels():
     """Public functions of the backend other than ``warmup``."""
@@ -45,20 +47,9 @@ def test_warmup_calls_every_kernel(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _setup(ds, dt, a, b):
-    """tau, q, the wrapped t, w = exp(i pi z) and p = w^2."""
-    tau = complex(a, b)
-    q = np.exp(2j * np.pi * tau)
-    s = ds - np.rint(ds)
-    t = dt - np.rint(dt)
-    z = s + t * tau
-    w = np.exp(1j * np.pi * z)
-    return tau, q, t, w, w * w
-
-
 def _paired_values(ds, dt, a, b, nterms):
     """G from the paired factors F_n, multiplied one term after another."""
-    tau, q, t, w, p = _setup(ds, dt, a, b)
+    tau, q, t, w, p = green_setup(ds, dt, a, b)
     c = p + 1.0 / p
     acc = w - 1.0 / w
     qn = complex(1.0, 0.0)
@@ -72,7 +63,7 @@ def _paired_values(ds, dt, a, b, nterms):
 def _paired_grads(ds, dt, a, b, nterms):
     """2 dG/dz and 4 d2G/dz2 from L and L' in the paired form, summed one
     term after another."""
-    tau, q, t, _, p = _setup(ds, dt, a, b)
+    tau, q, t, _, p = green_setup(ds, dt, a, b)
     ip = 1.0 / p
     c = p + ip
     ser = np.zeros_like(p)
@@ -111,45 +102,13 @@ def test_kernels_equal_per_term_loops(a, b, pairs, nterms):
 
 def _loop_values(ds, dt, a, b, nterms):
     """G from the unpaired triple product, one log per factor."""
-    tau, q, t, w, p = _setup(ds, dt, a, b)
+    tau, q, t, w, p = green_setup(ds, dt, a, b)
     acc = np.pi * b / 6.0 - np.log(np.abs(w - 1.0 / w)) + np.pi * b * t * t
     qn = complex(1.0, 0.0)
     for _ in range(nterms):
         qn = qn * q
         acc = acc - np.log(np.abs(1.0 - qn * p)) - np.log(np.abs(1.0 - qn / p))
     return acc
-
-
-def _loop_grads(ds, dt, a, b, nterms):
-    """2 dG/dz and 4 d2G/dz2 from the unpaired terms of L and L', then L
-    and L' themselves."""
-    tau, q, t, w, p = _setup(ds, dt, a, b)
-    lsum = np.pi * 1j * (p + 1.0) / (p - 1.0)
-    dl = p / (p - 1.0) ** 2
-    qn = complex(1.0, 0.0)
-    for _ in range(nterms):
-        qn = qn * q
-        u = qn / p
-        v = qn * p
-        lsum = lsum + 2j * np.pi * (u / (1.0 - u) - v / (1.0 - v))
-        dl = dl + u / (1.0 - u) ** 2 + v / (1.0 - v) ** 2
-    dl = 4.0 * np.pi * np.pi * dl
-    return -(lsum + 2j * np.pi * t), -2.0 * (dl + np.pi / b), lsum, dl
-
-
-def _unpaired_gaps(ds, dt, a, b, nterms, lsum, dl):
-    """Bounds on |L - L_loop| and |L' - L'_loop|, the paired kernels'
-    series against the unpaired loop's ``lsum`` and ``dl``, from per-term
-    rounding (derived in ``test_kernels_equal_the_unpaired_product``)."""
-    u = 2.0 ** -53
-    _, q, _, _, p = _setup(ds, dt, a, b)
-    n = np.arange(1, nterms + 1)[:, None]
-    mu = (abs(q) ** n * (np.abs(p) + 1.0 / np.abs(p))).sum(axis=0)
-    mu2 = 4.0 * (mu + 4.0 * (abs(q) ** (2 * n)).sum(axis=0))
-    per_term = (2 * nterms + 200) * u
-    d_l = 2.0 * np.pi * per_term * mu + (nterms + 4) * u * np.abs(lsum)
-    d_dl = 4.0 * np.pi ** 2 * per_term * mu2 + (2 * nterms + 4) * u * np.abs(dl)
-    return d_l, d_dl
 
 
 @pytest.mark.parametrize("nterms", [4, 9, 200])
@@ -185,7 +144,7 @@ def test_kernels_equal_the_unpaired_product(a, b, nterms):
     dt = np.concatenate([rng.uniform(-1.5, 1.5, 200),
                          np.repeat([0.5, -0.5], 100)])
     u = 2.0 ** -53
-    _, q, t, w, p = _setup(ds, dt, a, b)
+    _, q, t, w, p = green_setup(ds, dt, a, b)
     n = np.arange(1, nterms + 1)[:, None]
     mu = (abs(q) ** n * (np.abs(p) + 1.0 / np.abs(p))).sum(axis=0)
     per_term = (2 * nterms + 200) * u
@@ -198,8 +157,8 @@ def test_kernels_equal_the_unpaired_product(a, b, nterms):
     assert np.all(err <= tol)
 
     dz, dzz = backend.green_grads(ds, dt, a, b, nterms)
-    ldz, ldzz, lsum, dl = _loop_grads(ds, dt, a, b, nterms)
-    d_l, d_dl = _unpaired_gaps(ds, dt, a, b, nterms, lsum, dl)
+    ldz, ldzz, lsum, dl = loop_grads(ds, dt, a, b, nterms)
+    d_l, d_dl = unpaired_gaps(ds, dt, a, b, nterms, lsum, dl)
     assert np.all(np.abs(dz - ldz)
                   <= (1 + u) * d_l + 2 * u * np.abs(ldz) / (1 - u))
     assert np.all(np.abs(dzz - ldzz)

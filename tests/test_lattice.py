@@ -32,8 +32,8 @@ from abrikosov.lattice import (
 )
 from abrikosov.modular import LatticeBasis, SeriesControl, _exp1
 
-SQRT3 = math.sqrt(3.0)
-TRI_TAU = complex(0.5, 0.5 * SQRT3)
+from references import SQRT3, TRI_TAU
+
 W_SQUARE = -0.19579719635341825   # frozen: w at tau = i, unit density
 W_TRI = -0.20108944761168238      # frozen: w at the hexagonal point
 W_DIFF = 0.00529225125826413      # frozen: W_SQUARE - W_TRI
@@ -458,7 +458,7 @@ def test_moduli_scan_csv_matches_row_loop(tmp_path, monkeypatch):
     rep = moduli_scan(ModuliGrid(resolution=8))
     assert rep.a.size % 7 != 0
     want = "a,b,W\n" + "".join(f"{ai:.9g},{bi:.9g},{wi:.9g}\n"
-                                for ai, bi, wi in zip(rep.a, rep.b, rep.w))
+                                for ai, bi, wi in zip(*rep.grid.points(), rep.w))
     for scan_block in (5, 1 << 14):
         monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
         rep.to_csv(tmp_path / "scan.csv")
@@ -530,9 +530,10 @@ def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
     for scan_block in (5, 12, 1 << 14):
         monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
         rep = moduli_scan(grid)
-        best = np.lexsort((rep.b, rep.a, rep.w))[0]
+        a, b = rep.grid.points()
+        best = np.lexsort((b, a, rep.w))[0]
         assert np.count_nonzero(rep.w == rep.w[best]) == 5
-        assert rep.argmin_grid == (rep.a[best], rep.b[best]) == (0.1, 1.1)
+        assert rep.argmin_grid == (a[best], b[best]) == (0.1, 1.1)
 
 
 @pytest.mark.parametrize("scan_block", [5, 1 << 14])
@@ -550,7 +551,7 @@ def test_moduli_scan_argmin_tie_can_be_won_blocks_later(monkeypatch,
     monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(0.9, 1.5), resolution=5)
     rep = moduli_scan(grid)
-    a, b = rep.a, rep.b
+    a, b = rep.grid.points()
     ties = np.flatnonzero(rep.w == -np.inf)
     assert ties.size == 2 and ties[1] == a.size - 5   # first of 5 arc points
     best = np.lexsort((b, a, rep.w))[0]

@@ -41,8 +41,7 @@ from abrikosov.modular import (
 )
 from abrikosov.torus import GreenEvaluator, TorusSpec
 
-SQRT3 = math.sqrt(3.0)
-TRI_TAU = complex(0.5, 0.5 * SQRT3)
+from references import TRI_TAU
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,7 @@ def test_theta_radius_is_tight(tau, alpha, tol):
     # form gives up only log((1 + rho / t) / (1 + rho / t*)) in
     # pi alpha t0^2 against the smallest gap t* (a radius of 3 rho, taken
     # where rho exceeds the Gaussian width, fails them)
-    basis = _shape_basis_cov(tau, 2.0 * math.pi)
+    basis = shape_basis(tau)
     with mock.patch.object(modular, "_enumerate_norms_sq",
                            wraps=modular._enumerate_norms_sq) as enumerate_:
         _support(basis, alpha, SeriesControl(abs_tol=tol))
@@ -313,14 +312,9 @@ def test_basis_whose_shape_modulus_overflows_is_an_input_error():
 # ---------------------------------------------------------------------------
 
 
-def _shape_basis_cov(tau: complex, covol: float) -> LatticeBasis:
-    scale = math.sqrt(covol / tau.imag)
-    return LatticeBasis([scale, 0.0], [scale * tau.real, scale * tau.imag])
-
-
 def test_zeta_difference_limit_square_vs_triangular():
-    sq = _shape_basis_cov(1j, 2.0 * math.pi)
-    tri = _shape_basis_cov(TRI_TAU, 2.0 * math.pi)
+    sq = shape_basis(1j)
+    tri = shape_basis(TRI_TAU)
     got = zeta_difference_limit(sq, tri, SeriesControl(abs_tol=1e-12))
     assert abs(got - 0.005292251258250735) < 1e-12   # frozen
     # antisymmetry and the zero difference of a lattice with itself
@@ -428,8 +422,8 @@ def test_skewed_basis_enumerates_the_reduced_window(skew):
 
 
 def test_zeta_difference_rejects_covolume_mismatch():
-    sq = _shape_basis_cov(1j, 2.0 * math.pi)
-    small = _shape_basis_cov(1j, 1.0)
+    sq = shape_basis(1j)
+    small = shape_basis(1j, 1.0)
     with pytest.raises(CovolumeMismatch):
         zeta_difference_limit(sq, small)
 

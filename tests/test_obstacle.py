@@ -1,8 +1,8 @@
 """Tests of the constrained membrane solver and its verification helpers.
 
 The threshold constant on the unit disk has an exact special-function value,
-reimplemented here as a power series so the solver is checked against an
-independent oracle rather than against itself.
+reimplemented as a power series in ``references.py`` so the solver is
+checked against an independent oracle rather than against itself.
 """
 
 import math
@@ -12,8 +12,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from bessel_series import bessel_i0
 
 from abrikosov import backend, obstacle
 from abrikosov.errors import (
@@ -38,8 +36,8 @@ from abrikosov.obstacle import (
     verify_scale_law,
 )
 
+from references import H0_BAR, bessel_i0
 
-H0_BAR = 1.0 / bessel_i0(1.0)          # radial closed form of the disk minimum
 LAMBDA_DISK = 1.0 / (2.0 * (1.0 - H0_BAR))
 
 

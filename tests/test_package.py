@@ -119,3 +119,21 @@ def test_imports_stay_within_the_declared_dependencies(folder, extra):
              for root in _imported_roots(f) - allowed}
     assert files
     assert not stray
+
+
+def test_shared_test_code_lives_only_in_the_references():
+    # what several test files share lives in references.py, not in a test
+    # module that another imports; the references take of the package only
+    # the E1 they sum, which test_lattice.py checks against table values
+    files = sorted((ROOT / "tests").glob("*.py"))
+    assert not {f"{f.name}: {root}" for f in files
+                for root in _imported_roots(f) if root.startswith("test_")}
+    tree = ast.parse((ROOT / "tests" / "references.py").read_text())
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            taken.update((node.module or "", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            taken.update((alias.name, None) for alias in node.names)
+    assert {pair for pair in taken if pair[0].split(".")[0] == "abrikosov"} \
+        == {("abrikosov.modular", "_exp1")}

@@ -25,7 +25,7 @@ from abrikosov.errors import (
     VolumeNotNormalized,
 )
 from abrikosov.lattice import shape_basis, w_eta
-from abrikosov.modular import LatticeBasis, SeriesControl, _exp1
+from abrikosov.modular import LatticeBasis, SeriesControl
 from abrikosov.torus import (
     GreenEvaluator,
     MinimizeControl,
@@ -38,11 +38,9 @@ from abrikosov.torus import (
     minimize_config,
     triangular_embedding,
 )
-from test_backend import _loop_grads, _unpaired_gaps
 
-SQRT3 = math.sqrt(3.0)
-TRI_TAU = complex(0.5, 0.5 * SQRT3)
-TWO_PI = 2.0 * math.pi
+from references import (SQRT3, TRI_TAU, TWO_PI, central_differences,
+                        ewald_green, loop_grads, unpaired_gaps)
 
 
 def _green_grad(ev, x):
@@ -50,12 +48,6 @@ def _green_grad(ev, x):
     the two-point configuration at x and 0."""
     frac = np.linalg.solve(ev.torus.basis.matrix, x)
     return config_grad(TorusConfig(ev.torus, [frac, [0.0, 0.0]]), ev)[0]
-
-
-def _shape_torus(a, b):
-    """The area-2pi torus with basis (c, 0), (c a, c b), where c^2 b = 2 pi."""
-    c = math.sqrt(TWO_PI / b)
-    return TorusSpec(LatticeBasis([c, 0.0], [c * a, c * b]))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +121,7 @@ def test_config_rejects_points_in_the_singular_tube():
 @given(n=st.integers(2, 8), a=st.floats(-3.0, 3.0), b=st.floats(0.3, 1.5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_config_energy_is_translation_and_permutation_invariant(n, a, b, seed):
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     rng = np.random.default_rng(seed)
     pts = torus._random_start(n, rng)
     ev = GreenEvaluator(spec)
@@ -192,11 +184,8 @@ def test_green_rejects_lattice_points():
 
 def test_green_same_lattice_different_basis():
     # an unreduced basis of the same torus must give the same Green function
-    side = math.sqrt(TWO_PI)
-    plain = TorusSpec.square()
-    sheared = TorusSpec(LatticeBasis([side, 0.0], [side, side]))
-    ev1 = GreenEvaluator(plain)
-    ev2 = GreenEvaluator(sheared)
+    ev1 = GreenEvaluator(TorusSpec.square())
+    ev2 = GreenEvaluator(_sheared_square())
     for x in ([0.4, 0.9], [-0.8, 0.33], [1.9, 1.9]):
         x = np.asarray(x, dtype=float)
         assert abs(ev1.value(x) - ev2.value(x)) < 1e-11
@@ -211,26 +200,11 @@ def test_green_is_modular_invariant(a, b, seed):
     # the evaluator reduces the modulus and maps fractional coordinates by
     # an integer matrix; the kernel summed directly at the unreduced modulus,
     # to 200 terms, must be the same function
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     frac = np.random.default_rng(seed).random((16, 2))
     direct = backend.green_values(frac[:, 0], frac[:, 1], a, b, 200)
     got = GreenEvaluator(spec)._values_frac(frac[:, 0], frac[:, 1])
     assert np.max(np.abs(got - direct)) < 1e-12
-
-
-def _ewald_green(basis, x, eps=0.5):
-    """Ewald form of the area-2pi torus Green function at x != 0, from lattice
-    sums alone:  H(x) = sum_{k != 0} exp(-eps |k|^2) cos(k.x) / |k|^2
-    + 1/2 sum_p E1(|x - p|^2 / (4 eps)) - eps, over the dual K (k.p in 2 pi Z)
-    and the lattice L of ``basis``.  The basis must be reduced and x near the
-    origin, so a fixed index window holds every term above rounding."""
-    n = np.stack(np.meshgrid(np.arange(-10, 11), np.arange(-10, 11))).reshape(2, -1)
-    n = n[:, np.any(n != 0, axis=0)]
-    k = (TWO_PI * np.linalg.inv(basis.matrix).T @ n).T
-    ksq = np.sum(k * k, axis=1)
-    d = x - np.vstack([(basis.matrix @ n).T, [0.0, 0.0]])
-    return (np.sum(np.exp(-eps * ksq) * np.cos(k @ x) / ksq)
-            + 0.5 * np.sum(_exp1(np.sum(d * d, axis=1) / (4.0 * eps))) - eps)
 
 
 def test_green_matches_ewald_on_unreduced_bases():
@@ -257,7 +231,7 @@ def test_green_matches_ewald_on_unreduced_bases():
         x0 = reduced @ (frac - np.rint(frac))
         if np.hypot(*x0) < 1e-3:
             continue
-        ref = _ewald_green(LatticeBasis(reduced[:, 0], reduced[:, 1]), x0)
+        ref = ewald_green(LatticeBasis(reduced[:, 0], reduced[:, 1]), x0)
         worst = max(worst, abs(ev.value(x) - ref))
     assert worst < 1e-12
 
@@ -268,7 +242,7 @@ def test_green_matches_ewald_on_unreduced_bases():
 @example(a=2.3, b=0.8, seed=0)
 def test_green_is_even(a, b, seed):
     # most of these moduli reduce through a non-identity coord_map
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     s, t = np.random.default_rng(seed).uniform(0.01, 0.99, (16, 2)).T
     ev = GreenEvaluator(spec)
     assert np.max(np.abs(ev._values_frac(s, t) - ev._values_frac(-s, -t))) \
@@ -276,7 +250,8 @@ def test_green_is_even(a, b, seed):
 
 
 @pytest.mark.parametrize("spec", [
-    TorusSpec.square(), TorusSpec.hexagonal(), _shape_torus(2.3, 0.8),
+    TorusSpec.square(), TorusSpec.hexagonal(),
+    TorusSpec(shape_basis(complex(2.3, 0.8))),
 ], ids=["square", "hex", "sheared"])
 def test_green_has_mean_zero(spec):
     # the midpoint rule carries an O(k^-2) term from the log singularity;
@@ -297,7 +272,7 @@ def test_green_series_length_follows_series_control():
     for spec, counts in ((TorusSpec.square(), (8, 6)),
                          (TorusSpec.hexagonal(), (9, 6)),
                          (TorusSpec.rectangular(SQRT3), (6, 4)),
-                         (_shape_torus(2.3, 0.8), (7, 5))):
+                         (TorusSpec(shape_basis(complex(2.3, 0.8))), (7, 5))):
         assert GreenEvaluator(spec).nterms == counts[0]
         assert GreenEvaluator(spec, SeriesControl(abs_tol=1e-6)).nterms \
             == counts[1]
@@ -312,7 +287,7 @@ def test_series_error_estimates_bound_truncation(n, a, b, seed, tol):
     # eta tail per point) must cover what 16 more q-series terms change.
     # At the default abs_tol the two energies agree to the bit; the looser
     # tolerances leave gaps of up to about 1e-12 to measure
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     pts = torus._random_start(n, np.random.default_rng(seed))
     cfg = TorusConfig(spec, pts)
     ctl = SeriesControl(abs_tol=tol)
@@ -345,12 +320,9 @@ def test_green_grad_matches_finite_differences():
         for _ in range(3):
             x = rng.uniform(0.3, 1.2, size=2)
             g = _green_grad(ev, x)
-            eps = 1e-6
-            for k in range(2):
-                dx = np.zeros(2)
-                dx[k] = eps
-                fd = (ev.value(x + dx) - ev.value(x - dx)) / (2.0 * eps)
-                assert abs(g[k] - fd) < 1e-7
+            fd = central_differences(lambda p: ev.value(p[0]), x[None],
+                                     np.eye(2))[0]
+            assert np.all(np.abs(g - fd) < 1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +416,9 @@ def test_config_grad_matches_energy_differences():
     pts = rng.random((3, 2))
     cfg = TorusConfig(spec, pts)
     g = config_grad(cfg)
-    inv = np.linalg.inv(spec.basis.matrix)
-    eps = 1e-6
-    for i in range(3):
-        for k in range(2):
-            dx = np.zeros(2)
-            dx[k] = eps
-            dfrac = inv @ dx
-            up = pts.copy()
-            up[i] += dfrac
-            dn = pts.copy()
-            dn[i] -= dfrac
-            fd = (config_energy(TorusConfig(spec, up))
-                  - config_energy(TorusConfig(spec, dn))) / (2.0 * eps)
-            assert abs(g[i, k] - fd) < 2e-6
+    fd = central_differences(lambda p: config_energy(TorusConfig(spec, p)),
+                             pts, np.linalg.inv(spec.basis.matrix))
+    assert np.all(np.abs(g - fd) < 2e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -481,24 +442,19 @@ def test_hessian_matches_gradient_differences(spec, reduced):
     rng = np.random.default_rng(11)
     pts = rng.random((4, 2))
     hess = torus._pair_hessian(torus._pair_derivs(ev, pts)[1], 4)
-    inv = np.linalg.inv(spec.basis.matrix)
-    eps = 1e-6
-    for col in range(8):
-        i, k = divmod(col, 2)
-        dfrac = inv[:, k] * eps
-        up, dn = pts.copy(), pts.copy()
-        up[i] += dfrac
-        dn[i] -= dfrac
-        fd = (config_grad(TorusConfig(spec, up), ev)
-              - config_grad(TorusConfig(spec, dn), ev)).ravel() / (2.0 * eps)
-        assert np.max(np.abs(hess[:, col] - fd)) < 1e-6 * max(1.0, np.max(np.abs(fd)))
+    fd = central_differences(
+        lambda p: config_grad(TorusConfig(spec, p), ev).ravel(), pts,
+        np.linalg.inv(spec.basis.matrix)).reshape(8, 8).T
+    # column 2 i + k differences the gradient along point i's axis k
+    scale = np.maximum(1.0, np.max(np.abs(fd), axis=0))
+    assert np.all(np.max(np.abs(hess - fd), axis=0) < 1e-6 * scale)
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 6), a=st.floats(-0.5, 0.5), b=st.floats(0.7, 2.5),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_hessian_symmetric_and_translation_free(n, a, b, seed):
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     pts = np.random.default_rng(seed).random((n, 2))
     kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
     hess = torus._pair_hessian(kappa, n)
@@ -524,7 +480,7 @@ def test_hessian_quarter_turn_sum_is_the_laplacian(n, a, b, seed):
     # translation projector, J H J^T + H = n (I - P): the spectrum on the
     # zero-mean moves pairs lambda with n - lambda.  That checks the
     # layout: which quarter holds which part, and with which sign.
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     pts = torus._random_start(n, np.random.default_rng(seed))
     kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
     hess = torus._pair_hessian(kappa, n)
@@ -562,7 +518,7 @@ def test_hessian_spectrum_is_half_n_plus_minus_the_singular_values(n, a, b,
     # into e^(i theta) A or conj(A), a rotated or reflected frame with the
     # same singular values; the finite-difference and quarter-turn tests
     # pin those signs.
-    spec = _shape_torus(a, b)
+    spec = TorusSpec(shape_basis(complex(a, b)))
     pts = torus._random_start(n, np.random.default_rng(seed))
     kappa = torus._pair_derivs(GreenEvaluator(spec), pts)[1]
     iu, ju = np.triu_indices(n, k=1)
@@ -598,9 +554,9 @@ def _frame_map(j, g, h):
 
 
 @pytest.mark.parametrize("spec", [TorusSpec.hexagonal(), _sheared_square(),
-                                  _shape_torus(0.31, 1.7),
-                                  _shape_torus(2.3, 0.4),
-                                  _shape_torus(-0.7, 0.2)],
+                                  TorusSpec(shape_basis(complex(0.31, 1.7))),
+                                  TorusSpec(shape_basis(complex(2.3, 0.4))),
+                                  TorusSpec(shape_basis(complex(-0.7, 0.2)))],
                          ids=["hex", "sheared", "general", "tau=2.3+0.4i",
                               "tau=-0.7+0.2i"])
 def test_pair_hessian_blocks_match_the_matrix_product(spec):
@@ -632,8 +588,8 @@ def test_pair_hessian_blocks_match_the_matrix_product(spec):
     ds, dt = torus._pair_seps(stack)
     g, kappa = ev._derivs_frac(ds, dt)
     s2, t2, a, b, nterms = ev._reduced(ds, dt)
-    _, _, lsum, dl = _loop_grads(s2, t2, a, b, nterms)
-    d_l, d_dl = _unpaired_gaps(s2, t2, a, b, nterms, lsum, dl)
+    _, _, lsum, dl = loop_grads(s2, t2, a, b, nterms)
+    d_l, d_dl = unpaired_gaps(s2, t2, a, b, nterms, lsum, dl)
     t, tau, drift = t2 - np.rint(t2), complex(a, b), 2.0 * np.pi * b
     j = _reduced_frame(ev)
     ref_g, ref_h = _frame_map(j, np.stack([-lsum.real, -(tau * lsum).real
