@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 input/usage error, 3 numerical failure.
 
 The module imports only the standard library and ``errors``; each
 subcommand imports the library modules it calls when it runs, so
-``--version``, ``--help`` and usage errors answer without loading numpy.
+``--version``, ``--help`` and usage errors answer without loading numpy,
+and so does ``lattice --tau`` on its default eta route, which needs only
+the numpy-free ``_eta``.
 """
 from __future__ import annotations
 
@@ -33,10 +35,20 @@ from .errors import InfeasibleObstacle, InputError, NumericalError, positive
 
 def _json_ready(obj):
     """Recursively normalize a payload: 12 significant digits, plain types;
-    a dataclass goes in as its fields."""
+    a dataclass goes in as its fields.
+
+    numpy's types come from ``sys.modules``: a numpy object exists only
+    once a subcommand has loaded numpy, so a run that never loads it
+    serializes without importing it.
+    """
     import dataclasses
 
-    import numpy as np
+    np = sys.modules.get("numpy")
+    if np is None:
+        bools, ints, floats, arrays = bool, int, float, ()
+    else:
+        bools, ints, floats, arrays = ((bool, np.bool_), (int, np.integer),
+                                       (float, np.floating), np.ndarray)
 
     def ready(obj):
         if dataclasses.is_dataclass(obj):
@@ -45,14 +57,14 @@ def _json_ready(obj):
             return {str(k): ready(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [ready(v) for v in obj]
-        if isinstance(obj, (bool, np.bool_)):
+        if isinstance(obj, bools):
             return bool(obj)
-        if isinstance(obj, (int, np.integer)):
+        if isinstance(obj, ints):
             return int(obj)
-        if isinstance(obj, (float, np.floating)):
+        if isinstance(obj, floats):
             x = float(obj)
             return float(f"{x:.12g}") if math.isfinite(x) else x
-        if isinstance(obj, np.ndarray):
+        if isinstance(obj, arrays):
             return ready(obj.tolist())
         if obj is None or isinstance(obj, str):
             return obj
@@ -120,9 +132,8 @@ def _add_series_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_lattice(args) -> int:
-    from .lattice import (TRIANGULAR_TAU, lattice_to_tau, w_eta, w_fourier,
-                          w_zeta_diff)
-    from .modular import LatticeBasis, SeriesControl
+    # the eta route of --tau needs only the numpy-free _eta
+    from ._eta import SeriesControl
 
     if (args.tau is None) == (args.basis is None):
         raise InputError("provide exactly one of --tau A B or --basis U1 U2 V1 V2")
@@ -132,6 +143,9 @@ def cmd_lattice(args) -> int:
         tau = complex(args.tau[0], args.tau[1])
         m = args.m if args.m is not None else 1.0
     else:
+        from .lattice import lattice_to_tau
+        from .modular import LatticeBasis
+
         u1, u2, v1, v2 = args.basis
         basis = LatticeBasis((u1, u2), (v1, v2))
         tau, scale = lattice_to_tau(basis)
@@ -139,6 +153,8 @@ def cmd_lattice(args) -> int:
         m = args.m if args.m is not None else 1.0 / (scale * scale)
     ref = None
     if args.route == "zetadiff-vs":
+        from .lattice import TRIANGULAR_TAU
+
         ref = complex(*args.ref_tau) if args.ref_tau else TRIANGULAR_TAU
     payload = _payload(args, {
         "m": m, "route": args.route,
@@ -147,10 +163,16 @@ def cmd_lattice(args) -> int:
         "abs_tol": args.abs_tol,
     })
     if args.route == "eta":
+        from ._eta import w_eta
+
         payload["report"] = w_eta(tau, m, ctl)
     elif args.route == "fourier":
+        from .lattice import w_fourier
+
         payload["report"] = w_fourier(tau, m, ctl)
     else:  # zetadiff-vs
+        from .lattice import w_zeta_diff
+
         diff = w_zeta_diff(tau, ref, m, ctl)
         payload["report"] = {
             "value": diff,

@@ -7,8 +7,9 @@ The energy of a unit-density lattice of shape ``tau = a + i b`` is
 
 extended to density ``m`` by ``w_m = m (w_1 - 1/4 log m)``.  ``_w_unit``
 evaluates the second form, finite up to b = ``MAX_B``.  Three
-evaluation routes are provided: the eta product, and two built on
-``modular._ewald_sums`` (no q-series): ``w_fourier`` and the zeta
+evaluation routes are provided: the eta product ``w_eta``, which lives
+with ``_w_unit`` in the numpy-free ``_eta`` and is imported here, and two
+built on ``modular._ewald_sums`` (no q-series): ``w_fourier`` and the zeta
 difference ``w_zeta_diff``.
 
 ``moduli_scan`` verifies that the minimum over shapes is the hexagonal
@@ -22,24 +23,32 @@ from functools import cached_property
 
 import numpy as np
 
+from ._eta import (
+    MAX_B,
+    TWO_PI,
+    EnergyReport,
+    SeriesControl,
+    _DEFAULT_CTL,
+    _density_scale,
+    _in_range,
+    _nterms_for,
+    _reduced,
+    _require_upper,
+    _w_unit,
+    reduce_fundamental,
+    w_eta,
+)
 from .csvfile import write_csv
 from .errors import (
     InputError,
     NonPositiveImaginaryPart,
-    NonPositiveParameter,
     count,
     positive,
 )
 from .modular import (
     LatticeBasis,
-    SeriesControl,
-    _eta_product,
     _ewald_sums,
-    _nterms_for,
-    _reduce_with_matrix,
-    _require_upper,
     _shape_modulus,
-    eta_truncation,
     theta_lattice,
     zeta_difference_limit,
 )
@@ -60,55 +69,19 @@ __all__ = [
     "theta_minimality_probe",
 ]
 
-TWO_PI = 2.0 * math.pi
 TRIANGULAR_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 EWALD_SPLIT = 0.5          # where w_fourier splits 1/|k|^2 between K and L
 SCAN_BLOCK = 1 << 14       # most points in a ModuliGrid block, bar one long column
-MAX_B = 1e307              # largest b the routes and the scan take: 2 pi b < inf
 # The compass polish stops once its step is below POLISH_STEP.  Near rho
 # Hess w = I/6, so a step of 5e-8 changes w by about 8 ulp of |w(rho)|:
 # smaller steps would follow rounding, not the energy.
 POLISH_STEP = 1e-7
 _COMPASS = (1, 1 + 1j, 1j, -1 + 1j, -1, -1 - 1j, -1j, 1 - 1j)
-_DEFAULT_CTL = SeriesControl()
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """An energy value plus the route and truncation data that produced it."""
-
-    value: float
-    route: str  # "eta" or "fourier"
-    truncation: SeriesControl
-    error_estimate: float
-
-    def __post_init__(self):
-        if self.error_estimate < 0.0:
-            raise NonPositiveParameter("error_estimate must be >= 0")
 
 
 # ---------------------------------------------------------------------------
-# Fundamental-domain reduction
+# Shapes and bases
 # ---------------------------------------------------------------------------
-
-
-def reduce_fundamental(tau: complex) -> complex:
-    """Canonical representative of tau in {|Re| <= 1/2, |tau| >= 1}.
-
-    Boundary points are canonicalized toward nonnegative real part
-    (Re = -1/2 maps to +1/2; the left unit-arc half maps to the right).
-    """
-    return _reduce_with_matrix(tau)[0]
-
-
-def _reduced(tau: complex, what: str = "") -> complex:
-    """``reduce_fundamental(tau)``; InputError naming ``what`` (by default
-    tau) if its imaginary part exceeds MAX_B, the largest the routes take."""
-    tau_r = reduce_fundamental(tau)
-    if tau_r.imag > MAX_B:
-        raise InputError(f"{what or f'tau = {tau}'} reduces to Im tau above "
-                         f"{MAX_B:g}")
-    return tau_r
 
 
 def lattice_to_tau(basis: LatticeBasis):
@@ -137,39 +110,6 @@ def shape_basis(tau: complex, covolume: float = TWO_PI) -> LatticeBasis:
 # ---------------------------------------------------------------------------
 # The three energy routes
 # ---------------------------------------------------------------------------
-
-
-def _w_unit(tau, n: int):
-    """w_1 at tau (one or an array) in the module's log form, n factors."""
-    b = np.imag(tau)
-    return (np.pi * b / 12.0 - 0.25 * np.log(TWO_PI * b)
-            - np.log(np.abs(_eta_product(tau, n))))
-
-
-def _density_scale(value_unit, m: float):
-    """w_m = m (w_1 - 1/4 log m), elementwise in w_1."""
-    m = positive("density m", m)
-    with np.errstate(over="ignore"):
-        return _in_range(m * (value_unit - 0.25 * math.log(m)), value_unit, m)
-
-
-def _in_range(value, value_unit, m: float):
-    """``value``, the density-m scaling of ``value_unit``; InputError where
-    it takes a finite value out of the float range."""
-    if np.any(np.isinf(value) & np.isfinite(value_unit)):
-        raise InputError(f"density m = {m} scales the energy out of the "
-                         "float range")
-    return value
-
-
-def w_eta(tau: complex, m: float = 1.0,
-          ctl: SeriesControl = _DEFAULT_CTL) -> EnergyReport:
-    """Energy of the shape-tau lattice at density m, eta-product route."""
-    tau_r = _reduced(tau)
-    n, log_tail = eta_truncation(tau_r, ctl)
-    value = _density_scale(float(_w_unit(tau_r, n)), m)
-    return EnergyReport(value=value, route="eta", truncation=ctl,
-                        error_estimate=m * log_tail)
 
 
 def w_fourier(tau: complex, m: float = 1.0,
@@ -376,7 +316,9 @@ def moduli_scan(grid: ModuliGrid, m: float = 1.0,
     n_terms = _nterms_for(grid.min_b, ctl)
     w, picks = np.empty(grid.size), []
     for at, a, b in _spans(grid):
-        w[at] = block = _density_scale(_w_unit(a + 1j * b, n_terms), m)
+        with np.errstate(over="ignore"):
+            w[at] = block = _density_scale(
+                _w_unit(a + 1j * b, n_terms, np.exp, np.log), m, np.any)
         if block.size:
             ties = np.flatnonzero(block == block.min())
             k = ties[np.lexsort((b[ties], a[ties]))[0]]

@@ -21,17 +21,26 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import backend
+from ._eta import (
+    DEFAULT_CONTROL_TOL,
+    MAX_SERIES_TERMS,
+    _DEFAULT_CTL,
+    SeriesControl,
+    _eta_product,
+    _nterms_for,
+    _reduce_with_matrix,
+    _require_upper,
+    eta_truncation,
+)
 from .errors import (
     CovolumeMismatch,
     DegenerateBasis,
     InputError,
     LatticePointSingularity,
-    NonPositiveImaginaryPart,
     PrecisionUnreachable,
     positive,
 )
@@ -46,29 +55,8 @@ __all__ = [
     "zeta_difference_limit",
 ]
 
-DEFAULT_CONTROL_TOL = 1e-12
-MAX_SERIES_TERMS = 512
 SINGULAR_TUBE = 1e-9
 _EXP1_CROSSOVER = 1.0      # _exp1 uses its series below, continued fraction above
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the q-series and lattice sums.
-
-    ``abs_tol`` is the one truncation setting: each q-series keeps the terms
-    and each lattice sum the points that its own proven tail bound needs to
-    stay below it.  A q-series that would need more than
-    ``MAX_SERIES_TERMS`` terms raises :class:`PrecisionUnreachable`.
-    """
-
-    abs_tol: float = DEFAULT_CONTROL_TOL
-
-    def __post_init__(self):
-        positive("abs_tol", self.abs_tol)
-
-
-_DEFAULT_CTL = SeriesControl()
 
 
 class LatticeBasis:
@@ -119,47 +107,6 @@ class LatticeBasis:
         return f"LatticeBasis(u={self.u.tolist()}, v={self.v.tolist()})"
 
 
-def _require_upper(tau: complex) -> complex:
-    tau = complex(tau)
-    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
-        raise InputError(f"tau must be finite, not {tau}")
-    if not (tau.imag > 0.0):
-        raise NonPositiveImaginaryPart(f"tau must satisfy Im tau > 0, got {tau}")
-    return tau
-
-
-def _reduce_with_matrix(tau: complex):
-    """Reduce tau into {|Re| <= 1/2, |tau| >= 1} tracking the group word.
-
-    Returns (tau', M) with M = ((alpha, beta), (gamma, delta)) in Python
-    ints, det M = 1, and tau' = (alpha tau + beta) / (gamma tau + delta).
-    A |tau|^2 that underflows to 0 is inverted as -1/tau.
-    """
-    tau = _require_upper(tau)
-    a, b, c, d = 1, 0, 0, 1
-    for _ in range(10_000):
-        k = math.floor(tau.real + 0.5)
-        if k != 0:
-            tau = tau - k
-            a, b = a - k * c, b - k * d
-        norm = tau.real * tau.real + tau.imag * tau.imag
-        if norm < 1.0 - 1e-15:
-            tau = (complex(-tau.real / norm, tau.imag / norm) if norm
-                   else -1.0 / tau)
-            a, b, c, d = -c, -d, a, b
-            continue
-        break
-    # canonical representative on the boundary identifications
-    if abs(tau.real + 0.5) < 1e-14:
-        tau = complex(0.5, tau.imag)
-        a, b = a + c, b + d
-    norm = tau.real * tau.real + tau.imag * tau.imag
-    if abs(norm - 1.0) < 1e-14 and tau.real < -1e-14:
-        tau = complex(-tau.real / norm, tau.imag / norm)
-        a, b, c, d = -c, -d, a, b
-    return tau, ((a, b), (c, d))
-
-
 def _shape_modulus(basis: LatticeBasis) -> complex:
     """Shape modulus v/u of a basis (not reduced).
 
@@ -175,56 +122,18 @@ def _shape_modulus(basis: LatticeBasis) -> complex:
     return tau
 
 
-def _nterms_for(b: float, ctl: SeriesControl, extra: float = 0.0) -> int:
-    """Smallest n with exp(-2 pi b n + extra) below ctl.abs_tol / 10, plus 2
-    (at least 4); PrecisionUnreachable above MAX_SERIES_TERMS."""
-    need = (-math.log(ctl.abs_tol / 10.0) + extra) / (2.0 * math.pi * b)
-    n = max(int(math.ceil(need)) + 2, 4)
-    if n > MAX_SERIES_TERMS:
-        raise PrecisionUnreachable(
-            f"need {n} series terms for abs_tol={ctl.abs_tol} at b={b}, "
-            f"more than {MAX_SERIES_TERMS}"
-        )
-    return n
-
-
 def _green_nterms(b: float, ctl: SeriesControl) -> int:
     """Green q-series length at Im tau = b: the wrapped |Im z| <= b/2 makes
     the worst extra factor exp(pi b)."""
     return _nterms_for(b, ctl, extra=math.pi * b)
 
 
-def eta_truncation(tau: complex, ctl: SeriesControl = _DEFAULT_CTL):
-    """(term count, a-posteriori bound) of the eta product at this tau, as
-    ``dedekind_eta`` and ``lattice.w_eta`` take it.
-
-    The bound is on |log eta_truncated - log eta|: the dropped factors are
-    prod_{k>n}(1 - q^k), so |delta log| <= sum_{k>n} |q|^k / (1 - |q|)
-    <= |q|^(n+1) / (1 - |q|)^2.
-    """
-    tau = _require_upper(tau)
-    n = _nterms_for(tau.imag, ctl)
-    qa = math.exp(-2.0 * math.pi * tau.imag)
-    bound = qa ** (n + 1) / (1.0 - qa) ** 2
-    return n, bound
-
-
 def dedekind_eta(tau: complex, ctl: SeriesControl = _DEFAULT_CTL) -> complex:
     """q^(1/24) * prod_{n>=1} (1 - q^n) with q = exp(2 i pi tau)."""
     tau = _require_upper(tau)
     n = _nterms_for(tau.imag, ctl)
-    return np.exp(2j * np.pi * tau / 24.0) * _eta_product(tau, n)
-
-
-def _eta_product(tau, n: int):
-    """prod_{k<=n} (1 - q^k), dedekind_eta without q^(1/24), elementwise."""
-    q = np.exp(2j * np.pi * tau)
-    qn = q.copy()
-    prod = 1.0 - qn
-    for _ in range(n - 1):
-        qn *= q
-        prod *= 1.0 - qn
-    return prod
+    return (np.exp(2j * np.pi * tau / 24.0)
+            * _eta_product(np.exp(2j * np.pi * tau), n))
 
 
 def _tube_sq(basis: LatticeBasis, ds, dt):

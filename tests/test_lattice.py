@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from abrikosov import backend, csvfile, lattice, modular
+from abrikosov import _eta, backend, csvfile, lattice, modular
 from abrikosov.errors import InputError, NonPositiveImaginaryPart, NonPositiveParameter
 from abrikosov.lattice import (
     EnergyReport,
@@ -158,6 +158,26 @@ def test_w_eta_density_scaling_identity():
             assert abs(w_eta(tau, m).value - expected) < 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(a=st.floats(-0.5, 0.5), b=st.floats(SQRT3 / 2.0, 4.0))
+def test_w_unit_on_one_complex_matches_a_one_element_array(a, b):
+    # One formula, two argument types: w_eta's cmath/math route against the
+    # scan's numpy route.  q and the product come out with the same bits;
+    # what may round apart is |prod| (libm hypot against numpy's complex
+    # abs, each within 1 ulp) and the two logs (each faithful).  Here
+    # |prod| lies in [0.995, 1.005], so its log moves by at most about
+    # 2 eps; 2 pi b lies in [5.4, 25.2], so 1/4 log(2 pi b) by at most
+    # 1/4 * 2 ulp(3.3) = eps; and |w| < 1/4, so each of the two closing
+    # subtractions adds at most ulp(1/4) = eps / 8.  The sum is below 4 eps.
+    assume(a * a + b * b >= 1.0)
+    tau = complex(a, b)
+    n = _eta._nterms_for(b, SeriesControl())
+    one = _eta._w_unit(tau, n)
+    array = _eta._w_unit(np.array([tau]), n, np.exp, np.log)
+    assert isinstance(one, float) and array.shape == (1,)
+    assert abs(one - array[0]) <= 4.0 * np.finfo(float).eps
+
+
 def test_w_eta_rejects_bad_inputs():
     with pytest.raises(NonPositiveImaginaryPart):
         w_eta(complex(0.5, -1.0))
@@ -250,7 +270,7 @@ def test_w_fourier_evaluates_no_q_series():
         raise AssertionError("w_fourier reached a q-series")
 
     with mock.patch.object(backend, "green_values", forbidden), \
-            mock.patch.object(lattice, "_eta_product", forbidden), \
+            mock.patch.object(_eta, "_eta_product", forbidden), \
             mock.patch.object(modular, "_eta_product", forbidden):
         rep = w_fourier(complex(0.3, 1.2), m=2.0)
     assert rep.route == "fourier"
@@ -510,8 +530,9 @@ def test_moduli_scan_blocks_keep_the_whole_array_bits():
     rep = moduli_scan(grid, m=m)
     a, b = _whole_grid_points(grid)
     assert a.size > 3 * lattice.SCAN_BLOCK
-    n = modular._nterms_for(b.min(), SeriesControl())
-    want = lattice._density_scale(lattice._w_unit(a + 1j * b, n), m)
+    n = _eta._nterms_for(b.min(), SeriesControl())
+    want = _eta._density_scale(_eta._w_unit(a + 1j * b, n, np.exp, np.log), m,
+                               np.any)
     assert rep.w.tobytes() == want.tobytes()
     best = np.lexsort((b, a, want))[0]
     assert rep.min_grid == want[best]
@@ -520,12 +541,12 @@ def test_moduli_scan_blocks_keep_the_whole_array_bits():
 
 
 def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
-    # an eta that depends on b alone makes every column tie at its lowest b;
+    # a w that depends on b alone makes every column tie at its lowest b;
     # 5 points a column, so blocks of 5 and 12 split the ties between blocks
-    def eta_of_b(tau, n):
-        return np.exp(-np.imag(tau)) + 0j
+    def w_of_b(tau, n, exp, log):
+        return tau.imag.copy()
 
-    monkeypatch.setattr(lattice, "_eta_product", eta_of_b)
+    monkeypatch.setattr(lattice, "_w_unit", w_of_b)
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(1.1, 1.5), resolution=5)
     for scan_block in (5, 12, 1 << 14):
         monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
@@ -539,15 +560,15 @@ def test_moduli_scan_argmin_breaks_an_exact_tie_by_a_then_b(monkeypatch):
 @pytest.mark.parametrize("scan_block", [5, 1 << 14])
 def test_moduli_scan_argmin_tie_can_be_won_blocks_later(monkeypatch,
                                                         scan_block):
-    # eta = inf pins w = -inf at the top of the a = 0.4 column and at the arc
-    # point of a = 0.1; the arc block comes last, and its smaller a wins
+    # w = -inf pinned at the top of the a = 0.4 column and at the arc point
+    # of a = 0.1; the arc block comes last, and its smaller a wins
     a_vals = np.linspace(0.1, 0.4, 5)
     pinned = [complex(a_vals[4], 1.5), complex(a_vals[0], math.sqrt(0.99))]
 
-    def eta_pinned(tau, n):
-        return np.where(np.isin(tau, pinned), np.inf, np.exp(-np.imag(tau))) + 0j
+    def w_pinned(tau, n, exp, log):
+        return np.where(np.isin(tau, pinned), -np.inf, tau.imag)
 
-    monkeypatch.setattr(lattice, "_eta_product", eta_pinned)
+    monkeypatch.setattr(lattice, "_w_unit", w_pinned)
     monkeypatch.setattr(lattice, "SCAN_BLOCK", scan_block)
     grid = ModuliGrid(a_range=(0.1, 0.4), b_range=(0.9, 1.5), resolution=5)
     rep = moduli_scan(grid)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from abrikosov import modular
+from abrikosov import _eta, modular
 from abrikosov.errors import (
     CovolumeMismatch,
     InputError,
@@ -98,16 +98,28 @@ def _eta_loop(tau: complex, n: int) -> complex:
 
 
 def test_eta_on_an_array_matches_the_scalar_loop():
-    # the array route that runs: lattice._w_unit takes the eta product over
+    # the array route that runs: the scan's _w_unit takes the eta product over
     # a grid of moduli at the term count its smallest Im tau needs
     taus = [1j, TRI_TAU, complex(0.3, 0.9), complex(-0.44, 2.0),
             complex(0.05, 0.31)]
     n, _ = eta_truncation(complex(0.05, 0.31), SeriesControl(abs_tol=1e-13))
-    lib = modular._eta_product(np.array(taus), n)
+    q = np.exp(2j * np.pi * np.array(taus))
+    lib = _eta._eta_product(q, n)
     ref = np.array([_eta_loop(t, n) for t in taus])
     assert lib.shape == (5,)
     # same recurrence; array and scalar complex arithmetic may round apart
     assert np.all(np.abs(lib - ref) <= 64 * np.finfo(float).eps * np.abs(ref))
+    # on one complex it is the loop itself, and leaves an array q as it was
+    assert [_eta._eta_product(cmath.exp(2j * math.pi * t), n)
+            for t in taus] == ref.tolist()
+    assert q.tolist() == np.exp(2j * np.pi * np.array(taus)).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-0.5, 0.5), b=st.floats(1e-3, 1e307))
+def test_cexp_has_the_bits_of_cmath_exp(a, b):
+    z = 2j * math.pi * complex(a, b)
+    assert _eta._cexp(z) == cmath.exp(z)
 
 
 def test_eta_special_value_at_i():

@@ -1,11 +1,12 @@
 """What a fresh interpreter loads: the package namespace loads its modules on
 first use, and the command line loads numpy and the library only for the
-subcommand that runs.
+subcommand that runs, and for ``lattice --tau`` only off its eta route.
 
 Each check runs in a new interpreter, since this one has numpy and every
 module of the package loaded already.
 """
 
+import importlib
 import json
 import pkgutil
 import subprocess
@@ -36,17 +37,18 @@ def _fresh(code: str) -> dict:
 
 def _cli(*argv) -> dict:
     """Run ``python -m abrikosov argv`` in a new interpreter: its exit code,
-    stderr and the modules it loaded."""
+    stdout, stderr and the modules it loaded."""
     return _fresh(
         "import contextlib, io, runpy\n"
         f"sys.argv = ['abrikosov', *{list(argv)!r}]\n"
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), "
         "contextlib.redirect_stderr(err):\n"
         "    try:\n"
         "        runpy.run_module('abrikosov', run_name='__main__')\n"
         "    except SystemExit as exc:\n"
         "        found['code'] = exc.code\n"
+        "found['stdout'] = out.getvalue()\n"
         "found['stderr'] = err.getvalue()\n")
 
 
@@ -109,14 +111,36 @@ def test_version_help_and_usage_errors_load_no_numpy(argv, code):
                                "abrikosov.cli", "abrikosov.errors"]
 
 
+# "numpy" in ``absent`` means numpy too stays unloaded
 @pytest.mark.parametrize("argv,absent", [
-    ("lattice --tau 0 1", ("torus", "obstacle")),
+    ("lattice --tau 0 1", ("numpy", "backend", "csvfile", "modular",
+                           "lattice", "torus", "obstacle")),
     ("moduli-scan --resolution 4", ("torus", "obstacle")),
     ("fekete --n 2", ("obstacle",)),
     ("obstacle --disk --h 0.125 --m 0.9", ("modular", "lattice", "torus")),
+    ("lattice --tau 0 1 --route fourier", ("torus", "obstacle")),
+    ("lattice --basis 1 0 0 1", ("torus", "obstacle")),
 ])
 def test_a_subcommand_loads_only_its_own_modules(argv, absent):
     found = _cli(*argv.split())
     assert found["code"] == 0, found["stderr"]
-    assert "numpy" in found["loaded"]
+    assert ("numpy" in found["loaded"]) == ("numpy" not in absent)
     assert not {f"abrikosov.{m}" for m in absent} & set(found["loaded"])
+
+
+@pytest.mark.parametrize("argv,numpy_loaded", [
+    ("lattice --tau 0.21 1.33 --m 2.0", False),
+    ("fekete --n 2", True),
+])
+def test_json_bytes_do_not_depend_on_numpy_being_loaded(argv, numpy_loaded,
+                                                        capsys):
+    # the fresh run serializes with numpy loaded or not; in this process
+    # numpy is loaded, so _json_ready reads numpy's types either way
+    importlib.import_module("numpy")
+    from abrikosov import cli
+
+    found = _cli(*argv.split())
+    assert found["code"] == 0, found["stderr"]
+    assert ("numpy" in found["loaded"]) == numpy_loaded
+    assert cli.main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == found["stdout"].encode()
